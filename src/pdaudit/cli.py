@@ -124,8 +124,8 @@ def build_config(args: argparse.Namespace) -> Config:
             setattr(cfg, key, Path(value))
     if getattr(args, "fail_threshold", None) is not None:
         cfg.fail_threshold = args.fail_threshold
-    if cfg.fail_threshold < 0:
-        raise UsageError("--fail-threshold must be >= 0")
+    if not (cfg.fail_threshold >= 0):  # also rejects NaN, which no risk ever reaches
+        raise UsageError("--fail-threshold must be a number >= 0")
     return cfg
 
 
@@ -141,7 +141,7 @@ class AnalysisArtifacts:
     dots: dict[int, str]  # label id -> DOT text
 
 
-def run_analysis(pir_text: str, cfg: Config) -> AnalysisArtifacts:
+def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:
     program = parse_program(pir_text)
     diags = validate(program)
     errors = [d for d in diags if d.severity is Severity.ERROR]
@@ -188,6 +188,13 @@ def write_outputs(artifacts: AnalysisArtifacts, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+def _read_pir(path: str) -> bytes:
+    """The PIR file's bytes, for parse_program to decode (so bad UTF-8 is a
+    positioned ParseError), with line endings translated as text mode
+    would: CR and LF bytes never occur inside a multi-byte UTF-8 sequence."""
+    return Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def _emit_error(exc: Exception, source_file: str, json_errors: bool) -> None:
@@ -242,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         cfg = build_config(args)
-        pir_text = Path(args.pir).read_text(encoding="utf-8")
+        pir_text = _read_pir(args.pir)
         artifacts = run_analysis(pir_text, cfg)
         write_outputs(artifacts, cfg.out)
     except (PirError, RegistryError, MissingMappingError, UsageError, OSError,
@@ -258,7 +265,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = build_config(args)
-        pir_text = Path(args.pir).read_text(encoding="utf-8")
+        pir_text = _read_pir(args.pir)
         program = parse_program(pir_text)
         load_registries(cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon)
     except (PirError, RegistryError, UsageError, OSError, json.JSONDecodeError) as exc:
@@ -272,7 +279,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_print(args: argparse.Namespace) -> int:
     try:
-        pir_text = Path(args.pir).read_text(encoding="utf-8")
+        pir_text = _read_pir(args.pir)
         program = parse_program(pir_text)
     except (PirError, OSError) as exc:
         _emit_error(exc, args.pir, args.json_errors)

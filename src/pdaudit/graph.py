@@ -72,7 +72,10 @@ class DepEdge:
     kind: EdgeKind
 
     def sort_key(self):
-        return (self.src, self.dst, self.kind.value)
+        """Flat (src, dst, kind) key: the same order as comparing the Locs,
+        without going through the dataclass comparisons."""
+        src, dst = self.src, self.dst
+        return (src.cls, src.method, src.index, dst.cls, dst.method, dst.index, self.kind.value)
 
 
 class DepGraph:
@@ -133,10 +136,10 @@ def cfg_successors(m: MethodDef) -> dict[int, tuple[int, ...]]:
     return succs
 
 
-def reachable_indices(m: MethodDef) -> set[int]:
+def reachable_indices(m: MethodDef, succs: dict[int, tuple[int, ...]]) -> set[int]:
+    """Statements reachable from the entry; `succs` is cfg_successors(m)."""
     if not m.body:
         return set()
-    succs = cfg_successors(m)
     seen = {0}
     work = deque([0])
     while work:
@@ -171,14 +174,8 @@ Target = Union[MethodId, Opaque]
 
 
 class CallGraph:
-    def __init__(
-        self,
-        methods: tuple[MethodId, ...],
-        opaque: tuple[str, ...],
-        edges: dict[Loc, tuple[Target, ...]],
-    ):
+    def __init__(self, methods: tuple[MethodId, ...], edges: dict[Loc, tuple[Target, ...]]):
         self.methods = methods
-        self.opaque = opaque
         self.edges = edges
 
     def targets(self, loc: Loc) -> tuple[Target, ...]:
@@ -186,9 +183,6 @@ class CallGraph:
 
     def resolved(self, loc: Loc) -> tuple[MethodId, ...]:
         return tuple(t for t in self.targets(loc) if isinstance(t, MethodId))
-
-    def is_opaque(self, loc: Loc) -> bool:
-        return any(isinstance(t, Opaque) for t in self.targets(loc))
 
 
 def build_call_graph(p: Program) -> CallGraph:
@@ -230,7 +224,6 @@ def build_call_graph(p: Program) -> CallGraph:
         return sorted(targets)
 
     edges: dict[Loc, tuple[Target, ...]] = {}
-    opaque: set[str] = set()
     for loc, stmt in p.iter_locs():
         if not isinstance(stmt, (AssignCall, Call)):
             continue
@@ -238,11 +231,10 @@ def build_call_graph(p: Program) -> CallGraph:
         if resolved:
             edges[loc] = tuple(resolved)
         else:
-            opaque.add(stmt.callee)
             edges[loc] = (Opaque(stmt.callee),)
 
     methods = tuple(sorted(defined.values()))
-    return CallGraph(methods, tuple(sorted(opaque)), edges)
+    return CallGraph(methods, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +243,15 @@ def build_call_graph(p: Program) -> CallGraph:
 
 
 class _MethodFacts:
-    """Reaching-definition results for one method, shared by the data-dep
-    and interprocedural edge builders."""
+    """CFG successors, reachable set and reaching definitions for one
+    method, computed once and shared by the data, control and
+    interprocedural edge builders."""
 
     def __init__(self, cls_name: str, m: MethodDef):
         self.cls = cls_name
         self.m = m
-        self.reachable = reachable_indices(m)
         self.succs = cfg_successors(m)
+        self.reachable = reachable_indices(m, self.succs)
         preds: dict[int, list[int]] = {i: [] for i in range(len(m.body))}
         for i in self.reachable:
             for j in self.succs[i]:
@@ -316,9 +309,12 @@ def _field_sites(cls_name: str, m: MethodDef, reachable: set[int]):
     return stores, loads
 
 
-def data_deps(cls_name: str, m: MethodDef) -> set[DepEdge]:
-    """Intra-method Data edges: local def-use plus field store -> load."""
-    facts = _MethodFacts(cls_name, m)
+def data_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
+    """Intra-method Data edges: local def-use plus field store -> load.
+
+    `facts`, when given, must be the method's own _MethodFacts."""
+    if facts is None:
+        facts = _MethodFacts(cls_name, m)
     edges: set[DepEdge] = set()
     for i in sorted(facts.reachable):
         for v in stmt_uses(m.body[i]):
@@ -337,12 +333,12 @@ def data_deps(cls_name: str, m: MethodDef) -> set[DepEdge]:
 # ---------------------------------------------------------------------------
 
 
-def _postdominators(m: MethodDef) -> dict[int, Optional[int]]:
+def _postdominators(m: MethodDef, succs: dict[int, tuple[int, ...]]) -> dict[int, Optional[int]]:
     """Immediate postdominator per statement index (EXIT as virtual root).
 
-    Cooper-Harvey-Kennedy on the reversed CFG. Statements that cannot reach
-    the exit have no postdominator (None)."""
-    succs = cfg_successors(m)
+    Cooper-Harvey-Kennedy on the reversed CFG, `succs` being
+    cfg_successors(m). Statements that cannot reach the exit have no
+    postdominator (None)."""
     nodes = list(range(len(m.body))) + [EXIT]
     rpreds: dict[int, list[int]] = {n: [] for n in nodes}  # reversed preds = CFG succs
     for i in range(len(m.body)):
@@ -399,18 +395,22 @@ def _postdominators(m: MethodDef) -> dict[int, Optional[int]]:
     return ipdom
 
 
-def control_deps(cls_name: str, m: MethodDef) -> set[DepEdge]:
+def control_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
     """Control edges branch -> dependent statement.
 
     s is control-dependent on branch b when some CFG successor path from b
-    reaches s without passing b's immediate postdominator."""
+    reaches s without passing b's immediate postdominator. `facts`, when
+    given, must be the method's own _MethodFacts; its CFG is reused."""
     edges: set[DepEdge] = set()
-    reachable = reachable_indices(m)
+    if facts is None:
+        succs = cfg_successors(m)
+        reachable = reachable_indices(m, succs)
+    else:
+        reachable, succs = facts.reachable, facts.succs
     branches = [i for i in sorted(reachable) if isinstance(m.body[i], If)]
     if not branches:
         return edges
-    succs = cfg_successors(m)
-    ipdom = _postdominators(m)
+    ipdom = _postdominators(m, succs)
     for b in branches:
         stop = ipdom[b]
         for s in succs[b]:
@@ -441,11 +441,11 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     for cls, m in p.iter_methods():
         mid = MethodId(cls.name, m.key)
         method_defs[mid] = m
-        facts[mid] = _MethodFacts(cls.name, m)
+        f = facts[mid] = _MethodFacts(cls.name, m)
         for i in range(len(m.body)):
             nodes.add(Loc(cls.name, m.key, i))
-        edges |= data_deps(cls.name, m)
-        edges |= control_deps(cls.name, m)
+        edges |= data_deps(cls.name, m, f)
+        edges |= control_deps(cls.name, m, f)
 
     # Field cells: program-wide store -> load, order-insensitive.
     all_stores: dict[tuple[str, str], list[Loc]] = {}

@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 
@@ -225,10 +226,29 @@ class ClassDef:
 
 @dataclass
 class Program:
+    """A parsed PIR program.
+
+    Statement lookups (``method_at``, ``stmt_at``) go through an index that
+    is built on the first lookup and kept on the instance, outside the
+    dataclass fields, ``==`` and ``repr``. A Program must therefore not be
+    mutated after its first lookup.
+    """
+
     classes: list[ClassDef]
 
     def class_map(self) -> dict[str, ClassDef]:
         return {c.name: c for c in self.classes}
+
+    @cached_property
+    def _method_index(self) -> dict[tuple[str, str], MethodDef]:
+        """(class name, method key) -> method. The last class wins for a
+        duplicated class name, as in class_map; the first method wins for a
+        duplicated key."""
+        index: dict[tuple[str, str], MethodDef] = {}
+        for c in self.class_map().values():
+            for m in c.methods:
+                index.setdefault((c.name, m.key), m)
+        return index
 
     def iter_methods(self) -> Iterator[tuple[ClassDef, MethodDef]]:
         """All methods, sorted by (class name, method key).
@@ -246,16 +266,10 @@ class Program:
                 yield Loc(cls.name, m.key, i), s
 
     def method_at(self, cls: str, key: str) -> Optional[MethodDef]:
-        c = self.class_map().get(cls)
-        if c is None:
-            return None
-        for m in c.methods:
-            if m.key == key:
-                return m
-        return None
+        return self._method_index.get((cls, key))
 
     def stmt_at(self, loc: Loc) -> Optional[Stmt]:
-        m = self.method_at(loc.cls, loc.method)
+        m = self._method_index.get((loc.cls, loc.method))
         if m is None or not (0 <= loc.index < len(m.body)):
             return None
         return m.body[loc.index]

@@ -349,7 +349,7 @@ def render_dot(
         return f"{loc.cls}.{short_method}:{loc.index}: {text}"
 
     lines = [f'digraph "slice_{s.root.id}" {{', "  node [shape=box];"]
-    for loc in sorted(s.nodes):
+    for loc in sorted(s.nodes, key=lambda n: (n.cls, n.method, n.index)):
         lines.append(
             f'  "{_dot_escape(node_id(loc))}" '
             f'[label="{_dot_escape(node_label(loc))}", kind="{node_kind(loc)}"];'

@@ -138,7 +138,6 @@ class Flow:
 
 @dataclass
 class TaintResult:
-    facts: dict[Loc, frozenset[TaintFact]]  # after-state per reachable statement
     flows: list[Flow]
     unsunk: list[SourceLabel]
 
@@ -194,9 +193,6 @@ class PropagationResult:
     def raw_before(self, loc: Loc) -> _State:
         return self._before.get(loc, {})
 
-    def after_states(self) -> dict[Loc, frozenset[TaintFact]]:
-        return {loc: self.after(loc) for loc in sorted(self._after)}
-
 
 def propagate(
     p: Program,
@@ -210,8 +206,8 @@ def propagate(
     methods: dict[MethodId, tuple] = {}
     for cls, m in p.iter_methods():
         mid = MethodId(cls.name, m.key)
-        reach = reachable_indices(m)
         succs = cfg_successors(m)
+        reach = reachable_indices(m, succs)
         preds: dict[int, list[int]] = {i: [] for i in reach}
         for i in reach:
             for j in succs[i]:
@@ -465,7 +461,8 @@ def collect_flows(
                 )
             manipulations = []
             for w in witness[1:-1]:
-                wparts = call_parts(p.stmt_at(w)) if p.stmt_at(w) else None
+                ws = p.stmt_at(w)
+                wparts = call_parts(ws) if ws is not None else None
                 if wparts is not None:
                     manipulations.append(wparts[0])
             flows.append(
@@ -497,7 +494,7 @@ def build_taint_result(
     pr: PropagationResult, p: Program, sinks: SinkRegistry, g: DepGraph
 ) -> TaintResult:
     flows = collect_flows(pr, p, sinks, g)
-    return TaintResult(pr.after_states(), flows, unsunk_labels(pr.labels, flows))
+    return TaintResult(flows, unsunk_labels(pr.labels, flows))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pdaudit.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -170,6 +172,50 @@ def test_toml_config(tmp_path):
 
 def test_negative_threshold_rejected(tmp_path):
     assert run_analyze("a.pir", tmp_path / "out", "--fail-threshold", "-1") == 2
+
+
+def test_nan_threshold_rejected(tmp_path, capsys):
+    assert run_analyze("a.pir", tmp_path / "out", "--fail-threshold", "nan") == 2
+    assert "--fail-threshold" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nan_threshold_in_config_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"fail_threshold": NaN}', encoding="utf-8")
+    code = main(
+        ["analyze", str(FIXTURES / "a.pir"), "--config", str(cfg_path)]
+        + registry_flags(tmp_path / "out")
+    )
+    assert code == 2
+    assert "--fail-threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "print"])
+def test_non_utf8_pir_exits_2_with_position(tmp_path, capsys, command):
+    bad = tmp_path / "bad.pir"
+    bad.write_bytes((FIXTURES / "a.pir").read_bytes() + b"\xff\xfe")
+    lines = bad.read_bytes().count(b"\n")
+    extra = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    code = main([command, str(bad), *extra])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{bad}:{lines + 1}:1: expected valid UTF-8\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "print"])
+def test_non_utf8_pir_json_errors(tmp_path, capsys, command):
+    bad = tmp_path / "bad.pir"
+    bad.write_bytes(b"class C extends D {\n  \xff }\n")
+    extra = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    code = main([command, str(bad), "--json-errors", *extra])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParseError"
+    assert (payload["line"], payload["col"]) == (2, 3)
+    assert payload["expected"] == "valid UTF-8"
+    assert payload["file"] == str(bad)
 
 
 def test_bundled_registries_are_the_default(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import random
 
 from conftest import FIXTURE_A, FIXTURE_B
+from gen import gen_program
 from oracles import data_dep_pairs_by_paths
 from pdaudit.graph import (
     DepEdge,
     EdgeKind,
     MethodId,
     Opaque,
+    _MethodFacts,
     build_call_graph,
     build_pdg,
     control_deps,
@@ -331,3 +333,23 @@ class A extends E { method void f() { 0: $x = call ext.S.r() 1: call B.g($x) 2: 
     ga = build_pdg(pa, build_call_graph(pa))
     gb = build_pdg(pb, build_call_graph(pb))
     assert ga == gb
+
+
+def test_sort_key_orders_like_loc_comparison():
+    rng = random.Random(5150)
+    for _ in range(60):
+        p = gen_program(rng, allow_loops=rng.random() < 0.5)
+        edges = list(build_pdg(p, build_call_graph(p)).edges)
+        rng.shuffle(edges)
+        by_locs = sorted(edges, key=lambda e: (e.src, e.dst, e.kind.value))
+        assert sorted(edges, key=DepEdge.sort_key) == by_locs
+
+
+def test_shared_method_facts_give_the_same_edges():
+    rng = random.Random(6061)
+    for _ in range(60):
+        p = gen_program(rng, allow_loops=True)
+        for cls, m in p.iter_methods():
+            facts = _MethodFacts(cls.name, m)
+            assert data_deps(cls.name, m, facts) == data_deps(cls.name, m)
+            assert control_deps(cls.name, m, facts) == control_deps(cls.name, m)

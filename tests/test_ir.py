@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B
-from gen import gen_roundtrip_program
+from gen import gen_program, gen_roundtrip_program
 from pdaudit.ir import (
     AssignCall,
     AssignConst,
     Call,
+    ClassDef,
     DuplicateClassError,
     Goto,
     InvalidTargetError,
+    Loc,
+    MethodDef,
     ParseError,
     PirError,
     Program,
@@ -185,3 +188,67 @@ def test_validate_deterministic():
     src = "class C extends D { method void f() { 0: call x.Y.g($b, $a) 1: return } }"
     p = parse_program(src)
     assert validate(p) == validate(p)
+
+
+# ---------------------------------------------------------------------------
+# Statement lookup index
+# ---------------------------------------------------------------------------
+
+
+def _scan_method(p, cls, key):
+    """method_at by linear scan: the last class of that name, its first
+    method with that key."""
+    found = None
+    for c in p.classes:
+        if c.name == cls:
+            found = next((m for m in c.methods if m.key == key), None)
+    return found
+
+
+def test_lookups_agree_with_linear_scan():
+    rng = random.Random(2203)
+    programs = [gen_program(rng) for _ in range(150)]
+    programs += [gen_roundtrip_program(rng) for _ in range(150)]
+    for p in programs:
+        for c in p.classes:
+            for m in c.methods:
+                assert p.method_at(c.name, m.key) is _scan_method(p, c.name, m.key)
+                for i, s in enumerate(m.body):
+                    assert p.stmt_at(Loc(c.name, m.key, i)) is s
+                assert p.stmt_at(Loc(c.name, m.key, -1)) is None
+                assert p.stmt_at(Loc(c.name, m.key, len(m.body))) is None
+            assert p.method_at(c.name, "nope/0") is None
+            assert p.stmt_at(Loc(c.name, "nope/0", 0)) is None
+        assert p.method_at("no.Such", "m0/0") is None
+        assert p.stmt_at(Loc("no.Such", "m0/0", 0)) is None
+
+
+def test_lookup_duplicates_last_class_first_method():
+    first, second, other = Return(None), Return("$a"), Return("$b")
+    p = Program(
+        [
+            ClassDef(
+                "C",
+                "D",
+                [],
+                [MethodDef("f", "void", (), [other]), MethodDef("g", "void", (), [other])],
+            ),
+            ClassDef(
+                "C",
+                "D",
+                [],
+                [MethodDef("f", "void", (), [first]), MethodDef("f", "void", (), [second])],
+            ),
+        ]
+    )
+    assert p.stmt_at(Loc("C", "f/0", 0)) is first
+    assert p.method_at("C", "f/0") is _scan_method(p, "C", "f/0")
+    assert p.method_at("C", "g/0") is None  # only in the shadowed class
+
+
+def test_lookup_index_not_part_of_equality_or_repr():
+    p = parse_program(FIXTURE_A)
+    fresh = parse_program(FIXTURE_A)
+    before = repr(p)
+    assert p.stmt_at(Loc("com.app.Main", "onCreate/0", 0)) is not None
+    assert p == fresh and repr(p) == before
