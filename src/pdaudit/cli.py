@@ -8,7 +8,7 @@ Subcommands:
 Exit codes (analyze):
   0  no finding with risk >= --fail-threshold
   1  at least one finding at or above the threshold (report still written)
-  2  usage, parse or registry error
+  2  usage, parse or registry error, or an internal analysis error
 
 Registry flags default to the bundled seed files. A --config file (JSON, or
 TOML on installs with tomli/tomllib) may supply the same keys; explicit
@@ -49,7 +49,7 @@ from .report import (
     summarize,
 )
 from .slicer import forward_slice
-from .taint import Status, build_taint_result, propagate
+from .taint import Status, TaintError, build_taint_result, propagate
 
 
 def _bundled(name: str) -> Path:
@@ -252,7 +252,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         pir_text = _read_pir(args.pir)
         artifacts = run_analysis(pir_text, cfg)
         write_outputs(artifacts, cfg.out)
-    except (PirError, RegistryError, MissingMappingError, UsageError, OSError,
+    except (PirError, RegistryError, MissingMappingError, TaintError, UsageError, OSError,
             json.JSONDecodeError) as exc:
         _emit_error(exc, args.pir, args.json_errors)
         return 2

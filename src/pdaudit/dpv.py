@@ -15,13 +15,12 @@ Schema:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .registry import SourceLabel
+from .registry import MalformedRegistryError, SourceLabel, _read_json
 from .taint import Flow, Status
 
 
@@ -60,9 +59,15 @@ def load_dpv_map(
 ) -> DpvMap:
     """Load the map and require totality over the given category and sink
     kind names (pass the ones your loaded registries can produce)."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _read_json(path)
     cat_map = raw.get("categories", {})
     kind_map = raw.get("sink_kinds", {})
+    for key, table in (("categories", cat_map), ("sink_kinds", kind_map)):
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise MalformedRegistryError(path, f"{key} must map names to IRI strings")
+    for key in ("collection", "pseudonymisation"):
+        if key in raw and not isinstance(raw[key], str):
+            raise MalformedRegistryError(path, f"{key} must be an IRI string")
     missing = [f"category {c}" for c in sorted(set(categories)) if c not in cat_map]
     missing += [f"sink kind {k}" for k in sorted(set(sink_kinds)) if k not in kind_map]
     if "collection" not in raw:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .ir import (
     AssignCall,
@@ -177,12 +177,17 @@ class CallGraph:
     def __init__(self, methods: tuple[MethodId, ...], edges: dict[Loc, tuple[Target, ...]]):
         self.methods = methods
         self.edges = edges
+        self._resolved: dict[Loc, tuple[MethodId, ...]] = {}
+        for loc, ts in edges.items():
+            resolved = tuple(t for t in ts if isinstance(t, MethodId))
+            if resolved:
+                self._resolved[loc] = resolved
 
     def targets(self, loc: Loc) -> tuple[Target, ...]:
         return self.edges.get(loc, ())
 
     def resolved(self, loc: Loc) -> tuple[MethodId, ...]:
-        return tuple(t for t in self.targets(loc) if isinstance(t, MethodId))
+        return self._resolved.get(loc, ())
 
 
 def build_call_graph(p: Program) -> CallGraph:
@@ -243,58 +248,105 @@ def build_call_graph(p: Program) -> CallGraph:
 
 
 class _MethodFacts:
-    """CFG successors, reachable set and reaching definitions for one
-    method, computed once and shared by the data, control and
-    interprocedural edge builders."""
+    """CFG successors, reachable set, reaching definitions and def-use
+    chains for one method. Built once per method by method_facts and shared
+    by the data, control and interprocedural edge builders and by the taint
+    engine.
+
+    defs lists the method's definitions as (local, index) pairs: each
+    parameter's entry value (index ENTRY_DEF), then each reachable defining
+    statement in index order. before[i] is the set of definitions reaching
+    reachable statement i, as a bit set over defs (read it with pairs).
+    use_defs[i] gives, per position of stmt_uses(body[i]), the sorted
+    definitions of that local reaching i. def_uses[d] lists the statements
+    reading the local defined at d under that definition, and
+    entry_uses[param] those reading the parameter's entry value."""
 
     def __init__(self, cls_name: str, m: MethodDef):
         self.cls = cls_name
         self.m = m
+        self.key = m.key
         self.succs = cfg_successors(m)
         self.reachable = reachable_indices(m, self.succs)
-        preds: dict[int, list[int]] = {i: [] for i in range(len(m.body))}
-        for i in self.reachable:
+        body = m.body
+        order = sorted(self.reachable)
+        self.defs: list[tuple[str, int]] = [(v, ENTRY_DEF) for v in dict.fromkeys(m.params)]
+        entry = (1 << len(self.defs)) - 1
+        preds: dict[int, list[int]] = {i: [] for i in order}
+        bit_at: dict[int, int] = {}
+        for i in order:
             for j in self.succs[i]:
                 if j != EXIT:
                     preds[j].append(i)
-        entry: frozenset[tuple[str, int]] = frozenset((v, ENTRY_DEF) for v in m.params)
-        self.before: dict[int, frozenset[tuple[str, int]]] = {}
-        out: dict[int, frozenset[tuple[str, int]]] = {}
-        work = deque(sorted(self.reachable))
+            d = stmt_defs(body[i])
+            if d is not None:
+                bit_at[i] = 1 << len(self.defs)
+                self.defs.append((d, i))
+        of_local: dict[str, int] = {}  # local -> bits of all its definitions
+        for k, (v, _) in enumerate(self.defs):
+            of_local[v] = of_local.get(v, 0) | 1 << k
+        keep_at = {i: ~of_local[stmt_defs(body[i])] for i in bit_at}
+
+        self.before: dict[int, int] = {}
+        out: dict[int, int] = {}
+        work = deque(order)
         while work:
             i = work.popleft()
-            acc: set[tuple[str, int]] = set(entry) if i == 0 else set()
+            inn = entry if i == 0 else 0
             for pr in preds[i]:
-                acc |= out.get(pr, frozenset())
-            inn = frozenset(acc)
+                inn |= out.get(pr, 0)
             self.before[i] = inn
-            d = stmt_defs(m.body[i])
-            if d is None:
-                new_out = inn
-            else:
-                new_out = frozenset({(v, s) for (v, s) in inn if v != d} | {(d, i)})
-            if new_out != out.get(i):
+            bit = bit_at.get(i)
+            new_out = inn if bit is None else inn & keep_at[i] | bit
+            if out.get(i) != new_out:
                 out[i] = new_out
                 for j in self.succs[i]:
                     if j != EXIT:
                         work.append(j)
 
+        self.use_defs: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.def_uses: dict[int, list[int]] = {}
+        self.entry_uses: dict[str, list[int]] = {}
+        for i in order:
+            uses = stmt_uses(body[i])
+            if not uses:
+                continue
+            per_local = {
+                v: tuple(d for _, d in self.pairs(self.before[i] & of_local.get(v, 0)))
+                for v in uses
+            }
+            self.use_defs[i] = tuple(per_local[v] for v in uses)
+            for v, ds in per_local.items():
+                for d in ds:
+                    if d == ENTRY_DEF:
+                        self.entry_uses.setdefault(v, []).append(i)
+                    else:
+                        self.def_uses.setdefault(d, []).append(i)
+
+    def pairs(self, bits: int) -> Iterator[tuple[str, int]]:
+        """The definitions in a bit set over defs, in defs order."""
+        while bits:
+            low = bits & -bits
+            yield self.defs[low.bit_length() - 1]
+            bits ^= low
+
     def loc(self, i: int) -> Loc:
-        return Loc(self.cls, self.m.key, i)
+        return Loc(self.cls, self.key, i)
 
-    def real_defs(self, local: str, at: int) -> list[int]:
-        return sorted(s for (v, s) in self.before.get(at, ()) if v == local and s != ENTRY_DEF)
 
-    def entry_def_reaches(self, local: str, at: int) -> bool:
-        return (local, ENTRY_DEF) in self.before.get(at, ())
+def method_facts(p: Program) -> dict[MethodId, _MethodFacts]:
+    """One _MethodFacts per method of p, in iter_methods order.
 
-    def param_uses(self, param: str) -> list[int]:
-        """Reachable statements reading `param` under its entry definition."""
-        return [
-            i
-            for i in sorted(self.reachable)
-            if param in stmt_uses(self.m.body[i]) and self.entry_def_reaches(param, i)
-        ]
+    Built on the first call and kept on the Program instance, outside its
+    dataclass fields, == and repr, like its statement index; p must
+    therefore not be mutated after the first call."""
+    memo = vars(p)
+    facts = memo.get("_method_facts")
+    if facts is None:
+        facts = memo["_method_facts"] = {
+            MethodId(cls.name, m.key): _MethodFacts(cls.name, m) for cls, m in p.iter_methods()
+        }
+    return facts
 
 
 def _field_sites(cls_name: str, m: MethodDef, reachable: set[int]):
@@ -316,10 +368,11 @@ def data_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None)
     if facts is None:
         facts = _MethodFacts(cls_name, m)
     edges: set[DepEdge] = set()
-    for i in sorted(facts.reachable):
-        for v in stmt_uses(m.body[i]):
-            for d in facts.real_defs(v, i):
-                edges.add(DepEdge(facts.loc(d), facts.loc(i), EdgeKind.DATA))
+    for i, per_use in facts.use_defs.items():
+        for ds in per_use:
+            for d in ds:
+                if d != ENTRY_DEF:
+                    edges.add(DepEdge(facts.loc(d), facts.loc(i), EdgeKind.DATA))
     stores, loads = _field_sites(cls_name, m, facts.reachable)
     for cell_s, sloc in stores:
         for cell_l, lloc in loads:
@@ -435,23 +488,19 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     sorted order, so the result is independent of source class order."""
     nodes: set[Loc] = set()
     edges: set[DepEdge] = set()
-    facts: dict[MethodId, _MethodFacts] = {}
-    method_defs: dict[MethodId, MethodDef] = {}
+    facts = method_facts(p)
 
-    for cls, m in p.iter_methods():
-        mid = MethodId(cls.name, m.key)
-        method_defs[mid] = m
-        f = facts[mid] = _MethodFacts(cls.name, m)
-        for i in range(len(m.body)):
-            nodes.add(Loc(cls.name, m.key, i))
-        edges |= data_deps(cls.name, m, f)
-        edges |= control_deps(cls.name, m, f)
+    for f in facts.values():
+        for i in range(len(f.m.body)):
+            nodes.add(f.loc(i))
+        edges |= data_deps(f.cls, f.m, f)
+        edges |= control_deps(f.cls, f.m, f)
 
     # Field cells: program-wide store -> load, order-insensitive.
     all_stores: dict[tuple[str, str], list[Loc]] = {}
     all_loads: dict[tuple[str, str], list[Loc]] = {}
-    for cls, m in p.iter_methods():
-        stores, loads = _field_sites(cls.name, m, facts[MethodId(cls.name, m.key)].reachable)
+    for f in facts.values():
+        stores, loads = _field_sites(f.cls, f.m, f.reachable)
         for cell, loc in stores:
             all_stores.setdefault(cell, []).append(loc)
         for cell, loc in loads:
@@ -461,8 +510,9 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
             for lloc in all_loads.get(cell, ()):
                 edges.add(DepEdge(sloc, lloc, EdgeKind.DATA))
 
-    # Resolved call sites, in deterministic order.
-    call_sites: list[tuple[Loc, MethodId, tuple[str, ...], bool]] = []
+    # Resolved call sites, in deterministic order, with the definitions
+    # reaching each argument.
+    call_sites: list[tuple[Loc, MethodId, tuple[str, ...], tuple[tuple[int, ...], ...], bool]] = []
     for mid in sorted(facts):
         f = facts[mid]
         for i in sorted(f.reachable):
@@ -471,11 +521,11 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
                 continue
             loc = f.loc(i)
             for t in cg.resolved(loc):
-                call_sites.append((loc, t, s.args, isinstance(s, AssignCall)))
+                call_sites.append((loc, t, s.args, f.use_defs.get(i, ()), isinstance(s, AssignCall)))
 
     # Call edges: call site -> callee entry statement.
-    for loc, t, _, _ in call_sites:
-        if method_defs[t].body:
+    for loc, t, _, _, _ in call_sites:
+        if facts[t].m.body:
             edges.add(DepEdge(loc, Loc(t.cls, t.method, 0), EdgeKind.CALL))
 
     # Feeders: for each (callee, param index), the statements whose defined
@@ -483,13 +533,13 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     # pass-through across call sites to a fixpoint.
     feed: dict[tuple[MethodId, int], set[Loc]] = {}
     passthrough: dict[tuple[MethodId, int], set[tuple[MethodId, int]]] = {}
-    for loc, t, args, _ in call_sites:
+    for loc, t, args, arg_defs, _ in call_sites:
         caller = MethodId(loc.cls, loc.method)
         f = facts[caller]
-        for i, a in enumerate(args):
+        for i, (a, ds) in enumerate(zip(args, arg_defs)):
             key = (t, i)
-            feed.setdefault(key, set()).update(f.loc(d) for d in f.real_defs(a, loc.index))
-            if f.entry_def_reaches(a, loc.index) and a in f.m.params:
+            feed.setdefault(key, set()).update(f.loc(d) for d in ds if d != ENTRY_DEF)
+            if ds and ds[0] == ENTRY_DEF:
                 j = f.m.params.index(a)
                 passthrough.setdefault((caller, j), set()).add(key)
     changed = True
@@ -505,20 +555,21 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
 
     # ParamIn edges: feeder def site -> callee statements reading the param.
     for (t, i), sources in feed.items():
-        params = method_defs[t].params
+        params = facts[t].m.params
         if i >= len(params):
             continue
-        for u in facts[t].param_uses(params[i]):
+        for u in facts[t].entry_uses.get(params[i], ()):
+            dst = facts[t].loc(u)
             for src in sources:
-                edges.add(DepEdge(src, facts[t].loc(u), EdgeKind.PARAM_IN))
+                edges.add(DepEdge(src, dst, EdgeKind.PARAM_IN))
 
     # ReturnOut edges: value-returning statements -> call sites with a lhs.
-    for loc, t, _, has_lhs in call_sites:
+    for loc, t, _, _, has_lhs in call_sites:
         if not has_lhs:
             continue
         tf = facts[t]
         for i in sorted(tf.reachable):
-            s = method_defs[t].body[i]
+            s = tf.m.body[i]
             if isinstance(s, Return) and s.value is not None:
                 edges.add(DepEdge(tf.loc(i), loc, EdgeKind.RETURN_OUT))
 

@@ -196,6 +196,8 @@ def load_registries(
         if kind in (SinkKind.THIRD_PARTY, SinkKind.ANALYTICS) and not name:
             raise MalformedRegistryError(sinks_path, f"{kind.value} sink needs a name: {entry!r}")
         matcher = entry["match"]
+        if not isinstance(matcher, str):
+            raise MalformedRegistryError(sinks_path, f"sink match must be a string: {entry!r}")
         if matcher.endswith(".*"):
             key = matcher[:-1]  # keep the dot: "com.x.*" matches "com.x.C.m"
             if key in prefixes:

@@ -6,7 +6,7 @@ Pseudonymized, so the fact status at a join answers "pseudonymized along
 every path?" directly: it is Pseudonymized exactly when every dependence
 path that delivers the value applied a sanitizer.
 
-Transfer rules (the worklist and the test oracle both implement these):
+Transfer rules (the engine and the test oracles each implement these):
 
 * a labelled call with a lhs generates (lhs, label id, Raw) in addition to
   its ordinary call effect;
@@ -23,6 +23,18 @@ Transfer rules (the worklist and the test oracle both implement these):
 
 Every method is treated as a framework entry point: statements unreachable
 from a method's own entry never execute and carry no facts.
+
+Propagation is sparse: facts move along def-use chains, not from statement
+to statement. The engine keeps one value {source id: status} per reachable
+definition of a local, plus each method's entry value per parameter, its
+returned facts and the field cells. A statement reads local v as the join
+of v's values at the definitions of v reaching it (the method's reaching
+definitions from graph.method_facts, shared with the dependence graph). A
+definition whose value grows re-queues only the statements reading it; a
+parameter's entry value re-queues its entry-value readers, a field cell
+its loads and a return value the method's call sites. The state before a
+statement, {(local, source id): status}, is derived on demand from the
+same reaching definitions.
 """
 
 from __future__ import annotations
@@ -34,17 +46,16 @@ from typing import Optional, Union
 
 from .graph import (
     DATA_KINDS,
+    ENTRY_DEF,
     CallGraph,
     DepGraph,
-    EXIT,
     EdgeKind,
     MethodId,
-    cfg_successors,
-    reachable_indices,
+    _MethodFacts,
+    method_facts,
 )
 from .ir import (
     AssignCall,
-    AssignConst,
     AssignCopy,
     AssignFieldLoad,
     Call,
@@ -53,6 +64,7 @@ from .ir import (
     Program,
     Return,
     call_parts,
+    stmt_defs,
 )
 from .registry import SanitizerRegistry, SinkKind, SinkRegistry, SourceLabel
 
@@ -99,22 +111,6 @@ class FieldCell:
 Cell = Union[LocalCell, FieldCell]
 
 
-def _cell_key(c: Cell):
-    if isinstance(c, LocalCell):
-        return (0, c.cls, c.method, c.name)
-    return (1, c.cls, c.fld, "")
-
-
-@dataclass(frozen=True)
-class TaintFact:
-    cell: Cell
-    source_id: int
-    status: Status
-
-    def sort_key(self):
-        return (_cell_key(self.cell), self.source_id, self.status)
-
-
 class Verdict(Enum):
     ALL_PATHS_PSEUDONYMIZED = "AllPathsPseudonymized"
     RAW_ON_SOME_PATH = "RawOnSomePath"
@@ -142,9 +138,10 @@ class TaintResult:
     unsunk: list[SourceLabel]
 
 
-# Internal state representation: {(local name, source id): Status} per
-# program point; field cells live in one global map.
+# The facts at a program point, as raw_before returns them:
+# {(local name, source id): Status}. Field cells live in one global map.
 _State = dict[tuple[str, int], Status]
+_Facts = dict[int, Status]  # {source id: Status}
 
 
 def _join_into(dst: dict, src: dict) -> bool:
@@ -157,7 +154,9 @@ def _join_into(dst: dict, src: dict) -> bool:
 
 
 class PropagationResult:
-    """Fixpoint facts: per-point before/after states plus field cells.
+    """Fixpoint facts: the value of every reachable local definition, every
+    parameter's entry value, and the field cells. The state before any
+    statement is derived from these and the method's reaching definitions.
 
     blocked_pass_through holds the resolved non-sanitizer call statements:
     their lhs comes from the callee's return alone, so a dependence path may
@@ -167,31 +166,52 @@ class PropagationResult:
         self,
         program: Program,
         labels: list[SourceLabel],
-        before: dict[Loc, _State],
-        after: dict[Loc, _State],
-        field_cells: dict[tuple[str, str], dict[int, Status]],
+        facts: dict[MethodId, _MethodFacts],
+        entry: dict[MethodId, dict[str, _Facts]],
+        defs: dict[MethodId, dict[int, _Facts]],
+        field_cells: dict[tuple[str, str], _Facts],
         blocked_pass_through: frozenset[Loc] = frozenset(),
     ):
         self.program = program
         self.labels = labels
-        self._before = before
-        self._after = after
+        self._facts = facts
+        self._entry = entry
+        self._defs = defs
         self.field_cells = field_cells
         self.blocked_pass_through = blocked_pass_through
 
-    def _facts_at(self, table: dict[Loc, _State], loc: Loc) -> frozenset[TaintFact]:
-        state = table.get(loc, {})
-        cell = lambda name: LocalCell(loc.cls, loc.method, name)
-        return frozenset(TaintFact(cell(n), i, st) for (n, i), st in state.items())
-
-    def before(self, loc: Loc) -> frozenset[TaintFact]:
-        return self._facts_at(self._before, loc)
-
-    def after(self, loc: Loc) -> frozenset[TaintFact]:
-        return self._facts_at(self._after, loc)
-
     def raw_before(self, loc: Loc) -> _State:
-        return self._before.get(loc, {})
+        """The facts holding just before loc; {} when loc is unreachable or
+        not a statement."""
+        mid = MethodId(loc.cls, loc.method)
+        f = self._facts.get(mid)
+        if f is None:
+            return {}
+        entry, defs = self._entry[mid], self._defs[mid]
+        state: _State = {}
+        for v, d in f.pairs(f.before.get(loc.index, 0)):
+            held = entry.get(v) if d == ENTRY_DEF else defs.get(d)
+            if held:
+                for sid, st in held.items():
+                    if state.get((v, sid), 0) < st:
+                        state[(v, sid)] = st
+        return state
+
+
+def _read(
+    v: str, ds: tuple[int, ...], entry: dict[str, _Facts], defs: dict[int, _Facts]
+) -> _Facts:
+    """The facts of local v where the definitions ds of it reach: a shared
+    dict when there is one, not to be mutated."""
+    if len(ds) == 1:
+        held = entry.get(v) if ds[0] == ENTRY_DEF else defs.get(ds[0])
+        return held or {}
+    acc: _Facts = {}
+    for d in ds:
+        held = entry.get(v) if d == ENTRY_DEF else defs.get(d)
+        if held:
+            _join_into(acc, held)
+    return acc
 
 
 def propagate(
@@ -200,37 +220,24 @@ def propagate(
     labels: list[SourceLabel],
     san: SanitizerRegistry,
 ) -> PropagationResult:
-    """Least fixpoint of the transfer rules over all reachable statements."""
-    label_at = {l.location: l for l in labels}
-
-    methods: dict[MethodId, tuple] = {}
-    for cls, m in p.iter_methods():
-        mid = MethodId(cls.name, m.key)
-        succs = cfg_successors(m)
-        reach = reachable_indices(m, succs)
-        preds: dict[int, list[int]] = {i: [] for i in reach}
-        for i in reach:
-            for j in succs[i]:
-                if j != EXIT:
-                    preds[j].append(i)
-        methods[mid] = (m, reach, succs, preds)
-
-    entry_facts: dict[MethodId, _State] = {mid: {} for mid in methods}
-    ret_facts: dict[MethodId, dict[int, Status]] = {mid: {} for mid in methods}
-    field_cells: dict[tuple[str, str], dict[int, Status]] = {}
-    before: dict[Loc, _State] = {}
-    after: dict[Loc, _State] = {}
+    """Least fixpoint of the transfer rules over all reachable statements,
+    propagated sparsely along def-use chains."""
+    facts = method_facts(p)
+    entry: dict[MethodId, dict[str, _Facts]] = {mid: {} for mid in facts}
+    defs: dict[MethodId, dict[int, _Facts]] = {mid: {} for mid in facts}
+    ret_facts: dict[MethodId, _Facts] = {mid: {} for mid in facts}
+    field_cells: dict[tuple[str, str], _Facts] = {}
 
     loads_of: dict[tuple[str, str], list[tuple[MethodId, int]]] = {}
     callers_of: dict[MethodId, list[tuple[MethodId, int]]] = {}
     blocked: set[Loc] = set()
-    for mid, (m, reach, _, _) in methods.items():
-        for i in sorted(reach):
-            s = m.body[i]
+    for mid, f in facts.items():
+        for i in sorted(f.reachable):
+            s = f.m.body[i]
             if isinstance(s, AssignFieldLoad):
                 loads_of.setdefault((s.cls, s.fld), []).append((mid, i))
             elif isinstance(s, (AssignCall, Call)):
-                site = Loc(mid.cls, mid.method, i)
+                site = f.loc(i)
                 resolved = cg.resolved(site)
                 for t in resolved:
                     callers_of.setdefault(t, []).append((mid, i))
@@ -245,9 +252,16 @@ def propagate(
             queued.add((mid, i))
             work.append((mid, i))
 
-    for mid in sorted(methods):
-        for i in sorted(methods[mid][1]):
-            push(mid, i)
+    # Facts start at labelled calls; every other statement is visited once
+    # one of its inputs (a reaching definition, an entry value, a field
+    # cell, a callee's return) gains a fact.
+    label_at: dict[tuple[MethodId, int], int] = {}
+    for l in labels:
+        mid = MethodId(l.location.cls, l.location.method)
+        if mid in facts and l.location.index in facts[mid].reachable:
+            label_at[(mid, l.location.index)] = l.id
+    for mid, i in sorted(label_at):
+        push(mid, i)
 
     n_stmts = sum(len(m.body) for _, m in p.iter_methods())
     budget = 4 * max(1, n_stmts) * max(1, 2 * len(labels)) + 1000
@@ -259,89 +273,61 @@ def propagate(
             raise FixpointBudgetExceededError(
                 f"fixpoint exceeded {budget} statement visits on {n_stmts} statements"
             )
-        mid, i = work.popleft()
-        queued.discard((mid, i))
-        m, reach, succs, preds = methods[mid]
-        loc = Loc(mid.cls, mid.method, i)
-        stmt = m.body[i]
+        item = work.popleft()
+        queued.discard(item)
+        mid, i = item
+        f = facts[mid]
+        stmt = f.m.body[i]
+        mentry, mdefs = entry[mid], defs[mid]
+        uses = f.use_defs.get(i, ())
 
-        in_state: _State = {}
-        if i == 0:
-            _join_into(in_state, entry_facts[mid])
-        for pr in preds[i]:
-            ploc = Loc(mid.cls, mid.method, pr)
-            _join_into(in_state, after.get(ploc, {}))
-        before[loc] = in_state
-
-        out: _State = dict(in_state)
-        if isinstance(stmt, AssignConst):
-            out = {k: v for k, v in out.items() if k[0] != stmt.lhs}
-        elif isinstance(stmt, AssignCopy):
-            out = {k: v for k, v in out.items() if k[0] != stmt.lhs}
-            for (name, sid), st in in_state.items():
-                if name == stmt.rhs:
-                    key = (stmt.lhs, sid)
-                    out[key] = max(out.get(key, Status.PSEUDONYMIZED), st)
+        value: Optional[_Facts] = None  # the facts of the local stmt defines
+        if isinstance(stmt, AssignCopy):
+            value = _read(stmt.rhs, uses[0], mentry, mdefs)
         elif isinstance(stmt, AssignFieldLoad):
-            out = {k: v for k, v in out.items() if k[0] != stmt.lhs}
-            for sid, st in field_cells.get((stmt.cls, stmt.fld), {}).items():
-                out[(stmt.lhs, sid)] = st
+            value = field_cells.get((stmt.cls, stmt.fld), {})
         elif isinstance(stmt, FieldStore):
-            cell = field_cells.setdefault((stmt.cls, stmt.fld), {})
-            moved = {sid: st for (name, sid), st in in_state.items() if name == stmt.rhs}
-            if _join_into(cell, moved):
-                for lmid, li in loads_of.get((stmt.cls, stmt.fld), ()):
-                    push(lmid, li)
+            moved = _read(stmt.rhs, uses[0], mentry, mdefs)
+            if moved and _join_into(field_cells.setdefault((stmt.cls, stmt.fld), {}), moved):
+                for load in loads_of.get((stmt.cls, stmt.fld), ()):
+                    push(*load)
         elif isinstance(stmt, Return):
-            if stmt.value is not None:
-                moved = {sid: st for (name, sid), st in in_state.items() if name == stmt.value}
-                if _join_into(ret_facts[mid], moved):
-                    for cmid, ci in callers_of.get(mid, ()):
-                        push(cmid, ci)
+            if stmt.value is not None and _join_into(
+                ret_facts[mid], _read(stmt.value, uses[0], mentry, mdefs)
+            ):
+                for caller in callers_of.get(mid, ()):
+                    push(*caller)
         elif isinstance(stmt, (AssignCall, Call)):
-            arg_facts: list[dict[int, Status]] = []
-            for a in stmt.args:
-                arg_facts.append(
-                    {sid: st for (name, sid), st in in_state.items() if name == a}
-                )
-            lhs = stmt.lhs if isinstance(stmt, AssignCall) else None
-            lhs_facts: dict[int, Status] = {}
+            arg_facts = [_read(a, ds, mentry, mdefs) for a, ds in zip(stmt.args, uses)]
+            result: _Facts = {}
             if stmt.callee in san:
                 for af in arg_facts:
                     for sid in af:
-                        lhs_facts[sid] = Status.PSEUDONYMIZED
+                        result[sid] = Status.PSEUDONYMIZED
             else:
-                resolved = cg.resolved(loc)
+                resolved = cg.resolved(f.loc(i))
                 for t in resolved:
-                    tm = methods[t][0]
-                    contrib: _State = {}
-                    for k, af in enumerate(arg_facts):
-                        if k < len(tm.params):
-                            for sid, st in af.items():
-                                key = (tm.params[k], sid)
-                                contrib[key] = max(contrib.get(key, Status.PSEUDONYMIZED), st)
-                    if _join_into(entry_facts[t], contrib) and tm.body:
-                        push(t, 0)
-                    _join_into(lhs_facts, ret_facts[t])
+                    tf, tentry = facts[t], entry[t]
+                    for param, af in zip(tf.m.params, arg_facts):
+                        if af and _join_into(tentry.setdefault(param, {}), af):
+                            for u in tf.entry_uses.get(param, ()):
+                                push(t, u)
+                    _join_into(result, ret_facts[t])
                 if not resolved:
                     for af in arg_facts:
-                        _join_into(lhs_facts, af)
-            if lhs is not None:
-                out = {k: v for k, v in out.items() if k[0] != lhs}
-                for sid, st in lhs_facts.items():
-                    out[(lhs, sid)] = st
-                lab = label_at.get(loc)
-                if lab is not None:
-                    out[(lhs, lab.id)] = Status.RAW
-        # If/Goto: no fact effect.
+                        _join_into(result, af)
+            if isinstance(stmt, AssignCall):
+                value = result
+                sid = label_at.get(item)
+                if sid is not None:
+                    value[sid] = Status.RAW
+        # Constants define a local with no facts; If/Goto have no fact effect.
 
-        if out != after.get(loc):
-            after[loc] = out
-            for j in succs[i]:
-                if j != EXIT:
-                    push(mid, j)
+        if value and _join_into(mdefs.setdefault(i, {}), value):
+            for u in f.def_uses.get(i, ()):
+                push(mid, u)
 
-    return PropagationResult(p, labels, before, after, field_cells, frozenset(blocked))
+    return PropagationResult(p, labels, facts, entry, defs, field_cells, frozenset(blocked))
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +501,19 @@ def derived_data(pr: PropagationResult, label: SourceLabel) -> DerivedData:
         raise NotALabelError(label.id)
     cells: set[Cell] = set()
     sigs: set[str] = set()
-    for table in (pr._before, pr._after):
-        for loc, state in table.items():
-            for (name, sid), _ in state.items():
-                if sid == label.id:
-                    cells.add(LocalCell(loc.cls, loc.method, name))
+    for mid, f in pr._facts.items():
+        for d, held in pr._defs[mid].items():
+            if label.id not in held:
+                continue
+            stmt = f.m.body[d]
+            cells.add(LocalCell(mid.cls, mid.method, stmt_defs(stmt)))
+            if isinstance(stmt, AssignCall) and f.loc(d) != label.location:
+                sigs.add(stmt.callee)
+        if f.m.body:  # entry values hold at the first statement
+            for param, held in pr._entry[mid].items():
+                if label.id in held:
+                    cells.add(LocalCell(mid.cls, mid.method, param))
     for (cls, fld), cell_state in pr.field_cells.items():
         if label.id in cell_state:
             cells.add(FieldCell(cls, fld))
-    for loc, state in pr._after.items():
-        if loc == label.location:
-            continue
-        stmt = pr.program.stmt_at(loc)
-        if not isinstance(stmt, AssignCall):
-            continue
-        if (stmt.lhs, label.id) in state:
-            sigs.add(stmt.callee)
     return DerivedData(frozenset(cells), frozenset(sigs))

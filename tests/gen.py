@@ -3,9 +3,11 @@
 Two generator families:
 
 * ``gen_program`` — analysis-shaped programs for the taint/pseudonymization
-  oracle suites. Loop-free by construction (branch/goto targets jump
-  forward only) and recursion-free (a method only calls methods that come
-  later in the generation order), so all-paths enumeration terminates.
+  oracle suites. By default loop-free (branch/goto targets jump forward
+  only) and recursion-free (a method only calls methods that come later in
+  the generation order), so all-paths enumeration terminates; the
+  ``allow_loops`` and ``allow_recursion`` options lift each restriction for
+  the fixpoint oracle.
 * ``gen_roundtrip_program`` — grammar-shaped programs for parser/printer
   round-trips: awkward identifiers, escape-heavy strings, empty bodies.
 
@@ -183,18 +185,25 @@ def gen_program(
     max_stmts: int = 30,
     max_branches: int = 3,
     allow_loops: bool = False,
+    allow_recursion: bool = False,
 ) -> Program:
-    """A random analysis-shaped program within the given size bounds."""
+    """A random analysis-shaped program within the given size bounds.
+
+    With allow_recursion, a call may target any method, the caller itself
+    included, so call chains can be (mutually) recursive."""
     n_methods = rng.randint(1, max_methods)
     budget = rng.randint(n_methods, max_stmts)
     per = max(2, budget // n_methods)
     cls_name = "app.Main"
     methods: list[MethodDef] = []
     callable_methods: list[tuple[str, str, int]] = []
-    # Generate in reverse so calls only target already-generated (later-named)
-    # methods: no recursion, finite path enumeration.
+    if allow_recursion:
+        arity = [rng.randint(0, 2) for _ in range(n_methods)]
+        callable_methods = [(cls_name, f"m{k}", arity[k]) for k in range(n_methods)]
+    # Generate in reverse so that, without recursion, calls only target
+    # already-generated (later-named) methods: finite path enumeration.
     for k in range(n_methods - 1, -1, -1):
-        n_params = rng.randint(0, 2)
+        n_params = arity[k] if allow_recursion else rng.randint(0, 2)
         m = _gen_method(
             rng,
             f"m{k}",
@@ -205,7 +214,8 @@ def gen_program(
             allow_loops,
         )
         methods.append(m)
-        callable_methods.append((cls_name, m.name, len(m.params)))
+        if not allow_recursion:
+            callable_methods.append((cls_name, m.name, len(m.params)))
     methods.reverse()
     return Program([ClassDef(cls_name, "java.lang.Object", [], methods)])
 

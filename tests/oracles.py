@@ -126,120 +126,177 @@ def program_sink_stmts(p: Program, sinks) -> list[Loc]:
 
 
 # ---------------------------------------------------------------------------
-# Taint oracle: per-method all-paths enumeration, iterated over boundary
-# summaries (method entries, returns, field cells) until globally stable.
-# The statement transfer below is a deliberate, separate re-coding of the
-# documented rules; it shares no code with the worklist engine.
+# Taint oracles. The statement transfer below is a deliberate, separate
+# re-coding of the documented rules; it shares no code with the engine.
+# Two fixpoints drive it: all-paths enumeration per method (loop-free
+# programs), and a round-robin sweep over every reachable statement.
 # ---------------------------------------------------------------------------
 
 PSEUDO, RAW = 1, 2
 
 
+def _join(dst: dict, src: dict) -> bool:
+    ch = False
+    for k, v in src.items():
+        if dst.get(k, 0) < v:
+            dst[k] = v
+            ch = True
+    return ch
+
+
+class _Summaries:
+    """Boundary facts shared by all statements: each method's entry state
+    {(param, sid): status} and returned facts {sid: status}, and the field
+    cells {(class, field): {sid: status}}."""
+
+    def __init__(self, p: Program, cg, labels, san):
+        from pdaudit.graph import MethodId
+
+        self.cg = cg
+        self.san = san
+        self.label_at = {l.location: l for l in labels}
+        self.params = {MethodId(c.name, m.key): m.params for c, m in p.iter_methods()}
+        self.entry = {mid: {} for mid in self.params}
+        self.retf = {mid: {} for mid in self.params}
+        self.fields: dict[tuple[str, str], dict[int, int]] = {}
+
+    def step(self, s, loc: Loc, state: dict) -> tuple[dict, bool]:
+        """The state after s given the state before it, and whether any
+        boundary fact grew."""
+        from pdaudit.graph import MethodId
+        from pdaudit.ir import (
+            AssignCall,
+            AssignConst,
+            AssignCopy,
+            AssignFieldLoad,
+            Call,
+            FieldStore,
+            Return,
+        )
+
+        changed = False
+        if isinstance(s, AssignConst):
+            state = {k: v for k, v in state.items() if k[0] != s.lhs}
+        elif isinstance(s, AssignCopy):
+            moved = {(s.lhs, sid): st for (n, sid), st in state.items() if n == s.rhs}
+            state = {k: v for k, v in state.items() if k[0] != s.lhs}
+            state.update(moved)
+        elif isinstance(s, AssignFieldLoad):
+            state = {k: v for k, v in state.items() if k[0] != s.lhs}
+            for sid, st in self.fields.get((s.cls, s.fld), {}).items():
+                state[(s.lhs, sid)] = st
+        elif isinstance(s, FieldStore):
+            stored = {sid: st for (n, sid), st in state.items() if n == s.rhs}
+            if _join(self.fields.setdefault((s.cls, s.fld), {}), stored):
+                changed = True
+        elif isinstance(s, Return):
+            if s.value is not None:
+                returned = {sid: st for (n, sid), st in state.items() if n == s.value}
+                if _join(self.retf[MethodId(loc.cls, loc.method)], returned):
+                    changed = True
+        elif isinstance(s, (AssignCall, Call)):
+            per_arg = [{sid: st for (n, sid), st in state.items() if n == a} for a in s.args]
+            lhs = s.lhs if isinstance(s, AssignCall) else None
+            out_facts: dict[int, int] = {}
+            if s.callee in self.san:
+                for af in per_arg:
+                    for sid in af:
+                        out_facts[sid] = PSEUDO
+            else:
+                targets = self.cg.resolved(loc)
+                for t in targets:
+                    params = self.params[t]
+                    contrib = {}
+                    for k, af in enumerate(per_arg):
+                        if k < len(params):
+                            for sid, st in af.items():
+                                kk = (params[k], sid)
+                                contrib[kk] = max(contrib.get(kk, 0), st)
+                    if _join(self.entry[t], contrib):
+                        changed = True
+                    _join(out_facts, self.retf[t])
+                if not targets:
+                    for af in per_arg:
+                        _join(out_facts, af)
+            if lhs is not None:
+                state = {k: v for k, v in state.items() if k[0] != lhs}
+                for sid, st in out_facts.items():
+                    state[(lhs, sid)] = st
+                if loc in self.label_at:
+                    state[(lhs, self.label_at[loc].id)] = RAW
+        return state, changed
+
+
 def all_paths_taint(p: Program, cg, labels, san):
     """Before-state facts per statement and field-cell contents, computed by
-    brute-force path enumeration. Loop-free programs only."""
+    brute-force path enumeration per method, iterated over the boundary
+    summaries until globally stable. Loop-free programs only."""
     from pdaudit.graph import MethodId
-    from pdaudit.ir import (
-        AssignCall,
-        AssignConst,
-        AssignCopy,
-        AssignFieldLoad,
-        Call,
-        FieldStore,
-        Return,
-    )
 
-    label_at = {l.location: l for l in labels}
+    sums = _Summaries(p, cg, labels, san)
     methods = {}
     for cls, m in p.iter_methods():
         methods[MethodId(cls.name, m.key)] = (cls.name, m, enumerate_cfg_paths(m))
 
-    entry = {mid: {} for mid in methods}  # (param, sid) -> status
-    retf = {mid: {} for mid in methods}  # sid -> status
-    fields: dict[tuple[str, str], dict[int, int]] = {}
     point: dict[Loc, dict] = {}
-
-    def join(dst: dict, src: dict) -> bool:
-        ch = False
-        for k, v in src.items():
-            if dst.get(k, 0) < v:
-                dst[k] = v
-                ch = True
-        return ch
-
     for round_no in range(1000):
         changed = False
         new_point: dict[Loc, dict] = {}
         for mid in sorted(methods):
             cls_name, m, paths = methods[mid]
             for path in paths:
-                state = dict(entry[mid])
+                state = dict(sums.entry[mid])
                 for i in path:
                     loc = Loc(cls_name, m.key, i)
-                    join(new_point.setdefault(loc, {}), state)
-                    s = m.body[i]
-                    if isinstance(s, AssignConst):
-                        state = {k: v for k, v in state.items() if k[0] != s.lhs}
-                    elif isinstance(s, AssignCopy):
-                        moved = {
-                            (s.lhs, sid): st for (n, sid), st in state.items() if n == s.rhs
-                        }
-                        state = {k: v for k, v in state.items() if k[0] != s.lhs}
-                        state.update(moved)
-                    elif isinstance(s, AssignFieldLoad):
-                        state = {k: v for k, v in state.items() if k[0] != s.lhs}
-                        for sid, st in fields.get((s.cls, s.fld), {}).items():
-                            state[(s.lhs, sid)] = st
-                    elif isinstance(s, FieldStore):
-                        stored = {sid: st for (n, sid), st in state.items() if n == s.rhs}
-                        if join(fields.setdefault((s.cls, s.fld), {}), stored):
-                            changed = True
-                    elif isinstance(s, Return):
-                        if s.value is not None:
-                            returned = {
-                                sid: st for (n, sid), st in state.items() if n == s.value
-                            }
-                            if join(retf[mid], returned):
-                                changed = True
-                    elif isinstance(s, (AssignCall, Call)):
-                        per_arg = [
-                            {sid: st for (n, sid), st in state.items() if n == a}
-                            for a in s.args
-                        ]
-                        lhs = s.lhs if isinstance(s, AssignCall) else None
-                        out_facts: dict[int, int] = {}
-                        if s.callee in san:
-                            for af in per_arg:
-                                for sid in af:
-                                    out_facts[sid] = PSEUDO
-                        else:
-                            targets = cg.resolved(loc)
-                            for t in targets:
-                                tm = methods[t][1]
-                                contrib = {}
-                                for k, af in enumerate(per_arg):
-                                    if k < len(tm.params):
-                                        for sid, st in af.items():
-                                            kk = (tm.params[k], sid)
-                                            contrib[kk] = max(contrib.get(kk, 0), st)
-                                if join(entry[t], contrib):
-                                    changed = True
-                                join(out_facts, retf[t])
-                            if not targets:
-                                for af in per_arg:
-                                    join(out_facts, af)
-                        if lhs is not None:
-                            state = {k: v for k, v in state.items() if k[0] != lhs}
-                            for sid, st in out_facts.items():
-                                state[(lhs, sid)] = st
-                            if loc in label_at:
-                                state[(lhs, label_at[loc].id)] = RAW
+                    _join(new_point.setdefault(loc, {}), state)
+                    state, grew = sums.step(m.body[i], loc, state)
+                    changed |= grew
         if new_point != point:
             point = new_point
             changed = True
         if not changed:
-            return point, fields
+            return point, sums.fields
     raise RuntimeError("taint oracle did not stabilize in 1000 rounds")
+
+
+def round_robin_taint(p: Program, cg, labels, san):
+    """Before- and after-state facts per reachable statement and field-cell
+    contents, computed by a dense fixpoint with no worklist: every sweep visits every
+    reachable statement of every method in order, and sweeps repeat until
+    nothing changes. Handles loops and recursion."""
+    from pdaudit.graph import MethodId
+
+    sums = _Summaries(p, cg, labels, san)
+    methods = []
+    for cls, m in p.iter_methods():
+        succs = cfg_successors(m)
+        reach = set()
+        todo = [0] if m.body else []
+        while todo:
+            i = todo.pop()
+            if i not in reach:
+                reach.add(i)
+                todo.extend(j for j in succs[i] if j != EXIT)
+        preds = {i: [k for k in reach if i in succs[k]] for i in reach}
+        methods.append((MethodId(cls.name, m.key), cls.name, m, sorted(reach), preds))
+
+    before: dict[Loc, dict] = {}
+    after: dict[Loc, dict] = {}
+    for sweep in range(100000):
+        changed = False
+        for mid, cls_name, m, order, preds in methods:
+            for i in order:
+                loc = Loc(cls_name, m.key, i)
+                state = dict(sums.entry[mid]) if i == 0 else {}
+                for k in preds[i]:
+                    _join(state, after.get(Loc(cls_name, m.key, k), {}))
+                out, grew = sums.step(m.body[i], loc, state)
+                if grew or before.get(loc) != state or after.get(loc) != out:
+                    before[loc], after[loc] = state, out
+                    changed = True
+        if not changed:
+            return before, after, sums.fields
+    raise RuntimeError("round-robin taint oracle did not stabilize")
 
 
 def expected_all_paths_pseudonymized(g: DepGraph, p: Program, san, cg, flow) -> bool:

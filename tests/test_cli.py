@@ -218,6 +218,55 @@ def test_non_utf8_pir_json_errors(tmp_path, capsys, command):
     assert payload["file"] == str(bad)
 
 
+def _assert_exit_2(code, capsys, json_errors, error, text):
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if json_errors:
+        payload = json.loads(captured.err)
+        assert payload["error"] == error
+        assert text in payload["message"]
+    else:
+        assert text in captured.err
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_dpv_map_not_an_object_exits_2(tmp_path, capsys, json_errors):
+    dpv = tmp_path / "dpv.json"
+    dpv.write_text("[]", encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", "--dpv", str(dpv), *flags)
+    _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
+                   f"{dpv}: top level must be an object")
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_non_string_sink_match_exits_2(tmp_path, capsys, json_errors):
+    sinks = tmp_path / "sinks.json"
+    sinks.write_text('{"entries": [{"match": 7, "kind": "Log"}]}', encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", "--sinks", str(sinks), *flags)
+    _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
+                   "sink match must be a string")
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_taint_engine_error_exits_2(tmp_path, capsys, monkeypatch, json_errors):
+    import pdaudit.cli as cli
+    from pdaudit.taint import FixpointBudgetExceededError
+
+    def exceed(p, cg, labels, san):
+        raise FixpointBudgetExceededError("fixpoint exceeded 1 statement visits")
+
+    monkeypatch.setattr(cli, "propagate", exceed)
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", *flags)
+    _assert_exit_2(code, capsys, json_errors, "FixpointBudgetExceededError",
+                   "fixpoint exceeded 1 statement visits")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bundled_registries_are_the_default(tmp_path, capsys):
     # fixture B's source/sink are covered by the bundled seeds
     code = main(

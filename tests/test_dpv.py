@@ -12,7 +12,7 @@ from pdaudit.dpv import (
 )
 from pdaudit.graph import build_call_graph, build_pdg
 from pdaudit.ir import parse_program
-from pdaudit.registry import label_sources
+from pdaudit.registry import MalformedRegistryError, label_sources
 from pdaudit.taint import Status, collect_flows, propagate, unsunk_labels
 
 TEST_MAP = {
@@ -54,6 +54,22 @@ def test_missing_category_rejected(tmp_path):
     with pytest.raises(MissingMappingError) as e:
         load_dpv_map(path, categories=["Location", "EmailAddress"], sink_kinds=["Network"])
     assert "category Location" in e.value.missing
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        ([TEST_MAP], "top level must be an object"),
+        (dict(TEST_MAP, categories=["EmailAddress"]), "categories must map"),
+        (dict(TEST_MAP, sink_kinds={"Log": 3}), "sink_kinds must map"),
+        (dict(TEST_MAP, collection=None), "collection must be an IRI string"),
+    ],
+)
+def test_malformed_map_rejected(tmp_path, data, reason):
+    path = write_map(tmp_path, data)
+    with pytest.raises(MalformedRegistryError) as e:
+        load_dpv_map(path)
+    assert reason in str(e.value)
 
 
 def test_empty_registries_empty_map_is_valid(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 from conftest import FIXTURE_A, FIXTURE_B
 from gen import gen_program
@@ -13,6 +14,7 @@ from pdaudit.graph import (
     build_pdg,
     control_deps,
     data_deps,
+    method_facts,
 )
 from pdaudit.ir import (
     AssignConst,
@@ -353,3 +355,48 @@ def test_shared_method_facts_give_the_same_edges():
             facts = _MethodFacts(cls.name, m)
             assert data_deps(cls.name, m, facts) == data_deps(cls.name, m)
             assert control_deps(cls.name, m, facts) == control_deps(cls.name, m)
+
+
+def test_resolved_targets_are_the_method_targets():
+    rng = random.Random(8087)
+    for _ in range(60):
+        p = gen_program(rng, allow_recursion=True)
+        cg = build_call_graph(p)
+        for site, _ in p.iter_locs():
+            expected = tuple(t for t in cg.targets(site) if isinstance(t, MethodId))
+            assert cg.resolved(site) == expected
+            assert cg.resolved(site) is cg.resolved(site)  # stored, not rebuilt
+
+
+def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
+    from pdaudit.cli import Config, run_analysis
+
+    built = []
+    init = _MethodFacts.__init__
+
+    def counting_init(self, cls_name, m):
+        built.append((cls_name, m.key))
+        init(self, cls_name, m)
+
+    monkeypatch.setattr(_MethodFacts, "__init__", counting_init)
+    fixtures = Path(__file__).parent / "fixtures"
+    reg = fixtures / "registries"
+    cfg = Config(
+        sources=reg / "sources.json",
+        sinks=reg / "sinks.json",
+        sanitizers=reg / "sanitizers.json",
+        lexicon=reg / "lexicon.json",
+        dpv=reg / "dpv.json",
+    )
+    artifacts = run_analysis((fixtures / "cha_override.pir").read_text(), cfg)
+    methods = [(cls.name, m.key) for cls, m in artifacts.program.iter_methods()]
+    assert len(methods) == 3
+    assert sorted(built) == sorted(methods)
+
+
+def test_method_facts_memo_not_part_of_equality_or_repr():
+    p = parse_program(FIXTURE_B)
+    fresh = parse_program(FIXTURE_B)
+    before = repr(p)
+    assert method_facts(p) is method_facts(p)
+    assert p == fresh and repr(p) == before

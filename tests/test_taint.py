@@ -8,9 +8,10 @@ from oracles import (
     all_paths_taint,
     expected_all_paths_pseudonymized,
     program_sink_stmts,
+    round_robin_taint,
 )
-from pdaudit.graph import build_call_graph, build_pdg
-from pdaudit.ir import Goto, If, Loc, parse_program
+from pdaudit.graph import MethodId, build_call_graph, build_pdg
+from pdaudit.ir import AssignCall, Goto, If, Loc, parse_program
 from pdaudit.registry import (
     Lexicon,
     PersonalDataCategory,
@@ -357,6 +358,75 @@ def test_fixpoint_matches_path_oracle_smoke():
         assert_matches_oracle(gen_program(rng))
 
 
+def _has_call_cycle(p, cg):
+    calls = {MethodId(c.name, m.key): set() for c, m in p.iter_methods()}
+    for loc, _ in p.iter_locs():
+        calls[MethodId(loc.cls, loc.method)].update(cg.resolved(loc))
+    done, active = set(), set()
+
+    def cyclic(mid):
+        if mid in active:
+            return True
+        if mid in done:
+            return False
+        active.add(mid)
+        found = any(cyclic(t) for t in sorted(calls[mid]))
+        active.discard(mid)
+        done.add(mid)
+        return found
+
+    return any(cyclic(mid) for mid in sorted(calls))
+
+
+def _dense_derived_data(before, after, fields, label, p):
+    """derived_data read off dense per-point states: every local named in
+    any state with the label's id, field cells holding it, and assignments
+    from calls (other than the label's own) whose after-state holds it."""
+    cells = {
+        LocalCell(loc.cls, loc.method, name)
+        for table in (before, after)
+        for loc, state in table.items()
+        for name, sid in state
+        if sid == label.id
+    }
+    cells |= {FieldCell(c, f) for (c, f), held in fields.items() if label.id in held}
+    sigs = set()
+    for loc, state in after.items():
+        stmt = p.stmt_at(loc)
+        if loc != label.location and isinstance(stmt, AssignCall) and (stmt.lhs, label.id) in state:
+            sigs.add(stmt.callee)
+    return cells, sigs
+
+
+def test_fixpoint_matches_round_robin_oracle_with_loops_and_recursion():
+    rng = random.Random(7177)
+    looped = recursive = 0
+    for _ in range(120):
+        p = gen_program(rng, allow_loops=True, allow_recursion=True)
+        cg, g, labels, pr = analyze_generated(p)
+        before, after, fields = round_robin_taint(p, cg, labels, GEN_SANITIZERS)
+        for loc, _ in p.iter_locs():
+            assert pr.raw_before(loc) == before.get(loc, {}), f"at {loc}"
+        got_fields = {cell: dict(v) for cell, v in pr.field_cells.items() if v}
+        assert got_fields == {cell: dict(v) for cell, v in fields.items() if v}
+        for label in labels:
+            dd = derived_data(pr, label)
+            assert (dd.cells, dd.signatures) == _dense_derived_data(
+                before, after, fields, label, p
+            )
+        for _, m in p.iter_methods():
+            assert pr.raw_before(Loc("app.Main", m.key, len(m.body))) == {}
+            assert pr.raw_before(Loc("app.Main", m.key, -1)) == {}
+        assert pr.raw_before(Loc("app.Other", "m0/0", 0)) == {}
+        looped += any(
+            isinstance(s, (If, Goto)) and s.target <= i
+            for _, m in p.iter_methods()
+            for i, s in enumerate(m.body)
+        )
+        recursive += _has_call_cycle(p, cg)
+    assert looped >= 30 and recursive >= 30, (looped, recursive)
+
+
 def test_loops_terminate_and_overapproximate_unrolled():
     # k=2 unrolling: copy the body, aim back-jumps of the first copy at the
     # second, cut the second copy's back-jumps to the method end
@@ -388,12 +458,12 @@ def test_loops_terminate_and_overapproximate_unrolled():
             id_map[ul.id] = orig_label_at[
                 Loc(ul.location.cls, ul.location.method, oi)
             ]
-        for loc, state in upr._before.items():
+        for loc, _ in unrolled.iter_locs():
             oi = orig_index(loc.method, loc.index)
             if oi is None:
                 continue
             base = pr.raw_before(Loc(loc.cls, loc.method, oi))
-            for (name, uid), st in state.items():
+            for (name, uid), st in upr.raw_before(loc).items():
                 assert base.get((name, id_map[uid]), 0) >= st, (loc, name, uid)
     assert checked >= 10
 
