@@ -73,7 +73,10 @@ class UsageError(Exception):
 
 
 def _load_config_file(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path}: invalid UTF-8 at byte {exc.start}") from None
     if path.suffix in (".toml", ".tml"):
         try:
             import tomllib  # type: ignore[import-not-found]
@@ -82,28 +85,50 @@ def _load_config_file(path: Path) -> dict:
                 import tomli as tomllib  # type: ignore[no-redef]
             except ModuleNotFoundError:
                 raise UsageError("TOML config needs Python 3.11+ or the tomli package") from None
-        return tomllib.loads(text)
-    return json.loads(text)
+        try:
+            raw = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise UsageError(f"config {path}: {exc}") from None
+    else:
+        raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise UsageError(f"config top level must be an object, not {type(raw).__name__}")
+    return raw
 
 
-def _risk_config(raw: dict) -> ReportConfig:
+def _table(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"config key {key!r} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"config key {key!r} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
+def _risk_config(raw) -> ReportConfig:
+    raw = _table(raw, "risk")
     base = ReportConfig()
     status = dict(base.status_mult)
-    for name, value in raw.get("status_mult", {}).items():
+    for name, value in _table(raw.get("status_mult", {}), "risk.status_mult").items():
         key = {"Raw": Status.RAW, "Pseudonymized": Status.PSEUDONYMIZED}.get(name)
         if key is None:
             raise UsageError(f"unknown status multiplier {name!r}")
-        status[key] = float(value)
+        status[key] = _number(value, f"risk.status_mult.{name}")
     sink = dict(base.sink_mult)
-    for name, value in raw.get("sink_mult", {}).items():
+    for name, value in _table(raw.get("sink_mult", {}), "risk.sink_mult").items():
         try:
-            sink[SinkKind(name)] = float(value)
+            kind = SinkKind(name)
         except ValueError:
             raise UsageError(f"unknown sink kind {name!r}") from None
+        sink[kind] = _number(value, f"risk.sink_mult.{name}")
+    no_egress = raw.get("no_egress_mult", base.no_egress_mult)
     return ReportConfig(
         status_mult=status,
         sink_mult=sink,
-        no_egress_mult=float(raw.get("no_egress_mult", base.no_egress_mult)),
+        no_egress_mult=_number(no_egress, "risk.no_egress_mult"),
     )
 
 
@@ -113,9 +138,13 @@ def build_config(args: argparse.Namespace) -> Config:
         raw = _load_config_file(Path(args.config))
         for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out"):
             if key in raw:
+                if not isinstance(raw[key], str):
+                    raise UsageError(
+                        f"config key {key!r} must be a string, not {type(raw[key]).__name__}"
+                    )
                 setattr(cfg, key, Path(raw[key]))
         if "fail_threshold" in raw:
-            cfg.fail_threshold = float(raw["fail_threshold"])
+            cfg.fail_threshold = _number(raw["fail_threshold"], "fail_threshold")
         if "risk" in raw:
             cfg.risk = _risk_config(raw["risk"])
     for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out"):

@@ -20,6 +20,17 @@ invocation; order-insensitive store -> load edges are the sound reading.
 Statements unreachable from a method's entry appear as graph nodes but
 carry no dependence edges.
 
+Storage. A node's id is its rank in Loc order; build_pdg numbers the
+methods in sorted order, each over a contiguous id range (base + statement
+index). Explicit edges are per-node sorted lists of ints packing the other
+end's id with a kind code, in both directions; the codes follow the order of
+the kind.value strings, so a sorted list is in DepEdge.sort_key order. A
+field cell is stored once, as its sorted reachable store ids and load ids:
+its stores x loads Data edges are never stored, which keeps the graph
+linear in the program. Slicing, witness search and DOT output walk ids and
+expand each cell at most once per traversal. DepEdge objects, cell pairs
+included, are built only by the edges, succs and preds views.
+
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
 its superclasses plus every override in program subclasses of C; anything
@@ -78,28 +89,201 @@ class DepEdge:
         return (src.cls, src.method, src.index, dst.cls, dst.method, dst.index, self.kind.value)
 
 
+# Edge kind codes, numbered in the order of the kind.value strings, so that
+# packed (node id << _KIND_BITS | code) ints sort like DepEdge.sort_key.
+KINDS = tuple(sorted(EdgeKind, key=lambda k: k.value))
+_CODE = {k: c for c, k in enumerate(KINDS)}
+_CALL, _CONTROL, _DATA, _PARAM_IN, _RETURN_OUT = (_CODE[k] for k in (
+    EdgeKind.CALL, EdgeKind.CONTROL, EdgeKind.DATA, EdgeKind.PARAM_IN, EdgeKind.RETURN_OUT))
+_KIND_BITS = 3
+_KIND_MASK = (1 << _KIND_BITS) - 1
+_DATA_IN = (_DATA, _PARAM_IN)  # data-carrying codes other than ReturnOut
+_DATA_CODES = (_DATA, _PARAM_IN, _RETURN_OUT)
+
+
 class DepGraph:
-    """Immutable-by-convention dependence graph with cached adjacency."""
+    """Immutable-by-convention dependence graph on integer node ids.
+
+    A node's id is its rank in Loc order (locs[id] is the Loc), so comparing
+    ids compares Locs. Explicit edges are per-node sorted packed ints in both
+    directions: _out[i] holds dst << _KIND_BITS | code and _inn[i] holds
+    src << _KIND_BITS | code. cells[c] is one field cell, as (sorted store
+    ids, sorted load ids); the store -> load Data edges it implies are not
+    stored. reach, induced, data_in and data_out walk ids; edges, succs and
+    preds build DepEdge objects, cell pairs included, on demand.
+
+    DepGraph(nodes, edges) takes any explicit edge set and has no cells;
+    build_pdg uses from_ids."""
 
     def __init__(self, nodes: frozenset[Loc], edges: frozenset[DepEdge]):
-        self.nodes = nodes
-        self.edges = edges
-        succs: dict[Loc, list[DepEdge]] = {}
-        preds: dict[Loc, list[DepEdge]] = {}
-        for e in sorted(edges, key=DepEdge.sort_key):
-            succs.setdefault(e.src, []).append(e)
-            preds.setdefault(e.dst, []).append(e)
-        self._succs = {k: tuple(v) for k, v in succs.items()}
-        self._preds = {k: tuple(v) for k, v in preds.items()}
+        locs = sorted(set(nodes).union(*((e.src, e.dst) for e in edges)))
+        index = {loc: i for i, loc in enumerate(locs)}
+        out: list[list[int]] = [[] for _ in locs]
+        for e in edges:
+            out[index[e.src]].append(index[e.dst] << _KIND_BITS | _CODE[e.kind])
+        self._setup(nodes, locs, out, [])
+        self._index = index
+        self._edges = frozenset(edges)
+
+    @classmethod
+    def from_ids(
+        cls,
+        locs: list[Loc],
+        out: list[list[int]],
+        cells: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    ) -> "DepGraph":
+        """The graph over locs (in Loc order) with the explicit edges out
+        (per source id, packed, unsorted, duplicates allowed) and the field
+        cells (store ids, load ids), which must not repeat an explicit edge."""
+        g = cls.__new__(cls)
+        g._setup(None, locs, out, cells)
+        return g
+
+    def _setup(self, nodes, locs, out, cells) -> None:
+        self._nodes = nodes
+        self.locs = tuple(locs)
+        inn: list[list[int]] = [[] for _ in locs]
+        for i, lst in enumerate(out):
+            if len(lst) > 1:
+                lst[:] = sorted(set(lst))
+            for x in lst:
+                inn[x >> _KIND_BITS].append(i << _KIND_BITS | x & _KIND_MASK)
+        self._out = out
+        self._inn = inn  # filled in source order, so already sorted
+        self.cells = cells
+        self._store_cell = {s: c for c, (stores, _) in enumerate(cells) for s in stores}
+        self._load_cell = {l: c for c, (_, loads) in enumerate(cells) for l in loads}
+        self._index: Optional[dict[Loc, int]] = None
+        self._edges: Optional[frozenset[DepEdge]] = None
+
+    @property
+    def nodes(self) -> frozenset[Loc]:
+        if self._nodes is None:
+            self._nodes = frozenset(self.locs)
+        return self._nodes
+
+    @property
+    def edges(self) -> frozenset[DepEdge]:
+        if self._edges is None:
+            locs = self.locs
+            self._edges = frozenset(
+                DepEdge(locs[i], locs[j], KINDS[k]) for i, j, k in self.induced(range(len(locs)))
+            )
+        return self._edges
+
+    def id_of(self, loc: Loc) -> Optional[int]:
+        if self._index is None:
+            self._index = {l: i for i, l in enumerate(self.locs)}
+        return self._index.get(loc)
+
+    def node_id(self, loc: Loc) -> Optional[int]:
+        """The id of loc when it is a node (an explicit edge may name an
+        endpoint that is not)."""
+        i = self.id_of(loc)
+        if i is None or self._nodes is not None and loc not in self._nodes:
+            return None
+        return i
+
+    def reach(self, root: int) -> list[int]:
+        """The ids reachable from root over any edge kind, root first. A
+        field cell's loads are added once, at the first of its stores."""
+        out, cells, store_cell = self._out, self.cells, self._store_cell
+        seen = {root}
+        work = [root]
+        expanded: set[int] = set()
+        for n in work:  # grows while iterated: a FIFO queue
+            for x in out[n]:
+                d = x >> _KIND_BITS
+                if d not in seen:
+                    seen.add(d)
+                    work.append(d)
+            c = store_cell.get(n)
+            if c is not None and c not in expanded:
+                expanded.add(c)
+                for d in cells[c][1]:
+                    if d not in seen:
+                        seen.add(d)
+                        work.append(d)
+        return work
+
+    def induced(self, ids) -> Iterator[tuple[int, int, int]]:
+        """(src id, dst id, kind code) of every edge between nodes of ids,
+        which must be in id order; cell pairs included, in
+        DepEdge.sort_key order. KINDS[code] is the EdgeKind."""
+        out, cells, store_cell = self._out, self.cells, self._store_cell
+        inside = set(ids)
+        cell_codes: dict[int, list[int]] = {}  # cell -> its loads inside, packed
+        for i in ids:
+            codes = [x for x in out[i] if x >> _KIND_BITS in inside]
+            c = store_cell.get(i)
+            if c is not None:
+                if c not in cell_codes:
+                    cell_codes[c] = [l << _KIND_BITS | _DATA for l in cells[c][1] if l in inside]
+                codes = sorted(codes + cell_codes[c]) if codes else cell_codes[c]
+            for x in codes:
+                yield i, x >> _KIND_BITS, x & _KIND_MASK
+
+    def data_in(self, w: int, via_ret: bool, expanded: set[int]) -> list[int]:
+        """Source ids of the data-carrying edges into w: the ReturnOut ones
+        when via_ret, else the Data and ParamIn ones plus the stores of w's
+        field cell, unless that cell is in expanded (it is then added)."""
+        if via_ret:
+            return [x >> _KIND_BITS for x in self._inn[w] if x & _KIND_MASK == _RETURN_OUT]
+        srcs = [x >> _KIND_BITS for x in self._inn[w] if x & _KIND_MASK in _DATA_IN]
+        c = self._load_cell.get(w)
+        if c is not None and c not in expanded:
+            expanded.add(c)
+            srcs += self.cells[c][0]
+        return srcs
+
+    def data_out(self, v: int) -> list[tuple[int, bool]]:
+        """(dst id, is ReturnOut) of the data-carrying edges out of v, cell
+        pairs included."""
+        outs = [
+            (x >> _KIND_BITS, x & _KIND_MASK == _RETURN_OUT)
+            for x in self._out[v]
+            if x & _KIND_MASK in _DATA_CODES
+        ]
+        c = self._store_cell.get(v)
+        if c is not None:
+            outs += [(l, False) for l in self.cells[c][1]]
+        return outs
+
+    def _succ_codes(self, i: int) -> list[int]:
+        c = self._store_cell.get(i)
+        if c is None:
+            return self._out[i]
+        return sorted(self._out[i] + [l << _KIND_BITS | _DATA for l in self.cells[c][1]])
+
+    def _pred_codes(self, i: int) -> list[int]:
+        c = self._load_cell.get(i)
+        if c is None:
+            return self._inn[i]
+        return sorted(self._inn[i] + [s << _KIND_BITS | _DATA for s in self.cells[c][0]])
 
     def succs(self, loc: Loc) -> tuple[DepEdge, ...]:
-        return self._succs.get(loc, ())
+        i = self.id_of(loc)
+        if i is None:
+            return ()
+        locs = self.locs
+        return tuple(
+            DepEdge(locs[i], locs[x >> _KIND_BITS], KINDS[x & _KIND_MASK]) for x in self._succ_codes(i)
+        )
 
     def preds(self, loc: Loc) -> tuple[DepEdge, ...]:
-        return self._preds.get(loc, ())
+        i = self.id_of(loc)
+        if i is None:
+            return ()
+        locs = self.locs
+        return tuple(
+            DepEdge(locs[x >> _KIND_BITS], locs[i], KINDS[x & _KIND_MASK]) for x in self._pred_codes(i)
+        )
 
     def has_edge(self, src: Loc, dst: Loc) -> bool:
-        return any(e.dst == dst for e in self.succs(src))
+        i, j = self.id_of(src), self.id_of(dst)
+        if i is None or j is None:
+            return False
+        return any(x >> _KIND_BITS == j for x in self._succ_codes(i))
 
     def __eq__(self, other) -> bool:
         return (
@@ -109,7 +293,8 @@ class DepGraph:
         )
 
     def __repr__(self) -> str:
-        return f"DepGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        n_edges = sum(map(len, self._out)) + sum(len(s) * len(l) for s, l in self.cells)
+        return f"DepGraph({len(self.nodes)} nodes, {n_edges} edges)"
 
 
 # ---------------------------------------------------------------------------
@@ -349,36 +534,23 @@ def method_facts(p: Program) -> dict[MethodId, _MethodFacts]:
     return facts
 
 
-def _field_sites(cls_name: str, m: MethodDef, reachable: set[int]):
-    stores: list[tuple[tuple[str, str], Loc]] = []
-    loads: list[tuple[tuple[str, str], Loc]] = []
-    for i in sorted(reachable):
-        s = m.body[i]
-        if isinstance(s, FieldStore):
-            stores.append(((s.cls, s.fld), Loc(cls_name, m.key, i)))
-        elif isinstance(s, AssignFieldLoad):
-            loads.append(((s.cls, s.fld), Loc(cls_name, m.key, i)))
-    return stores, loads
-
-
-def data_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
-    """Intra-method Data edges: local def-use plus field store -> load.
-
-    `facts`, when given, must be the method's own _MethodFacts."""
-    if facts is None:
-        facts = _MethodFacts(cls_name, m)
-    edges: set[DepEdge] = set()
+def _data_pairs(facts: _MethodFacts) -> Iterator[tuple[int, int]]:
+    """(definition index, use index) of each local def-use pair."""
     for i, per_use in facts.use_defs.items():
         for ds in per_use:
             for d in ds:
                 if d != ENTRY_DEF:
-                    edges.add(DepEdge(facts.loc(d), facts.loc(i), EdgeKind.DATA))
-    stores, loads = _field_sites(cls_name, m, facts.reachable)
-    for cell_s, sloc in stores:
-        for cell_l, lloc in loads:
-            if cell_s == cell_l:
-                edges.add(DepEdge(sloc, lloc, EdgeKind.DATA))
-    return edges
+                    yield d, i
+
+
+def data_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
+    """Intra-method Data edges: local def-use. Field store -> load pairs
+    belong to the program-wide field cells of build_pdg.
+
+    `facts`, when given, must be the method's own _MethodFacts."""
+    if facts is None:
+        facts = _MethodFacts(cls_name, m)
+    return {DepEdge(facts.loc(d), facts.loc(i), EdgeKind.DATA) for d, i in _data_pairs(facts)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +620,11 @@ def _postdominators(m: MethodDef, succs: dict[int, tuple[int, ...]]) -> dict[int
     return ipdom
 
 
-def control_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
-    """Control edges branch -> dependent statement.
-
-    s is control-dependent on branch b when some CFG successor path from b
-    reaches s without passing b's immediate postdominator. `facts`, when
-    given, must be the method's own _MethodFacts; its CFG is reused."""
-    edges: set[DepEdge] = set()
-    if facts is None:
-        succs = cfg_successors(m)
-        reachable = reachable_indices(m, succs)
-    else:
-        reachable, succs = facts.reachable, facts.succs
+def _control_pairs(m: MethodDef, reachable: set[int], succs: dict[int, tuple[int, ...]]):
+    """(branch index, dependent index) of each control dependence."""
     branches = [i for i in sorted(reachable) if isinstance(m.body[i], If)]
     if not branches:
-        return edges
+        return
     ipdom = _postdominators(m, succs)
     for b in branches:
         stop = ipdom[b]
@@ -470,10 +632,26 @@ def control_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = No
             runner: Optional[int] = s
             guard = len(m.body) + 2
             while runner is not None and runner != EXIT and runner != stop and guard > 0:
-                edges.add(DepEdge(Loc(cls_name, m.key, b), Loc(cls_name, m.key, runner), EdgeKind.CONTROL))
+                yield b, runner
                 runner = ipdom[runner]
                 guard -= 1
-    return edges
+
+
+def control_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
+    """Control edges branch -> dependent statement.
+
+    s is control-dependent on branch b when some CFG successor path from b
+    reaches s without passing b's immediate postdominator. `facts`, when
+    given, must be the method's own _MethodFacts; its CFG is reused."""
+    if facts is None:
+        succs = cfg_successors(m)
+        reachable = reachable_indices(m, succs)
+    else:
+        reachable, succs = facts.reachable, facts.succs
+    return {
+        DepEdge(Loc(cls_name, m.key, b), Loc(cls_name, m.key, s), EdgeKind.CONTROL)
+        for b, s in _control_pairs(m, reachable, succs)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -482,65 +660,72 @@ def control_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = No
 
 
 def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
-    """Union of per-method data/control edges plus interprocedural edges.
+    """Union of per-method data/control edges, the field cells and the
+    interprocedural edges.
 
-    Every statement location is a node. Construction iterates methods in
-    sorted order, so the result is independent of source class order."""
-    nodes: set[Loc] = set()
-    edges: set[DepEdge] = set()
+    Every statement location is a node. Methods are numbered in sorted
+    order, each over a contiguous id range, so the result is independent of
+    source class order and ids follow Loc order."""
     facts = method_facts(p)
+    mids = sorted(facts)
+    base: dict[MethodId, int] = {}
+    locs: list[Loc] = []
+    for mid in mids:
+        base[mid] = len(locs)
+        locs.extend(Loc(mid.cls, mid.method, i) for i in range(len(facts[mid].m.body)))
+    out: list[list[int]] = [[] for _ in locs]
 
-    for f in facts.values():
-        for i in range(len(f.m.body)):
-            nodes.add(f.loc(i))
-        edges |= data_deps(f.cls, f.m, f)
-        edges |= control_deps(f.cls, f.m, f)
-
-    # Field cells: program-wide store -> load, order-insensitive.
-    all_stores: dict[tuple[str, str], list[Loc]] = {}
-    all_loads: dict[tuple[str, str], list[Loc]] = {}
-    for f in facts.values():
-        stores, loads = _field_sites(f.cls, f.m, f.reachable)
-        for cell, loc in stores:
-            all_stores.setdefault(cell, []).append(loc)
-        for cell, loc in loads:
-            all_loads.setdefault(cell, []).append(loc)
-    for cell, slocs in all_stores.items():
-        for sloc in slocs:
-            for lloc in all_loads.get(cell, ()):
-                edges.add(DepEdge(sloc, lloc, EdgeKind.DATA))
-
-    # Resolved call sites, in deterministic order, with the definitions
-    # reaching each argument.
-    call_sites: list[tuple[Loc, MethodId, tuple[str, ...], tuple[tuple[int, ...], ...], bool]] = []
-    for mid in sorted(facts):
-        f = facts[mid]
+    stores: dict[tuple[str, str], list[int]] = {}
+    loads: dict[tuple[str, str], list[int]] = {}
+    returns: dict[MethodId, list[int]] = {}  # value-returning statement ids
+    # Resolved call sites, in id order, with the definitions reaching each
+    # argument.
+    call_sites: list[tuple[int, MethodId, MethodId, tuple[str, ...], tuple, bool]] = []
+    for mid in mids:
+        f, b = facts[mid], base[mid]
+        body = f.m.body
+        for d, i in _data_pairs(f):
+            out[b + d].append((b + i) << _KIND_BITS | _DATA)
+        for br, s in _control_pairs(f.m, f.reachable, f.succs):
+            out[b + br].append((b + s) << _KIND_BITS | _CONTROL)
+        rets = returns[mid] = []
         for i in sorted(f.reachable):
-            s = f.m.body[i]
-            if not isinstance(s, (AssignCall, Call)):
-                continue
-            loc = f.loc(i)
-            for t in cg.resolved(loc):
-                call_sites.append((loc, t, s.args, f.use_defs.get(i, ()), isinstance(s, AssignCall)))
+            s = body[i]
+            if isinstance(s, FieldStore):
+                stores.setdefault((s.cls, s.fld), []).append(b + i)
+            elif isinstance(s, AssignFieldLoad):
+                loads.setdefault((s.cls, s.fld), []).append(b + i)
+            elif isinstance(s, Return):
+                if s.value is not None:
+                    rets.append(b + i)
+            elif isinstance(s, (AssignCall, Call)):
+                has_lhs = isinstance(s, AssignCall)
+                for t in cg.resolved(locs[b + i]):
+                    call_sites.append((b + i, mid, t, s.args, f.use_defs.get(i, ()), has_lhs))
+
+    # Field cells: program-wide store -> load, order-insensitive, kept as
+    # one (stores, loads) pair per cell instead of stores x loads edges. No
+    # explicit edge leaves a store (it defines no local and is no call,
+    # branch or return), so no cell pair repeats one.
+    cells = [(tuple(stores[c]), tuple(loads[c])) for c in sorted(stores) if c in loads]
 
     # Call edges: call site -> callee entry statement.
-    for loc, t, _, _, _ in call_sites:
+    for site, _, t, _, _, _ in call_sites:
         if facts[t].m.body:
-            edges.add(DepEdge(loc, Loc(t.cls, t.method, 0), EdgeKind.CALL))
+            out[site].append(base[t] << _KIND_BITS | _CALL)
 
     # Feeders: for each (callee, param index), the statements whose defined
     # value can enter that parameter, chasing parameter-to-parameter
     # pass-through across call sites to a fixpoint.
-    feed: dict[tuple[MethodId, int], set[Loc]] = {}
+    feed: dict[tuple[MethodId, int], set[int]] = {}
     passthrough: dict[tuple[MethodId, int], set[tuple[MethodId, int]]] = {}
-    for loc, t, args, arg_defs, _ in call_sites:
-        caller = MethodId(loc.cls, loc.method)
-        f = facts[caller]
+    for _, caller, t, args, arg_defs, _ in call_sites:
+        b = base[caller]
         for i, (a, ds) in enumerate(zip(args, arg_defs)):
             key = (t, i)
-            feed.setdefault(key, set()).update(f.loc(d) for d in ds if d != ENTRY_DEF)
+            feed.setdefault(key, set()).update(b + d for d in ds if d != ENTRY_DEF)
             if ds and ds[0] == ENTRY_DEF:
-                j = f.m.params.index(a)
+                j = facts[caller].m.params.index(a)
                 passthrough.setdefault((caller, j), set()).add(key)
     changed = True
     while changed:
@@ -558,19 +743,17 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
         params = facts[t].m.params
         if i >= len(params):
             continue
+        b = base[t]
         for u in facts[t].entry_uses.get(params[i], ()):
-            dst = facts[t].loc(u)
+            code = (b + u) << _KIND_BITS | _PARAM_IN
             for src in sources:
-                edges.add(DepEdge(src, dst, EdgeKind.PARAM_IN))
+                out[src].append(code)
 
     # ReturnOut edges: value-returning statements -> call sites with a lhs.
-    for loc, t, _, _, has_lhs in call_sites:
-        if not has_lhs:
-            continue
-        tf = facts[t]
-        for i in sorted(tf.reachable):
-            s = tf.m.body[i]
-            if isinstance(s, Return) and s.value is not None:
-                edges.add(DepEdge(tf.loc(i), loc, EdgeKind.RETURN_OUT))
+    for site, _, t, _, _, has_lhs in call_sites:
+        if has_lhs:
+            code = site << _KIND_BITS | _RETURN_OUT
+            for r in returns[t]:
+                out[r].append(code)
 
-    return DepGraph(frozenset(nodes), frozenset(edges))
+    return DepGraph.from_ids(locs, out, cells)

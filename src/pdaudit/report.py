@@ -25,6 +25,7 @@ from typing import Optional
 
 from . import __version__
 from .dpv import ComplianceStatement, DpvMap, map_flow
+from .graph import KINDS
 from .ir import Loc, Program, call_parts, print_stmt
 from .registry import SanitizerRegistry, SinkKind, SinkRegistry, SourceLabel
 from .slicer import Slice, slice_stats
@@ -311,6 +312,9 @@ def serialize_report(r: AuditReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+_KIND_VALUES = tuple(k.value for k in KINDS)
+
+
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -339,26 +343,23 @@ def render_dot(
                 return "sanitizer"
         return "normal"
 
-    def node_id(loc: Loc) -> str:
-        return f"{loc.cls}.{loc.method}:{loc.index}"
-
     def node_label(loc: Loc) -> str:
         stmt = p.stmt_at(loc)
         text = print_stmt(stmt) if stmt is not None else "?"
         short_method = loc.method.split("/")[0]
         return f"{loc.cls}.{short_method}:{loc.index}: {text}"
 
+    locs = s.graph.locs
     lines = [f'digraph "slice_{s.root.id}" {{', "  node [shape=box];"]
-    for loc in sorted(s.nodes, key=lambda n: (n.cls, n.method, n.index)):
+    quoted: dict[int, str] = {}  # node id -> its quoted DOT id
+    for i in s.ids:
+        loc = locs[i]
+        q = quoted[i] = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
         lines.append(
-            f'  "{_dot_escape(node_id(loc))}" '
-            f'[label="{_dot_escape(node_label(loc))}", kind="{node_kind(loc)}"];'
+            f'  {q} [label="{_dot_escape(node_label(loc))}", kind="{node_kind(loc)}"];'
         )
-    for e in sorted(s.edges, key=lambda e: e.sort_key()):
-        lines.append(
-            f'  "{_dot_escape(node_id(e.src))}" -> "{_dot_escape(node_id(e.dst))}" '
-            f'[label="{e.kind.value}"];'
-        )
+    for i, j, k in s.graph.induced(s.ids):
+        lines.append(f'  {quoted[i]} -> {quoted[j]} [label="{_KIND_VALUES[k]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -2,19 +2,47 @@
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .graph import DepEdge, DepGraph
+from .graph import KINDS, DepEdge, DepGraph
 from .ir import Loc, Program, call_parts
 from .registry import SinkRegistry, SourceLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Slice:
+    """The node ids of g reachable from the root label's location, in id
+    (= Loc) order. nodes and edges are the Loc and DepEdge views, built on
+    first use."""
+
     root: SourceLabel
-    nodes: frozenset[Loc]
-    edges: frozenset[DepEdge]
+    graph: DepGraph = field(repr=False)
+    ids: tuple[int, ...]
+
+    @cached_property
+    def nodes(self) -> frozenset[Loc]:
+        locs = self.graph.locs
+        return frozenset(locs[i] for i in self.ids)
+
+    @cached_property
+    def edges(self) -> frozenset[DepEdge]:
+        """The edges of the graph between slice nodes."""
+        locs = self.graph.locs
+        return frozenset(
+            DepEdge(locs[i], locs[j], KINDS[k]) for i, j, k in self.graph.induced(self.ids)
+        )
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Slice)
+            and self.root == other.root
+            and self.nodes == other.nodes
+            and self.edges == other.edges
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.nodes))
 
 
 @dataclass(frozen=True)
@@ -27,29 +55,23 @@ class SliceStats:
 def forward_slice(g: DepGraph, label: SourceLabel) -> Slice:
     """Everything reachable from the label over any edge kind, with the
     induced edge set."""
-    root = label.location
-    if root not in g.nodes:
-        raise ValueError(f"label location {root} is not a graph node")
-    seen: set[Loc] = {root}
-    work = deque([root])
-    while work:
-        n = work.popleft()
-        for e in g.succs(n):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                work.append(e.dst)
-    edges = frozenset(e for n in seen for e in g.succs(n) if e.dst in seen)
-    return Slice(label, frozenset(seen), edges)
+    root = g.node_id(label.location)
+    if root is None:
+        raise ValueError(f"label location {label.location} is not a graph node")
+    return Slice(label, g, tuple(sorted(g.reach(root))))
 
 
 def slice_stats(s: Slice, p: Program, sinks: SinkRegistry) -> SliceStats:
-    methods = {(n.cls, n.method) for n in s.nodes}
+    locs = s.graph.locs
+    methods: set[tuple[str, str]] = set()
     sink_nodes: set[Loc] = set()
-    for n in s.nodes:
+    for i in s.ids:
+        n = locs[i]
+        methods.add((n.cls, n.method))
         stmt = p.stmt_at(n)
         if stmt is None:
             continue
         parts = call_parts(stmt)
         if parts is not None and sinks.match(parts[0]) is not None:
             sink_nodes.add(n)
-    return SliceStats(len(s.nodes), len(methods), frozenset(sink_nodes))
+    return SliceStats(len(s.ids), len(methods), frozenset(sink_nodes))

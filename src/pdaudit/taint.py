@@ -45,11 +45,9 @@ from enum import Enum, IntEnum
 from typing import Optional, Union
 
 from .graph import (
-    DATA_KINDS,
     ENTRY_DEF,
     CallGraph,
     DepGraph,
-    EdgeKind,
     MethodId,
     _MethodFacts,
     method_facts,
@@ -335,83 +333,68 @@ def propagate(
 # ---------------------------------------------------------------------------
 
 
-def _witness_rdist(
-    g: DepGraph, dst: Loc, blocked: frozenset[Loc]
-) -> dict[tuple[Loc, bool], int]:
-    """Fewest valid steps to dst per (location, arrived-via-ReturnOut)."""
+def _witness_rdist(g: DepGraph, dst: int, blocked: set[int]) -> dict[int, int]:
+    """Fewest valid steps to node dst per search state.
 
-    def can_leave(loc: Loc, via_ret: bool) -> bool:
-        return via_ret or loc not in blocked
-
-    rdist: dict[tuple[Loc, bool], int] = {(dst, False): 0, (dst, True): 0}
-    work = deque([(dst, False), (dst, True)])
+    A state is 2 * node id + 1 when the path arrived via ReturnOut, else
+    2 * node id. The first load of a field cell to be dequeued gives every
+    store of the cell its distance; later loads of the cell would give the
+    stores no shorter one, so the cell is expanded once."""
+    rdist = {2 * dst: 0, 2 * dst + 1: 0}
+    work = deque(rdist)
+    expanded: set[int] = set()
     while work:
-        w, mode_w = work.popleft()
-        d = rdist[(w, mode_w)]
-        for e in g.preds(w):
-            if e.kind not in DATA_KINDS:
-                continue
-            if mode_w != (e.kind is EdgeKind.RETURN_OUT):
-                continue
-            for mode_v in (False, True):
-                state = (e.src, mode_v)
-                if state not in rdist and can_leave(e.src, mode_v):
-                    rdist[state] = d + 1
-                    work.append(state)
+        state = work.popleft()
+        d = rdist[state] + 1
+        for v in g.data_in(state >> 1, bool(state & 1), expanded):
+            stay = 2 * v
+            if stay not in rdist and v not in blocked:
+                rdist[stay] = d
+                work.append(stay)
+            if stay + 1 not in rdist:
+                rdist[stay + 1] = d
+                work.append(stay + 1)
     return rdist
 
 
 def _witness(
-    g: DepGraph,
-    src: Loc,
-    dst: Loc,
-    blocked: frozenset[Loc],
-    rdist_cache: Optional[dict[Loc, dict]] = None,
+    g: DepGraph, src: int, dst: int, blocked: set[int], rdist: dict[int, int]
 ) -> Optional[tuple[Loc, ...]]:
     """Shortest valid src -> dst path over data-carrying edges; among
     equal-length paths, the lexicographically smallest node sequence.
+    rdist is _witness_rdist(g, dst, blocked).
 
     Validity: a path may leave a blocked statement (resolved non-sanitizer
     call) only when it arrived there via ReturnOut; the start may always be
     left, since its own definition is what the path tracks. Search states
     are therefore (location, arrived-via-ReturnOut)."""
     if src == dst:
-        return (src,)
-
-    def can_leave(loc: Loc, via_ret: bool) -> bool:
-        return via_ret or loc not in blocked
-
-    if rdist_cache is not None and dst in rdist_cache:
-        rdist = rdist_cache[dst]
-    else:
-        rdist = _witness_rdist(g, dst, blocked)
-        if rdist_cache is not None:
-            rdist_cache[dst] = rdist
-    start = (src, True)
+        return (g.locs[src],)
+    start = 2 * src + 1
     if start not in rdist:
         return None
 
     # frontier greedy: at each step pick the smallest next location that
     # still reaches dst in the remaining number of steps
     path = [src]
-    frontier: set[tuple[Loc, bool]] = {start}
+    frontier: set[int] = {start}
     remaining = rdist[start]
     while remaining > 0:
-        candidates: dict[Loc, set[tuple[Loc, bool]]] = {}
-        for v, mode_v in frontier:
-            if not can_leave(v, mode_v):
+        candidates: dict[int, set[int]] = {}
+        for state in frontier:
+            v = state >> 1
+            if not state & 1 and v in blocked:
                 continue
-            for e in g.succs(v):
-                if e.kind not in DATA_KINDS:
-                    continue
-                state = (e.dst, e.kind is EdgeKind.RETURN_OUT)
-                if rdist.get(state) == remaining - 1:
-                    candidates.setdefault(e.dst, set()).add(state)
-        nxt = min(candidates)
-        path.append(nxt)
-        frontier = candidates[nxt]
+            for w, via_ret in g.data_out(v):
+                nxt = 2 * w + via_ret
+                if rdist.get(nxt) == remaining - 1:
+                    candidates.setdefault(w, set()).add(nxt)
+        step = min(candidates)
+        path.append(step)
+        frontier = candidates[step]
         remaining -= 1
-    return tuple(path)
+    locs = g.locs
+    return tuple(locs[i] for i in path)
 
 
 def collect_flows(
@@ -424,7 +407,7 @@ def collect_flows(
     signatures of interior call statements along the witness."""
     label_by_id = {l.id: l for l in pr.labels}
     flows: list[Flow] = []
-    rdist_cache: dict[Loc, dict] = {}
+    blocked = {i for i in map(g.id_of, pr.blocked_pass_through) if i is not None}
     for loc, stmt in p.iter_locs():
         parts = call_parts(stmt)
         if parts is None:
@@ -437,9 +420,16 @@ def collect_flows(
         for (name, sid), st in state.items():
             if name in parts[1]:
                 per_id[sid] = max(per_id.get(sid, Status.PSEUDONYMIZED), st)
+        dst = g.id_of(loc)
+        rdist: Optional[dict[int, int]] = None
         for sid in sorted(per_id):
             label = label_by_id[sid]
-            witness = _witness(g, label.location, loc, pr.blocked_pass_through, rdist_cache)
+            src = g.id_of(label.location)
+            witness = None
+            if src is not None and dst is not None:
+                if rdist is None:
+                    rdist = _witness_rdist(g, dst, blocked)
+                witness = _witness(g, src, dst, blocked, rdist)
             if witness is None:
                 raise TaintError(
                     f"no dependence path for flow {label.location} -> {loc}; "

@@ -267,6 +267,42 @@ def test_taint_engine_error_exits_2(tmp_path, capsys, monkeypatch, json_errors):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize(
+    "config, text",
+    [
+        ('{"risk": []}', "config key 'risk' must be an object"),
+        ('{"risk": {"status_mult": []}}', "config key 'risk.status_mult' must be an object"),
+        ('{"fail_threshold": "abc"}', "config key 'fail_threshold' must be a number"),
+        ('{"risk": {"sink_mult": {"Log": "x"}}}', "config key 'risk.sink_mult.Log' must be a number"),
+        ("[1, 2]", "config top level must be an object"),
+    ],
+)
+def test_mistyped_config_exits_2(tmp_path, capsys, config, text, json_errors):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config, encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", "--config", str(cfg_path), *flags)
+    _assert_exit_2(code, capsys, json_errors, "UsageError", text)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize(
+    "name, data, text",
+    [
+        ("cfg.toml", b"x = = 1\n", "cfg.toml: Invalid value"),
+        ("cfg.json", b'{"out": "\xff"}', "cfg.json: invalid UTF-8 at byte 9"),
+    ],
+)
+def test_undecodable_config_exits_2(tmp_path, capsys, name, data, text, json_errors):
+    cfg_path = tmp_path / name
+    cfg_path.write_bytes(data)
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", "--config", str(cfg_path), *flags)
+    _assert_exit_2(code, capsys, json_errors, "UsageError", text)
+
+
 def test_bundled_registries_are_the_default(tmp_path, capsys):
     # fixture B's source/sink are covered by the bundled seeds
     code = main(

@@ -148,8 +148,8 @@ class C extends D {
   }
 }
 """
-    m = parse_program(src).classes[0].methods[0]
-    edges = edge_pairs(data_deps("C", m), EdgeKind.DATA)
+    p = parse_program(src)
+    edges = edge_pairs(build_pdg(p, build_call_graph(p)).edges, EdgeKind.DATA)
     assert (1, 0) in edges  # a later store can feed an earlier load (re-invocation)
     assert (1, 2) not in edges  # different cell
 
