@@ -37,7 +37,7 @@ from .ir import (
     print_program,
     validate,
 )
-from .registry import RegistryError, SinkKind, label_sources, load_registries
+from .registry import RegistryError, SinkKind, is_factor, label_sources, load_registries
 from .report import (
     AuditReport,
     ReportConfig,
@@ -69,7 +69,12 @@ class Config:
 
 
 class UsageError(Exception):
-    pass
+    """A bad flag or config value. file is the config file when the error is
+    in it; other errors are reported against the PIR file."""
+
+    def __init__(self, message: str, file: Optional[str] = None):
+        super().__init__(message)
+        self.file = file
 
 
 def _load_config_file(path: Path) -> dict:
@@ -77,6 +82,8 @@ def _load_config_file(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"config {path}: invalid UTF-8 at byte {exc.start}") from None
+    except OSError as exc:
+        raise UsageError(f"config {path}: cannot read: {exc}") from None
     if path.suffix in (".toml", ".tml"):
         try:
             import tomllib  # type: ignore[import-not-found]
@@ -90,7 +97,10 @@ def _load_config_file(path: Path) -> dict:
         except tomllib.TOMLDecodeError as exc:
             raise UsageError(f"config {path}: {exc}") from None
     else:
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config top level must be an object, not {type(raw).__name__}")
     return raw
@@ -102,9 +112,12 @@ def _table(value, key: str) -> dict:
     return value
 
 
-def _number(value, key: str) -> float:
+def _number(value, key: str, factor: bool = False) -> float:
+    """value as a float; a factor (risk multiplier) must also be finite and >= 0."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"config key {key!r} must be a number, not {type(value).__name__}")
+    if factor and not is_factor(value):
+        raise UsageError(f"config key {key!r} must be a finite number >= 0, not {value!r}")
     return float(value)
 
 
@@ -116,45 +129,56 @@ def _risk_config(raw) -> ReportConfig:
         key = {"Raw": Status.RAW, "Pseudonymized": Status.PSEUDONYMIZED}.get(name)
         if key is None:
             raise UsageError(f"unknown status multiplier {name!r}")
-        status[key] = _number(value, f"risk.status_mult.{name}")
+        status[key] = _number(value, f"risk.status_mult.{name}", factor=True)
     sink = dict(base.sink_mult)
     for name, value in _table(raw.get("sink_mult", {}), "risk.sink_mult").items():
         try:
             kind = SinkKind(name)
         except ValueError:
             raise UsageError(f"unknown sink kind {name!r}") from None
-        sink[kind] = _number(value, f"risk.sink_mult.{name}")
+        sink[kind] = _number(value, f"risk.sink_mult.{name}", factor=True)
     no_egress = raw.get("no_egress_mult", base.no_egress_mult)
     return ReportConfig(
         status_mult=status,
         sink_mult=sink,
-        no_egress_mult=_number(no_egress, "risk.no_egress_mult"),
+        no_egress_mult=_number(no_egress, "risk.no_egress_mult", factor=True),
     )
+
+
+def _apply_config_file(cfg: Config, path: Path) -> None:
+    raw = _load_config_file(path)
+    for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out"):
+        if key in raw:
+            if not isinstance(raw[key], str):
+                raise UsageError(
+                    f"config key {key!r} must be a string, not {type(raw[key]).__name__}"
+                )
+            setattr(cfg, key, Path(raw[key]))
+    if "fail_threshold" in raw:
+        cfg.fail_threshold = _number(raw["fail_threshold"], "fail_threshold")
+    if "risk" in raw:
+        cfg.risk = _risk_config(raw["risk"])
 
 
 def build_config(args: argparse.Namespace) -> Config:
     cfg = Config()
     if args.config is not None:
-        raw = _load_config_file(Path(args.config))
-        for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out"):
-            if key in raw:
-                if not isinstance(raw[key], str):
-                    raise UsageError(
-                        f"config key {key!r} must be a string, not {type(raw[key]).__name__}"
-                    )
-                setattr(cfg, key, Path(raw[key]))
-        if "fail_threshold" in raw:
-            cfg.fail_threshold = _number(raw["fail_threshold"], "fail_threshold")
-        if "risk" in raw:
-            cfg.risk = _risk_config(raw["risk"])
+        try:
+            _apply_config_file(cfg, Path(args.config))
+        except UsageError as exc:
+            raise UsageError(str(exc), file=args.config) from None
     for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, Path(value))
-    if getattr(args, "fail_threshold", None) is not None:
-        cfg.fail_threshold = args.fail_threshold
+    threshold_flag = getattr(args, "fail_threshold", None)
+    if threshold_flag is not None:
+        cfg.fail_threshold = threshold_flag
     if not (cfg.fail_threshold >= 0):  # also rejects NaN, which no risk ever reaches
-        raise UsageError("--fail-threshold must be a number >= 0")
+        raise UsageError(
+            "--fail-threshold must be a number >= 0",
+            file=args.config if threshold_flag is None else None,
+        )
     return cfg
 
 
@@ -226,8 +250,11 @@ def _read_pir(path: str) -> bytes:
     return Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _emit_error(exc: Exception, source_file: str, json_errors: bool) -> None:
-    if json_errors:
+def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
+    """Report exc on stderr against the file it is in: the config file for a
+    config error, else the PIR file."""
+    source_file = (exc.file if isinstance(exc, UsageError) else None) or args.pir
+    if args.json_errors:
         payload: dict = {"error": type(exc).__name__, "message": str(exc), "file": source_file}
         if isinstance(exc, ParseError):
             payload["line"] = exc.line
@@ -283,7 +310,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         write_outputs(artifacts, cfg.out)
     except (PirError, RegistryError, MissingMappingError, TaintError, UsageError, OSError,
             json.JSONDecodeError) as exc:
-        _emit_error(exc, args.pir, args.json_errors)
+        _emit_error(exc, args)
         return 2
     data = report_json(artifacts.report)
     print(summarize(data, color=_use_color()), end="")
@@ -298,7 +325,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         program = parse_program(pir_text)
         load_registries(cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon)
     except (PirError, RegistryError, UsageError, OSError, json.JSONDecodeError) as exc:
-        _emit_error(exc, args.pir, args.json_errors)
+        _emit_error(exc, args)
         return 2
     diags = validate(program)
     for d in diags:
@@ -311,7 +338,7 @@ def cmd_print(args: argparse.Namespace) -> int:
         pir_text = _read_pir(args.pir)
         program = parse_program(pir_text)
     except (PirError, OSError) as exc:
-        _emit_error(exc, args.pir, args.json_errors)
+        _emit_error(exc, args)
         return 2
     print(print_program(program), end="")
     return 0

@@ -30,11 +30,21 @@ Parsing is total: any byte sequence yields either a Program or one of the
 positioned errors below, never an unrelated exception. Every statement
 records the line/column it was parsed from; positions are ignored by
 structural equality, so ``parse_program(print_program(p)) == p``.
+
+The lexer is one compiled master regex: each match is the whitespace and
+comments before a token plus the token, and the matched group is the token
+kind. Tokens are plain parallel lists (kinds, values, start offsets) that
+the recursive-descent parser walks with an integer cursor; line and column
+come from the offset. A lexical error is positioned where no token starts,
+at the opening quote of an unterminated string or at the backslash of a bad
+escape. The end-of-file position is one past the last character of the last
+line, except after a trailing comment, where it is the column of the ``#``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -279,93 +289,74 @@ class Program:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("{}()=:;,.@")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# One match per token: the whitespace and comments before it, then the token.
+# m.lastindex is the token kind; a value is the token's source text (a string
+# keeps its quotes), so a value equal to a keyword or mark is that word or mark.
+_TOKEN_RE = re.compile(
+    r"""
+    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
+    (?: ([{}()=:;,.@])                          # 1 punct
+      | (\$[A-Za-z_][A-Za-z0-9_]*)              # 2 local
+      | ("[^"\\\n]*(?:\\[ntr"\\][^"\\\n]*)*")   # 3 string
+      | ([0-9]+)                                # 4 int
+      | ([A-Za-z_][A-Za-z0-9_]*)                # 5 word
+      | (\Z)                                    # 6 end of text
+      | (.)                                     # 7 no token starts here
+    )
+    """,
+    re.VERBOSE,
+)
+_PUNCT, _LOCAL, _STRING, _INT, _WORD, _EOF, _BAD = range(1, 8)
+_NEWLINE_RE = re.compile("\n")
 _PNUM_RE = re.compile(r"p[0-9]+\Z")
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # word | local | int | string | punct | eof
-    value: str
-    line: int
-    col: int
+def _lex(text: str) -> tuple[list[int], list[str], list[int]]:
+    """Token kinds, values and start offsets, ending with one EOF token."""
+    kinds: list[int] = []
+    values: list[str] = []
+    offsets: list[int] = []
+    add_kind, add_value, add_offset = kinds.append, values.append, offsets.append
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        add_kind(k)
+        add_value(m[k])
+        add_offset(m.start(k))
+    if _BAD in kinds:
+        raise _diagnose(text, offsets[kinds.index(_BAD)])
+    while kinds and kinds[-1] == _EOF:  # \Z can match twice at the end
+        del kinds[-1], values[-1], offsets[-1]
+    # The EOF column skips a trailing comment: it is the '#' column.
+    tail = max(offsets[-1] + len(values[-1]) if kinds else 0, text.rfind("\n") + 1)
+    comment = text.find("#", tail)
+    kinds.append(_EOF)
+    values.append("")
+    offsets.append(comment if comment >= 0 else len(text))
+    return kinds, values, offsets
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            toks.append(_Tok("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "$":
-            m = _WORD_RE.match(text, i + 1)
-            if not m:
-                raise ParseError(start_line, start_col, "identifier after '$'")
-            toks.append(_Tok("local", "$" + m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch == '"':
-            buf = []
-            j = i + 1
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise ParseError(start_line, start_col, "closing '\"'")
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n or text[j + 1] not in _ESCAPES:
-                        raise ParseError(line, start_col + (j - i), "string escape")
-                    buf.append(_ESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                buf.append(c)
-                j += 1
-            toks.append(_Tok("string", "".join(buf), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            toks.append(_Tok("int", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            toks.append(_Tok("word", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise ParseError(start_line, start_col, "token")
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+def _diagnose(text: str, off: int) -> ParseError:
+    """The error for the first offset where no token starts."""
+    line_start = text.rfind("\n", 0, off) + 1
+    line, col = text.count("\n", 0, line_start) + 1, off - line_start + 1
+    if text[off] == "$":
+        return ParseError(line, col, "identifier after '$'")
+    if text[off] != '"':
+        return ParseError(line, col, "token")
+    # The string alternative failed here, so a bad escape or the end of the
+    # line comes before any closing quote.
+    j = off + 1
+    while j < len(text) and text[j] != "\n":
+        if text[j] == "\\":
+            if text[j + 1 : j + 2] not in _ESCAPES:
+                return ParseError(line, col + j - off, "string escape")
+            j += 1
+        j += 1
+    return ParseError(line, col, "closing '\"'")
 
 
 # ---------------------------------------------------------------------------
@@ -374,82 +365,89 @@ def _lex(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
+    """Recursive descent over the token lists; i is the current token."""
 
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.pos]
+    def __init__(self, text: str):
+        self.kinds, self.values, self.offsets = _lex(text)
+        self.line_starts = [0] + [m.end() for m in _NEWLINE_RE.finditer(text)]
+        self.i = 0
+
+    def position(self, i: int) -> tuple[int, int]:
+        off = self.offsets[i]
+        line = bisect_right(self.line_starts, off)
+        return line, off - self.line_starts[line - 1] + 1
 
     def error(self, expected: str) -> ParseError:
-        return ParseError(self.cur.line, self.cur.col, expected)
+        return ParseError(*self.position(self.i), expected)
 
-    def advance(self) -> _Tok:
-        t = self.cur
-        self.pos += 1
-        return t
-
-    def at_word(self, w: str) -> bool:
-        return self.cur.kind == "word" and self.cur.value == w
-
-    def expect_word(self, w: str) -> _Tok:
-        if not self.at_word(w):
-            raise self.error(f"'{w}'")
-        return self.advance()
-
-    def at_punct(self, c: str) -> bool:
-        return self.cur.kind == "punct" and self.cur.value == c
-
-    def expect_punct(self, c: str) -> _Tok:
-        if not self.at_punct(c):
-            raise self.error(f"'{c}'")
-        return self.advance()
+    def expect(self, value: str) -> None:
+        """Consume the keyword or mark value."""
+        if self.values[self.i] != value:
+            raise self.error(f"'{value}'")
+        self.i += 1
 
     def ident(self, what: str = "identifier") -> str:
-        if self.cur.kind != "word":
+        if self.kinds[self.i] != _WORD:
             raise self.error(what)
-        return self.advance().value
+        self.i += 1
+        return self.values[self.i - 1]
 
     def qname(self) -> str:
         parts = [self.ident("qualified name")]
-        while self.at_punct("."):
-            self.advance()
+        while self.values[self.i] == ".":
+            self.i += 1
             parts.append(self.ident("identifier after '.'"))
         return ".".join(parts)
 
     def dotted_ref(self) -> tuple[str, str]:
         """QNAME '.' IDENT split into (owner, member): the final component
         is the member, everything before it the owner."""
-        parts = [self.ident("qualified name")]
-        while self.at_punct("."):
-            self.advance()
-            parts.append(self.ident("identifier after '.'"))
-        if len(parts) < 2:
+        owner, _, member = self.qname().rpartition(".")
+        if not owner:
             raise self.error("'.'")
-        return ".".join(parts[:-1]), parts[-1]
+        return owner, member
 
     def at_local(self) -> bool:
-        if self.cur.kind == "local":
-            return True
-        return self.cur.kind == "word" and bool(_PNUM_RE.match(self.cur.value))
+        k = self.kinds[self.i]
+        return k == _LOCAL or (k == _WORD and _PNUM_RE.match(self.values[self.i]) is not None)
 
     def local(self) -> str:
         if not self.at_local():
             raise self.error("local ('$name' or 'pN')")
-        return self.advance().value
+        self.i += 1
+        return self.values[self.i - 1]
+
+    def local_list(self) -> tuple[str, ...]:
+        """'(' (LOCAL (',' LOCAL)*)? ')'"""
+        self.expect("(")
+        names: list[str] = []
+        if self.values[self.i] != ")":
+            names.append(self.local())
+            while self.values[self.i] == ",":
+                self.i += 1
+                names.append(self.local())
+        self.expect(")")
+        return tuple(names)
 
     def index(self) -> int:
-        if self.cur.kind != "int":
+        if self.kinds[self.i] != _INT:
             raise self.error("statement index")
-        return int(self.advance().value)
+        self.i += 1
+        return int(self.values[self.i - 1])
+
+    def string(self, what: str) -> str:
+        if self.kinds[self.i] != _STRING:
+            raise self.error(what)
+        self.i += 1
+        s = self.values[self.i - 1][1:-1]
+        return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], s) if "\\" in s else s
 
     # -- grammar productions ------------------------------------------------
 
     def program(self) -> Program:
         classes: list[ClassDef] = []
         seen: set[str] = set()
-        while self.cur.kind != "eof":
+        while self.kinds[self.i] != _EOF:
             c = self.classdef()
             if c.name in seen:
                 raise DuplicateClassError(c.name)
@@ -458,115 +456,99 @@ class _Parser:
         return Program(classes)
 
     def classdef(self) -> ClassDef:
-        t = self.expect_word("class")
+        line, col = self.position(self.i)
+        self.expect("class")
         name = self.qname()
-        self.expect_word("extends")
+        self.expect("extends")
         superclass = self.qname()
-        self.expect_punct("{")
+        self.expect("{")
         fields: list[tuple[str, str]] = []
         methods: list[MethodDef] = []
-        while self.at_word("field"):
-            self.advance()
+        while self.values[self.i] == "field":
+            self.i += 1
             type_name = self.qname()
             fname = self.ident("field name")
-            self.expect_punct(";")
+            self.expect(";")
             fields.append((fname, type_name))
-        while self.at_word("method"):
+        while self.values[self.i] == "method":
             methods.append(self.methoddef(name))
-        self.expect_punct("}")
-        return ClassDef(name, superclass, fields, methods, line=t.line, col=t.col)
+        self.expect("}")
+        return ClassDef(name, superclass, fields, methods, line=line, col=col)
 
     def methoddef(self, cls_name: str) -> MethodDef:
-        t = self.expect_word("method")
+        line, col = self.position(self.i)
+        self.expect("method")
         return_type = self.qname()
         name = self.ident("method name")
-        self.expect_punct("(")
-        params: list[str] = []
-        if not self.at_punct(")"):
-            params.append(self.local())
-            while self.at_punct(","):
-                self.advance()
-                params.append(self.local())
-        self.expect_punct(")")
-        self.expect_punct("{")
+        params = self.local_list()
+        self.expect("{")
         body: list[Stmt] = []
-        while not self.at_punct("}"):
+        while self.values[self.i] != "}":
             body.append(self.stmt(len(body)))
-        self.expect_punct("}")
-        method = MethodDef(name, return_type, tuple(params), body, line=t.line, col=t.col)
+        self.i += 1
+        method = MethodDef(name, return_type, params, body, line=line, col=col)
         for s in body:
             if isinstance(s, (If, Goto)) and not (0 <= s.target < len(body)):
                 raise InvalidTargetError(f"{cls_name}.{method.key}", s.target)
         return method
 
     def stmt(self, expected_index: int) -> Stmt:
-        t = self.cur
-        idx = self.index()
-        if idx != expected_index:
-            raise ParseError(t.line, t.col, f"statement index {expected_index}")
-        self.expect_punct(":")
+        line, col = self.position(self.i)
+        if self.index() != expected_index:
+            raise ParseError(line, col, f"statement index {expected_index}")
+        self.expect(":")
         s = self.body()
-        s.line, s.col = t.line, t.col
+        s.line, s.col = line, col
         return s
 
     def body(self) -> Stmt:
-        if self.at_word("store"):
-            self.advance()
+        v = self.values[self.i]
+        if v == "store":
+            self.i += 1
             cls, fld = self.dotted_ref()
-            self.expect_punct("=")
+            self.expect("=")
             return FieldStore(cls, fld, self.local())
-        if self.at_word("call"):
-            callee, args, widget = self.callexpr()
-            return Call(callee, args, widget)
-        if self.at_word("if"):
-            self.advance()
+        if v == "call":
+            return Call(*self.callexpr())
+        if v == "if":
+            self.i += 1
             cond = self.local()
-            self.expect_word("goto")
+            self.expect("goto")
             return If(cond, self.index())
-        if self.at_word("goto"):
-            self.advance()
+        if v == "goto":
+            self.i += 1
             return Goto(self.index())
-        if self.at_word("return"):
-            self.advance()
+        if v == "return":
+            self.i += 1
             return Return(self.local() if self.at_local() else None)
         if self.at_local():
             lhs = self.local()
-            self.expect_punct("=")
-            if self.cur.kind == "string":
-                return AssignConst(lhs, self.advance().value)
-            if self.at_word("load"):
-                self.advance()
-                cls, fld = self.dotted_ref()
-                return AssignFieldLoad(lhs, cls, fld)
-            if self.at_word("call"):
-                callee, args, widget = self.callexpr()
-                return AssignCall(lhs, callee, args, widget)
+            self.expect("=")
+            if self.kinds[self.i] == _STRING:
+                return AssignConst(lhs, self.string("literal"))
+            v = self.values[self.i]
+            if v == "load":
+                self.i += 1
+                return AssignFieldLoad(lhs, *self.dotted_ref())
+            if v == "call":
+                return AssignCall(lhs, *self.callexpr())
             if self.at_local():
                 return AssignCopy(lhs, self.local())
             raise self.error("literal, local, 'load' or 'call'")
         raise self.error("statement")
 
     def callexpr(self) -> tuple[str, tuple[str, ...], Optional[str]]:
-        self.expect_word("call")
+        self.expect("call")
         owner, member = self.dotted_ref()
-        self.expect_punct("(")
-        args: list[str] = []
-        if not self.at_punct(")"):
-            args.append(self.local())
-            while self.at_punct(","):
-                self.advance()
-                args.append(self.local())
-        self.expect_punct(")")
+        args = self.local_list()
         widget: Optional[str] = None
-        if self.at_punct("@"):
-            self.advance()
-            self.expect_word("widget")
-            self.expect_punct("(")
-            if self.cur.kind != "string":
-                raise self.error("widget string")
-            widget = self.advance().value
-            self.expect_punct(")")
-        return f"{owner}.{member}", tuple(args), widget
+        if self.values[self.i] == "@":
+            self.i += 1
+            self.expect("widget")
+            self.expect("(")
+            widget = self.string("widget string")
+            self.expect(")")
+        return f"{owner}.{member}", args, widget
 
 
 def parse_program(text: Union[str, bytes]) -> Program:
@@ -583,7 +565,7 @@ def parse_program(text: Union[str, bytes]) -> Program:
             line = prefix.count("\n") + 1
             col = len(prefix) - (prefix.rfind("\n") + 1) + 1
             raise ParseError(line, col, "valid UTF-8") from None
-    return _Parser(_lex(text)).program()
+    return _Parser(text).program()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -137,6 +138,15 @@ def _read_json(path: Union[str, Path]) -> dict:
     return data
 
 
+def is_factor(value) -> bool:
+    """A category weight or risk multiplier: a finite number >= 0, not a bool."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value <= sys.float_info.max
+    )
+
+
 def _categories(
     source_entries: dict[str, str], lexicon_entries: dict[str, str], weights: dict[str, float]
 ) -> dict[str, PersonalDataCategory]:
@@ -174,6 +184,12 @@ def load_registries(
         isinstance(k, str) and isinstance(v, (int, float)) for k, v in weights.items()
     ):
         raise MalformedRegistryError(lexicon_path, "weights must map category -> number")
+    for name, value in weights.items():
+        if not is_factor(value):
+            raise MalformedRegistryError(
+                lexicon_path,
+                f"weight of category {name!r} must be a finite number >= 0, not {value!r}",
+            )
 
     cats = _categories(src_entries, lex_entries, weights)
     sources = SourceRegistry({sig: cats[cat] for sig, cat in src_entries.items()})

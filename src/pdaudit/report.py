@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import __version__
 from .dpv import ComplianceStatement, DpvMap, map_flow
-from .graph import KINDS
+from .graph import KINDS, DepGraph
 from .ir import Loc, Program, call_parts, print_stmt
 from .registry import SanitizerRegistry, SinkKind, SinkRegistry, SourceLabel
 from .slicer import Slice, slice_stats
@@ -319,6 +319,17 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _label_ids(g: DepGraph, labels: list[SourceLabel]) -> frozenset[int]:
+    """The ids of the labelled statements in g. render_dot runs once per
+    slice with the same graph and labels, so the set is kept on g and
+    rebuilt only when it is asked for with other labels."""
+    memo = vars(g).get("_label_ids")
+    if memo is None or memo[0] != labels:
+        ids = frozenset(g.id_of(l.location) for l in labels) - {None}
+        memo = vars(g)["_label_ids"] = (list(labels), ids)
+    return memo[1]
+
+
 def render_dot(
     s: Slice,
     p: Program,
@@ -329,10 +340,10 @@ def render_dot(
     """A byte-stable DOT digraph of one slice. Node kinds: source (labelled
     statement), sink (registry match), sanitizer, normal; precedence in
     that order when one statement qualifies twice."""
-    label_locs = {l.location for l in labels}
+    label_ids = _label_ids(s.graph, labels)
 
-    def node_kind(loc: Loc) -> str:
-        if loc in label_locs:
+    def node_kind(i: int, loc: Loc) -> str:
+        if i in label_ids:
             return "source"
         stmt = p.stmt_at(loc)
         parts = call_parts(stmt) if stmt is not None else None
@@ -356,7 +367,7 @@ def render_dot(
         loc = locs[i]
         q = quoted[i] = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
         lines.append(
-            f'  {q} [label="{_dot_escape(node_label(loc))}", kind="{node_kind(loc)}"];'
+            f'  {q} [label="{_dot_escape(node_label(loc))}", kind="{node_kind(i, loc)}"];'
         )
     for i, j, k in s.graph.induced(s.ids):
         lines.append(f'  {quoted[i]} -> {quoted[j]} [label="{_KIND_VALUES[k]}"];')

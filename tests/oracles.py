@@ -7,10 +7,33 @@ internals under test beyond public data types.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from itertools import count
+from typing import Optional
 
 from pdaudit.graph import DATA_KINDS, DepGraph, EXIT, cfg_successors
-from pdaudit.ir import Loc, MethodDef, Program, stmt_defs, stmt_uses
+from pdaudit.ir import (
+    AssignCall,
+    AssignConst,
+    AssignCopy,
+    AssignFieldLoad,
+    Call,
+    ClassDef,
+    DuplicateClassError,
+    FieldStore,
+    Goto,
+    If,
+    InvalidTargetError,
+    Loc,
+    MethodDef,
+    ParseError,
+    Program,
+    Return,
+    Stmt,
+    stmt_defs,
+    stmt_uses,
+)
 
 
 def enumerate_cfg_paths(m: MethodDef, limit: int = 200000) -> list[list[int]]:
@@ -316,3 +339,304 @@ def expected_all_paths_pseudonymized(g: DepGraph, p: Program, san, cg, flow) -> 
         return False
 
     return all(interior_sanitized(path) for path in paths)
+
+
+# ---------------------------------------------------------------------------
+# Reference PIR parser: a per-character lexer building one token object per
+# token, and a recursive-descent parser reading them through a cursor
+# property. It defines the grammar, the errors and every position that
+# parse_program must reproduce.
+# ---------------------------------------------------------------------------
+
+_PUNCT = set("{}()=:;,.@")
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"[0-9]+")
+_PNUM_RE = re.compile(r"p[0-9]+\Z")
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str  # word | local | int | string | punct | eof
+    value: str
+    line: int
+    col: int
+
+
+def _lex(text: str) -> list[_Tok]:
+    toks: list[_Tok] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch in _PUNCT:
+            toks.append(_Tok("punct", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == "$":
+            m = _WORD_RE.match(text, i + 1)
+            if not m:
+                raise ParseError(start_line, start_col, "identifier after '$'")
+            toks.append(_Tok("local", "$" + m.group(), start_line, start_col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        if ch == '"':
+            buf = []
+            j = i + 1
+            while True:
+                if j >= n or text[j] == "\n":
+                    raise ParseError(start_line, start_col, "closing '\"'")
+                c = text[j]
+                if c == '"':
+                    j += 1
+                    break
+                if c == "\\":
+                    if j + 1 >= n or text[j + 1] not in _ESCAPES:
+                        raise ParseError(line, start_col + (j - i), "string escape")
+                    buf.append(_ESCAPES[text[j + 1]])
+                    j += 2
+                    continue
+                buf.append(c)
+                j += 1
+            toks.append(_Tok("string", "".join(buf), start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        m = _INT_RE.match(text, i)
+        if m:
+            toks.append(_Tok("int", m.group(), start_line, start_col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _WORD_RE.match(text, i)
+        if m:
+            toks.append(_Tok("word", m.group(), start_line, start_col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        raise ParseError(start_line, start_col, "token")
+    toks.append(_Tok("eof", "", line, col))
+    return toks
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+
+class _Parser:
+    def __init__(self, toks: list[_Tok]):
+        self.toks = toks
+        self.pos = 0
+
+    @property
+    def cur(self) -> _Tok:
+        return self.toks[self.pos]
+
+    def error(self, expected: str) -> ParseError:
+        return ParseError(self.cur.line, self.cur.col, expected)
+
+    def advance(self) -> _Tok:
+        t = self.cur
+        self.pos += 1
+        return t
+
+    def at_word(self, w: str) -> bool:
+        return self.cur.kind == "word" and self.cur.value == w
+
+    def expect_word(self, w: str) -> _Tok:
+        if not self.at_word(w):
+            raise self.error(f"'{w}'")
+        return self.advance()
+
+    def at_punct(self, c: str) -> bool:
+        return self.cur.kind == "punct" and self.cur.value == c
+
+    def expect_punct(self, c: str) -> _Tok:
+        if not self.at_punct(c):
+            raise self.error(f"'{c}'")
+        return self.advance()
+
+    def ident(self, what: str = "identifier") -> str:
+        if self.cur.kind != "word":
+            raise self.error(what)
+        return self.advance().value
+
+    def qname(self) -> str:
+        parts = [self.ident("qualified name")]
+        while self.at_punct("."):
+            self.advance()
+            parts.append(self.ident("identifier after '.'"))
+        return ".".join(parts)
+
+    def dotted_ref(self) -> tuple[str, str]:
+        """QNAME '.' IDENT split into (owner, member): the final component
+        is the member, everything before it the owner."""
+        parts = [self.ident("qualified name")]
+        while self.at_punct("."):
+            self.advance()
+            parts.append(self.ident("identifier after '.'"))
+        if len(parts) < 2:
+            raise self.error("'.'")
+        return ".".join(parts[:-1]), parts[-1]
+
+    def at_local(self) -> bool:
+        if self.cur.kind == "local":
+            return True
+        return self.cur.kind == "word" and bool(_PNUM_RE.match(self.cur.value))
+
+    def local(self) -> str:
+        if not self.at_local():
+            raise self.error("local ('$name' or 'pN')")
+        return self.advance().value
+
+    def index(self) -> int:
+        if self.cur.kind != "int":
+            raise self.error("statement index")
+        return int(self.advance().value)
+
+    # -- grammar productions ------------------------------------------------
+
+    def program(self) -> Program:
+        classes: list[ClassDef] = []
+        seen: set[str] = set()
+        while self.cur.kind != "eof":
+            c = self.classdef()
+            if c.name in seen:
+                raise DuplicateClassError(c.name)
+            seen.add(c.name)
+            classes.append(c)
+        return Program(classes)
+
+    def classdef(self) -> ClassDef:
+        t = self.expect_word("class")
+        name = self.qname()
+        self.expect_word("extends")
+        superclass = self.qname()
+        self.expect_punct("{")
+        fields: list[tuple[str, str]] = []
+        methods: list[MethodDef] = []
+        while self.at_word("field"):
+            self.advance()
+            type_name = self.qname()
+            fname = self.ident("field name")
+            self.expect_punct(";")
+            fields.append((fname, type_name))
+        while self.at_word("method"):
+            methods.append(self.methoddef(name))
+        self.expect_punct("}")
+        return ClassDef(name, superclass, fields, methods, line=t.line, col=t.col)
+
+    def methoddef(self, cls_name: str) -> MethodDef:
+        t = self.expect_word("method")
+        return_type = self.qname()
+        name = self.ident("method name")
+        self.expect_punct("(")
+        params: list[str] = []
+        if not self.at_punct(")"):
+            params.append(self.local())
+            while self.at_punct(","):
+                self.advance()
+                params.append(self.local())
+        self.expect_punct(")")
+        self.expect_punct("{")
+        body: list[Stmt] = []
+        while not self.at_punct("}"):
+            body.append(self.stmt(len(body)))
+        self.expect_punct("}")
+        method = MethodDef(name, return_type, tuple(params), body, line=t.line, col=t.col)
+        for s in body:
+            if isinstance(s, (If, Goto)) and not (0 <= s.target < len(body)):
+                raise InvalidTargetError(f"{cls_name}.{method.key}", s.target)
+        return method
+
+    def stmt(self, expected_index: int) -> Stmt:
+        t = self.cur
+        idx = self.index()
+        if idx != expected_index:
+            raise ParseError(t.line, t.col, f"statement index {expected_index}")
+        self.expect_punct(":")
+        s = self.body()
+        s.line, s.col = t.line, t.col
+        return s
+
+    def body(self) -> Stmt:
+        if self.at_word("store"):
+            self.advance()
+            cls, fld = self.dotted_ref()
+            self.expect_punct("=")
+            return FieldStore(cls, fld, self.local())
+        if self.at_word("call"):
+            callee, args, widget = self.callexpr()
+            return Call(callee, args, widget)
+        if self.at_word("if"):
+            self.advance()
+            cond = self.local()
+            self.expect_word("goto")
+            return If(cond, self.index())
+        if self.at_word("goto"):
+            self.advance()
+            return Goto(self.index())
+        if self.at_word("return"):
+            self.advance()
+            return Return(self.local() if self.at_local() else None)
+        if self.at_local():
+            lhs = self.local()
+            self.expect_punct("=")
+            if self.cur.kind == "string":
+                return AssignConst(lhs, self.advance().value)
+            if self.at_word("load"):
+                self.advance()
+                cls, fld = self.dotted_ref()
+                return AssignFieldLoad(lhs, cls, fld)
+            if self.at_word("call"):
+                callee, args, widget = self.callexpr()
+                return AssignCall(lhs, callee, args, widget)
+            if self.at_local():
+                return AssignCopy(lhs, self.local())
+            raise self.error("literal, local, 'load' or 'call'")
+        raise self.error("statement")
+
+    def callexpr(self) -> tuple[str, tuple[str, ...], Optional[str]]:
+        self.expect_word("call")
+        owner, member = self.dotted_ref()
+        self.expect_punct("(")
+        args: list[str] = []
+        if not self.at_punct(")"):
+            args.append(self.local())
+            while self.at_punct(","):
+                self.advance()
+                args.append(self.local())
+        self.expect_punct(")")
+        widget: Optional[str] = None
+        if self.at_punct("@"):
+            self.advance()
+            self.expect_word("widget")
+            self.expect_punct("(")
+            if self.cur.kind != "string":
+                raise self.error("widget string")
+            widget = self.advance().value
+            self.expect_punct(")")
+        return f"{owner}.{member}", tuple(args), widget
+
+
+def reference_parse(text: str) -> Program:
+    """parse_program for str input, the slow, obvious way."""
+    return _Parser(_lex(text)).program()

@@ -218,7 +218,8 @@ def test_non_utf8_pir_json_errors(tmp_path, capsys, command):
     assert payload["file"] == str(bad)
 
 
-def _assert_exit_2(code, capsys, json_errors, error, text):
+def _assert_exit_2(code, capsys, json_errors, error, text, file=None):
+    """Exit 2 with error/text on stderr, reported against file if given."""
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -226,9 +227,13 @@ def _assert_exit_2(code, capsys, json_errors, error, text):
         payload = json.loads(captured.err)
         assert payload["error"] == error
         assert text in payload["message"]
+        if file is not None:
+            assert payload["file"] == str(file)
     else:
         assert text in captured.err
         assert "Traceback" not in captured.err
+        if file is not None:
+            assert captured.err.startswith(f"{file}: ")
 
 
 @pytest.mark.parametrize("json_errors", [False, True])
@@ -283,7 +288,7 @@ def test_mistyped_config_exits_2(tmp_path, capsys, config, text, json_errors):
     cfg_path.write_text(config, encoding="utf-8")
     flags = ["--json-errors"] if json_errors else []
     code = run_analyze("a.pir", tmp_path / "out", "--config", str(cfg_path), *flags)
-    _assert_exit_2(code, capsys, json_errors, "UsageError", text)
+    _assert_exit_2(code, capsys, json_errors, "UsageError", text, file=cfg_path)
     assert not (tmp_path / "out").exists()
 
 
@@ -300,7 +305,94 @@ def test_undecodable_config_exits_2(tmp_path, capsys, name, data, text, json_err
     cfg_path.write_bytes(data)
     flags = ["--json-errors"] if json_errors else []
     code = run_analyze("a.pir", tmp_path / "out", "--config", str(cfg_path), *flags)
-    _assert_exit_2(code, capsys, json_errors, "UsageError", text)
+    _assert_exit_2(code, capsys, json_errors, "UsageError", text, file=cfg_path)
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize(
+    "config, text",
+    [
+        ("{", "invalid JSON"),
+        (None, "cannot read"),
+        ('{"fail_threshold": NaN}', "--fail-threshold must be a number >= 0"),
+    ],
+)
+def test_unreadable_config_names_config_file(tmp_path, capsys, config, text, json_errors):
+    cfg_path = tmp_path / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(config, encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", "--config", str(cfg_path), *flags)
+    _assert_exit_2(code, capsys, json_errors, "UsageError", text, file=cfg_path)
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_errors_outside_config_name_pir_file(tmp_path, capsys, json_errors):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"fail_threshold": 1.0}', encoding="utf-8")
+    flags = ["--config", str(cfg_path)] + (["--json-errors"] if json_errors else [])
+    code = run_analyze("a.pir", tmp_path / "out", "--fail-threshold", "nan", *flags)
+    _assert_exit_2(code, capsys, json_errors, "UsageError", "--fail-threshold",
+                   file=FIXTURES / "a.pir")
+    bad = tmp_path / "bad.pir"
+    bad.write_text("class X extends {\n", encoding="utf-8")
+    code = main(["analyze", str(bad), "--out", str(tmp_path / "out"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (json.loads(err)["file"] if json_errors else err.split(":")[0]) == str(bad)
+
+
+BAD_FACTORS = ["-1.0", "-0.5", "NaN", "Infinity", "-Infinity", "true", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("weight", BAD_FACTORS)
+def test_bad_category_weight_exits_2(tmp_path, capsys, weight, json_errors):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(
+        '{"entries": {"email": "EmailAddress"}, "weights": {"EmailAddress": %s}}' % weight,
+        encoding="utf-8",
+    )
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", "--lexicon", str(lexicon), *flags)
+    _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
+                   f"{lexicon}: weight of category 'EmailAddress' must be a finite number >= 0")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("value", BAD_FACTORS)
+@pytest.mark.parametrize(
+    "template, key",
+    [
+        ('{"risk": {"status_mult": {"Raw": %s}}}', "risk.status_mult.Raw"),
+        ('{"risk": {"sink_mult": {"Analytics": %s}}}', "risk.sink_mult.Analytics"),
+        ('{"risk": {"no_egress_mult": %s}}', "risk.no_egress_mult"),
+    ],
+)
+def test_bad_risk_multiplier_exits_2(tmp_path, capsys, template, key, value, json_errors):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(template % value, encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", "--config", str(cfg_path), *flags)
+    must = "number" if value == "true" else "finite number >= 0"
+    text = f"config key {key!r} must be a {must}"
+    _assert_exit_2(code, capsys, json_errors, "UsageError", text, file=cfg_path)
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_weight_and_multiplier_allowed(tmp_path):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text('{"entries": {"email": "EmailAddress"}, "weights": {"EmailAddress": 0}}',
+                       encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"risk": {"sink_mult": {"Analytics": 0.0}, "no_egress_mult": 0}}',
+                        encoding="utf-8")
+    code = run_analyze("a.pir", tmp_path / "out", "--lexicon", str(lexicon),
+                       "--config", str(cfg_path), "--fail-threshold", "0.5")
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [f["risk"] for f in report["findings"]] == [0.0]
 
 
 def test_bundled_registries_are_the_default(tmp_path, capsys):

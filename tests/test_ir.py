@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B
 from gen import gen_program, gen_roundtrip_program
+from oracles import reference_parse
+from pdaudit.cli import _read_pir
 from pdaudit.ir import (
     AssignCall,
     AssignConst,
@@ -252,3 +255,111 @@ def test_lookup_index_not_part_of_equality_or_repr():
     before = repr(p)
     assert p.stmt_at(Loc("com.app.Main", "onCreate/0", 0)) is not None
     assert p == fresh and repr(p) == before
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the reference parser
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+KEYWORDS = ["class", "extends", "field", "method", "store", "load", "call", "if", "goto",
+            "return", "widget", "p0", "p12", "$x", "x.y"]
+CHARS = list('{}()=:;,.@$"\\#') + ["\r", "\t", "\n", " ", "p", "_", "a", "é"] + list("0123456789")
+
+
+def _positions(p):
+    return [
+        [(c.line, c.col)]
+        + [[(m.line, m.col)] + [(s.line, s.col) for s in m.body] for m in c.methods]
+        for c in p.classes
+    ]
+
+
+def _outcome(parse, text):
+    """The Program with every class, method and statement position, or the
+    error: its type with (line, col, expected) or its message."""
+    try:
+        p = parse(text)
+    except ParseError as e:
+        return "ParseError", e.line, e.col, e.expected
+    except Exception as e:  # noqa: BLE001 - any other outcome must match too
+        return type(e).__name__, str(e)
+    return p, _positions(p)
+
+
+def assert_same_as_reference(text):
+    assert _outcome(parse_program, text) == _outcome(reference_parse, text), repr(text)
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        piece = rng.choice(CHARS + KEYWORDS)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + piece + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    if rng.random() < 0.3:
+        text = text[: rng.randint(0, len(text))]
+    return text
+
+
+def test_parser_matches_reference_on_fixtures_and_prints():
+    for path in sorted(FIXTURES.glob("*.pir")):
+        assert_same_as_reference(path.read_text(encoding="utf-8"))
+    rng = random.Random(5150)
+    for _ in range(1000):
+        assert_same_as_reference(print_program(gen_roundtrip_program(rng)))
+
+
+def test_parser_matches_reference_on_mutated_fixtures():
+    fixtures = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.pir"))]
+    rng = random.Random(8086)
+    errors = 0
+    for _ in range(6000):
+        text = _mutate(rng, rng.choice(fixtures))
+        assert_same_as_reference(text)
+        errors += not isinstance(_outcome(reference_parse, text)[0], Program)
+    assert 1000 < errors < 5900  # both outcomes are well represented
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.text(alphabet=CHARS, max_size=4), st.sampled_from(KEYWORDS)),
+                max_size=60).map(" ".join))
+def test_parser_matches_reference_on_random_text(text):
+    assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text, line, col, expected",
+    [
+        # The EOF token after a trailing comment sits at the '#' column.
+        ("class C extends D {  # trailing", 1, 22, "'}'"),
+        ("class C extends D {\n  # trailing", 2, 3, "'}'"),
+        ("class C extends D {\n  ", 2, 3, "'}'"),
+        ('$a = "x\\q"', 1, 8, "string escape"),
+        ('class C extends D { $a = "x\\', 1, 28, "string escape"),
+        ("$", 1, 1, "identifier after '$'"),
+        ("class C extends D {\n $1", 2, 2, "identifier after '$'"),
+        ('class C extends D {\n  $a = "abc\n"', 2, 8, "closing '\"'"),
+        ("class C ! extends", 1, 9, "token"),
+    ],
+)
+def test_pinned_parse_errors(text, line, col, expected):
+    assert _outcome(parse_program, text) == ("ParseError", line, col, expected)
+    assert_same_as_reference(text)
+
+
+def test_crlf_input_through_read_pir(tmp_path):
+    for path in sorted(FIXTURES.glob("*.pir")):
+        text = path.read_text(encoding="utf-8")
+        crlf = tmp_path / path.name
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        data = _read_pir(str(crlf))
+        assert _outcome(parse_program, data) == _outcome(reference_parse, text)
+    bad = tmp_path / "bad.pir"
+    bad.write_bytes(b"class C extends D {\r\n  field int ;\r\n}\r\n")
+    assert _outcome(parse_program, _read_pir(str(bad))) == ("ParseError", 2, 13, "field name")

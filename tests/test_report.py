@@ -265,6 +265,19 @@ def test_dot_escapes_quotes_in_literals():
     assert_valid_dot(render_dot(s, p, [label], sinks, sanitizers))
 
 
+def test_dot_source_kinds_follow_the_labels_passed():
+    p, labels, g, slices, *_, sinks, sanitizers = pipeline(FIXTURE_B)
+    s = slices[0]
+    assert render_dot(s, p, labels, sinks, sanitizers).count('kind="source"') == 1
+    assert render_dot(s, p, [], sinks, sanitizers).count('kind="source"') == 0
+    every = [
+        SourceLabel(i, g.locs[j], labels[0].category, Origin("SystemApi"))
+        for i, j in enumerate(s.ids)
+    ]
+    assert render_dot(s, p, every, sinks, sanitizers).count('kind="source"') == len(s.ids)
+    assert render_dot(s, p, labels, sinks, sanitizers).count('kind="source"') == 1
+
+
 def test_dot_byte_stable():
     p, labels, g, slices, *_, sinks, sanitizers = pipeline(FIXTURE_B)
     a = render_dot(slices[0], p, labels, sinks, sanitizers)
