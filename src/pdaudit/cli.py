@@ -94,12 +94,12 @@ def _load_config_file(path: Path) -> dict:
                 raise UsageError("TOML config needs Python 3.11+ or the tomli package") from None
         try:
             raw = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
+        except ValueError as exc:  # TOMLDecodeError, or an integer too long for int()
             raise UsageError(f"config {path}: {exc}") from None
     else:
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
             raise UsageError(f"config {path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config top level must be an object, not {type(raw).__name__}")
@@ -118,7 +118,10 @@ def _number(value, key: str, factor: bool = False) -> float:
         raise UsageError(f"config key {key!r} must be a number, not {type(value).__name__}")
     if factor and not is_factor(value):
         raise UsageError(f"config key {key!r} must be a finite number >= 0, not {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"config key {key!r} is an integer too large for a float") from None
 
 
 def _risk_config(raw) -> ReportConfig:

@@ -20,16 +20,17 @@ invocation; order-insensitive store -> load edges are the sound reading.
 Statements unreachable from a method's entry appear as graph nodes but
 carry no dependence edges.
 
-Storage. A node's id is its rank in Loc order; build_pdg numbers the
-methods in sorted order, each over a contiguous id range (base + statement
-index). Explicit edges are per-node sorted lists of ints packing the other
-end's id with a kind code, in both directions; the codes follow the order of
-the kind.value strings, so a sorted list is in DepEdge.sort_key order. A
-field cell is stored once, as its sorted reachable store ids and load ids:
-its stores x loads Data edges are never stored, which keeps the graph
-linear in the program. Slicing, witness search and DOT output walk ids and
-expand each cell at most once per traversal. DepEdge objects, cell pairs
-included, are built only by the edges, succs and preds views.
+Storage. DepGraph has one constructor, DepGraph(locs, out, cells), and
+every loc is a node. A node's id is its rank in Loc order; build_pdg
+numbers the methods in sorted order, each over a contiguous id range (base
++ statement index). Explicit edges are per-node sorted lists of ints packing
+the other end's id with a kind code, in both directions; the codes follow
+the order of the kind.value strings, so a sorted list is in (src Loc, dst
+Loc, kind.value) order. A field cell is stored once, as its sorted reachable
+store ids and load ids: its stores x loads Data edges are never stored,
+which keeps the graph linear in the program. Slicing, witness search and
+DOT output walk ids and expand each cell at most once per traversal.
+DepEdge objects, cell pairs included, are built only by the edges view.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
@@ -71,26 +72,15 @@ class EdgeKind(Enum):
     RETURN_OUT = "ReturnOut"
 
 
-# Edge kinds along which data values actually move; Control and Call are
-# structural only. Witness search and path oracles use this set.
-DATA_KINDS = frozenset({EdgeKind.DATA, EdgeKind.PARAM_IN, EdgeKind.RETURN_OUT})
-
-
 @dataclass(frozen=True)
 class DepEdge:
     src: Loc
     dst: Loc
     kind: EdgeKind
 
-    def sort_key(self):
-        """Flat (src, dst, kind) key: the same order as comparing the Locs,
-        without going through the dataclass comparisons."""
-        src, dst = self.src, self.dst
-        return (src.cls, src.method, src.index, dst.cls, dst.method, dst.index, self.kind.value)
-
 
 # Edge kind codes, numbered in the order of the kind.value strings, so that
-# packed (node id << _KIND_BITS | code) ints sort like DepEdge.sort_key.
+# packed (node id << _KIND_BITS | code) ints sort like (dst Loc, kind.value).
 KINDS = tuple(sorted(EdgeKind, key=lambda k: k.value))
 _CODE = {k: c for c, k in enumerate(KINDS)}
 _CALL, _CONTROL, _DATA, _PARAM_IN, _RETURN_OUT = (_CODE[k] for k in (
@@ -104,43 +94,22 @@ _DATA_CODES = (_DATA, _PARAM_IN, _RETURN_OUT)
 class DepGraph:
     """Immutable-by-convention dependence graph on integer node ids.
 
-    A node's id is its rank in Loc order (locs[id] is the Loc), so comparing
-    ids compares Locs. Explicit edges are per-node sorted packed ints in both
-    directions: _out[i] holds dst << _KIND_BITS | code and _inn[i] holds
-    src << _KIND_BITS | code. cells[c] is one field cell, as (sorted store
-    ids, sorted load ids); the store -> load Data edges it implies are not
-    stored. reach, induced, data_in and data_out walk ids; edges, succs and
-    preds build DepEdge objects, cell pairs included, on demand.
+    DepGraph(locs, out, cells) is the graph whose nodes are locs, which must
+    be in Loc order (locs[id] is the Loc, so comparing ids compares Locs).
+    out[i] lists the explicit edges leaving node i, packed as dst <<
+    _KIND_BITS | code (unsorted, duplicates allowed); it is deduplicated and
+    sorted in place, and _inn[i] gets the reverse, src << _KIND_BITS | code.
+    cells[c] is one field cell, as (store ids, load ids) in id order; the
+    store -> load Data edges it implies are not stored and must not repeat
+    an explicit edge. reach, induced, data_in and data_out walk ids; edges
+    builds the DepEdge objects, cell pairs included, on first use."""
 
-    DepGraph(nodes, edges) takes any explicit edge set and has no cells;
-    build_pdg uses from_ids."""
-
-    def __init__(self, nodes: frozenset[Loc], edges: frozenset[DepEdge]):
-        locs = sorted(set(nodes).union(*((e.src, e.dst) for e in edges)))
-        index = {loc: i for i, loc in enumerate(locs)}
-        out: list[list[int]] = [[] for _ in locs]
-        for e in edges:
-            out[index[e.src]].append(index[e.dst] << _KIND_BITS | _CODE[e.kind])
-        self._setup(nodes, locs, out, [])
-        self._index = index
-        self._edges = frozenset(edges)
-
-    @classmethod
-    def from_ids(
-        cls,
+    def __init__(
+        self,
         locs: list[Loc],
         out: list[list[int]],
         cells: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    ) -> "DepGraph":
-        """The graph over locs (in Loc order) with the explicit edges out
-        (per source id, packed, unsorted, duplicates allowed) and the field
-        cells (store ids, load ids), which must not repeat an explicit edge."""
-        g = cls.__new__(cls)
-        g._setup(None, locs, out, cells)
-        return g
-
-    def _setup(self, nodes, locs, out, cells) -> None:
-        self._nodes = nodes
+    ):
         self.locs = tuple(locs)
         inn: list[list[int]] = [[] for _ in locs]
         for i, lst in enumerate(out):
@@ -153,14 +122,8 @@ class DepGraph:
         self.cells = cells
         self._store_cell = {s: c for c, (stores, _) in enumerate(cells) for s in stores}
         self._load_cell = {l: c for c, (_, loads) in enumerate(cells) for l in loads}
-        self._index: Optional[dict[Loc, int]] = None
+        self._index = {loc: i for i, loc in enumerate(self.locs)}
         self._edges: Optional[frozenset[DepEdge]] = None
-
-    @property
-    def nodes(self) -> frozenset[Loc]:
-        if self._nodes is None:
-            self._nodes = frozenset(self.locs)
-        return self._nodes
 
     @property
     def edges(self) -> frozenset[DepEdge]:
@@ -172,17 +135,7 @@ class DepGraph:
         return self._edges
 
     def id_of(self, loc: Loc) -> Optional[int]:
-        if self._index is None:
-            self._index = {l: i for i, l in enumerate(self.locs)}
         return self._index.get(loc)
-
-    def node_id(self, loc: Loc) -> Optional[int]:
-        """The id of loc when it is a node (an explicit edge may name an
-        endpoint that is not)."""
-        i = self.id_of(loc)
-        if i is None or self._nodes is not None and loc not in self._nodes:
-            return None
-        return i
 
     def reach(self, root: int) -> list[int]:
         """The ids reachable from root over any edge kind, root first. A
@@ -208,8 +161,8 @@ class DepGraph:
 
     def induced(self, ids) -> Iterator[tuple[int, int, int]]:
         """(src id, dst id, kind code) of every edge between nodes of ids,
-        which must be in id order; cell pairs included, in
-        DepEdge.sort_key order. KINDS[code] is the EdgeKind."""
+        which must be in id order; cell pairs included, in (src Loc, dst
+        Loc, kind.value) order. KINDS[code] is the EdgeKind."""
         out, cells, store_cell = self._out, self.cells, self._store_cell
         inside = set(ids)
         cell_codes: dict[int, list[int]] = {}  # cell -> its loads inside, packed
@@ -249,52 +202,9 @@ class DepGraph:
             outs += [(l, False) for l in self.cells[c][1]]
         return outs
 
-    def _succ_codes(self, i: int) -> list[int]:
-        c = self._store_cell.get(i)
-        if c is None:
-            return self._out[i]
-        return sorted(self._out[i] + [l << _KIND_BITS | _DATA for l in self.cells[c][1]])
-
-    def _pred_codes(self, i: int) -> list[int]:
-        c = self._load_cell.get(i)
-        if c is None:
-            return self._inn[i]
-        return sorted(self._inn[i] + [s << _KIND_BITS | _DATA for s in self.cells[c][0]])
-
-    def succs(self, loc: Loc) -> tuple[DepEdge, ...]:
-        i = self.id_of(loc)
-        if i is None:
-            return ()
-        locs = self.locs
-        return tuple(
-            DepEdge(locs[i], locs[x >> _KIND_BITS], KINDS[x & _KIND_MASK]) for x in self._succ_codes(i)
-        )
-
-    def preds(self, loc: Loc) -> tuple[DepEdge, ...]:
-        i = self.id_of(loc)
-        if i is None:
-            return ()
-        locs = self.locs
-        return tuple(
-            DepEdge(locs[x >> _KIND_BITS], locs[i], KINDS[x & _KIND_MASK]) for x in self._pred_codes(i)
-        )
-
-    def has_edge(self, src: Loc, dst: Loc) -> bool:
-        i, j = self.id_of(src), self.id_of(dst)
-        if i is None or j is None:
-            return False
-        return any(x >> _KIND_BITS == j for x in self._succ_codes(i))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DepGraph)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
-
     def __repr__(self) -> str:
         n_edges = sum(map(len, self._out)) + sum(len(s) * len(l) for s, l in self.cells)
-        return f"DepGraph({len(self.nodes)} nodes, {n_edges} edges)"
+        return f"DepGraph({len(self.locs)} nodes, {n_edges} edges)"
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +269,13 @@ Target = Union[MethodId, Opaque]
 
 
 class CallGraph:
-    def __init__(self, methods: tuple[MethodId, ...], edges: dict[Loc, tuple[Target, ...]]):
-        self.methods = methods
+    def __init__(self, edges: dict[Loc, tuple[Target, ...]]):
         self.edges = edges
         self._resolved: dict[Loc, tuple[MethodId, ...]] = {}
         for loc, ts in edges.items():
             resolved = tuple(t for t in ts if isinstance(t, MethodId))
             if resolved:
                 self._resolved[loc] = resolved
-
-    def targets(self, loc: Loc) -> tuple[Target, ...]:
-        return self.edges.get(loc, ())
 
     def resolved(self, loc: Loc) -> tuple[MethodId, ...]:
         return self._resolved.get(loc, ())
@@ -423,8 +329,7 @@ def build_call_graph(p: Program) -> CallGraph:
         else:
             edges[loc] = (Opaque(stmt.callee),)
 
-    methods = tuple(sorted(defined.values()))
-    return CallGraph(methods, edges)
+    return CallGraph(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +448,6 @@ def _data_pairs(facts: _MethodFacts) -> Iterator[tuple[int, int]]:
                     yield d, i
 
 
-def data_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
-    """Intra-method Data edges: local def-use. Field store -> load pairs
-    belong to the program-wide field cells of build_pdg.
-
-    `facts`, when given, must be the method's own _MethodFacts."""
-    if facts is None:
-        facts = _MethodFacts(cls_name, m)
-    return {DepEdge(facts.loc(d), facts.loc(i), EdgeKind.DATA) for d, i in _data_pairs(facts)}
-
-
 # ---------------------------------------------------------------------------
 # Control dependence
 # ---------------------------------------------------------------------------
@@ -635,23 +530,6 @@ def _control_pairs(m: MethodDef, reachable: set[int], succs: dict[int, tuple[int
                 yield b, runner
                 runner = ipdom[runner]
                 guard -= 1
-
-
-def control_deps(cls_name: str, m: MethodDef, facts: Optional[_MethodFacts] = None) -> set[DepEdge]:
-    """Control edges branch -> dependent statement.
-
-    s is control-dependent on branch b when some CFG successor path from b
-    reaches s without passing b's immediate postdominator. `facts`, when
-    given, must be the method's own _MethodFacts; its CFG is reused."""
-    if facts is None:
-        succs = cfg_successors(m)
-        reachable = reachable_indices(m, succs)
-    else:
-        reachable, succs = facts.reachable, facts.succs
-    return {
-        DepEdge(Loc(cls_name, m.key, b), Loc(cls_name, m.key, s), EdgeKind.CONTROL)
-        for b, s in _control_pairs(m, reachable, succs)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -756,4 +634,4 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
             for r in returns[t]:
                 out[r].append(code)
 
-    return DepGraph.from_ids(locs, out, cells)
+    return DepGraph(locs, out, cells)

@@ -72,12 +72,14 @@ class DuplicateClassError(PirError):
 
 
 class InvalidTargetError(PirError):
-    """A branch or goto names a statement index outside the method body."""
+    """A branch or goto names a statement index outside the method body.
+    index is None when it has more digits than int() converts."""
 
-    def __init__(self, method: str, index: int):
+    def __init__(self, method: str, index: Optional[int]):
         self.method = method
         self.index = index
-        super().__init__(f"{method}: jump target {index} out of range")
+        shown = "" if index is None else f" {index}"
+        super().__init__(f"{method}: jump target{shown} out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +365,10 @@ def _diagnose(text: str, off: int) -> ParseError:
 # Parser
 # ---------------------------------------------------------------------------
 
+# _Parser.index for an index too long for int(): negative, so it equals no
+# expected statement index and is out of range as a jump target.
+_TOO_LONG = -1
+
 
 class _Parser:
     """Recursive descent over the token lists; i is the current token."""
@@ -430,10 +436,18 @@ class _Parser:
         return tuple(names)
 
     def index(self) -> int:
+        """The statement index, or _TOO_LONG when it has more digits than
+        int() converts (leading zeros count), which no body is long enough
+        to reach."""
         if self.kinds[self.i] != _INT:
             raise self.error("statement index")
         self.i += 1
-        return int(self.values[self.i - 1])
+        digits = self.values[self.i - 1]
+        try:
+            return int(digits)
+        except ValueError:
+            digits = digits.lstrip("0") or "0"
+            return int(digits) if len(digits) < 20 else _TOO_LONG
 
     def string(self, what: str) -> str:
         if self.kinds[self.i] != _STRING:
@@ -489,7 +503,8 @@ class _Parser:
         method = MethodDef(name, return_type, params, body, line=line, col=col)
         for s in body:
             if isinstance(s, (If, Goto)) and not (0 <= s.target < len(body)):
-                raise InvalidTargetError(f"{cls_name}.{method.key}", s.target)
+                target = None if s.target == _TOO_LONG else s.target
+                raise InvalidTargetError(f"{cls_name}.{method.key}", target)
         return method
 
     def stmt(self, expected_index: int) -> Stmt:

@@ -131,7 +131,7 @@ def _read_json(path: Union[str, Path]) -> dict:
         raise MalformedRegistryError(path, f"cannot read: {e}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long for int()
         raise MalformedRegistryError(path, f"invalid JSON: {e}") from None
     if not isinstance(data, dict):
         raise MalformedRegistryError(path, "top level must be an object")

@@ -33,17 +33,6 @@ class Slice:
             DepEdge(locs[i], locs[j], KINDS[k]) for i, j, k in self.graph.induced(self.ids)
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Slice)
-            and self.root == other.root
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.root, self.nodes))
-
 
 @dataclass(frozen=True)
 class SliceStats:
@@ -55,7 +44,7 @@ class SliceStats:
 def forward_slice(g: DepGraph, label: SourceLabel) -> Slice:
     """Everything reachable from the label over any edge kind, with the
     induced edge set."""
-    root = g.node_id(label.location)
+    root = g.id_of(label.location)
     if root is None:
         raise ValueError(f"label location {label.location} is not a graph node")
     return Slice(label, g, tuple(sorted(g.reach(root))))

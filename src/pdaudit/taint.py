@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Optional, Union
 
 from .graph import (
@@ -109,11 +109,6 @@ class FieldCell:
 Cell = Union[LocalCell, FieldCell]
 
 
-class Verdict(Enum):
-    ALL_PATHS_PSEUDONYMIZED = "AllPathsPseudonymized"
-    RAW_ON_SOME_PATH = "RawOnSomePath"
-
-
 @dataclass(frozen=True)
 class SinkRef:
     location: Loc
@@ -162,7 +157,6 @@ class PropagationResult:
 
     def __init__(
         self,
-        program: Program,
         labels: list[SourceLabel],
         facts: dict[MethodId, _MethodFacts],
         entry: dict[MethodId, dict[str, _Facts]],
@@ -170,7 +164,6 @@ class PropagationResult:
         field_cells: dict[tuple[str, str], _Facts],
         blocked_pass_through: frozenset[Loc] = frozenset(),
     ):
-        self.program = program
         self.labels = labels
         self._facts = facts
         self._entry = entry
@@ -325,7 +318,7 @@ def propagate(
             for u in f.def_uses.get(i, ()):
                 push(mid, u)
 
-    return PropagationResult(p, labels, facts, entry, defs, field_cells, frozenset(blocked))
+    return PropagationResult(labels, facts, entry, defs, field_cells, frozenset(blocked))
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +444,6 @@ def collect_flows(
                 )
             )
     return flows
-
-
-def check_pseudonymization(f: Flow) -> Verdict:
-    """Pseudonymized at the sink means every dependence path applied a
-    sanitizer; anything else means raw data arrives on some path."""
-    if f.status is Status.PSEUDONYMIZED:
-        return Verdict.ALL_PATHS_PSEUDONYMIZED
-    return Verdict.RAW_ON_SOME_PATH
 
 
 def unsunk_labels(labels: list[SourceLabel], flows: list[Flow]) -> list[SourceLabel]:

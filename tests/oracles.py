@@ -2,7 +2,8 @@
 
 Everything here recomputes results the slow, obvious way: explicit path
 enumeration and chaotic iteration. Nothing imports from the algorithmic
-internals under test beyond public data types.
+internals under test beyond public data types and the packed edge format
+that DepGraph's constructor takes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Optional
 
-from pdaudit.graph import DATA_KINDS, DepGraph, EXIT, cfg_successors
+from pdaudit.graph import _KIND_BITS, KINDS, EXIT, DepEdge, DepGraph, EdgeKind, cfg_successors
 from pdaudit.ir import (
     AssignCall,
     AssignConst,
@@ -34,6 +35,30 @@ from pdaudit.ir import (
     stmt_defs,
     stmt_uses,
 )
+
+
+# Edge kinds along which data values actually move; Control and Call are
+# structural only.
+DATA_KINDS = frozenset({EdgeKind.DATA, EdgeKind.PARAM_IN, EdgeKind.RETURN_OUT})
+
+
+def explicit_graph(nodes, edges: frozenset[DepEdge]) -> DepGraph:
+    """The cell-free reference graph: exactly these nodes and edges, field
+    store -> load pairs included, all packed as explicit edges into
+    DepGraph's one constructor with no field cells.
+
+    The graph's nodes and edges are checked against the inputs before it is
+    returned, so an oracle reading g.locs or g.edges reads the given sets."""
+    locs = sorted(nodes)
+    index = {loc: i for i, loc in enumerate(locs)}
+    out: list[list[int]] = [[] for _ in locs]
+    for e in edges:
+        assert e.src in index and e.dst in index, f"edge endpoint is not a node: {e}"
+        out[index[e.src]].append(index[e.dst] << _KIND_BITS | KINDS.index(e.kind))
+    g = DepGraph(locs, out, [])
+    assert set(g.locs) == set(nodes), "DepGraph lost or added a node"
+    assert g.edges == set(edges), "DepGraph lost, added or re-kinded an edge"
+    return g
 
 
 def enumerate_cfg_paths(m: MethodDef, limit: int = 200000) -> list[list[int]]:
@@ -76,7 +101,7 @@ def data_dep_pairs_by_paths(cls_name: str, m: MethodDef) -> set[tuple[Loc, Loc]]
 
 def naive_closure(g: DepGraph, root: Loc) -> set[Loc]:
     """Forward transitive closure by chaotic iteration over the edge set."""
-    if root not in g.nodes:
+    if root not in g.locs:
         return set()
     inside = {root}
     changed = True
@@ -101,8 +126,10 @@ def simple_data_paths(
     A blocked node (resolved non-sanitizer call: its lhs is the callee's
     return value, not a mix of its arguments) can be left only when the path
     arrived on a ReturnOut edge; the start node can always be left."""
-    from pdaudit.graph import EdgeKind
-
+    succs: dict[Loc, list[DepEdge]] = {}
+    for e in g.edges:
+        if e.kind in DATA_KINDS:
+            succs.setdefault(e.src, []).append(e)
     paths: list[list[Loc]] = []
     counter = count()
 
@@ -114,8 +141,8 @@ def simple_data_paths(
             return
         if acc and node in blocked and not via_ret:
             return
-        for e in g.succs(node):
-            if e.kind in DATA_KINDS and e.dst not in seen:
+        for e in succs.get(node, ()):
+            if e.dst not in seen:
                 walk(
                     e.dst,
                     acc + [node],

@@ -26,17 +26,17 @@ from gen import gen_program, gen_roundtrip_program, registry_json
 from oracles import (
     all_paths_taint,
     expected_all_paths_pseudonymized,
+    explicit_graph,
     naive_closure,
     program_sink_stmts,
 )
 from pdaudit.cli import main
-from pdaudit.graph import DepEdge, DepGraph, EdgeKind, build_call_graph, build_pdg
+from pdaudit.graph import DepEdge, EdgeKind, build_call_graph, build_pdg
 from pdaudit.ir import Loc, parse_program, print_program
 from pdaudit.registry import Origin, PersonalDataCategory, SourceLabel, label_sources
 from pdaudit.slicer import forward_slice
 from pdaudit.taint import (
-    Verdict,
-    check_pseudonymization,
+    Status,
     collect_flows,
     propagate,
     unsunk_labels,
@@ -101,7 +101,7 @@ def test_criterion_2_all_paths_pseudonymization(corpus):
     for p, cg, g, labels, pr, flows in corpus:
         for f in flows:
             want = expected_all_paths_pseudonymized(g, p, GEN_SANITIZERS, cg, f)
-            got = check_pseudonymization(f) is Verdict.ALL_PATHS_PSEUDONYMIZED
+            got = f.status is Status.PSEUDONYMIZED
             if want != got:
                 mismatches += 1
             checked["pseudo" if got else "raw"] += 1
@@ -109,7 +109,7 @@ def test_criterion_2_all_paths_pseudonymization(corpus):
     assert checked["raw"] >= 20 and checked["pseudo"] >= 20, checked
 
     # mandatory golden cases
-    def fixture_verdict(text):
+    def fixture_status(text):
         sources, sinks, sanitizers, lexicon = fixture_registries()
         p = parse_program(text)
         cg = build_call_graph(p)
@@ -118,10 +118,10 @@ def test_criterion_2_all_paths_pseudonymization(corpus):
         pr = propagate(p, cg, labels, sanitizers)
         flows = collect_flows(pr, p, sinks, g)
         assert len(flows) == 1
-        return check_pseudonymization(flows[0])
+        return flows[0].status
 
-    assert fixture_verdict(FIXTURE_B) is Verdict.RAW_ON_SOME_PATH
-    assert fixture_verdict(FIXTURE_B_PRIME) is Verdict.ALL_PATHS_PSEUDONYMIZED
+    assert fixture_status(FIXTURE_B) is Status.RAW
+    assert fixture_status(FIXTURE_B_PRIME) is Status.PSEUDONYMIZED
     _passline(
         2,
         f"verdicts match path enumeration ({checked['raw']} raw, "
@@ -139,7 +139,7 @@ def test_criterion_3_slice_oracle():
         edges = set()
         for _ in range(rng.randint(0, 3 * n)):
             edges.add(DepEdge(rng.choice(nodes), rng.choice(nodes), rng.choice(kinds)))
-        g = DepGraph(frozenset(nodes), frozenset(edges))
+        g = explicit_graph(nodes, frozenset(edges))
         root = rng.choice(nodes)
         label = SourceLabel(0, root, PersonalDataCategory("Location"), Origin("SystemApi"))
         s = forward_slice(g, label)

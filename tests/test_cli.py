@@ -281,6 +281,8 @@ def test_taint_engine_error_exits_2(tmp_path, capsys, monkeypatch, json_errors):
         ('{"fail_threshold": "abc"}', "config key 'fail_threshold' must be a number"),
         ('{"risk": {"sink_mult": {"Log": "x"}}}', "config key 'risk.sink_mult.Log' must be a number"),
         ("[1, 2]", "config top level must be an object"),
+        ('{"fail_threshold": 1' + "0" * 400 + "}",
+         "config key 'fail_threshold' is an integer too large for a float"),
     ],
 )
 def test_mistyped_config_exits_2(tmp_path, capsys, config, text, json_errors):
@@ -378,6 +380,41 @@ def test_bad_risk_multiplier_exits_2(tmp_path, capsys, template, key, value, jso
     must = "number" if value == "true" else "finite number >= 0"
     text = f"config key {key!r} must be a {must}"
     _assert_exit_2(code, capsys, json_errors, "UsageError", text, file=cfg_path)
+    assert not (tmp_path / "out").exists()
+
+
+HUGE_INT = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize(
+    "body, error, text",
+    [
+        (f"{HUGE_INT}: return", "ParseError", "expected statement index 0"),
+        (f"0: goto {HUGE_INT}", "InvalidTargetError", "C.f/0: jump target out of range"),
+    ],
+)
+def test_huge_statement_index_exits_2(tmp_path, capsys, body, error, text, json_errors):
+    bad = tmp_path / "bad.pir"
+    bad.write_text("class C extends D { method void f() { %s } }" % body, encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = main(["analyze", str(bad), "--out", str(tmp_path / "out"), *flags])
+    _assert_exit_2(code, capsys, json_errors, error, text)
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("slot", ["sources", "sinks", "sanitizers", "lexicon", "dpv", "config"])
+def test_huge_json_integer_exits_2(tmp_path, capsys, slot, json_errors):
+    path = tmp_path / f"{slot}.json"
+    path.write_text('{"n": %s}' % HUGE_INT, encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("a.pir", tmp_path / "out", f"--{slot}", str(path), *flags)
+    if slot == "config":
+        _assert_exit_2(code, capsys, json_errors, "UsageError", f"config {path}: invalid JSON",
+                       file=path)
+    else:
+        _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
+                       f"{path}: invalid JSON")
     assert not (tmp_path / "out").exists()
 
 

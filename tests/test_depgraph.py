@@ -1,17 +1,18 @@
 """The integer-id dependence graph against its explicit-edge reading.
 
 build_pdg keeps each field cell as one (stores, loads) pair and never
-stores the store -> load edges it implies. DepGraph(nodes, edges) rebuilt
+stores the store -> load edges it implies. oracles.explicit_graph rebuilt
 from the materialized edge set has no cells, every edge explicit, so the
-two must agree on every query and on every output built from the graph,
-and the DOT edge lines must come in DepEdge.sort_key order.
+two must agree on the edge set and on every output built from the graph,
+and the DOT edge lines must come in (src Loc, dst Loc, kind) order.
 """
 
 import json
 import random
 
 from gen import gen_perf_program, gen_program, registry_json
-from pdaudit.graph import DepEdge, DepGraph, build_call_graph, build_pdg
+from oracles import explicit_graph
+from pdaudit.graph import DepEdge, build_call_graph, build_pdg
 from pdaudit.ir import AssignFieldLoad, FieldStore, parse_program
 from pdaudit.report import render_dot
 from pdaudit.slicer import forward_slice
@@ -49,12 +50,9 @@ def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:
     cg, g, labels, pr = analyze_generated(p)
     if not g.cells:
         return False, 0
-    h = DepGraph(g.nodes, g.edges)
+    h = explicit_graph(g.locs, g.edges)
     assert not h.cells
-    assert g == h and repr(g) == repr(h)
-    for loc in sorted(g.nodes):
-        assert g.succs(loc) == h.succs(loc), loc
-        assert g.preds(loc) == h.preds(loc), loc
+    assert h.locs == g.locs and h.edges == g.edges and repr(g) == repr(h)
     flows = collect_flows(pr, p, GEN_SINKS, g)
     assert flows == collect_flows(pr, p, GEN_SINKS, h)  # witnesses included
     for label in labels:
@@ -64,7 +62,7 @@ def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:
         assert dot == render_dot(t, p, labels, GEN_SINKS, GEN_SANITIZERS)
         assert [ln for ln in dot.splitlines() if " -> " in ln and 'kind="' not in ln] == [
             f'  "{_dot_id(e.src)}" -> "{_dot_id(e.dst)}" [label="{e.kind.value}"];'
-            for e in sorted(s.edges, key=DepEdge.sort_key)
+            for e in sorted(s.edges, key=lambda e: (e.src, e.dst, e.kind.value))
         ]
     return True, sum(
         any(_is_field_pair(p, a, b) for a, b in zip(f.witness, f.witness[1:])) for f in flows

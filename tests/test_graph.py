@@ -12,14 +12,13 @@ from pdaudit.graph import (
     _MethodFacts,
     build_call_graph,
     build_pdg,
-    control_deps,
-    data_deps,
     method_facts,
 )
 from pdaudit.ir import (
     AssignConst,
     AssignCopy,
     Call,
+    ClassDef,
     If,
     Loc,
     MethodDef,
@@ -37,6 +36,13 @@ def edge_pairs(edges, kind):
     return {(e.src.index, e.dst.index) for e in edges if e.kind is kind}
 
 
+def method_pairs(p, kind):
+    """(src index, dst index) of build_pdg's edges of one kind, on a
+    one-method program."""
+    assert len(list(p.iter_methods())) == 1
+    return edge_pairs(build_pdg(p, build_call_graph(p)).edges, kind)
+
+
 # ---------------------------------------------------------------------------
 # Call graph
 # ---------------------------------------------------------------------------
@@ -46,7 +52,7 @@ def test_unresolved_call_goes_opaque():
     p = parse_program(FIXTURE_A)
     cg = build_call_graph(p)
     site = loc("com.app.Main", "onCreate/0", 1)
-    assert cg.targets(site) == (Opaque("com.analytics.Tracker.log"),)
+    assert cg.edges[site] == (Opaque("com.analytics.Tracker.log"),)
     assert cg.resolved(site) == ()
 
 
@@ -66,7 +72,7 @@ class Main extends java.lang.Object {
 }
 """
     cg = build_call_graph(parse_program(src))
-    targets = cg.targets(loc("Main", "go/0", 0))
+    targets = cg.edges[loc("Main", "go/0", 0)]
     assert set(targets) == {MethodId("A", "f/0"), MethodId("B", "f/0")}
 
 
@@ -85,7 +91,7 @@ class Main extends java.lang.Object {
 }
 """
     cg = build_call_graph(parse_program(src))
-    assert cg.targets(loc("Main", "go/0", 0)) == (MethodId("A", "f/0"),)
+    assert cg.edges[loc("Main", "go/0", 0)] == (MethodId("A", "f/0"),)
 
 
 def test_cha_arity_must_match():
@@ -101,14 +107,13 @@ class Main extends java.lang.Object {
 }
 """
     cg = build_call_graph(parse_program(src))
-    assert cg.targets(loc("Main", "go/0", 0)) == (Opaque("A.f"),)
+    assert cg.edges[loc("Main", "go/0", 0)] == (Opaque("A.f"),)
 
 
 def test_no_calls_no_edges():
     p = parse_program("class C extends D { method void f() { 0: return } }")
     cg = build_call_graph(p)
     assert cg.edges == {}
-    assert cg.methods == (MethodId("C", "f/0"),)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +122,11 @@ def test_no_calls_no_edges():
 
 
 def test_data_deps_fixture_a():
-    m = parse_program(FIXTURE_A).classes[0].methods[0]
-    assert edge_pairs(data_deps("com.app.Main", m), EdgeKind.DATA) == {(0, 1)}
+    assert method_pairs(parse_program(FIXTURE_A), EdgeKind.DATA) == {(0, 1)}
 
 
 def test_data_deps_fixture_b():
-    m = parse_program(FIXTURE_B).classes[0].methods[0]
-    assert edge_pairs(data_deps("com.app.Loc", m), EdgeKind.DATA) == {
+    assert method_pairs(parse_program(FIXTURE_B), EdgeKind.DATA) == {
         (0, 2),
         (0, 4),
         (2, 5),
@@ -133,8 +136,7 @@ def test_data_deps_fixture_b():
 
 def test_data_deps_strong_kill():
     src = 'class C extends D { method void f() { 0: $a = "x" 1: $a = "y" 2: call e.F.g($a) 3: return } }'
-    m = parse_program(src).classes[0].methods[0]
-    assert edge_pairs(data_deps("C", m), EdgeKind.DATA) == {(1, 2)}
+    assert method_pairs(parse_program(src), EdgeKind.DATA) == {(1, 2)}
 
 
 def test_field_edges_order_insensitive():
@@ -166,8 +168,8 @@ class C extends D {
   }
 }
 """
-    m = parse_program(src).classes[0].methods[0]
-    assert data_deps("C", m) == set()
+    p = parse_program(src)
+    assert build_pdg(p, build_call_graph(p)).edges == frozenset()
 
 
 def _random_local_method(rng):
@@ -195,7 +197,9 @@ def test_data_deps_match_path_oracle_on_random_methods():
     rng = random.Random(911)
     for _ in range(300):
         m = _random_local_method(rng)
-        got = {(e.src, e.dst) for e in data_deps("C", m) if e.kind is EdgeKind.DATA}
+        p = Program([ClassDef("C", "D", [], [m])])
+        edges = build_pdg(p, build_call_graph(p)).edges
+        got = {(e.src, e.dst) for e in edges if e.kind is EdgeKind.DATA}
         assert got == data_dep_pairs_by_paths("C", m)
 
 
@@ -205,13 +209,11 @@ def test_data_deps_match_path_oracle_on_random_methods():
 
 
 def test_control_deps_straight_line_empty():
-    m = parse_program(FIXTURE_A).classes[0].methods[0]
-    assert control_deps("com.app.Main", m) == set()
+    assert method_pairs(parse_program(FIXTURE_A), EdgeKind.CONTROL) == set()
 
 
 def test_control_deps_fixture_b():
-    m = parse_program(FIXTURE_B).classes[0].methods[0]
-    assert edge_pairs(control_deps("com.app.Loc", m), EdgeKind.CONTROL) == {
+    assert method_pairs(parse_program(FIXTURE_B), EdgeKind.CONTROL) == {
         (1, 2),
         (1, 3),
         (1, 4),
@@ -228,8 +230,7 @@ class C extends D {
   }
 }
 """
-    m = parse_program(src).classes[0].methods[0]
-    assert edge_pairs(control_deps("C", m), EdgeKind.CONTROL) == {(0, 1), (0, 2)}
+    assert method_pairs(parse_program(src), EdgeKind.CONTROL) == {(0, 1), (0, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +241,7 @@ class C extends D {
 def test_pdg_fixture_a():
     p = parse_program(FIXTURE_A)
     g = build_pdg(p, build_call_graph(p))
-    assert g.nodes == frozenset(
-        {loc("com.app.Main", "onCreate/0", i) for i in range(3)}
-    )
+    assert g.locs == tuple(loc("com.app.Main", "onCreate/0", i) for i in range(3))
     assert g.edges == frozenset(
         {
             DepEdge(
@@ -312,14 +311,14 @@ class Use extends java.lang.Object {
 def test_pdg_empty_program():
     p = Program([])
     g = build_pdg(p, build_call_graph(p))
-    assert g.nodes == frozenset() and g.edges == frozenset()
+    assert g.locs == () and g.edges == frozenset()
 
 
 def test_pdg_nodes_cover_all_statements_even_unreachable():
     src = "class C extends D { method void f() { 0: goto 2 1: $a = \"x\" 2: return } }"
     p = parse_program(src)
     g = build_pdg(p, build_call_graph(p))
-    assert loc("C", "f/0", 1) in g.nodes
+    assert loc("C", "f/0", 1) in g.locs
 
 
 def test_pdg_independent_of_class_order():
@@ -334,27 +333,7 @@ class A extends E { method void f() { 0: $x = call ext.S.r() 1: call B.g($x) 2: 
     pa, pb = parse_program(a), parse_program(b)
     ga = build_pdg(pa, build_call_graph(pa))
     gb = build_pdg(pb, build_call_graph(pb))
-    assert ga == gb
-
-
-def test_sort_key_orders_like_loc_comparison():
-    rng = random.Random(5150)
-    for _ in range(60):
-        p = gen_program(rng, allow_loops=rng.random() < 0.5)
-        edges = list(build_pdg(p, build_call_graph(p)).edges)
-        rng.shuffle(edges)
-        by_locs = sorted(edges, key=lambda e: (e.src, e.dst, e.kind.value))
-        assert sorted(edges, key=DepEdge.sort_key) == by_locs
-
-
-def test_shared_method_facts_give_the_same_edges():
-    rng = random.Random(6061)
-    for _ in range(60):
-        p = gen_program(rng, allow_loops=True)
-        for cls, m in p.iter_methods():
-            facts = _MethodFacts(cls.name, m)
-            assert data_deps(cls.name, m, facts) == data_deps(cls.name, m)
-            assert control_deps(cls.name, m, facts) == control_deps(cls.name, m)
+    assert ga.locs == gb.locs and ga.edges == gb.edges
 
 
 def test_resolved_targets_are_the_method_targets():
@@ -363,7 +342,7 @@ def test_resolved_targets_are_the_method_targets():
         p = gen_program(rng, allow_recursion=True)
         cg = build_call_graph(p)
         for site, _ in p.iter_locs():
-            expected = tuple(t for t in cg.targets(site) if isinstance(t, MethodId))
+            expected = tuple(t for t in cg.edges.get(site, ()) if isinstance(t, MethodId))
             assert cg.resolved(site) == expected
             assert cg.resolved(site) is cg.resolved(site)  # stored, not rebuilt
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import FIXTURE_A, FIXTURE_B
-from oracles import naive_closure
-from pdaudit.graph import DepEdge, DepGraph, EdgeKind, build_call_graph, build_pdg
+from oracles import explicit_graph, naive_closure
+from pdaudit.graph import DepEdge, EdgeKind, build_call_graph, build_pdg
 from pdaudit.ir import Loc, parse_program
 from pdaudit.registry import (
     Lexicon,
@@ -90,7 +90,7 @@ def _random_graph(rng, max_nodes=200):
     for _ in range(rng.randint(0, 3 * n)):
         a, b = rng.choice(nodes), rng.choice(nodes)
         edges.add(DepEdge(a, b, rng.choice(kinds)))
-    return DepGraph(frozenset(nodes), frozenset(edges)), nodes
+    return explicit_graph(nodes, frozenset(edges)), nodes
 
 
 def test_slice_matches_naive_closure_on_random_graphs():
@@ -110,7 +110,7 @@ def test_slice_monotone_under_edge_addition():
         root = rng.choice(nodes)
         base = forward_slice(g, label_at(root)).nodes
         extra = DepEdge(rng.choice(nodes), rng.choice(nodes), EdgeKind.DATA)
-        g2 = DepGraph(g.nodes, g.edges | {extra})
+        g2 = explicit_graph(g.locs, g.edges | {extra})
         assert base <= forward_slice(g2, label_at(root)).nodes
 
 
