@@ -8,7 +8,8 @@ Subcommands:
 Exit codes (analyze):
   0  no finding with risk >= --fail-threshold
   1  at least one finding at or above the threshold (report still written)
-  2  usage, parse or registry error, or an internal analysis error
+  2  usage, parse or registry error, a category whose risk overflows a
+     float, or an internal analysis error
 
 Registry flags default to the bundled seed files. A --config file (JSON, or
 TOML on installs with tomli/tomllib) may supply the same keys; explicit
@@ -41,7 +42,9 @@ from .registry import RegistryError, SinkKind, is_factor, label_sources, load_re
 from .report import (
     AuditReport,
     ReportConfig,
+    RiskOverflowError,
     build_report,
+    check_risks_finite,
     input_digest,
     render_dot,
     report_json,
@@ -207,10 +210,9 @@ def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:
     sources, sinks, sanitizers, lexicon = load_registries(
         cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon
     )
-    categories = {c.name for c in sources.entries.values()} | {
-        c.name for c in lexicon.entries.values()
-    }
-    dpv_map = load_dpv_map(cfg.dpv, categories, [k.value for k in SinkKind])
+    categories = {*sources.entries.values(), *lexicon.entries.values()}
+    check_risks_finite(categories, cfg.risk)
+    dpv_map = load_dpv_map(cfg.dpv, {c.name for c in categories}, [k.value for k in SinkKind])
 
     cg = build_call_graph(program)
     g = build_pdg(program, cg)
@@ -221,10 +223,7 @@ def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:
 
     digest = input_digest(
         print_program(program),
-        *(
-            json.dumps(json.loads(Path(p).read_text(encoding="utf-8")), sort_keys=True)
-            for p in (cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon, cfg.dpv)
-        ),
+        *(r.canonical for r in (sources, sinks, sanitizers, lexicon, dpv_map)),
     )
     report = build_report(program, labels, slices, taint, dpv_map, sinks, digest, cfg.risk)
     dots = {
@@ -311,8 +310,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         pir_text = _read_pir(args.pir)
         artifacts = run_analysis(pir_text, cfg)
         write_outputs(artifacts, cfg.out)
-    except (PirError, RegistryError, MissingMappingError, TaintError, UsageError, OSError,
-            json.JSONDecodeError) as exc:
+    except (PirError, RegistryError, RiskOverflowError, MissingMappingError, TaintError,
+            UsageError, OSError, json.JSONDecodeError) as exc:
         _emit_error(exc, args)
         return 2
     data = report_json(artifacts.report)

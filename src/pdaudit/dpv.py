@@ -15,12 +15,12 @@ Schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .registry import MalformedRegistryError, SourceLabel, _read_json
+from .registry import MalformedRegistryError, SourceLabel, _read_json, canonical_text
 from .taint import Flow, Status
 
 
@@ -36,6 +36,7 @@ class DpvMap:
     sinkkind_iri: dict[str, str]
     collection_iri: str
     pseudonymisation_iri: str
+    canonical: str = field(default="", compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ def load_dpv_map(
         missing.append("pseudonymisation")
     if missing:
         raise MissingMappingError(missing)
-    return DpvMap(dict(cat_map), dict(kind_map), raw["collection"], raw["pseudonymisation"])
+    return DpvMap(dict(cat_map), dict(kind_map), raw["collection"], raw["pseudonymisation"],
+                  canonical_text(raw))
 
 
 def map_flow(item: Union[Flow, SourceLabel], m: DpvMap) -> ComplianceStatement:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -72,6 +72,7 @@ class SinkMatch:
 @dataclass(frozen=True)
 class SourceRegistry:
     entries: dict[str, PersonalDataCategory]
+    canonical: str = field(default="", compare=False, repr=False)
 
     def category_for(self, signature: str) -> Optional[PersonalDataCategory]:
         return self.entries.get(signature)
@@ -81,6 +82,7 @@ class SourceRegistry:
 class SinkRegistry:
     exact: dict[str, SinkMatch]
     prefixes: dict[str, SinkMatch]  # key includes the trailing dot
+    canonical: str = field(default="", compare=False, repr=False)
 
     def match(self, signature: str) -> Optional[SinkMatch]:
         hit = self.exact.get(signature)
@@ -96,6 +98,7 @@ class SinkRegistry:
 @dataclass(frozen=True)
 class SanitizerRegistry:
     entries: frozenset[str]
+    canonical: str = field(default="", compare=False, repr=False)
 
     def __contains__(self, signature: str) -> bool:
         return signature in self.entries
@@ -104,6 +107,7 @@ class SanitizerRegistry:
 @dataclass(frozen=True)
 class Lexicon:
     entries: dict[str, PersonalDataCategory]
+    canonical: str = field(default="", compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,12 @@ def _read_json(path: Union[str, Path]) -> dict:
     if not isinstance(data, dict):
         raise MalformedRegistryError(path, "top level must be an object")
     return data
+
+
+def canonical_text(data: dict) -> str:
+    """The text of a loaded registry file that the report's input digest
+    hashes: the parsed object with sorted keys, so formatting is ignored."""
+    return json.dumps(data, sort_keys=True)
 
 
 def is_factor(value) -> bool:
@@ -192,8 +202,10 @@ def load_registries(
             )
 
     cats = _categories(src_entries, lex_entries, weights)
-    sources = SourceRegistry({sig: cats[cat] for sig, cat in src_entries.items()})
-    lexicon = Lexicon({kw: cats[cat] for kw, cat in lex_entries.items()})
+    sources = SourceRegistry(
+        {sig: cats[cat] for sig, cat in src_entries.items()}, canonical_text(src_data)
+    )
+    lexicon = Lexicon({kw: cats[cat] for kw, cat in lex_entries.items()}, canonical_text(lex_data))
 
     sink_data = _read_json(sinks_path)
     sink_entries = sink_data.get("entries", [])
@@ -223,7 +235,7 @@ def load_registries(
             if matcher in exact:
                 raise ConflictingEntryError(matcher)
             exact[matcher] = SinkMatch(kind, name)
-    sinks = SinkRegistry(exact, prefixes)
+    sinks = SinkRegistry(exact, prefixes, canonical_text(sink_data))
 
     san_data = _read_json(sanitizers_path)
     san_entries = san_data.get("entries", [])
@@ -235,7 +247,7 @@ def load_registries(
     for sig in san_entries:
         if sig in sources.entries:
             raise ConflictingEntryError(sig)
-    sanitizers = SanitizerRegistry(frozenset(san_entries))
+    sanitizers = SanitizerRegistry(frozenset(san_entries), canonical_text(san_data))
 
     return sources, sinks, sanitizers, lexicon
 

@@ -13,27 +13,47 @@ The report is JSON with a fixed top-level key order (version, input_digest,
 assumptions, findings, slices, data_safety, statements) and byte-identical
 output for identical inputs; the human-readable summary is rendered from
 the JSON dict, never computed independently.
+
+report.json holds the text of ``json.dumps(report, indent=2,
+ensure_ascii=False)`` plus a newline, written by encode_json: each dict or
+list is one join of its own items' texts, so no chunk list the size of the
+output is built and the transient memory is about twice the output.
+Strings go through the C ``encode_basestring``, ints and floats through
+``int.__repr__`` and ``float.__repr__``; a NaN or infinite float is a
+ValueError, as under ``allow_nan=False``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from json.encoder import encode_basestring
+from typing import Iterable, Optional
 
 from . import __version__
 from .dpv import ComplianceStatement, DpvMap, map_flow
 from .graph import KINDS, DepGraph
 from .ir import Loc, Program, call_parts, print_stmt
-from .registry import SanitizerRegistry, SinkKind, SinkRegistry, SourceLabel
+from .registry import (
+    PersonalDataCategory,
+    SanitizerRegistry,
+    SinkKind,
+    SinkRegistry,
+    SourceLabel,
+)
 from .slicer import Slice, slice_stats
 from .taint import Flow, SinkRef, Status, TaintResult
 
 
 class InconsistentInputsError(Exception):
     pass
+
+
+class RiskOverflowError(ValueError):
+    """A category weight times its multipliers overflows to a risk that is
+    not a finite float, which report.json cannot hold."""
 
 
 class FindingKind(Enum):
@@ -101,6 +121,21 @@ def risk_score(
 ) -> float:
     mult = config.sink_mult[sink_kind] if sink_kind is not None else config.no_egress_mult
     return weight * config.status_mult[status] * mult
+
+
+def check_risks_finite(categories: Iterable[PersonalDataCategory], config: ReportConfig) -> None:
+    """Raise RiskOverflowError, naming the category, when any risk that
+    build_report can compute for one of categories is not finite: a flow
+    of either status to a sink of any kind, or raw data with no egress."""
+    cases = [(s, k) for s in Status for k in SinkKind] + [(Status.RAW, None)]
+    for cat in sorted(categories, key=lambda c: c.name):
+        for status, kind in cases:
+            if not math.isfinite(risk_score(cat.weight, status, kind, config)):
+                sink = kind.value if kind is not None else "no-egress"
+                raise RiskOverflowError(
+                    f"risk of category {cat.name!r} is not a finite number: weight "
+                    f"{cat.weight!r} x {status.name.title()} x {sink} multiplier overflows"
+                )
 
 
 def input_digest(*canonical_texts: str) -> str:
@@ -303,8 +338,56 @@ def report_json(r: AuditReport) -> dict:
     }
 
 
+def encode_json(value, indent: str = "") -> str:
+    """value as ``json.dumps(value, indent=2, ensure_ascii=False)`` writes
+    it, with indent the indentation of the line value starts on. Accepts
+    str-keyed dicts, lists, str, int, finite float, bool and None."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        parts = ["{"]
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            # str and int values, most of a report's leaves, skip the call
+            t = type(v)
+            parts += (sep, encode_basestring(k), ": ", encode_basestring(v) if t is str
+                      else int.__repr__(v) if t is int else encode_json(v, inner))
+        parts[1] = "\n" + inner
+        parts += ("\n", indent, "}")
+        return "".join(parts)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        parts = ["["]
+        for v in value:
+            parts += (sep, encode_json(v, inner))
+        parts[1] = "\n" + inner
+        parts += ("\n", indent, "]")
+        return "".join(parts)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def serialize_report(r: AuditReport) -> str:
-    return json.dumps(report_json(r), indent=2, ensure_ascii=False) + "\n"
+    return encode_json(report_json(r)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,55 @@ def test_zero_weight_and_multiplier_allowed(tmp_path):
     assert [f["risk"] for f in report["findings"]] == [0.0]
 
 
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize(
+    "lexicon, config, category",
+    [
+        ('{"weights": {"Location": 1e308}}', None, "Location"),
+        # every category overflows; the first by name is reported
+        (None, '{"risk": {"status_mult": {"Raw": 1e308}}}', "BirthDate"),
+    ],
+)
+def test_overflowing_risk_exits_2(tmp_path, capsys, lexicon, config, category, json_errors):
+    # each factor is finite, but weight x status x sink multiplier is not
+    flags = ["--json-errors"] if json_errors else []
+    for name, text in (("lexicon", lexicon), ("config", config)):
+        if text is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(text, encoding="utf-8")
+            flags += [f"--{name}", str(path)]
+    code = main(["analyze", str(FIXTURES / "b.pir"), "--out", str(tmp_path / "out"), *flags])
+    _assert_exit_2(code, capsys, json_errors, "RiskOverflowError",
+                   f"risk of category {category!r} is not a finite number",
+                   file=FIXTURES / "b.pir")
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_finite_risk_is_written(tmp_path):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text('{"weights": {"Location": 1e300}}', encoding="utf-8")
+    code = main(["analyze", str(FIXTURES / "b.pir"), "--lexicon", str(lexicon),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+    assert json.loads(text)["findings"][0]["risk"] == 4e300  # 1e300 x Raw 2 x Network 2
+
+
+def test_each_registry_file_read_once(tmp_path, monkeypatch):
+    # the input digest hashes the registry text that was analysed
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(Path(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert run_analyze("a.pir", tmp_path / "out") == 1
+    names = ("sources", "sinks", "sanitizers", "lexicon", "dpv")
+    assert sorted(reads) == sorted(REG / f"{name}.json" for name in names)
+
+
 def test_bundled_registries_are_the_default(tmp_path, capsys):
     # fixture B's source/sink are covered by the bundled seeds
     code = main(

@@ -1,19 +1,26 @@
 import json
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
+from pdaudit import __version__
 from pdaudit.dpv import DpvMap
 from pdaudit.graph import build_call_graph, build_pdg
 from pdaudit.ir import Loc, parse_program, print_program
 from pdaudit.registry import Origin, PersonalDataCategory, SinkKind, SourceLabel, label_sources
 from pdaudit.report import (
+    ASSUMPTIONS,
+    AuditReport,
     FindingKind,
     InconsistentInputsError,
     ReportConfig,
     build_report,
     draft_data_safety,
+    encode_json,
     input_digest,
     render_dot,
     report_json,
@@ -307,6 +314,60 @@ def test_serialization_deterministic():
     a = serialize_report(pipeline(FIXTURE_B)[5])
     b = serialize_report(pipeline(FIXTURE_B)[5])
     assert a == b
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029é€😀'))
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308])
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None)
+@given(_JSON_VALUES)
+def test_encoder_matches_json_dumps(value):
+    assert encode_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_encoder_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        json.dumps(value, allow_nan=False)
+    with pytest.raises(ValueError):
+        encode_json({"findings": [{"risk": value}]})
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1: "x"}, {"a": b"x"}, {"a": object()}])
+def test_encoder_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        encode_json(value)
+
+
+def test_serialize_peak_memory_is_about_twice_the_output():
+    # json.dumps(indent=2) builds a chunk list of the whole output: about 7x its length.
+    loc = lambda i, j: {"class": f"app.Screen{i}", "method": f"onSubmit{j}/1", "index": j}
+    slices = [
+        {"label": i, "root": loc(i, 0), "node_count": 40 + i, "methods_touched": 3,
+         "sink_nodes": [loc(i, j) for j in range(5)]}
+        for i in range(4000)
+    ]
+    r = AuditReport(__version__, "0" * 64, ASSUMPTIONS, [], slices, {}, [])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = serialize_report(r)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_500_000
+    assert peak <= 3 * len(text)
 
 
 def test_digest_changes_with_input():
