@@ -159,6 +159,8 @@ def _apply_config_file(cfg: Config, path: Path) -> None:
                 raise UsageError(
                     f"config key {key!r} must be a string, not {type(raw[key]).__name__}"
                 )
+            if "\0" in raw[key]:  # no file name holds one; open() raises ValueError
+                raise UsageError(f"config key {key!r} must not contain a NUL character")
             setattr(cfg, key, Path(raw[key]))
     if "fail_threshold" in raw:
         cfg.fail_threshold = _number(raw["fail_threshold"], "fail_threshold")
@@ -325,8 +327,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
         cfg = build_config(args)
         pir_text = _read_pir(args.pir)
         program = parse_program(pir_text)
-        load_registries(cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon)
-    except (PirError, RegistryError, UsageError, OSError, json.JSONDecodeError) as exc:
+        sources, _, _, lexicon = load_registries(
+            cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon
+        )
+        check_risks_finite({*sources.entries.values(), *lexicon.entries.values()}, cfg.risk)
+    except (PirError, RegistryError, RiskOverflowError, UsageError, OSError,
+            json.JSONDecodeError) as exc:
         _emit_error(exc, args)
         return 2
     diags = validate(program)

@@ -16,7 +16,6 @@ Schema:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -47,10 +46,6 @@ class ComplianceStatement:
     measures: tuple[str, ...]
     status: Status
     provenance: tuple  # ("flow", source id, sink location) | ("collection", label id)
-
-
-def bundled_dpv_path() -> Path:
-    return Path(str(resources.files("pdaudit") / "data" / "dpv.json"))
 
 
 def load_dpv_map(

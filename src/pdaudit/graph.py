@@ -20,10 +20,12 @@ invocation; order-insensitive store -> load edges are the sound reading.
 Statements unreachable from a method's entry appear as graph nodes but
 carry no dependence edges.
 
-Storage. DepGraph has one constructor, DepGraph(locs, out, cells), and
-every loc is a node. A node's id is its rank in Loc order; build_pdg
+Storage. DepGraph has one constructor, DepGraph(locs, stmts, out, cells),
+and every loc is a node. A node's id is its rank in Loc order; build_pdg
 numbers the methods in sorted order, each over a contiguous id range (base
-+ statement index). Explicit edges are per-node sorted lists of ints packing
++ statement index). stmts[id] is the statement at locs[id]: the one
+statement index downstream of parsing, read by flows, slice statistics and
+DOT output. Explicit edges are per-node sorted lists of ints packing
 the other end's id with a kind code, in both directions; the codes follow
 the order of the kind.value strings, so a sorted list is in (src Loc, dst
 Loc, kind.value) order. A field cell is stored once, as its sorted reachable
@@ -56,6 +58,7 @@ from .ir import (
     MethodDef,
     Program,
     Return,
+    Stmt,
     stmt_defs,
     stmt_uses,
 )
@@ -94,11 +97,12 @@ _DATA_CODES = (_DATA, _PARAM_IN, _RETURN_OUT)
 class DepGraph:
     """Immutable-by-convention dependence graph on integer node ids.
 
-    DepGraph(locs, out, cells) is the graph whose nodes are locs, which must
-    be in Loc order (locs[id] is the Loc, so comparing ids compares Locs).
-    out[i] lists the explicit edges leaving node i, packed as dst <<
-    _KIND_BITS | code (unsorted, duplicates allowed); it is deduplicated and
-    sorted in place, and _inn[i] gets the reverse, src << _KIND_BITS | code.
+    DepGraph(locs, stmts, out, cells) is the graph whose nodes are locs,
+    which must be in Loc order (locs[id] is the Loc, so comparing ids
+    compares Locs); stmts[id] is the statement at locs[id]. out[i] lists
+    the explicit edges leaving node i, packed as dst << _KIND_BITS | code
+    (unsorted, duplicates allowed); it is deduplicated and sorted in place,
+    and _inn[i] gets the reverse, src << _KIND_BITS | code.
     cells[c] is one field cell, as (store ids, load ids) in id order; the
     store -> load Data edges it implies are not stored and must not repeat
     an explicit edge. reach, induced, data_in and data_out walk ids; edges
@@ -107,10 +111,12 @@ class DepGraph:
     def __init__(
         self,
         locs: list[Loc],
+        stmts: list[Stmt],
         out: list[list[int]],
         cells: list[tuple[tuple[int, ...], tuple[int, ...]]],
     ):
         self.locs = tuple(locs)
+        self.stmts = tuple(stmts)
         inn: list[list[int]] = [[] for _ in locs]
         for i, lst in enumerate(out):
             if len(lst) > 1:
@@ -428,8 +434,8 @@ def method_facts(p: Program) -> dict[MethodId, _MethodFacts]:
     """One _MethodFacts per method of p, in iter_methods order.
 
     Built on the first call and kept on the Program instance, outside its
-    dataclass fields, == and repr, like its statement index; p must
-    therefore not be mutated after the first call."""
+    dataclass fields, == and repr; p must therefore not be mutated after the
+    first call."""
     memo = vars(p)
     facts = memo.get("_method_facts")
     if facts is None:
@@ -548,9 +554,12 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     mids = sorted(facts)
     base: dict[MethodId, int] = {}
     locs: list[Loc] = []
+    stmts: list[Stmt] = []
     for mid in mids:
         base[mid] = len(locs)
-        locs.extend(Loc(mid.cls, mid.method, i) for i in range(len(facts[mid].m.body)))
+        body = facts[mid].m.body
+        locs.extend(Loc(mid.cls, mid.method, i) for i in range(len(body)))
+        stmts += body
     out: list[list[int]] = [[] for _ in locs]
 
     stores: dict[tuple[str, str], list[int]] = {}
@@ -634,4 +643,4 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
             for r in returns[t]:
                 out[r].append(code)
 
-    return DepGraph(locs, out, cells)
+    return DepGraph(locs, stmts, out, cells)

@@ -47,7 +47,6 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Iterator, Optional, Union
 
 
@@ -174,9 +173,6 @@ class Return(Stmt):
     value: Optional[str] = None
 
 
-CallForm = (AssignCall, Call)
-
-
 def stmt_defs(s: Stmt) -> Optional[str]:
     """The local defined by s, if any."""
     if isinstance(s, (AssignConst, AssignCopy, AssignCall, AssignFieldLoad)):
@@ -238,29 +234,12 @@ class ClassDef:
 
 @dataclass
 class Program:
-    """A parsed PIR program.
-
-    Statement lookups (``method_at``, ``stmt_at``) go through an index that
-    is built on the first lookup and kept on the instance, outside the
-    dataclass fields, ``==`` and ``repr``. A Program must therefore not be
-    mutated after its first lookup.
-    """
+    """A parsed PIR program."""
 
     classes: list[ClassDef]
 
     def class_map(self) -> dict[str, ClassDef]:
         return {c.name: c for c in self.classes}
-
-    @cached_property
-    def _method_index(self) -> dict[tuple[str, str], MethodDef]:
-        """(class name, method key) -> method. The last class wins for a
-        duplicated class name, as in class_map; the first method wins for a
-        duplicated key."""
-        index: dict[tuple[str, str], MethodDef] = {}
-        for c in self.class_map().values():
-            for m in c.methods:
-                index.setdefault((c.name, m.key), m)
-        return index
 
     def iter_methods(self) -> Iterator[tuple[ClassDef, MethodDef]]:
         """All methods, sorted by (class name, method key).
@@ -276,15 +255,6 @@ class Program:
         for cls, m in self.iter_methods():
             for i, s in enumerate(m.body):
                 yield Loc(cls.name, m.key, i), s
-
-    def method_at(self, cls: str, key: str) -> Optional[MethodDef]:
-        return self._method_index.get((cls, key))
-
-    def stmt_at(self, loc: Loc) -> Optional[Stmt]:
-        m = self._method_index.get((loc.cls, loc.method))
-        if m is None or not (0 <= loc.index < len(m.body)):
-            return None
-        return m.body[loc.index]
 
 
 # ---------------------------------------------------------------------------

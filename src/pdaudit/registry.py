@@ -15,8 +15,8 @@ File formats:
                        "weights": { "<Category>": 2.0 } }
 
 Sink kinds are ThirdParty, Analytics, Network, Storage and Log; ThirdParty
-and Analytics entries must carry a recipient name. An exact ``match`` beats
-any prefix; among prefixes the longest wins.
+and Analytics entries must carry a recipient name, and a name is a string.
+An exact ``match`` beats any prefix; among prefixes the longest wins.
 """
 
 from __future__ import annotations
@@ -221,6 +221,8 @@ def load_registries(
         except ValueError:
             raise MalformedRegistryError(sinks_path, f"unknown sink kind {entry['kind']!r}") from None
         name = entry.get("name")
+        if name is not None and not isinstance(name, str):
+            raise MalformedRegistryError(sinks_path, f"sink name must be a string: {entry!r}")
         if kind in (SinkKind.THIRD_PARTY, SinkKind.ANALYTICS) and not name:
             raise MalformedRegistryError(sinks_path, f"{kind.value} sink needs a name: {entry!r}")
         matcher = entry["match"]

@@ -162,7 +162,8 @@ def build_report(
     config: ReportConfig = ReportConfig(),
 ) -> AuditReport:
     """Assemble the deterministic audit report from one program's outputs."""
-    node_ok = lambda loc: p.stmt_at(loc) is not None
+    body_len = {(c.name, m.key): len(m.body) for c, m in p.iter_methods()}
+    node_ok = lambda loc: 0 <= loc.index < body_len.get((loc.cls, loc.method), 0)
     for label in labels:
         if not node_ok(label.location):
             raise InconsistentInputsError(f"label {label.id} points outside the program")
@@ -202,7 +203,7 @@ def build_report(
 
     slice_entries = []
     for s in sorted(slices, key=lambda s: s.root.id):
-        st = slice_stats(s, p, sinks)
+        st = slice_stats(s, sinks)
         slice_entries.append(
             {
                 "label": s.root.id,
@@ -422,14 +423,17 @@ def render_dot(
 ) -> str:
     """A byte-stable DOT digraph of one slice. Node kinds: source (labelled
     statement), sink (registry match), sanitizer, normal; precedence in
-    that order when one statement qualifies twice."""
-    label_ids = _label_ids(s.graph, labels)
+    that order when one statement qualifies twice.
 
-    def node_kind(i: int, loc: Loc) -> str:
+    Statements are read from s.graph; p is not read, and stays only because
+    the traced benchmark (bench/layers.py) pins this signature."""
+    label_ids = _label_ids(s.graph, labels)
+    locs, stmts = s.graph.locs, s.graph.stmts
+
+    def node_kind(i: int) -> str:
         if i in label_ids:
             return "source"
-        stmt = p.stmt_at(loc)
-        parts = call_parts(stmt) if stmt is not None else None
+        parts = call_parts(stmts[i])
         if parts is not None:
             if sinks.match(parts[0]) is not None:
                 return "sink"
@@ -437,21 +441,17 @@ def render_dot(
                 return "sanitizer"
         return "normal"
 
-    def node_label(loc: Loc) -> str:
-        stmt = p.stmt_at(loc)
-        text = print_stmt(stmt) if stmt is not None else "?"
+    def node_label(i: int) -> str:
+        loc = locs[i]
         short_method = loc.method.split("/")[0]
-        return f"{loc.cls}.{short_method}:{loc.index}: {text}"
+        return f"{loc.cls}.{short_method}:{loc.index}: {print_stmt(stmts[i])}"
 
-    locs = s.graph.locs
     lines = [f'digraph "slice_{s.root.id}" {{', "  node [shape=box];"]
     quoted: dict[int, str] = {}  # node id -> its quoted DOT id
     for i in s.ids:
         loc = locs[i]
         q = quoted[i] = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
-        lines.append(
-            f'  {q} [label="{_dot_escape(node_label(loc))}", kind="{node_kind(i, loc)}"];'
-        )
+        lines.append(f'  {q} [label="{_dot_escape(node_label(i))}", kind="{node_kind(i)}"];')
     for i, j, k in s.graph.induced(s.ids):
         lines.append(f'  {quoted[i]} -> {quoted[j]} [label="{_KIND_VALUES[k]}"];')
     lines.append("}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import KINDS, DepEdge, DepGraph
-from .ir import Loc, Program, call_parts
+from .ir import Loc, call_parts
 from .registry import SinkRegistry, SourceLabel
 
 
@@ -50,17 +50,14 @@ def forward_slice(g: DepGraph, label: SourceLabel) -> Slice:
     return Slice(label, g, tuple(sorted(g.reach(root))))
 
 
-def slice_stats(s: Slice, p: Program, sinks: SinkRegistry) -> SliceStats:
-    locs = s.graph.locs
+def slice_stats(s: Slice, sinks: SinkRegistry) -> SliceStats:
+    locs, stmts = s.graph.locs, s.graph.stmts
     methods: set[tuple[str, str]] = set()
     sink_nodes: set[Loc] = set()
     for i in s.ids:
         n = locs[i]
         methods.add((n.cls, n.method))
-        stmt = p.stmt_at(n)
-        if stmt is None:
-            continue
-        parts = call_parts(stmt)
+        parts = call_parts(stmts[i])
         if parts is not None and sinks.match(parts[0]) is not None:
             sink_nodes.add(n)
     return SliceStats(len(s.ids), len(methods), frozenset(sink_nodes))

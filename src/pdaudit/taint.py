@@ -352,9 +352,9 @@ def _witness_rdist(g: DepGraph, dst: int, blocked: set[int]) -> dict[int, int]:
 
 def _witness(
     g: DepGraph, src: int, dst: int, blocked: set[int], rdist: dict[int, int]
-) -> Optional[tuple[Loc, ...]]:
-    """Shortest valid src -> dst path over data-carrying edges; among
-    equal-length paths, the lexicographically smallest node sequence.
+) -> Optional[list[int]]:
+    """Shortest valid src -> dst path over data-carrying edges, as node ids;
+    among equal-length paths, the lexicographically smallest node sequence.
     rdist is _witness_rdist(g, dst, blocked).
 
     Validity: a path may leave a blocked statement (resolved non-sanitizer
@@ -362,7 +362,7 @@ def _witness(
     left, since its own definition is what the path tracks. Search states
     are therefore (location, arrived-via-ReturnOut)."""
     if src == dst:
-        return (g.locs[src],)
+        return [src]
     start = 2 * src + 1
     if start not in rdist:
         return None
@@ -386,13 +386,10 @@ def _witness(
         path.append(step)
         frontier = candidates[step]
         remaining -= 1
-    locs = g.locs
-    return tuple(locs[i] for i in path)
+    return path
 
 
-def collect_flows(
-    pr: PropagationResult, p: Program, sinks: SinkRegistry, g: DepGraph
-) -> list[Flow]:
+def collect_flows(pr: PropagationResult, sinks: SinkRegistry, g: DepGraph) -> list[Flow]:
     """One Flow per (sink statement, source id) with a fact on any argument.
 
     Status is the lattice join across arguments; the witness is the
@@ -400,38 +397,38 @@ def collect_flows(
     signatures of interior call statements along the witness."""
     label_by_id = {l.id: l for l in pr.labels}
     flows: list[Flow] = []
+    locs, stmts = g.locs, g.stmts
     blocked = {i for i in map(g.id_of, pr.blocked_pass_through) if i is not None}
-    for loc, stmt in p.iter_locs():
+    for dst, stmt in enumerate(stmts):
         parts = call_parts(stmt)
         if parts is None:
             continue
         match = sinks.match(parts[0])
         if match is None:
             continue
+        loc = locs[dst]
         state = pr.raw_before(loc)
         per_id: dict[int, Status] = {}
         for (name, sid), st in state.items():
             if name in parts[1]:
                 per_id[sid] = max(per_id.get(sid, Status.PSEUDONYMIZED), st)
-        dst = g.id_of(loc)
         rdist: Optional[dict[int, int]] = None
         for sid in sorted(per_id):
             label = label_by_id[sid]
             src = g.id_of(label.location)
-            witness = None
-            if src is not None and dst is not None:
+            path = None
+            if src is not None:
                 if rdist is None:
                     rdist = _witness_rdist(g, dst, blocked)
-                witness = _witness(g, src, dst, blocked, rdist)
-            if witness is None:
+                path = _witness(g, src, dst, blocked, rdist)
+            if path is None:
                 raise TaintError(
                     f"no dependence path for flow {label.location} -> {loc}; "
                     "graph and facts disagree"
                 )
             manipulations = []
-            for w in witness[1:-1]:
-                ws = p.stmt_at(w)
-                wparts = call_parts(ws) if ws is not None else None
+            for w in path[1:-1]:
+                wparts = call_parts(stmts[w])
                 if wparts is not None:
                     manipulations.append(wparts[0])
             flows.append(
@@ -439,7 +436,7 @@ def collect_flows(
                     source=label,
                     sink=SinkRef(loc, match.kind, match.name),
                     status=per_id[sid],
-                    witness=witness,
+                    witness=tuple(locs[w] for w in path),
                     manipulations=tuple(manipulations),
                 )
             )
@@ -454,7 +451,9 @@ def unsunk_labels(labels: list[SourceLabel], flows: list[Flow]) -> list[SourceLa
 def build_taint_result(
     pr: PropagationResult, p: Program, sinks: SinkRegistry, g: DepGraph
 ) -> TaintResult:
-    flows = collect_flows(pr, p, sinks, g)
+    """The flows and the labels no flow starts from. p is not read: the
+    traced benchmark (bench/layers.py) pins this signature."""
+    flows = collect_flows(pr, sinks, g)
     return TaintResult(flows, unsunk_labels(pr.labels, flows))
 
 

@@ -42,21 +42,22 @@ from pdaudit.ir import (
 DATA_KINDS = frozenset({EdgeKind.DATA, EdgeKind.PARAM_IN, EdgeKind.RETURN_OUT})
 
 
-def explicit_graph(nodes, edges: frozenset[DepEdge]) -> DepGraph:
-    """The cell-free reference graph: exactly these nodes and edges, field
-    store -> load pairs included, all packed as explicit edges into
-    DepGraph's one constructor with no field cells.
+def explicit_graph(stmts: dict[Loc, Optional[Stmt]], edges: frozenset[DepEdge]) -> DepGraph:
+    """The cell-free reference graph: the nodes are stmts' keys, each with
+    its statement (None stands in for graphs that render no DOT), and the
+    edges exactly these, field store -> load pairs included, all packed as
+    explicit edges into DepGraph's one constructor with no field cells.
 
     The graph's nodes and edges are checked against the inputs before it is
     returned, so an oracle reading g.locs or g.edges reads the given sets."""
-    locs = sorted(nodes)
+    locs = sorted(stmts)
     index = {loc: i for i, loc in enumerate(locs)}
     out: list[list[int]] = [[] for _ in locs]
     for e in edges:
         assert e.src in index and e.dst in index, f"edge endpoint is not a node: {e}"
         out[index[e.src]].append(index[e.dst] << _KIND_BITS | KINDS.index(e.kind))
-    g = DepGraph(locs, out, [])
-    assert set(g.locs) == set(nodes), "DepGraph lost or added a node"
+    g = DepGraph(locs, [stmts[loc] for loc in locs], out, [])
+    assert set(g.locs) == set(stmts), "DepGraph lost or added a node"
     assert g.edges == set(edges), "DepGraph lost, added or re-kinded an edge"
     return g
 
@@ -357,10 +358,11 @@ def expected_all_paths_pseudonymized(g: DepGraph, p: Program, san, cg, flow) -> 
     blocked = blocked_pass_through_locs(p, cg, san)
     paths = simple_data_paths(g, flow.source.location, flow.sink.location, blocked)
     assert paths, "a reported flow must have at least one dependence path"
+    stmt_at = dict(p.iter_locs())
 
     def interior_sanitized(path):
         for w in path[1:-1]:
-            parts = call_parts(p.stmt_at(w))
+            parts = call_parts(stmt_at[w])
             if parts is not None and parts[0] in san:
                 return True
         return False

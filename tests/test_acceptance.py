@@ -65,7 +65,7 @@ def corpus():
         g = build_pdg(p, cg)
         labels = label_sources(p, GEN_SOURCES, GEN_LEXICON)
         pr = propagate(p, cg, labels, GEN_SANITIZERS)
-        flows = collect_flows(pr, p, GEN_SINKS, g)
+        flows = collect_flows(pr, GEN_SINKS, g)
         out.append((p, cg, g, labels, pr, flows))
     return out
 
@@ -116,7 +116,7 @@ def test_criterion_2_all_paths_pseudonymization(corpus):
         g = build_pdg(p, cg)
         labels = label_sources(p, sources, lexicon)
         pr = propagate(p, cg, labels, sanitizers)
-        flows = collect_flows(pr, p, sinks, g)
+        flows = collect_flows(pr, sinks, g)
         assert len(flows) == 1
         return flows[0].status
 
@@ -139,7 +139,7 @@ def test_criterion_3_slice_oracle():
         edges = set()
         for _ in range(rng.randint(0, 3 * n)):
             edges.add(DepEdge(rng.choice(nodes), rng.choice(nodes), rng.choice(kinds)))
-        g = explicit_graph(nodes, frozenset(edges))
+        g = explicit_graph(dict.fromkeys(nodes), frozenset(edges))
         root = rng.choice(nodes)
         label = SourceLabel(0, root, PersonalDataCategory("Location"), Origin("SystemApi"))
         s = forward_slice(g, label)

@@ -1,11 +1,18 @@
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pdaudit.cli import main
+from pdaudit.cli import _bundled, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REG = FIXTURES / "registries"
@@ -257,6 +264,25 @@ def test_non_string_sink_match_exits_2(tmp_path, capsys, json_errors):
 
 
 @pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("name", [{"x": 1}, 5])
+def test_non_string_sink_name_exits_2(tmp_path, capsys, name, command, json_errors):
+    # the bundled sinks file with one Analytics recipient name mistyped
+    data = json.loads(_bundled("sinks.json").read_text(encoding="utf-8"))
+    entry = next(e for e in data["entries"] if e["kind"] == "Analytics")
+    entry["name"] = name
+    sinks = tmp_path / "sinks.json"
+    sinks.write_text(json.dumps(data), encoding="utf-8")
+    flags = ["--sinks", str(sinks)] + (["--json-errors"] if json_errors else [])
+    if command == "analyze":
+        flags += ["--out", str(tmp_path / "out")]
+    code = main([command, str(FIXTURES / "a.pir"), *flags])
+    _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
+                   f"{sinks}: sink name must be a string")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
 def test_taint_engine_error_exits_2(tmp_path, capsys, monkeypatch, json_errors):
     import pdaudit.cli as cli
     from pdaudit.taint import FixpointBudgetExceededError
@@ -283,6 +309,7 @@ def test_taint_engine_error_exits_2(tmp_path, capsys, monkeypatch, json_errors):
         ("[1, 2]", "config top level must be an object"),
         ('{"fail_threshold": 1' + "0" * 400 + "}",
          "config key 'fail_threshold' is an integer too large for a float"),
+        ('{"out": "a\\u0000"}', "config key 'out' must not contain a NUL character"),
     ],
 )
 def test_mistyped_config_exits_2(tmp_path, capsys, config, text, json_errors):
@@ -418,6 +445,105 @@ def test_huge_json_integer_exits_2(tmp_path, capsys, slot, json_errors):
     assert not (tmp_path / "out").exists()
 
 
+# ---------------------------------------------------------------------------
+# Totality on registry and config input
+# ---------------------------------------------------------------------------
+
+# Each slot is (file, path of keys and list indexes into its base object);
+# the empty path replaces the whole file.
+_SOURCE_SIG = "android.location.LocationManager.getLastKnownLocation"
+_SLOTS = [
+    ("sources", ()), ("sources", ("entries",)), ("sources", ("entries", _SOURCE_SIG)),
+    ("sinks", ()), ("sinks", ("entries",)), ("sinks", ("entries", 0)),
+    ("sinks", ("entries", 0, "match")), ("sinks", ("entries", 0, "kind")),
+    ("sinks", ("entries", 0, "name")), ("sinks", ("entries", 2, "name")),
+    ("sanitizers", ()), ("sanitizers", ("entries",)), ("sanitizers", ("entries", 0)),
+    ("lexicon", ()), ("lexicon", ("entries",)), ("lexicon", ("entries", "email")),
+    ("lexicon", ("weights",)), ("lexicon", ("weights", "Location")),
+    ("dpv", ()), ("dpv", ("categories",)), ("dpv", ("categories", "Location")),
+    ("dpv", ("sink_kinds",)), ("dpv", ("sink_kinds", "Analytics")),
+    ("dpv", ("collection",)), ("dpv", ("pseudonymisation",)),
+    ("config", ()), ("config", ("fail_threshold",)), ("config", ("risk",)),
+    ("config", ("risk", "status_mult")), ("config", ("risk", "status_mult", "Raw")),
+    ("config", ("risk", "sink_mult")), ("config", ("risk", "sink_mult", "Analytics")),
+    ("config", ("risk", "no_egress_mult")),
+    *(("config", (key,)) for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out")),
+]
+_BASE_CONFIG = {
+    **{name: f"{name}.json" for name in ("sources", "sinks", "sanitizers", "lexicon", "dpv")},
+    "out": "out",
+    "fail_threshold": 1.0,
+    "risk": {"status_mult": {"Raw": 2.0}, "sink_mult": {"Analytics": 3.0}, "no_egress_mult": 0.5},
+}
+# Strings, as registry words and as paths: a path stays inside the working
+# directory, since no string holds "/" or "..".
+_WORDS = st.text(alphabet="aZé_*\x00 ", max_size=4) | st.sampled_from(
+    ["Analytics", "ThirdParty", "Network", "Storage", "Log", "Raw", "Pseudonymized", "Location",
+     "EmailAddress", "email", "com.analytics.*", ".*", "com.app.Crypto.hash", _SOURCE_SIG]
+)
+_JSON_TEXT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_WORDS, inner, max_size=3),
+    max_leaves=8,
+).map(json.dumps)
+_MARK = "\x01slot"
+
+
+def _with_slot(base, path, value_text: str) -> str:
+    """base as JSON text, with value_text at path."""
+    obj = copy.deepcopy(base)
+    if path:
+        inner = obj
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = _MARK
+    else:
+        obj = _MARK
+    return json.dumps(obj).replace(json.dumps(_MARK), value_text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot=st.sampled_from(_SLOTS), value=_JSON_TEXT, json_errors=st.booleans())
+@example(slot=("sinks", ("entries", 0, "name")), value='{"x": 1}', json_errors=False)
+@example(slot=("sinks", ("entries", 0, "name")), value="5", json_errors=True)
+@example(slot=("lexicon", ("weights", "Location")), value="1e308", json_errors=False)
+@example(slot=("lexicon", ("weights", "Location")), value="1" + "0" * 400, json_errors=False)
+@example(slot=("config", ("fail_threshold",)), value="1" + "0" * 400, json_errors=True)
+@example(slot=("dpv", ("collection",)), value=HUGE_INT, json_errors=False)
+@example(slot=("config", ("risk", "no_egress_mult")), value=HUGE_INT, json_errors=True)
+@example(slot=("config", ("sources",)), value='"a\\u0000"', json_errors=False)
+@example(slot=("config", ("out",)), value='"a\\u0000"', json_errors=True)
+def test_registry_and_config_input_is_total(slot, value, json_errors):
+    """Any JSON value in any registry slot or config key: analyze and
+    validate exit 0, 1 or 2 and never raise, and exit 2 writes a message
+    (a JSON one under --json-errors)."""
+    bases = {name: json.loads((REG / f"{name}.json").read_text(encoding="utf-8"))
+             for name in ("sources", "sinks", "sanitizers", "lexicon", "dpv")}
+    bases["lexicon"]["weights"] = {"Location": 1.0}
+    bases["config"] = _BASE_CONFIG
+    pir = "\n".join((FIXTURES / f).read_text(encoding="utf-8") for f in ("a.pir", "b.pir"))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, base in bases.items():
+                text = _with_slot(base, slot[1], value) if name == slot[0] else json.dumps(base)
+                Path(f"{name}.json").write_text(text, encoding="utf-8")
+            Path("app.pir").write_text(pir, encoding="utf-8")
+            flags = ["--config", "config.json"] + (["--json-errors"] if json_errors else [])
+            for command in ("analyze", "validate"):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main([command, "app.pir", *flags])
+                assert code in (0, 1, 2), (command, code)
+                if code == 2:
+                    assert err.getvalue()
+                    if json_errors:
+                        assert "error" in json.loads(err.getvalue())
+        finally:
+            os.chdir(cwd)
+
+
 def test_zero_weight_and_multiplier_allowed(tmp_path):
     lexicon = tmp_path / "lexicon.json"
     lexicon.write_text('{"entries": {"email": "EmailAddress"}, "weights": {"EmailAddress": 0}}',
@@ -441,15 +567,19 @@ def test_zero_weight_and_multiplier_allowed(tmp_path):
         (None, '{"risk": {"status_mult": {"Raw": 1e308}}}', "BirthDate"),
     ],
 )
-def test_overflowing_risk_exits_2(tmp_path, capsys, lexicon, config, category, json_errors):
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_overflowing_risk_exits_2(tmp_path, capsys, lexicon, config, category, json_errors,
+                                  command):
     # each factor is finite, but weight x status x sink multiplier is not
     flags = ["--json-errors"] if json_errors else []
+    if command == "analyze":
+        flags += ["--out", str(tmp_path / "out")]
     for name, text in (("lexicon", lexicon), ("config", config)):
         if text is not None:
             path = tmp_path / f"{name}.json"
             path.write_text(text, encoding="utf-8")
             flags += [f"--{name}", str(path)]
-    code = main(["analyze", str(FIXTURES / "b.pir"), "--out", str(tmp_path / "out"), *flags])
+    code = main([command, str(FIXTURES / "b.pir"), *flags])
     _assert_exit_2(code, capsys, json_errors, "RiskOverflowError",
                    f"risk of category {category!r} is not a finite number",
                    file=FIXTURES / "b.pir")

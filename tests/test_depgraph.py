@@ -24,8 +24,8 @@ def _dot_id(loc):
     return f"{loc.cls}.{loc.method}:{loc.index}".replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _is_field_pair(p, src, dst):
-    return isinstance(p.stmt_at(src), FieldStore) and isinstance(p.stmt_at(dst), AssignFieldLoad)
+def _is_field_pair(stmt_at, src, dst):
+    return isinstance(stmt_at[src], FieldStore) and isinstance(stmt_at[dst], AssignFieldLoad)
 
 
 def test_cell_graph_matches_explicit_edge_graph():
@@ -50,11 +50,12 @@ def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:
     cg, g, labels, pr = analyze_generated(p)
     if not g.cells:
         return False, 0
-    h = explicit_graph(g.locs, g.edges)
+    stmt_at = dict(p.iter_locs())
+    h = explicit_graph(stmt_at, g.edges)
     assert not h.cells
     assert h.locs == g.locs and h.edges == g.edges and repr(g) == repr(h)
-    flows = collect_flows(pr, p, GEN_SINKS, g)
-    assert flows == collect_flows(pr, p, GEN_SINKS, h)  # witnesses included
+    flows = collect_flows(pr, GEN_SINKS, g)
+    assert flows == collect_flows(pr, GEN_SINKS, h)  # witnesses included
     for label in labels:
         s, t = forward_slice(g, label), forward_slice(h, label)
         assert s.nodes == t.nodes and s.edges == t.edges
@@ -65,7 +66,8 @@ def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:
             for e in sorted(s.edges, key=lambda e: (e.src, e.dst, e.kind.value))
         ]
     return True, sum(
-        any(_is_field_pair(p, a, b) for a, b in zip(f.witness, f.witness[1:])) for f in flows
+        any(_is_field_pair(stmt_at, a, b) for a, b in zip(f.witness, f.witness[1:]))
+        for f in flows
     )
 
 
@@ -108,7 +110,8 @@ def test_no_store_load_pair_materialized_in_an_analysis(tmp_path, monkeypatch):
 
     p = parse_program(text)
     g = build_pdg(p, build_call_graph(p))
-    field_pairs = sum(_is_field_pair(p, e.src, e.dst) for e in g.edges)
+    stmt_at = dict(p.iter_locs())
+    field_pairs = sum(_is_field_pair(stmt_at, e.src, e.dst) for e in g.edges)
     non_field = len(g.edges) - field_pairs
     assert field_pairs == 300 * 300
     assert len(artifacts.report.findings) > 0

@@ -6,7 +6,6 @@ from conftest import FIXTURE_A, FIXTURE_B_PRIME, fixture_registries
 from pdaudit.dpv import (
     ComplianceStatement,
     MissingMappingError,
-    bundled_dpv_path,
     load_dpv_map,
     map_flow,
 )
@@ -45,7 +44,7 @@ def flows_for(text):
     g = build_pdg(p, cg)
     labels = label_sources(p, sources, lexicon)
     pr = propagate(p, cg, labels, sanitizers)
-    return labels, collect_flows(pr, p, sinks, g)
+    return labels, collect_flows(pr, sinks, g)
 
 
 def test_missing_category_rejected(tmp_path):
@@ -82,19 +81,14 @@ def test_empty_registries_empty_map_is_valid(tmp_path):
 
 
 def test_bundled_map_is_total_over_bundled_registries():
-    from pathlib import Path
-
+    from pdaudit.cli import _bundled
     from pdaudit.registry import SinkKind, load_registries
 
-    data_dir = Path(__file__).parent.parent / "src" / "pdaudit" / "data"
     src, _, _, lex = load_registries(
-        data_dir / "sources.json",
-        data_dir / "sinks.json",
-        data_dir / "sanitizers.json",
-        data_dir / "lexicon.json",
+        *(_bundled(f"{name}.json") for name in ("sources", "sinks", "sanitizers", "lexicon"))
     )
     cats = {c.name for c in src.entries.values()} | {c.name for c in lex.entries.values()}
-    m = load_dpv_map(bundled_dpv_path(), cats, [k.value for k in SinkKind])
+    m = load_dpv_map(_bundled("dpv.json"), cats, [k.value for k in SinkKind])
     assert m.category_iri["Location"].startswith("https://w3id.org/dpv")
 
 

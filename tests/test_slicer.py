@@ -48,8 +48,8 @@ def test_slice_fixture_a():
     labels = label_sources(p, SOURCES, LEXICON)
     s = forward_slice(g, labels[0])
     assert {n.index for n in s.nodes} == {0, 1}
-    assert slice_stats(s, p, SINKS) == slice_stats(s, p, SINKS)
-    st = slice_stats(s, p, SINKS)
+    assert slice_stats(s, SINKS) == slice_stats(s, SINKS)
+    st = slice_stats(s, SINKS)
     assert (st.node_count, st.methods_touched) == (2, 1)
     assert {n.index for n in st.sink_nodes} == {1}
 
@@ -60,7 +60,7 @@ def test_slice_fixture_b():
     labels = label_sources(p, SOURCES, LEXICON)
     s = forward_slice(g, labels[0])
     assert {n.index for n in s.nodes} == {0, 2, 4, 5}
-    st = slice_stats(s, p, SINKS)
+    st = slice_stats(s, SINKS)
     assert (st.node_count, st.methods_touched) == (4, 1)
     assert {n.index for n in st.sink_nodes} == {5}
 
@@ -71,7 +71,7 @@ def test_singleton_slice():
     s = forward_slice(g, label_at(Loc("C", "f/0", 0)))
     assert s.nodes == frozenset({Loc("C", "f/0", 0)})
     assert s.edges == frozenset()
-    st = slice_stats(s, p, SINKS)
+    st = slice_stats(s, SINKS)
     assert (st.node_count, st.methods_touched, st.sink_nodes) == (1, 1, frozenset())
 
 
@@ -90,7 +90,7 @@ def _random_graph(rng, max_nodes=200):
     for _ in range(rng.randint(0, 3 * n)):
         a, b = rng.choice(nodes), rng.choice(nodes)
         edges.add(DepEdge(a, b, rng.choice(kinds)))
-    return explicit_graph(nodes, frozenset(edges)), nodes
+    return explicit_graph(dict.fromkeys(nodes), frozenset(edges)), nodes
 
 
 def test_slice_matches_naive_closure_on_random_graphs():
@@ -110,7 +110,7 @@ def test_slice_monotone_under_edge_addition():
         root = rng.choice(nodes)
         base = forward_slice(g, label_at(root)).nodes
         extra = DepEdge(rng.choice(nodes), rng.choice(nodes), EdgeKind.DATA)
-        g2 = explicit_graph(g.locs, g.edges | {extra})
+        g2 = explicit_graph(dict.fromkeys(g.locs), g.edges | {extra})
         assert base <= forward_slice(g2, label_at(root)).nodes
 
 

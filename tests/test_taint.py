@@ -95,7 +95,7 @@ def test_fixture_b_prime_is_pseudonymized():
 
 def test_fixture_a_flow():
     p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_A)
-    flows = collect_flows(pr, p, sinks, g)
+    flows = collect_flows(pr, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.source.id == 0
@@ -110,7 +110,7 @@ def test_fixture_b_flow_witness_tiebreak():
     # two shortest paths 0-2-5 and 0-4-5; lexicographic order picks 0-2-5,
     # whose interior statement is the hash call
     p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_B)
-    flows = collect_flows(pr, p, sinks, g)
+    flows = collect_flows(pr, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.sink.kind is SinkKind.NETWORK
@@ -129,7 +129,7 @@ class C extends D {
 }
 """
     p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, p, sinks, g)
+    flows = collect_flows(pr, sinks, g)
     assert flows == []
     assert [l.id for l in unsunk_labels(labels, flows)] == [0]
 
@@ -141,7 +141,7 @@ def test_flow_status_fixtures():
         (FIXTURE_B_PRIME, Status.PSEUDONYMIZED),
     ]:
         p, cg, g, labels, pr, sinks, _ = analyze(text)
-        flows = collect_flows(pr, p, sinks, g)
+        flows = collect_flows(pr, sinks, g)
         assert len(flows) == 1
         assert flows[0].status is status
 
@@ -149,7 +149,7 @@ def test_flow_status_fixtures():
 def test_witness_edges_exist_in_graph():
     p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_B)
     pairs = {(e.src, e.dst) for e in g.edges}
-    for f in collect_flows(pr, p, sinks, g):
+    for f in collect_flows(pr, sinks, g):
         for a, b in zip(f.witness, f.witness[1:]):
             assert (a, b) in pairs
 
@@ -170,7 +170,7 @@ class C extends D {
 }
 """
     p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, p, sinks, g)
+    flows = collect_flows(pr, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.sink.location == Loc("C", "push/0", 1)
@@ -196,7 +196,7 @@ class C extends D {
 }
 """
     p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, p, sinks, g)
+    flows = collect_flows(pr, sinks, g)
     assert len(flows) == 1
     assert flows[0].status is Status.PSEUDONYMIZED
 
@@ -218,7 +218,7 @@ class Help extends E {
 }
 """
     p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, p, sinks, g)
+    flows = collect_flows(pr, sinks, g)
     assert len(flows) == 1
     assert flows[0].status is Status.RAW
     assert flows[0].sink.location == Loc("Main", "go/0", 2)
@@ -242,7 +242,7 @@ class Main extends E {
 }
 """
     p, cg, g, labels, pr, sinks, sanitizers = analyze(src)
-    flows = collect_flows(pr, p, sinks, g)
+    flows = collect_flows(pr, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.status is Status.PSEUDONYMIZED
@@ -277,7 +277,7 @@ class Help extends E {
 }
 """
     p, cg, g, labels, pr, sinks, _ = analyze(src)
-    assert collect_flows(pr, p, sinks, g) == []
+    assert collect_flows(pr, sinks, g) == []
 
 
 def test_unreachable_source_generates_no_facts():
@@ -293,7 +293,7 @@ class C extends D {
 """
     p, cg, g, labels, pr, sinks, _ = analyze(src)
     assert len(labels) == 1  # still labelled: collection exists in the code
-    assert collect_flows(pr, p, sinks, g) == []
+    assert collect_flows(pr, sinks, g) == []
 
 
 def test_derived_data_fixture_b():
@@ -388,8 +388,9 @@ def _dense_derived_data(before, after, fields, label, p):
     }
     cells |= {FieldCell(c, f) for (c, f), held in fields.items() if label.id in held}
     sigs = set()
+    stmt_at = dict(p.iter_locs())
     for loc, state in after.items():
-        stmt = p.stmt_at(loc)
+        stmt = stmt_at[loc]
         if loc != label.location and isinstance(stmt, AssignCall) and (stmt.lhs, label.id) in state:
             sigs.add(stmt.callee)
     return cells, sigs
@@ -501,11 +502,11 @@ def test_monotone_in_labels():
         pr_some = propagate(p, cg, labels[:-1], GEN_SANITIZERS)
         flows_all = {
             (f.sink.location, f.source.id)
-            for f in collect_flows(pr_all, p, GEN_SINKS, g)
+            for f in collect_flows(pr_all, GEN_SINKS, g)
         }
         flows_some = {
             (f.sink.location, f.source.id)
-            for f in collect_flows(pr_some, p, GEN_SINKS, g)
+            for f in collect_flows(pr_some, GEN_SINKS, g)
         }
         assert flows_some <= flows_all
 
