@@ -2,7 +2,8 @@
 
 Subcommands:
   analyze   full pipeline; writes <out>/report.json and <out>/slice_<id>.dot
-  validate  parse the IR and registries, print diagnostics, no analysis
+  validate  parse the IR, the registries and the DPV map, print diagnostics,
+            no analysis
   print     canonical PIR to stdout
 
 Exit codes (analyze):
@@ -280,6 +281,7 @@ def _add_registry_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sinks", help="sink registry JSON (default: bundled)")
     sp.add_argument("--sanitizers", help="sanitizer registry JSON (default: bundled)")
     sp.add_argument("--lexicon", help="keyword lexicon JSON (default: bundled)")
+    sp.add_argument("--dpv", help="DPV map JSON (default: bundled)")
     sp.add_argument("--config", help="JSON/TOML config with the same keys; flags win")
     sp.add_argument("--json-errors", action="store_true", help="machine-readable errors")
 
@@ -291,7 +293,6 @@ def make_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="run the full audit pipeline")
     an.add_argument("pir", help="PIR source file")
     _add_registry_flags(an)
-    an.add_argument("--dpv", help="DPV map JSON (default: bundled)")
     an.add_argument("--out", help="output directory (default: pdaudit-out)")
     an.add_argument("--fail-threshold", type=float, default=None,
                     help="exit 1 when any finding's risk reaches this (default 0)")
@@ -313,7 +314,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         artifacts = run_analysis(pir_text, cfg)
         write_outputs(artifacts, cfg.out)
     except (PirError, RegistryError, RiskOverflowError, MissingMappingError, TaintError,
-            UsageError, OSError, json.JSONDecodeError) as exc:
+            UsageError, OSError) as exc:
         _emit_error(exc, args)
         return 2
     data = report_json(artifacts.report)
@@ -330,9 +331,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         sources, _, _, lexicon = load_registries(
             cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon
         )
-        check_risks_finite({*sources.entries.values(), *lexicon.entries.values()}, cfg.risk)
-    except (PirError, RegistryError, RiskOverflowError, UsageError, OSError,
-            json.JSONDecodeError) as exc:
+        categories = {*sources.entries.values(), *lexicon.entries.values()}
+        check_risks_finite(categories, cfg.risk)
+        load_dpv_map(cfg.dpv, {c.name for c in categories}, [k.value for k in SinkKind])
+    except (PirError, RegistryError, RiskOverflowError, MissingMappingError, UsageError,
+            OSError) as exc:
         _emit_error(exc, args)
         return 2
     diags = validate(program)

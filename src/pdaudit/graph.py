@@ -5,7 +5,7 @@ paths. Nodes are statement locations; edges are typed:
 
     Data       def-use on locals (reaching definitions, strong kill) and
                field store -> field load pairs
-    Control    postdominator-based control dependence
+    Control    branch -> statement it controls (control dependence)
     Call       call site -> callee entry statement
     ParamIn    statement defining an argument -> callee statements that
                read the matching parameter (per parameter index)
@@ -16,6 +16,12 @@ store may be observed by any load, in any method. Methods here are open
 entry points invoked repeatedly by the framework, so a load earlier in a
 body can legitimately observe a store from a later statement of a previous
 invocation; order-insensitive store -> load edges are the sound reading.
+
+Control dependence (Ferrante, Ottenstein and Warren, TOPLAS 1987): j
+depends on branch b when j postdominates a CFG successor of b but does not
+strictly postdominate b; j postdominates i when every path from i to the
+exit passes through j. A statement that cannot reach the exit (`k: goto k`)
+is postdominated by itself alone.
 
 Statements unreachable from a method's entry appear as graph nodes but
 carry no dependence edges.
@@ -36,8 +42,9 @@ DepEdge objects, cell pairs included, are built only by the edges view.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
-its superclasses plus every override in program subclasses of C; anything
-else is an opaque external callee.
+its superclasses plus every override in program subclasses of C. Anything
+else is an opaque external callee, and its call site has no call-graph
+entry.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .ir import (
     AssignCall,
@@ -218,6 +225,14 @@ class DepGraph:
 # ---------------------------------------------------------------------------
 
 
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x >= 0, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def cfg_successors(m: MethodDef) -> dict[int, tuple[int, ...]]:
     """CFG successor indices per statement; EXIT for the synthetic exit.
 
@@ -266,25 +281,16 @@ class MethodId:
         return f"{self.cls}.{self.method}"
 
 
-@dataclass(frozen=True, order=True)
-class Opaque:
-    signature: str
-
-
-Target = Union[MethodId, Opaque]
-
-
 class CallGraph:
-    def __init__(self, edges: dict[Loc, tuple[Target, ...]]):
+    """edges maps each call site with a program target to its targets, in
+    MethodId order; a site whose callee resolves to no program method has no
+    entry."""
+
+    def __init__(self, edges: dict[Loc, tuple[MethodId, ...]]):
         self.edges = edges
-        self._resolved: dict[Loc, tuple[MethodId, ...]] = {}
-        for loc, ts in edges.items():
-            resolved = tuple(t for t in ts if isinstance(t, MethodId))
-            if resolved:
-                self._resolved[loc] = resolved
 
     def resolved(self, loc: Loc) -> tuple[MethodId, ...]:
-        return self._resolved.get(loc, ())
+        return self.edges.get(loc, ())
 
 
 def build_call_graph(p: Program) -> CallGraph:
@@ -308,10 +314,10 @@ def build_call_graph(p: Program) -> CallGraph:
             work.extend(children.get(c, ()))
         return out
 
-    def resolve(callee: str, arity: int) -> list[MethodId]:
+    def resolve(callee: str, arity: int) -> tuple[MethodId, ...]:
         owner, _, name = callee.rpartition(".")
         if owner not in classes:
-            return []
+            return ()
         key = f"{name}/{arity}"
         targets: set[MethodId] = set()
         c: Optional[str] = owner
@@ -323,18 +329,14 @@ def build_call_graph(p: Program) -> CallGraph:
         for sub in subclasses(owner):
             if (sub, key) in defined:
                 targets.add(defined[(sub, key)])
-        return sorted(targets)
+        return tuple(sorted(targets))
 
-    edges: dict[Loc, tuple[Target, ...]] = {}
+    edges: dict[Loc, tuple[MethodId, ...]] = {}
     for loc, stmt in p.iter_locs():
-        if not isinstance(stmt, (AssignCall, Call)):
-            continue
-        resolved = resolve(stmt.callee, len(stmt.args))
-        if resolved:
-            edges[loc] = tuple(resolved)
-        else:
-            edges[loc] = (Opaque(stmt.callee),)
-
+        if isinstance(stmt, (AssignCall, Call)):
+            targets = resolve(stmt.callee, len(stmt.args))
+            if targets:
+                edges[loc] = targets
     return CallGraph(edges)
 
 
@@ -421,10 +423,7 @@ class _MethodFacts:
 
     def pairs(self, bits: int) -> Iterator[tuple[str, int]]:
         """The definitions in a bit set over defs, in defs order."""
-        while bits:
-            low = bits & -bits
-            yield self.defs[low.bit_length() - 1]
-            bits ^= low
+        return (self.defs[k] for k in _bits(bits))
 
     def loc(self, i: int) -> Loc:
         return Loc(self.cls, self.key, i)
@@ -445,97 +444,47 @@ def method_facts(p: Program) -> dict[MethodId, _MethodFacts]:
     return facts
 
 
-def _data_pairs(facts: _MethodFacts) -> Iterator[tuple[int, int]]:
-    """(definition index, use index) of each local def-use pair."""
-    for i, per_use in facts.use_defs.items():
-        for ds in per_use:
-            for d in ds:
-                if d != ENTRY_DEF:
-                    yield d, i
-
-
 # ---------------------------------------------------------------------------
 # Control dependence
 # ---------------------------------------------------------------------------
 
 
-def _postdominators(m: MethodDef, succs: dict[int, tuple[int, ...]]) -> dict[int, Optional[int]]:
-    """Immediate postdominator per statement index (EXIT as virtual root).
-
-    Cooper-Harvey-Kennedy on the reversed CFG, `succs` being
-    cfg_successors(m). Statements that cannot reach the exit have no
-    postdominator (None)."""
-    nodes = list(range(len(m.body))) + [EXIT]
-    rpreds: dict[int, list[int]] = {n: [] for n in nodes}  # reversed preds = CFG succs
-    for i in range(len(m.body)):
-        for j in succs[i]:
-            rpreds[i].append(j)
-    rsuccs: dict[int, list[int]] = {n: [] for n in nodes}  # reversed succs = CFG preds
-    for i in range(len(m.body)):
-        for j in succs[i]:
-            rsuccs[j].append(i)
-
-    # Reverse postorder of the reversed CFG from EXIT.
-    order: list[int] = []
-    seen = {EXIT}
-    stack: list[tuple[int, int]] = [(EXIT, 0)]
-    while stack:
-        n, k = stack[-1]
-        if k < len(rsuccs[n]):
-            stack[-1] = (n, k + 1)
-            nxt = rsuccs[n][k]
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, 0))
-        else:
-            stack.pop()
-            order.append(n)
-    order.reverse()
-    rpo_num = {n: k for k, n in enumerate(order)}
-
-    ipdom: dict[int, Optional[int]] = {n: None for n in nodes}
-    ipdom[EXIT] = EXIT
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while rpo_num[a] > rpo_num[b]:
-                a = ipdom[a]  # type: ignore[assignment]
-            while rpo_num[b] > rpo_num[a]:
-                b = ipdom[b]  # type: ignore[assignment]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            if n == EXIT:
-                continue
-            new: Optional[int] = None
-            for p in rpreds[n]:
-                if p in rpo_num and ipdom[p] is not None:
-                    new = p if new is None else intersect(p, new)
-            if new is not None and ipdom[n] != new:
-                ipdom[n] = new
-                changed = True
-    ipdom[EXIT] = None  # the virtual root has no postdominator
-    return ipdom
-
-
 def _control_pairs(m: MethodDef, reachable: set[int], succs: dict[int, tuple[int, ...]]):
-    """(branch index, dependent index) of each control dependence."""
+    """(branch index, dependent index) of each control dependence.
+
+    pdom[i], the statements postdominating i as a bit set, is the greatest
+    fixpoint of {i} | AND of pdom over i's successors that reach the exit,
+    EXIT contributing the empty set. Bit len(body) marks the statements that
+    cannot reach the exit; each of those is postdominated by itself alone.
+    Branch b controls, over each successor s, pdom[s] & ~(pdom[b] minus b)."""
     branches = [i for i in sorted(reachable) if isinstance(m.body[i], If)]
     if not branches:
         return
-    ipdom = _postdominators(m, succs)
+    stuck = 1 << len(m.body)
+    top = (stuck << 1) - 1  # every statement, and the cannot-reach-exit bit
+    pdom = dict.fromkeys(reachable, top)
+    pdom[EXIT] = 0
+    order = sorted(reachable, reverse=True)
+    changed = True
+    while changed:
+        changed = False
+        for i in order:
+            new = top
+            for s in succs[i]:
+                new &= pdom[s]  # pdom[s] is top while s cannot reach the exit
+            new |= 1 << i
+            if new != pdom[i]:
+                pdom[i] = new
+                changed = True
+    for i in order:
+        if pdom[i] & stuck:
+            pdom[i] = 1 << i
     for b in branches:
-        stop = ipdom[b]
+        strict = pdom[b] & ~(1 << b)
+        deps = 0
         for s in succs[b]:
-            runner: Optional[int] = s
-            guard = len(m.body) + 2
-            while runner is not None and runner != EXIT and runner != stop and guard > 0:
-                yield b, runner
-                runner = ipdom[runner]
-                guard -= 1
+            deps |= pdom[s] & ~strict
+        yield from ((b, j) for j in _bits(deps))
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +520,12 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     for mid in mids:
         f, b = facts[mid], base[mid]
         body = f.m.body
-        for d, i in _data_pairs(f):
-            out[b + d].append((b + i) << _KIND_BITS | _DATA)
+        for i, per_use in f.use_defs.items():  # local def-use pairs
+            code = (b + i) << _KIND_BITS | _DATA
+            for ds in per_use:
+                for d in ds:
+                    if d != ENTRY_DEF:
+                        out[b + d].append(code)
         for br, s in _control_pairs(f.m, f.reachable, f.succs):
             out[b + br].append((b + s) << _KIND_BITS | _CONTROL)
         rets = returns[mid] = []

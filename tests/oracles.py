@@ -100,6 +100,59 @@ def data_dep_pairs_by_paths(cls_name: str, m: MethodDef) -> set[tuple[Loc, Loc]]
     return pairs
 
 
+def _reaches_exit(succs: dict[int, tuple[int, ...]], i: int, deleted: Optional[int] = None) -> bool:
+    """Whether some CFG path leads from statement i to the exit without
+    passing through statement deleted."""
+    seen = {i}
+    work = [i]
+    while work:
+        for j in succs[work.pop()]:
+            if j == EXIT:
+                return True
+            if j != deleted and j not in seen:
+                seen.add(j)
+                work.append(j)
+    return False
+
+
+def exit_unreachable(m: MethodDef) -> set[int]:
+    """The statements of m from which no CFG path reaches the exit."""
+    succs = cfg_successors(m)
+    return {i for i in range(len(m.body)) if not _reaches_exit(succs, i)}
+
+
+def brute_control_pairs(m: MethodDef) -> set[tuple[int, int]]:
+    """(branch index, dependent index) of each control dependence in m, by
+    deletion: j postdominates i when i = j, or when i reaches the exit and
+    deleting j cuts i off from it. A statement that cannot reach the exit is
+    postdominated by itself alone. j depends on a branch b reachable from
+    the entry when j postdominates a successor of b and does not strictly
+    postdominate b (Ferrante, Ottenstein and Warren, TOPLAS 1987)."""
+    succs = cfg_successors(m)
+    n = len(m.body)
+
+    def pdom(i: int) -> set[int]:
+        if not _reaches_exit(succs, i):
+            return {i}
+        return {i} | {j for j in range(n) if j != i and not _reaches_exit(succs, i, deleted=j)}
+
+    reachable = {0} if n else set()
+    work = list(reachable)
+    while work:
+        for j in succs[work.pop()]:
+            if j != EXIT and j not in reachable:
+                reachable.add(j)
+                work.append(j)
+    pairs: set[tuple[int, int]] = set()
+    for b in reachable:
+        if isinstance(m.body[b], If):
+            strict = pdom(b) - {b}
+            for s in succs[b]:
+                if s != EXIT:
+                    pairs.update((b, j) for j in pdom(s) - strict)
+    return pairs
+
+
 def naive_closure(g: DepGraph, root: Loc) -> set[Loc]:
     """Forward transitive closure by chaotic iteration over the edge set."""
     if root not in g.locs:

@@ -8,7 +8,8 @@ PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
  3. forward slices equal brute-force closure on 500 random graphs
  4. parse/print round-trip on 1000 generated programs
  5. sources with no egress are first-class findings (fixture + property)
- 6. golden corpus: byte-identical report JSON for ten fixtures
+ 6. golden corpus: byte-identical report JSON and slice DOT files for every
+    fixture
  7. analyze is byte-deterministic across runs
  8. a 10,000-statement, 200-method program analyzes in under 10 s
 """
@@ -174,7 +175,8 @@ def test_criterion_5_collected_no_egress(corpus):
 
 def test_criterion_6_golden_corpus(tmp_path):
     fixtures = sorted(FIXTURES.glob("*.pir"))
-    assert len(fixtures) >= 10
+    assert len(fixtures) >= 11
+    n_dots = 0
     for pir in fixtures:
         out = tmp_path / pir.stem
         code = main(
@@ -193,7 +195,15 @@ def test_criterion_6_golden_corpus(tmp_path):
         got = (out / "report.json").read_bytes()
         want = (GOLDENS / f"{pir.stem}.report.json").read_bytes()
         assert got == want, f"golden drift for {pir.name}"
-    _passline(6, f"{len(fixtures)} fixture reports byte-identical to checked-in goldens")
+        dots = sorted(d.name for d in out.glob("slice_*.dot"))
+        goldens = sorted(g.name for g in GOLDENS.glob(f"{pir.stem}.slice_*.dot"))
+        assert [f"{pir.stem}.{d}" for d in dots] == goldens, f"slice files of {pir.name}"
+        for name in dots:
+            want = (GOLDENS / f"{pir.stem}.{name}").read_bytes()
+            assert (out / name).read_bytes() == want, f"DOT drift for {pir.name} {name}"
+        n_dots += len(dots)
+    _passline(6, f"{len(fixtures)} fixture reports and {n_dots} slice DOT files byte-identical "
+                 "to checked-in goldens")
 
 
 def test_criterion_7_analyze_determinism(tmp_path):

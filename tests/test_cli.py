@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gen import SANITIZER_SIGS, SINK_SIGS, SOURCE_SIGS, gen_program, registry_json
 from pdaudit.cli import _bundled, main
+from pdaudit.ir import AssignCall, Call, Goto, If, print_program
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REG = FIXTURES / "registries"
@@ -84,7 +87,7 @@ def test_json_errors_flag(tmp_path, capsys):
 def test_validate_clean_fixture(tmp_path, capsys):
     code = main(
         ["validate", str(FIXTURES / "b.pir")]
-        + registry_flags(tmp_path / "unused")[:8]  # registries only, no --dpv/--out
+        + registry_flags(tmp_path / "unused")[:10]  # registries and DPV map, no --out
     )
     assert code == 0
     assert capsys.readouterr().out == ""
@@ -513,6 +516,7 @@ def _with_slot(base, path, value_text: str) -> str:
 @example(slot=("config", ("risk", "no_egress_mult")), value=HUGE_INT, json_errors=True)
 @example(slot=("config", ("sources",)), value='"a\\u0000"', json_errors=False)
 @example(slot=("config", ("out",)), value='"a\\u0000"', json_errors=True)
+@example(slot=("config", ("dpv",)), value='"missing.json"', json_errors=False)
 def test_registry_and_config_input_is_total(slot, value, json_errors):
     """Any JSON value in any registry slot or config key: analyze and
     validate exit 0, 1 or 2 and never raise, and exit 2 writes a message
@@ -531,6 +535,81 @@ def test_registry_and_config_input_is_total(slot, value, json_errors):
                 Path(f"{name}.json").write_text(text, encoding="utf-8")
             Path("app.pir").write_text(pir, encoding="utf-8")
             flags = ["--config", "config.json"] + (["--json-errors"] if json_errors else [])
+            codes = {}
+            for command in ("analyze", "validate"):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = codes[command] = main([command, "app.pir", *flags])
+                assert code in (0, 1, 2), (command, code)
+                if code == 2:
+                    assert err.getvalue()
+                    if json_errors:
+                        assert "error" in json.loads(err.getvalue())
+            if slot != ("config", ("out",)):  # only analyze writes
+                assert (codes["analyze"] == 2) == (codes["validate"] == 2), codes
+        finally:
+            os.chdir(cwd)
+
+
+# ---------------------------------------------------------------------------
+# Totality on PIR input
+# ---------------------------------------------------------------------------
+
+_REGISTRY_CALLEES = sorted({*SOURCE_SIGS, *SINK_SIGS, *SANITIZER_SIGS})
+_GEN_DPV = {
+    "categories": {c: f"iri:{c}" for c in ("Location", "DeviceId", "Name", "EmailAddress",
+                                           "PhoneNumber")},
+    "sink_kinds": {k: f"iri:{k}" for k in ("ThirdParty", "Analytics", "Network", "Storage",
+                                           "Log")},
+    "collection": "iri:collect",
+    "pseudonymisation": "iri:pseudo",
+}
+
+
+def _mutate(p, rng, mutation):
+    """p with one mutation applied in place: a jump moved anywhere in its
+    body, a callee renamed to a registry source, sink or sanitizer, or a
+    class or method duplicated."""
+    cls = rng.choice(p.classes)
+    m = rng.choice(cls.methods)
+    if mutation == "jump":
+        jumps = [s for s in m.body if isinstance(s, (If, Goto))]
+        if jumps:
+            rng.choice(jumps).target = rng.randrange(len(m.body))
+    elif mutation == "callee":
+        calls = [s for s in m.body if isinstance(s, (AssignCall, Call))]
+        if calls:
+            rng.choice(calls).callee = rng.choice(_REGISTRY_CALLEES)
+    elif mutation == "class":
+        p.classes.append(copy.deepcopy(cls))
+    else:
+        cls.methods.append(copy.deepcopy(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.sampled_from(["jump", "callee"]), max_size=8),
+       duplicate=st.sampled_from([None, None, "class", "method"]),
+       json_errors=st.booleans())
+def test_pir_input_is_total(seed, edits, duplicate, json_errors):
+    """Generated programs with loops and recursion, mutated and printed:
+    analyze and validate exit 0, 1 or 2 and never raise, and exit 2 writes
+    a message (a JSON one under --json-errors). Half the programs hold no
+    duplicate, so that they reach the analysis."""
+    rng = random.Random(seed)
+    p = gen_program(rng, allow_loops=True, allow_recursion=True)
+    for mutation in edits + [duplicate] * (duplicate is not None):
+        _mutate(p, rng, mutation)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            registries = {**registry_json(), "dpv": _GEN_DPV}
+            for name, data in registries.items():
+                Path(f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+            Path("app.pir").write_text(print_program(p), encoding="utf-8")
+            flags = [arg for name in registries for arg in (f"--{name}", f"{name}.json")]
+            flags += ["--json-errors"] if json_errors else []
             for command in ("analyze", "validate"):
                 err = io.StringIO()
                 with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -584,6 +663,37 @@ def test_overflowing_risk_exits_2(tmp_path, capsys, lexicon, config, category, j
                    f"risk of category {category!r} is not a finite number",
                    file=FIXTURES / "b.pir")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_unreadable_dpv_map_in_config_exits_2(tmp_path, capsys, monkeypatch, command,
+                                              json_errors):
+    monkeypatch.chdir(tmp_path)
+    Path("d.json").write_text('{"dpv": "missing.json"}', encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = main([command, str(FIXTURES / "b.pir"), "--config", "d.json", *flags])
+    _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
+                   "missing.json: cannot read", file=FIXTURES / "b.pir")
+    assert not Path("pdaudit-out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_dpv_map_must_cover_custom_sources(tmp_path, capsys, command):
+    sources = tmp_path / "sources.json"
+    sources.write_text('{"entries": {"ext.Sys.birthday": "BirthDate"}}', encoding="utf-8")
+    dpv = json.loads((REG / "dpv.json").read_text(encoding="utf-8"))
+    flags = [*registry_flags(tmp_path / "out"), "--sources", str(sources)]
+    if command == "validate":
+        flags = flags[:-4] + flags[-2:]  # no --out
+    code = main([command, str(FIXTURES / "b.pir"), *flags])
+    _assert_exit_2(code, capsys, False, "MissingMappingError",
+                   "DPV map lacks entries for: category BirthDate")
+
+    dpv["categories"]["BirthDate"] = "https://w3id.org/dpv/pd#Birthdate"
+    (tmp_path / "dpv.json").write_text(json.dumps(dpv), encoding="utf-8")
+    code = main([command, str(FIXTURES / "b.pir"), *flags, "--dpv", str(tmp_path / "dpv.json")])
+    assert code == 0
 
 
 def test_large_finite_risk_is_written(tmp_path):

@@ -3,22 +3,26 @@ from pathlib import Path
 
 from conftest import FIXTURE_A, FIXTURE_B
 from gen import gen_program
-from oracles import data_dep_pairs_by_paths
+from oracles import brute_control_pairs, data_dep_pairs_by_paths, exit_unreachable
 from pdaudit.graph import (
     DepEdge,
     EdgeKind,
     MethodId,
-    Opaque,
+    _control_pairs,
     _MethodFacts,
     build_call_graph,
     build_pdg,
+    cfg_successors,
     method_facts,
+    reachable_indices,
 )
 from pdaudit.ir import (
+    AssignCall,
     AssignConst,
     AssignCopy,
     Call,
     ClassDef,
+    Goto,
     If,
     Loc,
     MethodDef,
@@ -52,7 +56,7 @@ def test_unresolved_call_goes_opaque():
     p = parse_program(FIXTURE_A)
     cg = build_call_graph(p)
     site = loc("com.app.Main", "onCreate/0", 1)
-    assert cg.edges[site] == (Opaque("com.analytics.Tracker.log"),)
+    assert site not in cg.edges
     assert cg.resolved(site) == ()
 
 
@@ -107,7 +111,7 @@ class Main extends java.lang.Object {
 }
 """
     cg = build_call_graph(parse_program(src))
-    assert cg.edges[loc("Main", "go/0", 0)] == (Opaque("A.f"),)
+    assert cg.edges == {}
 
 
 def test_no_calls_no_edges():
@@ -233,6 +237,68 @@ class C extends D {
     assert method_pairs(parse_program(src), EdgeKind.CONTROL) == {(0, 1), (0, 2)}
 
 
+def test_control_deps_branch_into_self_loop():
+    # 3 cannot reach the exit, so it is postdominated by itself alone and 1,
+    # 2 postdominate the branch: only the branch's edge into 3 is a dependence
+    src = """\
+class C extends D {
+  method void f(p0) {
+    0: if p0 goto 3
+    1: $a = "x"
+    2: return
+    3: goto 3
+  }
+}
+"""
+    assert method_pairs(parse_program(src), EdgeKind.CONTROL) == {(0, 3)}
+
+
+def _random_jump_body(rng):
+    """1-12 statements: branches and gotos in every direction (self loops
+    included), returns and plain statements."""
+    n = rng.randint(1, 12)
+    body = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.3:
+            body.append(If("$a", rng.randrange(n)))
+        elif roll < 0.45:
+            body.append(Goto(rng.randrange(n)))
+        elif roll < 0.6:
+            body.append(Return(None))
+        else:
+            body.append(AssignConst("$a", "k"))
+    return MethodDef("f", "void", (), body)
+
+
+def test_control_pairs_match_deletion_oracle_on_random_bodies():
+    rng = random.Random(9187)
+    stuck = 0
+    for _ in range(5000):
+        m = _random_jump_body(rng)
+        succs = cfg_successors(m)
+        got = set(_control_pairs(m, reachable_indices(m, succs), succs))
+        assert got == brute_control_pairs(m), m.body
+        stuck += bool(exit_unreachable(m))
+    assert stuck >= 1000  # the cannot-reach-exit convention is exercised
+
+
+def test_control_edges_match_deletion_oracle_on_loop_programs():
+    rng = random.Random(9188)
+    pairs = 0
+    for _ in range(200):
+        p = gen_program(rng, max_branches=4, allow_loops=True, allow_recursion=True)
+        g = build_pdg(p, build_call_graph(p))
+        got = {(e.src, e.dst) for e in g.edges if e.kind is EdgeKind.CONTROL}
+        want = set()
+        for cls, m in p.iter_methods():
+            want |= {(loc(cls.name, m.key, b), loc(cls.name, m.key, j))
+                     for b, j in brute_control_pairs(m)}
+        assert got == want
+        pairs += len(want)
+    assert pairs >= 200
+
+
 # ---------------------------------------------------------------------------
 # Whole-program graph
 # ---------------------------------------------------------------------------
@@ -341,10 +407,14 @@ def test_resolved_targets_are_the_method_targets():
     for _ in range(60):
         p = gen_program(rng, allow_recursion=True)
         cg = build_call_graph(p)
-        for site, _ in p.iter_locs():
-            expected = tuple(t for t in cg.edges.get(site, ()) if isinstance(t, MethodId))
-            assert cg.resolved(site) == expected
-            assert cg.resolved(site) is cg.resolved(site)  # stored, not rebuilt
+        calls = {site for site, s in p.iter_locs() if isinstance(s, (AssignCall, Call))}
+        assert set(cg.edges) <= calls and all(cg.edges.values())  # opaque sites: no entry
+        for site in calls:
+            targets = cg.resolved(site)
+            assert targets == cg.edges.get(site, ())
+            assert targets is cg.resolved(site)  # stored, not rebuilt
+            assert all(isinstance(t, MethodId) for t in targets)
+            assert list(targets) == sorted(set(targets))
 
 
 def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
