@@ -36,9 +36,13 @@ the other end's id with a kind code, in both directions; the codes follow
 the order of the kind.value strings, so a sorted list is in (src Loc, dst
 Loc, kind.value) order. A field cell is stored once, as its sorted reachable
 store ids and load ids: its stores x loads Data edges are never stored,
-which keeps the graph linear in the program. Slicing, witness search and
-DOT output walk ids and expand each cell at most once per traversal.
-DepEdge objects, cell pairs included, are built only by the edges view.
+which keeps the graph linear in the program. Slicing and witness search
+walk ids and expand each cell at most once per traversal. DOT output never
+expands a cell: cell_edges numbers cell c as node len(locs) + c and gives
+its store -> cell and cell -> load Data edges, the summary-node reading of
+system dependence graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a
+slice's DOT file stays linear in the slice. DepEdge objects, cell pairs
+included, are built only by the edges view.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
@@ -112,8 +116,9 @@ class DepGraph:
     and _inn[i] gets the reverse, src << _KIND_BITS | code.
     cells[c] is one field cell, as (store ids, load ids) in id order; the
     store -> load Data edges it implies are not stored and must not repeat
-    an explicit edge. reach, induced, data_in and data_out walk ids; edges
-    builds the DepEdge objects, cell pairs included, on first use."""
+    an explicit edge. reach, induced, cell_edges, data_in and data_out walk
+    ids; edges builds the DepEdge objects, cell pairs included, on first
+    use."""
 
     def __init__(
         self,
@@ -174,20 +179,55 @@ class DepGraph:
 
     def induced(self, ids) -> Iterator[tuple[int, int, int]]:
         """(src id, dst id, kind code) of every edge between nodes of ids,
-        which must be in id order; cell pairs included, in (src Loc, dst
-        Loc, kind.value) order. KINDS[code] is the EdgeKind."""
-        out, cells, store_cell = self._out, self.cells, self._store_cell
+        which must be in id order, cell pairs included: cell_edges with
+        each cell expanded. KINDS[code] is the EdgeKind."""
+        n = len(self.locs)
+        stores: dict[int, list[int]] = {}  # cell node -> its stores in ids
+        for i, j, k in self.cell_edges(ids)[1]:
+            if j >= n:
+                stores.setdefault(j, []).append(i)
+            elif i >= n:
+                yield from ((s, j, k) for s in stores[i])
+            else:
+                yield i, j, k
+
+    def cell_edges(self, ids) -> tuple[list[int], Iterator[tuple[int, int, int]]]:
+        """The edges between nodes of ids, which must be in id order, with
+        each field cell kept as a node of its own, id len(locs) + c for
+        cell c, instead of expanded into its store -> load pairs.
+
+        Returns (cells, edges). cells lists the cells with a store and a
+        load in ids, in the order of their first store; cell_field(c) names
+        cell c. edges yields (src id, dst id, kind code): per i of ids, its
+        explicit edges into ids in (dst Loc, kind.value) order, then its
+        Data edge to its cell; then per cell, its Data edges to its loads
+        in ids, in id order."""
+        out, store_cell, n = self._out, self._store_cell, len(self.locs)
         inside = set(ids)
-        cell_codes: dict[int, list[int]] = {}  # cell -> its loads inside, packed
-        for i in ids:
-            codes = [x for x in out[i] if x >> _KIND_BITS in inside]
-            c = store_cell.get(i)
-            if c is not None:
-                if c not in cell_codes:
-                    cell_codes[c] = [l << _KIND_BITS | _DATA for l in cells[c][1] if l in inside]
-                codes = sorted(codes + cell_codes[c]) if codes else cell_codes[c]
-            for x in codes:
-                yield i, x >> _KIND_BITS, x & _KIND_MASK
+        stored = dict.fromkeys(map(store_cell.get, ids))  # cells, in first-store order
+        stored.pop(None, None)
+        loads = {c: [l for l in self.cells[c][1] if l in inside] for c in stored}
+        cells = [c for c, ls in loads.items() if ls]
+
+        def edges() -> Iterator[tuple[int, int, int]]:
+            for i in ids:
+                for x in out[i]:
+                    j = x >> _KIND_BITS
+                    if j in inside:
+                        yield i, j, x & _KIND_MASK
+                c = store_cell.get(i)
+                if c is not None and loads[c]:
+                    yield i, n + c, _DATA
+            for c in cells:
+                for l in loads[c]:
+                    yield n + c, l, _DATA
+
+        return cells, edges()
+
+    def cell_field(self, c: int) -> tuple[str, str]:
+        """The (class, field) of cell c."""
+        s = self.stmts[self.cells[c][0][0]]
+        return s.cls, s.fld
 
     def data_in(self, w: int, via_ret: bool, expanded: set[int]) -> list[int]:
         """Source ids of the data-carrying edges into w: the ReturnOut ones

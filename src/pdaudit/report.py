@@ -425,10 +425,21 @@ def render_dot(
     statement), sink (registry match), sanitizer, normal; precedence in
     that order when one statement qualifies twice.
 
+    Each (class, field) cell with a store and a load in the slice is one
+    node, ``"<class>.<field>"`` with shape=cylinder and kind="field", with a
+    Data edge from each of its stores and to each of its loads; the
+    store -> load pairs it stands for are not written. A statement's DOT id
+    always holds a ":", so no cell id equals one. Lines come in this order:
+    statement nodes in id (= Loc) order; cell nodes in the order of their
+    first store; per statement, its explicit edges in (dst Loc, kind)
+    order, then its edge to its cell; per cell, its edges to its loads, in
+    id order.
+
     Statements are read from s.graph; p is not read, and stays only because
     the traced benchmark (bench/layers.py) pins this signature."""
-    label_ids = _label_ids(s.graph, labels)
-    locs, stmts = s.graph.locs, s.graph.stmts
+    g = s.graph
+    label_ids = _label_ids(g, labels)
+    locs, stmts = g.locs, g.stmts
 
     def node_kind(i: int) -> str:
         if i in label_ids:
@@ -447,12 +458,17 @@ def render_dot(
         return f"{loc.cls}.{short_method}:{loc.index}: {print_stmt(stmts[i])}"
 
     lines = [f'digraph "slice_{s.root.id}" {{', "  node [shape=box];"]
-    quoted: dict[int, str] = {}  # node id -> its quoted DOT id
+    quoted: dict[int, str] = {}  # node or cell id -> its quoted DOT id
     for i in s.ids:
         loc = locs[i]
         q = quoted[i] = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
         lines.append(f'  {q} [label="{_dot_escape(node_label(i))}", kind="{node_kind(i)}"];')
-    for i, j, k in s.graph.induced(s.ids):
+    cells, edges = g.cell_edges(s.ids)
+    for c in cells:
+        name = _dot_escape(".".join(g.cell_field(c)))
+        quoted[len(locs) + c] = q = f'"{name}"'
+        lines.append(f'  {q} [label="{name}", shape=cylinder, kind="field"];')
+    for i, j, k in edges:
         lines.append(f'  {quoted[i]} -> {quoted[j]} [label="{_KIND_VALUES[k]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

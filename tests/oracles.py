@@ -62,6 +62,35 @@ def explicit_graph(stmts: dict[Loc, Optional[Stmt]], edges: frozenset[DepEdge]) 
     return g
 
 
+_DOT_QSTR = r'"(?:[^"\\]|\\.)*"'
+_DOT_CELL_NODE = re.compile(rf'  ({_DOT_QSTR}) \[label={_DOT_QSTR}, shape=cylinder, kind="field"\];')
+_DOT_EDGE = re.compile(rf'  ({_DOT_QSTR}) -> ({_DOT_QSTR}) \[label="(\w+)"\];')
+
+
+def expand_cell_nodes(dot: str) -> str:
+    """dot with every field-cell node (shape=cylinder, kind="field")
+    replaced by the store -> load Data edges it stands for. The cell's node
+    line and its cell -> load edges go; each store -> cell edge becomes one
+    store -> load edge per cell -> load edge, in their order, written where
+    the store -> cell edge stood. Every other line stays as it is."""
+    lines = dot.splitlines()
+    cells = {m[1] for ln in lines if (m := _DOT_CELL_NODE.fullmatch(ln))}
+    edges = [_DOT_EDGE.fullmatch(ln) for ln in lines]
+    touching = [m for m in edges if m and (m[1] in cells or m[2] in cells)]
+    assert all(m[3] == "Data" and not (m[1] in cells and m[2] in cells) for m in touching)
+    loads = {c: [m[2] for m in touching if m[1] == c] for c in cells}
+    out = []
+    for ln, m in zip(lines, edges):
+        if m is None:
+            if not _DOT_CELL_NODE.fullmatch(ln):
+                out.append(ln)
+        elif m[2] in cells:
+            out += [f'  {m[1]} -> {load} [label="Data"];' for load in loads[m[2]]]
+        elif m[1] not in cells:
+            out.append(ln)
+    return "\n".join(out) + "\n"
+
+
 def enumerate_cfg_paths(m: MethodDef, limit: int = 200000) -> list[list[int]]:
     """All entry-to-exit paths of a loop-free method body."""
     if not m.body:

@@ -42,6 +42,7 @@ from pdaudit.taint import (
     propagate,
     unsunk_labels,
 )
+from regen_goldens import analyze_args
 from test_taint import GEN_LEXICON, GEN_SANITIZERS, GEN_SINKS, GEN_SOURCES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -177,20 +178,10 @@ def test_criterion_6_golden_corpus(tmp_path):
     fixtures = sorted(FIXTURES.glob("*.pir"))
     assert len(fixtures) >= 11
     n_dots = 0
+    written = []  # every golden name the fixtures account for
     for pir in fixtures:
         out = tmp_path / pir.stem
-        code = main(
-            [
-                "analyze", str(pir),
-                "--sources", str(REG / "sources.json"),
-                "--sinks", str(REG / "sinks.json"),
-                "--sanitizers", str(REG / "sanitizers.json"),
-                "--lexicon", str(REG / "lexicon.json"),
-                "--dpv", str(REG / "dpv.json"),
-                "--out", str(out),
-                "--fail-threshold", "1000000",
-            ]
-        )
+        code = main(analyze_args(pir, out))
         assert code == 0, pir.name
         got = (out / "report.json").read_bytes()
         want = (GOLDENS / f"{pir.stem}.report.json").read_bytes()
@@ -202,6 +193,8 @@ def test_criterion_6_golden_corpus(tmp_path):
             want = (GOLDENS / f"{pir.stem}.{name}").read_bytes()
             assert (out / name).read_bytes() == want, f"DOT drift for {pir.name} {name}"
         n_dots += len(dots)
+        written += [f"{pir.stem}.report.json", *goldens]
+    assert sorted(g.name for g in GOLDENS.iterdir()) == sorted(written), "golden with no fixture"
     _passline(6, f"{len(fixtures)} fixture reports and {n_dots} slice DOT files byte-identical "
                  "to checked-in goldens")
 

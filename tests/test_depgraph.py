@@ -3,16 +3,18 @@
 build_pdg keeps each field cell as one (stores, loads) pair and never
 stores the store -> load edges it implies. oracles.explicit_graph rebuilt
 from the materialized edge set has no cells, every edge explicit, so the
-two must agree on the edge set and on every output built from the graph,
-and the DOT edge lines must come in (src Loc, dst Loc, kind) order.
+two must agree on the edge set and on flows and slices. Their DOT files
+differ only in the cell nodes: oracles.expand_cell_nodes turns the cell
+graph's DOT into the explicit graph's, whose edge lines come in (src Loc,
+dst Loc, kind) order.
 """
 
 import json
 import random
 
 from gen import gen_perf_program, gen_program, registry_json
-from oracles import explicit_graph
-from pdaudit.graph import DepEdge, build_call_graph, build_pdg
+from oracles import expand_cell_nodes, explicit_graph
+from pdaudit.graph import KINDS, DepEdge, EdgeKind, build_call_graph, build_pdg
 from pdaudit.ir import AssignFieldLoad, FieldStore, parse_program
 from pdaudit.report import render_dot
 from pdaudit.slicer import forward_slice
@@ -26,6 +28,14 @@ def _dot_id(loc):
 
 def _is_field_pair(stmt_at, src, dst):
     return isinstance(stmt_at[src], FieldStore) and isinstance(stmt_at[dst], AssignFieldLoad)
+
+
+def _statement_node_lines(dot):
+    return [ln for ln in dot.splitlines() if 'kind="' in ln and 'kind="field"' not in ln]
+
+
+def _edge_lines(dot):
+    return [ln for ln in dot.splitlines() if " -> " in ln and 'kind="' not in ln]
 
 
 def test_cell_graph_matches_explicit_edge_graph():
@@ -60,15 +70,47 @@ def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:
         s, t = forward_slice(g, label), forward_slice(h, label)
         assert s.nodes == t.nodes and s.edges == t.edges
         dot = render_dot(s, p, labels, GEN_SINKS, GEN_SANITIZERS)
-        assert dot == render_dot(t, p, labels, GEN_SINKS, GEN_SANITIZERS)
-        assert [ln for ln in dot.splitlines() if " -> " in ln and 'kind="' not in ln] == [
+        explicit = render_dot(t, p, labels, GEN_SINKS, GEN_SANITIZERS)
+        assert _statement_node_lines(dot) == _statement_node_lines(explicit)
+        edge_lines = _edge_lines(dot)
+        assert len(set(edge_lines)) == len(edge_lines), "an edge line repeats"
+        expanded = _edge_lines(expand_cell_nodes(dot))
+        assert _edge_lines(explicit) == [
             f'  "{_dot_id(e.src)}" -> "{_dot_id(e.dst)}" [label="{e.kind.value}"];'
             for e in sorted(s.edges, key=lambda e: (e.src, e.dst, e.kind.value))
         ]
+        assert set(expanded) == set(_edge_lines(explicit)) and len(expanded) == len(s.edges)
+        assert expand_cell_nodes(dot) == explicit
     return True, sum(
         any(_is_field_pair(stmt_at, a, b) for a, b in zip(f.witness, f.witness[1:]))
         for f in flows
     )
+
+
+def test_cell_edges_expand_to_the_edges_between_any_id_set():
+    """cell_edges on any set of ids, not only a slice closed under edges:
+    each cell listed has a store and a load there, cells come in the order
+    of their first store, and expanding them gives the graph's edges
+    between those ids."""
+    rng = random.Random(3232)
+    for _ in range(40):
+        p = gen_perf_program(rng, n_methods=8, stmts_each=30)
+        g = build_pdg(p, build_call_graph(p))
+        n = len(g.locs)
+        ids = sorted(rng.sample(range(n), rng.randrange(n + 1)))
+        cells, edges = g.cell_edges(ids)
+        edges = list(edges)
+        loads = {c: [j for i, j, _ in edges if i == n + c] for c in cells}
+        stores = {c: [i for i, j, _ in edges if j == n + c] for c in cells}
+        assert all(loads[c] and stores[c] for c in cells)
+        cell_of = {s: c for c, (ss, _) in enumerate(g.cells) for s in ss}
+        assert [c for c in dict.fromkeys(cell_of.get(i) for i in ids) if c in cells] == cells
+        expanded = [(i, j, k) for i, j, k in edges if i < n and j < n] + [
+            (s, l, KINDS.index(EdgeKind.DATA)) for c in cells for s in stores[c] for l in loads[c]
+        ]
+        inside = set(ids)
+        between = [(g.id_of(e.src), g.id_of(e.dst), KINDS.index(e.kind)) for e in g.edges]
+        assert sorted(expanded) == sorted(e for e in between if e[0] in inside and e[1] in inside)
 
 
 def _one_cell_program(n_methods: int = 30, pairs_each: int = 10) -> str:
@@ -116,8 +158,16 @@ def test_no_store_load_pair_materialized_in_an_analysis(tmp_path, monkeypatch):
     assert field_pairs == 300 * 300
     assert len(artifacts.report.findings) > 0
     # the source's slice holds every load and all stores but those of the
-    # 29 constants: its DOT file writes 271 x 300 store -> load lines
-    assert sum(d.count('[label="Data"]') for d in artifacts.dots.values()) > 271 * 300
+    # 29 constants; its DOT file draws the cell as one node, with one Data
+    # line per store and per load, and writes no store -> load line
+    stores = {_dot_id(loc) for loc, st in stmt_at.items() if isinstance(st, FieldStore)}
+    loads = {_dot_id(loc) for loc, st in stmt_at.items() if isinstance(st, AssignFieldLoad)}
+    data_lines = [ln for d in artifacts.dots.values() for ln in _edge_lines(d)
+                  if ln.endswith('[label="Data"];')]
+    assert len(data_lines) <= 3 * (len(stores) + len(loads)), len(data_lines)
+    for ln in data_lines:
+        src, dst = ln.split('" -> "')
+        assert not (src[3:] in stores and dst.split('" [')[0] in loads), ln
     assert len(built) < non_field, (len(built), non_field)
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,8 @@ def test_data_safety_matches_draft_function():
 _QSTR = r'"(?:[^"\\]|\\.)*"'
 _NODE_RE = re.compile(rf'  {_QSTR} \[label={_QSTR}, kind="(source|sink|sanitizer|normal)"\];')
 _EDGE_RE = re.compile(rf'  {_QSTR} -> {_QSTR} \[label="(Data|Control|Call|ParamIn|ReturnOut)"\];')
+# a field cell: the same "<class>.<field>" text as its id and its label
+_CELL_RE = re.compile(r'  "([^"\\:]+)" \[label="\1", shape=cylinder, kind="field"\];')
 
 
 def assert_valid_dot(text):
@@ -229,7 +232,15 @@ def assert_valid_dot(text):
     for ln in lines[1:-1]:
         assert (
             ln == "  node [shape=box];" or _NODE_RE.fullmatch(ln) or _EDGE_RE.fullmatch(ln)
+            or _CELL_RE.fullmatch(ln)
         ), ln
+
+
+def test_every_golden_dot_is_valid():
+    goldens = sorted((Path(__file__).parent / "goldens").glob("*.dot"))
+    assert goldens
+    for path in goldens:
+        assert_valid_dot(path.read_text(encoding="utf-8"))
 
 
 def test_dot_singleton_slice():
@@ -283,6 +294,21 @@ def test_dot_source_kinds_follow_the_labels_passed():
     ]
     assert render_dot(s, p, every, sinks, sanitizers).count('kind="source"') == len(s.ids)
     assert render_dot(s, p, labels, sinks, sanitizers).count('kind="source"') == 1
+
+
+def test_dot_fields_fixture_draws_each_stored_and_loaded_cell_once():
+    text = (Path(__file__).parent / "fixtures" / "fields.pir").read_text(encoding="utf-8")
+    p, labels, g, slices, *_, sinks, sanitizers = pipeline(text)
+    dot = render_dot(slices[0], p, labels, sinks, sanitizers)
+    assert_valid_dot(dot)
+    # cells in the order of their first store; Profile.cache is loaded in
+    # the slice but stored only outside it, Profile.note is never loaded
+    assert [m[1] for m in _CELL_RE.finditer(dot)] == ["com.app.Profile.last",
+                                                       "com.app.Profile.home"]
+    assert dot.count('-> "com.app.Profile.home"') == 2
+    assert dot.count('"com.app.Profile.home" -> ') == 2
+    edges = [ln for ln in dot.splitlines() if " -> " in ln]
+    assert len(edges) == len(set(edges))
 
 
 def test_dot_byte_stable():
