@@ -1,4 +1,5 @@
-"""Rewrite tests/goldens/ from tests/fixtures/*.pir.
+"""Rewrite tests/goldens/ from tests/fixtures/*.pir, and the pinned digest
+of the criterion-8 run.
 
     PYTHONPATH=src python tests/regen_goldens.py
 
@@ -9,10 +10,17 @@ reaches. Writes each fixture's report.json and slice DOT files as
 <stem>.report.json and <stem>.slice_<id>.dot, after deleting every golden
 so that none is left stale. `git diff tests/goldens` then shows what an
 output change did.
+
+Then runs the 10,000-statement analysis of criterion 8 (perf_inputs) and
+writes output_digest of its output directory to PERF_DIGEST, which
+test_criterion_8_desk_scale_performance compares with its own run.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 import shutil
 import sys
 import tempfile
@@ -22,6 +30,17 @@ TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS / "fixtures"
 GOLDENS = TESTS / "goldens"
 REG = FIXTURES / "registries"
+PERF_DIGEST = TESTS / "criterion_8.sha256"
+PERF_SEED = 94304  # acceptance CORPUS_SEED + 3
+
+PERF_DPV = {
+    "categories": {"Location": "iri:l", "DeviceId": "iri:d", "Name": "iri:n",
+                   "EmailAddress": "iri:e", "PhoneNumber": "iri:p"},
+    "sink_kinds": {"ThirdParty": "iri:tp", "Analytics": "iri:an",
+                   "Network": "iri:nw", "Storage": "iri:st", "Log": "iri:lg"},
+    "collection": "iri:collect",
+    "pseudonymisation": "iri:pseudo",
+}
 
 
 def analyze_args(pir: Path, out: Path) -> list[str]:
@@ -35,6 +54,37 @@ def analyze_args(pir: Path, out: Path) -> list[str]:
         "--out", str(out),
         "--fail-threshold", "1000000",
     ]
+
+
+def perf_inputs(tmp: Path):
+    """Write the criterion-8 program, gen_perf_program(Random(PERF_SEED))
+    (10,000 statements in 200 methods), and its registries into tmp.
+    Returns (program, analyze argv writing to tmp / "out")."""
+    from gen import gen_perf_program, registry_json
+    from pdaudit.ir import print_program
+
+    program = gen_perf_program(random.Random(PERF_SEED))
+    pir_path = tmp / "perf.pir"
+    pir_path.write_text(print_program(program), encoding="utf-8")
+    flags = []
+    for name, data in [*registry_json().items(), ("dpv", PERF_DPV)]:
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        flags += [f"--{name}", str(path)]
+    argv = ["analyze", str(pir_path), *flags, "--out", str(tmp / "out"),
+            "--fail-threshold", "1000000"]
+    return program, argv
+
+
+def output_digest(out: Path) -> str:
+    """SHA-256 over every file of an analyze output directory (report.json
+    and the slice DOT files), in name order: each file's name, a NUL, its
+    bytes, a NUL."""
+    h = hashlib.sha256()
+    for f in sorted(out.iterdir(), key=lambda f: f.name):
+        h.update(f.name.encode("utf-8") + b"\0")
+        h.update(f.read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 def main() -> int:
@@ -51,6 +101,13 @@ def main() -> int:
                 return 1
             for f in sorted(out.iterdir()):
                 shutil.copyfile(f, GOLDENS / f"{pir.stem}.{f.name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        _, argv = perf_inputs(Path(tmp))
+        code = pdaudit(argv)
+        if code != 0:
+            print(f"criterion-8 program: analyze exited {code}", file=sys.stderr)
+            return 1
+        PERF_DIGEST.write_text(output_digest(Path(tmp) / "out") + "\n", encoding="utf-8")
     return 0
 
 

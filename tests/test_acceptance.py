@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
-from gen import gen_program, gen_roundtrip_program, registry_json
+from gen import gen_program, gen_roundtrip_program
 from oracles import (
     all_paths_taint,
     expected_all_paths_pseudonymized,
@@ -42,7 +42,7 @@ from pdaudit.taint import (
     propagate,
     unsunk_labels,
 )
-from regen_goldens import analyze_args
+from regen_goldens import PERF_DIGEST, analyze_args, output_digest, perf_inputs
 from test_taint import GEN_LEXICON, GEN_SANITIZERS, GEN_SINKS, GEN_SOURCES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -226,48 +226,20 @@ def test_criterion_7_analyze_determinism(tmp_path):
 
 
 def test_criterion_8_desk_scale_performance(tmp_path):
-    from gen import gen_perf_program
-
-    program = gen_perf_program(random.Random(CORPUS_SEED + 3))
+    program, argv = perf_inputs(tmp_path)
     n_stmts = sum(len(m.body) for _, m in program.iter_methods())
     n_methods = sum(1 for _ in program.iter_methods())
     assert n_stmts == 10000 and n_methods == 200
 
-    pir_path = tmp_path / "perf.pir"
-    pir_path.write_text(print_program(program), encoding="utf-8")
-    regs = registry_json()
-    reg_paths = {}
-    for name, data in regs.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        reg_paths[name] = path
-    dpv = {
-        "categories": {"Location": "iri:l", "DeviceId": "iri:d", "Name": "iri:n",
-                       "EmailAddress": "iri:e", "PhoneNumber": "iri:p"},
-        "sink_kinds": {"ThirdParty": "iri:tp", "Analytics": "iri:an",
-                       "Network": "iri:nw", "Storage": "iri:st", "Log": "iri:lg"},
-        "collection": "iri:collect",
-        "pseudonymisation": "iri:pseudo",
-    }
-    dpv_path = tmp_path / "dpv.json"
-    dpv_path.write_text(json.dumps(dpv), encoding="utf-8")
-
     start = time.monotonic()
-    code = main(
-        [
-            "analyze", str(pir_path),
-            "--sources", str(reg_paths["sources"]),
-            "--sinks", str(reg_paths["sinks"]),
-            "--sanitizers", str(reg_paths["sanitizers"]),
-            "--lexicon", str(reg_paths["lexicon"]),
-            "--dpv", str(dpv_path),
-            "--out", str(tmp_path / "out"),
-            "--fail-threshold", "1000000",
-        ]
-    )
+    code = main(argv)
     elapsed = time.monotonic() - start
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert report["findings"], "perf program should produce findings"
     assert elapsed < 10.0, f"analyze took {elapsed:.2f}s"
+    # report.json and every DOT file, byte for byte: tests/regen_goldens.py
+    # rewrites the pinned value
+    want = PERF_DIGEST.read_text(encoding="utf-8").strip()
+    assert output_digest(tmp_path / "out") == want, "criterion-8 outputs drifted"
     _passline(8, f"10,000-statement / 200-method analyze in {elapsed:.2f}s")
