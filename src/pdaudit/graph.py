@@ -48,7 +48,8 @@ Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
 its superclasses plus every override in program subclasses of C. Anything
 else is an opaque external callee, and its call site has no call-graph
-entry.
+entry. A cyclic class hierarchy, which validate reports as an error, is
+walked as far as each class's first repeat.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .ir import (
     stmt_defs,
     stmt_uses,
 )
+from .registry import SinkMatch, SinkRegistry
 
 EXIT = -1  # synthetic exit index in per-method CFGs
 ENTRY_DEF = -1  # definition site of parameters in reaching-definition sets
@@ -118,7 +120,7 @@ class DepGraph:
     store -> load Data edges it implies are not stored and must not repeat
     an explicit edge. reach, induced, cell_edges, data_in and data_out walk
     ids; edges builds the DepEdge objects, cell pairs included, on first
-    use."""
+    use, and sink_table the sink statements of a registry."""
 
     def __init__(
         self,
@@ -142,6 +144,7 @@ class DepGraph:
         self._load_cell = {l: c for c, (_, loads) in enumerate(cells) for l in loads}
         self._index = {loc: i for i, loc in enumerate(self.locs)}
         self._edges: Optional[frozenset[DepEdge]] = None
+        self._sinks: Optional[tuple[tuple[dict, dict], dict[int, SinkMatch]]] = None
 
     @property
     def edges(self) -> frozenset[DepEdge]:
@@ -151,6 +154,26 @@ class DepGraph:
                 DepEdge(locs[i], locs[j], KINDS[k]) for i, j, k in self.induced(range(len(locs)))
             )
         return self._edges
+
+    def sink_table(self, sinks: SinkRegistry) -> dict[int, SinkMatch]:
+        """{node id: SinkMatch} of every call statement whose callee sinks
+        matches, in id order. Flows, slice statistics and DOT output of one
+        analysis all ask with the same registry, so the table is built once,
+        matching each callee once, and kept on the graph; asking with a
+        registry of other entries rebuilds it."""
+        memo = self._sinks
+        if memo is None or memo[0] != (sinks.exact, sinks.prefixes):
+            matched: dict[str, Optional[SinkMatch]] = {}
+            table: dict[int, SinkMatch] = {}
+            for i, s in enumerate(self.stmts):
+                if isinstance(s, (AssignCall, Call)):
+                    if s.callee not in matched:
+                        matched[s.callee] = sinks.match(s.callee)
+                    m = matched[s.callee]
+                    if m is not None:
+                        table[i] = m
+            memo = self._sinks = ((dict(sinks.exact), dict(sinks.prefixes)), table)
+        return memo[1]
 
     def id_of(self, loc: Loc) -> Optional[int]:
         return self._index.get(loc)
@@ -347,11 +370,14 @@ def build_call_graph(p: Program) -> CallGraph:
 
     def subclasses(cls_name: str) -> list[str]:
         out: list[str] = []
+        seen = {cls_name}
         work = deque(children.get(cls_name, ()))
         while work:
             c = work.popleft()
-            out.append(c)
-            work.extend(children.get(c, ()))
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+                work.extend(children.get(c, ()))
         return out
 
     def resolve(callee: str, arity: int) -> tuple[MethodId, ...]:
@@ -360,11 +386,13 @@ def build_call_graph(p: Program) -> CallGraph:
             return ()
         key = f"{name}/{arity}"
         targets: set[MethodId] = set()
-        c: Optional[str] = owner
-        while c is not None and c in classes:
+        c = owner
+        seen: set[str] = set()
+        while c in classes and c not in seen:
             if (c, key) in defined:
                 targets.add(defined[(c, key)])
                 break
+            seen.add(c)
             c = classes[c].superclass
         for sub in subclasses(owner):
             if (sub, key) in defined:

@@ -635,14 +635,40 @@ class Diagnostic:
         return f"{self.severity.value}: {where}: {self.message}"
 
 
+def _superclass_cycles(p: Program) -> list[list[str]]:
+    """Each cycle of the superclass relation among p's classes, as its
+    class names in extends order from the smallest name."""
+    supers = {c.name: c.superclass for c in p.classes}
+    done: set[str] = set()
+    cycles = []
+    for name in sorted(supers):
+        path: dict[str, int] = {}  # class -> its position on this walk
+        c = name
+        while c in supers and c not in done and c not in path:
+            path[c] = len(path)
+            c = supers[c]
+        if c in path:
+            cycle = list(path)[path[c]:]
+            k = cycle.index(min(cycle))
+            cycles.append(cycle[k:] + cycle[:k])
+        done.update(path)
+    return cycles
+
+
 def validate(p: Program) -> list[Diagnostic]:
     """Structural checks beyond the grammar.
 
-    Errors: duplicate (name, arity) methods, duplicate field names.
+    Errors: duplicate (name, arity) methods, duplicate field names, and
+    each cycle of program classes that extend one another (JLS 8.1.4: a
+    class may not be its own superclass), reported once against the
+    cycle's first class by name.
     Warnings: a read of a local that is neither a parameter nor assigned
     anywhere in the method. Output is sorted by (class, method, index).
     """
     diags: list[Diagnostic] = []
+    for cycle in _superclass_cycles(p):
+        chain = " extends ".join([*cycle, cycle[0]])
+        diags.append(Diagnostic(Severity.ERROR, cycle[0], "", -1, f"cyclic inheritance: {chain}"))
     for cls in p.classes:
         seen_fields: set[str] = set()
         for fname, _ in cls.fields:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Iterable, Optional
@@ -102,7 +102,7 @@ class Finding:
     statement: ComplianceStatement
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditReport:
     tool_version: str
     input_digest: str
@@ -223,8 +223,7 @@ def build_report(
         data_safety={},
         statements=statements,
     )
-    report.data_safety = draft_data_safety(report)
-    return report
+    return replace(report, data_safety=draft_data_safety(report))
 
 
 def draft_data_safety(r: AuditReport) -> dict:
@@ -328,15 +327,22 @@ def _finding_json(f: Finding) -> dict:
 
 
 def report_json(r: AuditReport) -> dict:
-    return {
-        "version": {"schema": 1, "tool": r.tool_version},
-        "input_digest": r.input_digest,
-        "assumptions": list(r.assumptions),
-        "findings": [_finding_json(f) for f in r.findings],
-        "slices": r.slices,
-        "data_safety": r.data_safety,
-        "statements": [_statement_json(s) for s in r.statements],
-    }
+    """The dict report.json holds. Built on the first call and kept on r,
+    which is frozen: write_outputs serializes it and cmd_analyze renders
+    the summary from the same dict. Callers share it and must not mutate
+    it."""
+    d = vars(r).get("_json")
+    if d is None:
+        d = vars(r)["_json"] = {
+            "version": {"schema": 1, "tool": r.tool_version},
+            "input_digest": r.input_digest,
+            "assumptions": list(r.assumptions),
+            "findings": [_finding_json(f) for f in r.findings],
+            "slices": r.slices,
+            "data_safety": r.data_safety,
+            "statements": [_statement_json(s) for s in r.statements],
+        }
+    return d
 
 
 def encode_json(value, indent: str = "") -> str:
@@ -403,15 +409,30 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _label_ids(g: DepGraph, labels: list[SourceLabel]) -> frozenset[int]:
-    """The ids of the labelled statements in g. render_dot runs once per
-    slice with the same graph and labels, so the set is kept on g and
-    rebuilt only when it is asked for with other labels."""
-    memo = vars(g).get("_label_ids")
-    if memo is None or memo[0] != labels:
-        ids = frozenset(g.id_of(l.location) for l in labels) - {None}
-        memo = vars(g)["_label_ids"] = (list(labels), ids)
-    return memo[1]
+def _dot_nodes(
+    g: DepGraph,
+    labels: list[SourceLabel],
+    sinks: SinkRegistry,
+    sanitizers: SanitizerRegistry,
+) -> tuple[frozenset[int], bytearray, dict[int, tuple[str, str]]]:
+    """g's DOT node state for labels, sinks and sanitizers: (ids of the
+    labelled statements, seen, kept). seen[i] is 1 once node i's line has
+    been rendered, and kept[i] holds its (quoted DOT id, node line) from
+    its second rendering on.
+
+    render_dot runs once per slice with the same graph, labels and
+    registries, so the state is kept on g and started afresh when asked
+    with others. A line is kept only once a second slice holds its node:
+    where slices barely overlap, keeping every line would hold a copy of
+    the graph's text for nothing."""
+    key = (labels, g.sink_table(sinks), sanitizers.entries)
+    memo = vars(g).get("_dot_nodes")
+    if memo is None or memo[0] != key:
+        label_ids = frozenset(g.id_of(l.location) for l in labels) - {None}
+        memo = vars(g)["_dot_nodes"] = (
+            (list(labels), *key[1:]), label_ids, bytearray(len(g.locs)), {}
+        )
+    return memo[1:]
 
 
 def render_dot(
@@ -435,34 +456,41 @@ def render_dot(
     order, then its edge to its cell; per cell, its edges to its loads, in
     id order.
 
+    A statement's line does not depend on the slice, and overlapping slices
+    hold the same statement many times, so a line rendered a second time is
+    kept on the graph (_dot_nodes) and later slices reuse it. Sink kinds
+    come from g.sink_table(sinks), shared with flows and slice statistics.
+
     Statements are read from s.graph; p is not read, and stays only because
     the traced benchmark (bench/layers.py) pins this signature."""
     g = s.graph
-    label_ids = _label_ids(g, labels)
-    locs, stmts = g.locs, g.stmts
+    label_ids, seen, kept = _dot_nodes(g, labels, sinks, sanitizers)
+    locs, stmts, table = g.locs, g.stmts, g.sink_table(sinks)
 
-    def node_kind(i: int) -> str:
-        if i in label_ids:
-            return "source"
-        parts = call_parts(stmts[i])
-        if parts is not None:
-            if sinks.match(parts[0]) is not None:
-                return "sink"
-            if parts[0] in sanitizers:
-                return "sanitizer"
-        return "normal"
-
-    def node_label(i: int) -> str:
-        loc = locs[i]
-        short_method = loc.method.split("/")[0]
-        return f"{loc.cls}.{short_method}:{loc.index}: {print_stmt(stmts[i])}"
+    def node_line(i: int) -> tuple[str, str]:
+        loc, stmt = locs[i], stmts[i]
+        parts = call_parts(stmt)
+        kind = (
+            "source" if i in label_ids
+            else "sink" if i in table
+            else "sanitizer" if parts is not None and parts[0] in sanitizers
+            else "normal"
+        )
+        q = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
+        label = f"{loc.cls}.{loc.method.split('/')[0]}:{loc.index}: {print_stmt(stmt)}"
+        return q, f'  {q} [label="{_dot_escape(label)}", kind="{kind}"];'
 
     lines = [f'digraph "slice_{s.root.id}" {{', "  node [shape=box];"]
     quoted: dict[int, str] = {}  # node or cell id -> its quoted DOT id
     for i in s.ids:
-        loc = locs[i]
-        q = quoted[i] = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
-        lines.append(f'  {q} [label="{_dot_escape(node_label(i))}", kind="{node_kind(i)}"];')
+        hit = kept.get(i)
+        if hit is None:
+            hit = node_line(i)
+            if seen[i]:
+                kept[i] = hit
+            seen[i] = 1
+        quoted[i] = hit[0]
+        lines.append(hit[1])
     cells, edges = g.cell_edges(s.ids)
     for c in cells:
         name = _dot_escape(".".join(g.cell_field(c)))

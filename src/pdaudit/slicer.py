@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import KINDS, DepEdge, DepGraph
-from .ir import Loc, call_parts
+from .ir import Loc
 from .registry import SinkRegistry, SourceLabel
 
 
@@ -51,13 +51,11 @@ def forward_slice(g: DepGraph, label: SourceLabel) -> Slice:
 
 
 def slice_stats(s: Slice, sinks: SinkRegistry) -> SliceStats:
-    locs, stmts = s.graph.locs, s.graph.stmts
-    methods: set[tuple[str, str]] = set()
-    sink_nodes: set[Loc] = set()
-    for i in s.ids:
-        n = locs[i]
-        methods.add((n.cls, n.method))
-        parts = call_parts(stmts[i])
-        if parts is not None and sinks.match(parts[0]) is not None:
-            sink_nodes.add(n)
-    return SliceStats(len(s.ids), len(methods), frozenset(sink_nodes))
+    """Size, methods touched and sink statements of s. A statement is a
+    sink or not whatever the slice, so the sink test is a lookup in
+    g.sink_table(sinks), built once per graph and registry, not a registry
+    match per slice node."""
+    locs, table = s.graph.locs, s.graph.sink_table(sinks)
+    methods = {(n.cls, n.method) for n in map(locs.__getitem__, s.ids)}
+    sink_nodes = frozenset(locs[i] for i in s.ids if i in table)
+    return SliceStats(len(s.ids), len(methods), sink_nodes)

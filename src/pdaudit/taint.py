@@ -326,17 +326,29 @@ def propagate(
 # ---------------------------------------------------------------------------
 
 
-def _witness_rdist(g: DepGraph, dst: int, blocked: set[int]) -> dict[int, int]:
-    """Fewest valid steps to node dst per search state.
+def _witness_rdist(
+    g: DepGraph, dst: int, blocked: set[int], starts: set[int]
+) -> dict[int, int]:
+    """Fewest valid steps to node dst per search state, for every state
+    nearer to dst than the farthest of starts.
 
     A state is 2 * node id + 1 when the path arrived via ReturnOut, else
     2 * node id. The first load of a field cell to be dequeued gives every
     store of the cell its distance; later loads of the cell would give the
-    stores no shorter one, so the cell is expanded once."""
+    stores no shorter one, so the cell is expanded once.
+
+    The search stops once every state of starts has a distance (or when
+    none is left to expand). A breadth-first search fixes a state's distance
+    when it first reaches it, and reaches every state of distance d before
+    it expands one of distance d, so at that point the table holds every
+    state nearer than the farthest start, with its final distance: all that
+    _witness from those starts reads. A sink's flows need only its sources'
+    paths, and the rest of the reverse graph can be far larger."""
     rdist = {2 * dst: 0, 2 * dst + 1: 0}
+    pending = starts - rdist.keys()
     work = deque(rdist)
     expanded: set[int] = set()
-    while work:
+    while work and pending:
         state = work.popleft()
         d = rdist[state] + 1
         for v in g.data_in(state >> 1, bool(state & 1), expanded):
@@ -347,6 +359,7 @@ def _witness_rdist(g: DepGraph, dst: int, blocked: set[int]) -> dict[int, int]:
             if stay + 1 not in rdist:
                 rdist[stay + 1] = d
                 work.append(stay + 1)
+                pending.discard(stay + 1)  # every start is a 2 * src + 1 state
     return rdist
 
 
@@ -355,7 +368,8 @@ def _witness(
 ) -> Optional[list[int]]:
     """Shortest valid src -> dst path over data-carrying edges, as node ids;
     among equal-length paths, the lexicographically smallest node sequence.
-    rdist is _witness_rdist(g, dst, blocked).
+    rdist is _witness_rdist(g, dst, blocked, starts) with 2 * src + 1 in
+    starts: it reads only states nearer to dst than that start.
 
     Validity: a path may leave a blocked statement (resolved non-sanitizer
     call) only when it arrived there via ReturnOut; the start may always be
@@ -394,32 +408,30 @@ def collect_flows(pr: PropagationResult, sinks: SinkRegistry, g: DepGraph) -> li
 
     Status is the lattice join across arguments; the witness is the
     pinned-down shortest dependence path; manipulations are the callee
-    signatures of interior call statements along the witness."""
+    signatures of interior call statements along the witness. The sink
+    statements come from g.sink_table(sinks), which report building and DOT
+    output read again."""
     label_by_id = {l.id: l for l in pr.labels}
     flows: list[Flow] = []
     locs, stmts = g.locs, g.stmts
     blocked = {i for i in map(g.id_of, pr.blocked_pass_through) if i is not None}
-    for dst, stmt in enumerate(stmts):
-        parts = call_parts(stmt)
-        if parts is None:
-            continue
-        match = sinks.match(parts[0])
-        if match is None:
-            continue
+    for dst, match in g.sink_table(sinks).items():
+        args = stmts[dst].args
         loc = locs[dst]
         state = pr.raw_before(loc)
         per_id: dict[int, Status] = {}
         for (name, sid), st in state.items():
-            if name in parts[1]:
+            if name in args:
                 per_id[sid] = max(per_id.get(sid, Status.PSEUDONYMIZED), st)
+        src_of = {sid: g.id_of(label_by_id[sid].location) for sid in sorted(per_id)}
         rdist: Optional[dict[int, int]] = None
-        for sid in sorted(per_id):
+        for sid, src in src_of.items():
             label = label_by_id[sid]
-            src = g.id_of(label.location)
             path = None
             if src is not None:
                 if rdist is None:
-                    rdist = _witness_rdist(g, dst, blocked)
+                    starts = {2 * i + 1 for i in src_of.values() if i is not None}
+                    rdist = _witness_rdist(g, dst, blocked, starts)
                 path = _witness(g, src, dst, blocked, rdist)
             if path is None:
                 raise TaintError(

@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -57,3 +59,35 @@ def fixture_registries():
     sanitizers = SanitizerRegistry(frozenset({"com.app.Crypto.hash"}))
     lexicon = Lexicon({"email": email})
     return sources, sinks, sanitizers, lexicon
+
+
+class TimeLimitExceeded(Exception):
+    """A call under time_limit ran past its limit."""
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeLimitExceeded in the body once it has run for seconds
+    (SIGALRM, main thread only). A hang is not a traceback, so an exit-code
+    check never sees one, and Hypothesis checks its deadline only after
+    the call returns."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# Class hierarchies that Java forbids (JLS 8.1.4): validate reports each
+# cycle, and analyze exits 2 instead of walking the superclass chain forever.
+SELF_EXTENDS = "class A extends A { method void f() { 0: call A.g() 1: return } }\n"
+MUTUAL_EXTENDS = """\
+class A extends B { method void f() { 0: call A.g() 1: return } }
+class B extends A { method void g() { 0: return } }
+"""

@@ -56,14 +56,15 @@ def analyze_args(pir: Path, out: Path) -> list[str]:
     ]
 
 
-def perf_inputs(tmp: Path):
+def perf_inputs(tmp: Path, n_methods: int = 200):
     """Write the criterion-8 program, gen_perf_program(Random(PERF_SEED))
-    (10,000 statements in 200 methods), and its registries into tmp.
-    Returns (program, analyze argv writing to tmp / "out")."""
+    (10,000 statements in 200 methods, unless n_methods asks for fewer),
+    and its registries into tmp. Returns (program, analyze argv writing to
+    tmp / "out")."""
     from gen import gen_perf_program, registry_json
     from pdaudit.ir import print_program
 
-    program = gen_perf_program(random.Random(PERF_SEED))
+    program = gen_perf_program(random.Random(PERF_SEED), n_methods=n_methods)
     pir_path = tmp / "perf.pir"
     pir_path.write_text(print_program(program), encoding="utf-8")
     flags = []

@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import os
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import MUTUAL_EXTENDS, SELF_EXTENDS, time_limit
 from gen import SANITIZER_SIGS, SINK_SIGS, SOURCE_SIGS, gen_program, registry_json
-from pdaudit.cli import _bundled, main
+from pdaudit.cli import _bundled, cmd_analyze, main, make_parser
 from pdaudit.ir import AssignCall, Call, Goto, If, print_program
+from regen_goldens import analyze_args, perf_inputs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REG = FIXTURES / "registries"
@@ -568,11 +571,19 @@ _GEN_DPV = {
 
 def _mutate(p, rng, mutation):
     """p with one mutation applied in place: a jump moved anywhere in its
-    body, a callee renamed to a registry source, sink or sanitizer, or a
-    class or method duplicated."""
+    body, a callee renamed to a registry source, sink or sanitizer, a class
+    made to extend a program class (itself included; half the time a
+    renamed copy of a class is added first, so that cycles of two classes
+    and chains into a cycle occur), or a class or method duplicated."""
     cls = rng.choice(p.classes)
     m = rng.choice(cls.methods)
-    if mutation == "jump":
+    if mutation == "extends":
+        if rng.random() < 0.5:
+            twin = copy.deepcopy(cls)
+            twin.name = f"{cls.name}{len(p.classes)}"
+            p.classes.append(twin)
+        rng.choice(p.classes).superclass = rng.choice(p.classes).name
+    elif mutation == "jump":
         jumps = [s for s in m.body if isinstance(s, (If, Goto))]
         if jumps:
             rng.choice(jumps).target = rng.randrange(len(m.body))
@@ -588,18 +599,24 @@ def _mutate(p, rng, mutation):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       edits=st.lists(st.sampled_from(["jump", "callee"]), max_size=8),
+       edits=st.lists(st.sampled_from(["jump", "callee", "extends"]), max_size=8),
        duplicate=st.sampled_from([None, None, "class", "method"]),
-       json_errors=st.booleans())
-def test_pir_input_is_total(seed, edits, duplicate, json_errors):
-    """Generated programs with loops and recursion, mutated and printed:
-    analyze and validate exit 0, 1 or 2 and never raise, and exit 2 writes
-    a message (a JSON one under --json-errors). Half the programs hold no
-    duplicate, so that they reach the analysis."""
-    rng = random.Random(seed)
-    p = gen_program(rng, allow_loops=True, allow_recursion=True)
-    for mutation in edits + [duplicate] * (duplicate is not None):
-        _mutate(p, rng, mutation)
+       json_errors=st.booleans(),
+       text=st.none())
+@example(seed=0, edits=[], duplicate=None, json_errors=False, text=SELF_EXTENDS)
+@example(seed=0, edits=[], duplicate=None, json_errors=True, text=MUTUAL_EXTENDS)
+def test_pir_input_is_total(seed, edits, duplicate, json_errors, text):
+    """Generated programs with loops and recursion, mutated and printed, or
+    the PIR text of an example: analyze and validate exit 0, 1 or 2 within
+    a time limit and never raise, and exit 2 writes a message (a JSON one
+    under --json-errors). Half the programs hold no duplicate, so that they
+    reach the analysis."""
+    if text is None:
+        rng = random.Random(seed)
+        p = gen_program(rng, allow_loops=True, allow_recursion=True)
+        for mutation in edits + [duplicate] * (duplicate is not None):
+            _mutate(p, rng, mutation)
+        text = print_program(p)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -607,12 +624,12 @@ def test_pir_input_is_total(seed, edits, duplicate, json_errors):
             registries = {**registry_json(), "dpv": _GEN_DPV}
             for name, data in registries.items():
                 Path(f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
-            Path("app.pir").write_text(print_program(p), encoding="utf-8")
+            Path("app.pir").write_text(text, encoding="utf-8")
             flags = [arg for name in registries for arg in (f"--{name}", f"{name}.json")]
             flags += ["--json-errors"] if json_errors else []
             for command in ("analyze", "validate"):
                 err = io.StringIO()
-                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                with redirect_stdout(io.StringIO()), redirect_stderr(err), time_limit(10):
                     code = main([command, "app.pir", *flags])
                 assert code in (0, 1, 2), (command, code)
                 if code == 2:
@@ -621,6 +638,51 @@ def test_pir_input_is_total(seed, edits, duplicate, json_errors):
                         assert "error" in json.loads(err.getvalue())
         finally:
             os.chdir(cwd)
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("text, cycle", [(SELF_EXTENDS, "A extends A"),
+                                         (MUTUAL_EXTENDS, "A extends B extends A")])
+def test_cyclic_hierarchy_exits_2(tmp_path, capsys, text, cycle, json_errors):
+    pir = tmp_path / "app.pir"
+    pir.write_text(text, encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    with time_limit(5):
+        code = main(["analyze", str(pir), "--out", str(tmp_path / "out"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    message = json.loads(err)["message"] if json_errors else err
+    assert f"cyclic inheritance: {cycle}" in message
+    assert not (tmp_path / "out").exists()
+    assert main(["validate", str(pir)]) == 1
+    assert capsys.readouterr().out == f"Error: A: cyclic inheritance: {cycle}\n"
+
+
+def test_analyze_leaves_no_cyclic_garbage_and_keeps_the_collector_state(tmp_path):
+    """cmd_analyze runs with the cyclic collector off, and leaves nothing
+    for it: after an analysis of every fixture, and of a generated
+    desk-scale program, gc.collect() finds no unreachable object. (main's
+    argparse parser holds reference cycles of its own, so the args are
+    parsed before the count starts.) main restores the collector's state,
+    on or off."""
+    runs = [analyze_args(pir, tmp_path / pir.stem) for pir in sorted(FIXTURES.glob("*.pir"))]
+    runs.append(perf_inputs(tmp_path, n_methods=40)[1])
+    was_enabled = gc.isenabled()
+    try:
+        gc.disable()
+        for argv in runs:
+            args = make_parser().parse_args(argv)
+            gc.collect()
+            with redirect_stdout(io.StringIO()):
+                assert cmd_analyze(args) == 0
+            assert gc.collect() == 0, argv[1]
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            with redirect_stdout(io.StringIO()):
+                main(runs[0])
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_zero_weight_and_multiplier_allowed(tmp_path):

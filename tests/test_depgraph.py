@@ -15,7 +15,8 @@ import random
 from gen import gen_perf_program, gen_program, registry_json
 from oracles import expand_cell_nodes, explicit_graph
 from pdaudit.graph import KINDS, DepEdge, EdgeKind, build_call_graph, build_pdg
-from pdaudit.ir import AssignFieldLoad, FieldStore, parse_program
+from pdaudit.ir import AssignFieldLoad, FieldStore, call_parts, parse_program
+from pdaudit.registry import SinkKind, SinkMatch, SinkRegistry
 from pdaudit.report import render_dot
 from pdaudit.slicer import forward_slice
 from pdaudit.taint import collect_flows
@@ -111,6 +112,35 @@ def test_cell_edges_expand_to_the_edges_between_any_id_set():
         inside = set(ids)
         between = [(g.id_of(e.src), g.id_of(e.dst), KINDS.index(e.kind)) for e in g.edges]
         assert sorted(expanded) == sorted(e for e in between if e[0] in inside and e[1] in inside)
+
+
+def test_sink_table_equals_a_per_statement_match():
+    """g.sink_table(sinks) is the per-statement call_parts + match scan, in
+    id order; it is kept for the same registry and rebuilt for another,
+    also when a registry's entries change in place."""
+    other = SinkRegistry(exact={"ext.Log.info": SinkMatch(SinkKind.STORAGE, None)},
+                         prefixes={"ext.": SinkMatch(SinkKind.NETWORK, None),
+                                   "ext.Crypto.": SinkMatch(SinkKind.LOG, None)})
+    edited = SinkRegistry(exact=dict(GEN_SINKS.exact), prefixes={})
+    rng = random.Random(3333)
+    for k in range(40):
+        p = (gen_perf_program(rng, n_methods=6, stmts_each=30) if k % 4 == 0
+             else gen_program(rng, allow_loops=True, allow_recursion=True))
+        g = build_pdg(p, build_call_graph(p))
+        for sinks in (GEN_SINKS, other, edited, GEN_SINKS):
+            table = g.sink_table(sinks)
+            want = {}
+            for i, stmt in enumerate(g.stmts):
+                parts = call_parts(stmt)
+                if parts is not None and sinks.match(parts[0]) is not None:
+                    want[i] = sinks.match(parts[0])
+            assert table == want and list(table) == sorted(table)
+            assert g.sink_table(sinks) is table
+        del edited.exact["ext.Net.send"]
+        assert g.sink_table(edited) == {
+            i: m for i, m in g.sink_table(GEN_SINKS).items() if g.stmts[i].callee != "ext.Net.send"
+        }
+        edited.exact["ext.Net.send"] = GEN_SINKS.exact["ext.Net.send"]
 
 
 def _one_cell_program(n_methods: int = 30, pairs_each: int = 10) -> str:

@@ -1,7 +1,7 @@
 import random
 from pathlib import Path
 
-from conftest import FIXTURE_A, FIXTURE_B
+from conftest import FIXTURE_A, FIXTURE_B, MUTUAL_EXTENDS, SELF_EXTENDS, time_limit
 from gen import gen_program
 from oracles import brute_control_pairs, data_dep_pairs_by_paths, exit_unreachable
 from pdaudit.graph import (
@@ -96,6 +96,16 @@ class Main extends java.lang.Object {
 """
     cg = build_call_graph(parse_program(src))
     assert cg.edges[loc("Main", "go/0", 0)] == (MethodId("A", "f/0"),)
+
+
+def test_cha_terminates_on_a_cyclic_hierarchy():
+    # validate rejects these programs; the call graph still ends, walking
+    # each chain up to its first repeated class
+    with time_limit(5):
+        mutual = build_call_graph(parse_program(MUTUAL_EXTENDS))
+        alone = build_call_graph(parse_program(SELF_EXTENDS))
+    assert mutual.edges == {loc("A", "f/0", 0): (MethodId("B", "g/0"),)}
+    assert alone.edges == {}
 
 
 def test_cha_arity_must_match():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_A, FIXTURE_B
+from conftest import FIXTURE_A, FIXTURE_B, MUTUAL_EXTENDS
 from gen import gen_program, gen_roundtrip_program
 from oracles import reference_parse
 from pdaudit.cli import _read_pir
@@ -177,6 +177,28 @@ class C extends D {
     diags = validate(parse_program(src))
     assert [d.severity for d in diags] == [Severity.ERROR]
     assert "duplicate method" in diags[0].message
+
+
+def test_validate_cyclic_inheritance_errors_name_each_cycle_once():
+    # JLS 8.1.4: no class is its own superclass. W only leads into the
+    # cycle X -> Z -> Y -> X, which is named from its smallest class; T
+    # extends a class outside the program.
+    src = """\
+class A extends A { }
+class W extends Z { }
+class X extends Z { }
+class Y extends X { }
+class Z extends Y { }
+class T extends java.lang.Object { }
+"""
+    diags = validate(parse_program(src))
+    assert [(d.severity, d.cls, d.method, d.index, d.message) for d in diags] == [
+        (Severity.ERROR, "A", "", -1, "cyclic inheritance: A extends A"),
+        (Severity.ERROR, "X", "", -1, "cyclic inheritance: X extends Z extends Y extends X"),
+    ]
+    assert validate(parse_program(MUTUAL_EXTENDS))[0].message == (
+        "cyclic inheritance: A extends B extends A"
+    )
 
 
 def test_validate_duplicate_field_errors():

@@ -8,11 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
+from gen import SOURCE_SIGS
 from pdaudit import __version__
 from pdaudit.dpv import DpvMap
 from pdaudit.graph import build_call_graph, build_pdg
 from pdaudit.ir import Loc, parse_program, print_program
-from pdaudit.registry import Origin, PersonalDataCategory, SinkKind, SourceLabel, label_sources
+from pdaudit.registry import (
+    Origin,
+    PersonalDataCategory,
+    SanitizerRegistry,
+    SinkKind,
+    SinkMatch,
+    SinkRegistry,
+    SourceLabel,
+    label_sources,
+)
 from pdaudit.report import (
     ASSUMPTIONS,
     AuditReport,
@@ -31,6 +41,7 @@ from pdaudit.report import (
 )
 from pdaudit.slicer import forward_slice
 from pdaudit.taint import Status, build_taint_result, propagate
+from test_taint import GEN_SANITIZERS, GEN_SINKS, analyze_generated
 
 DPV = DpvMap(
     category_iri={"EmailAddress": "iri:pd/email", "Location": "iri:pd/location"},
@@ -316,6 +327,62 @@ def test_dot_byte_stable():
     a = render_dot(slices[0], p, labels, sinks, sanitizers)
     b = render_dot(slices[0], p, labels, sinks, sanitizers)
     assert a == b
+
+
+def _shared_cell_program(n: int) -> str:
+    """n methods that each store a source value in one field cell, load
+    the cell, and hash, format and send the load: every slice holds every
+    load and what follows it, and every node kind occurs."""
+    sources = sorted(SOURCE_SIGS)
+    methods = []
+    for k in range(n):
+        body = [f"$s = call {sources[k % len(sources)]}()", "store app.State.f0 = $s",
+                "$l = load app.State.f0", "$h = call ext.Crypto.hash($l)",
+                "$t = call ext.Util.fmt($h)", "call ext.Net.send($t)", "call ext.Log.info($l)",
+                "return"]
+        stmts = "\n".join(f"    {i}: {st}" for i, st in enumerate(body))
+        methods.append(f"  method void m{k}() {{\n{stmts}\n  }}")
+    return "class app.Main extends java.lang.Object {\n" + "\n".join(methods) + "\n}\n"
+
+
+def test_dot_lines_kept_on_the_graph_give_the_bytes_of_a_fresh_graph():
+    """render_dot keeps a node's line on the graph from its second slice
+    on. Rendering every slice forward, in reverse, and interleaved with
+    other label lists (one of them edited in place) and other registries,
+    all on one graph, gives each time the bytes that a fresh graph gives."""
+    other_sinks = SinkRegistry(exact={}, prefixes={"ext.": SinkMatch(SinkKind.LOG, None)})
+    no_sanitizers = SanitizerRegistry(frozenset())
+    for n in (3, 8):
+        p = parse_program(_shared_cell_program(n))
+        cg, g, labels, _ = analyze_generated(p)
+        edited = list(labels)
+        variants = [
+            (labels, GEN_SINKS, GEN_SANITIZERS),
+            (labels[::2], GEN_SINKS, GEN_SANITIZERS),
+            (labels, other_sinks, GEN_SANITIZERS),
+            (labels, GEN_SINKS, no_sanitizers),
+            (edited, GEN_SINKS, GEN_SANITIZERS),
+        ]
+        want = {
+            (l.id, k): render_dot(forward_slice(build_pdg(p, cg), l), p, *v)
+            for l in labels
+            for k, v in enumerate(variants)
+        }
+        want.update({
+            (l.id, "edited"): render_dot(forward_slice(build_pdg(p, cg), l), p, labels[1:],
+                                         GEN_SINKS, GEN_SANITIZERS)
+            for l in labels
+        })
+        slices = [forward_slice(g, l) for l in labels]
+        assert sum(len(s.ids) for s in slices) > len(set().union(*(s.ids for s in slices)))
+        for s in slices + slices[::-1]:
+            assert render_dot(s, p, *variants[0]) == want[(s.root.id, 0)]
+        for s in slices:
+            for k in (1, 0, 2, 0, 3, 4, 0):
+                assert render_dot(s, p, *variants[k]) == want[(s.root.id, k)]
+        del edited[0]
+        for s in slices[::-1]:
+            assert render_dot(s, p, edited, GEN_SINKS, GEN_SANITIZERS) == want[(s.root.id, "edited")]
 
 
 # ---------------------------------------------------------------------------

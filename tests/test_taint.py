@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
-from gen import SANITIZER_SIGS, SINK_SIGS, SOURCE_SIGS, gen_program
+from gen import SANITIZER_SIGS, SINK_SIGS, SOURCE_SIGS, gen_perf_program, gen_program
 from oracles import (
     all_paths_taint,
     expected_all_paths_pseudonymized,
@@ -27,6 +29,8 @@ from pdaudit.taint import (
     LocalCell,
     NotALabelError,
     Status,
+    _witness,
+    _witness_rdist,
     build_taint_result,
     collect_flows,
     derived_data,
@@ -152,6 +156,48 @@ def test_witness_edges_exist_in_graph():
     for f in collect_flows(pr, sinks, g):
         for a, b in zip(f.witness, f.witness[1:]):
             assert (a, b) in pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), perf=st.booleans())
+def test_early_stopped_witness_table_gives_the_full_tables_paths(seed, perf):
+    """_witness_rdist stops once every start state has a distance. Every
+    distance it holds is final, and _witness from any of the starts, over
+    any blocked set, finds the same path, or None, as over the table of
+    every state (starts naming every node: no early stop)."""
+    rng = random.Random(seed)
+    if perf:
+        p = gen_perf_program(rng, n_methods=6, stmts_each=20)
+    else:
+        p = gen_program(rng, allow_loops=True, allow_recursion=True)
+    g = build_pdg(p, build_call_graph(p))
+    n = len(g.locs)
+    every = {2 * i + 1 for i in range(n)}
+    blocked = set(rng.sample(range(n), rng.randrange(n // 3 + 1)))
+    for dst in rng.sample(range(n), min(n, 4)):
+        full = _witness_rdist(g, dst, blocked, every)
+        srcs = rng.sample(range(n), rng.randint(1, min(n, 4)))
+        early = _witness_rdist(g, dst, blocked, {2 * s + 1 for s in srcs})
+        assert early.items() <= full.items()
+        for src in srcs:
+            assert _witness(g, src, dst, blocked, early) == _witness(g, src, dst, blocked, full)
+
+
+def test_witness_search_stops_at_the_farthest_source():
+    """On a desk-scale program the search for each sink's flows stops
+    before it has reached every state that reaches the sink."""
+    p = gen_perf_program(random.Random(6161), n_methods=100, stmts_each=50)
+    cg, g, labels, pr = analyze_generated(p)
+    flows = collect_flows(pr, GEN_SINKS, g)
+    sources = {}
+    for f in flows:
+        sources.setdefault(g.id_of(f.sink.location), set()).add(g.id_of(f.source.location))
+    blocked = {g.id_of(loc) for loc in pr.blocked_pass_through}
+    every = {2 * i + 1 for i in range(len(g.locs))}
+    early = sum(len(_witness_rdist(g, d, blocked, {2 * s + 1 for s in ss}))
+                for d, ss in sources.items())
+    full = sum(len(_witness_rdist(g, d, blocked, every)) for d in sources)
+    assert len(sources) >= 10 and early < full, (len(sources), early, full)
 
 
 def test_flow_through_field_cell():
