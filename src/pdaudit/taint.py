@@ -424,15 +424,11 @@ def collect_flows(pr: PropagationResult, sinks: SinkRegistry, g: DepGraph) -> li
             if name in args:
                 per_id[sid] = max(per_id.get(sid, Status.PSEUDONYMIZED), st)
         src_of = {sid: g.id_of(label_by_id[sid].location) for sid in sorted(per_id)}
-        rdist: Optional[dict[int, int]] = None
+        starts = {2 * i + 1 for i in src_of.values() if i is not None}
+        rdist = _witness_rdist(g, dst, blocked, starts) if starts else {}
         for sid, src in src_of.items():
             label = label_by_id[sid]
-            path = None
-            if src is not None:
-                if rdist is None:
-                    starts = {2 * i + 1 for i in src_of.values() if i is not None}
-                    rdist = _witness_rdist(g, dst, blocked, starts)
-                path = _witness(g, src, dst, blocked, rdist)
+            path = None if src is None else _witness(g, src, dst, blocked, rdist)
             if path is None:
                 raise TaintError(
                     f"no dependence path for flow {label.location} -> {loc}; "
