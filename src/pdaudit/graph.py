@@ -29,12 +29,14 @@ carry no dependence edges.
 Storage. DepGraph has one constructor, DepGraph(locs, stmts, out, cells),
 and every loc is a node. A node's id is its rank in Loc order; build_pdg
 numbers the methods in sorted order, each over a contiguous id range (base
-+ statement index). stmts[id] is the statement at locs[id]: the one
-statement index downstream of parsing, read by flows, slice statistics and
-DOT output. Explicit edges are per-node sorted lists of ints packing
-the other end's id with a kind code, in both directions; the codes follow
-the order of the kind.value strings, so a sorted list is in (src Loc, dst
-Loc, kind.value) order. A field cell is stored once, as its sorted reachable
++ statement index), and its locs is the program's own tuple, p.locs(), so
+the call graph, the labels, the method facts and the graph hold one Loc per
+statement. stmts[id] is the statement at locs[id]: the one statement index
+downstream of parsing, read by flows, slice statistics and DOT output.
+Explicit edges are per-node sorted lists of ints packing the other end's id
+with a kind code, in both directions; the codes follow the order of the
+kind.value strings, so a sorted list is in (src Loc, dst Loc, kind.value)
+order. A field cell is stored once, as its sorted reachable
 store ids and load ids: its stores x loads Data edges are never stored,
 which keeps the graph linear in the program. Slicing and witness search
 walk ids and expand each cell at most once per traversal. DOT output never
@@ -426,12 +428,13 @@ class _MethodFacts:
     use_defs[i] gives, per position of stmt_uses(body[i]), the sorted
     definitions of that local reaching i. def_uses[d] lists the statements
     reading the local defined at d under that definition, and
-    entry_uses[param] those reading the parameter's entry value."""
+    entry_uses[param] those reading the parameter's entry value.
+    method_facts sets locs, the program's Loc tuple, and base, the rank of
+    the method's first statement in it, which loc reads."""
 
     def __init__(self, cls_name: str, m: MethodDef):
         self.cls = cls_name
         self.m = m
-        self.key = m.key
         self.succs = cfg_successors(m)
         self.reachable = reachable_indices(m, self.succs)
         body = m.body
@@ -494,21 +497,24 @@ class _MethodFacts:
         return (self.defs[k] for k in _bits(bits))
 
     def loc(self, i: int) -> Loc:
-        return Loc(self.cls, self.key, i)
+        return self.locs[self.base + i]
 
 
 def method_facts(p: Program) -> dict[MethodId, _MethodFacts]:
     """One _MethodFacts per method of p, in iter_methods order.
 
     Built on the first call and kept on the Program instance, outside its
-    dataclass fields, == and repr; p must therefore not be mutated after the
-    first call."""
+    dataclass fields, == and repr, as p.locs() is; p must therefore not be
+    mutated after the first call (the first analysis)."""
     memo = vars(p)
     facts = memo.get("_method_facts")
     if facts is None:
-        facts = memo["_method_facts"] = {
-            MethodId(cls.name, m.key): _MethodFacts(cls.name, m) for cls, m in p.iter_methods()
-        }
+        facts = memo["_method_facts"] = {}
+        locs, base = p.locs(), 0
+        for cls, m in p.iter_methods():
+            f = facts[MethodId(cls.name, m.key)] = _MethodFacts(cls.name, m)
+            f.locs, f.base = locs, base
+            base += len(m.body)
     return facts
 
 
@@ -569,14 +575,9 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     source class order and ids follow Loc order."""
     facts = method_facts(p)
     mids = sorted(facts)
-    base: dict[MethodId, int] = {}
-    locs: list[Loc] = []
-    stmts: list[Stmt] = []
-    for mid in mids:
-        base[mid] = len(locs)
-        body = facts[mid].m.body
-        locs.extend(Loc(mid.cls, mid.method, i) for i in range(len(body)))
-        stmts += body
+    base = {mid: f.base for mid, f in facts.items()}
+    locs = p.locs()
+    stmts = [s for _, m in p.iter_methods() for s in m.body]
     out: list[list[int]] = [[] for _ in locs]
 
     stores: dict[tuple[str, str], list[int]] = {}

@@ -33,12 +33,20 @@ structural equality, so ``parse_program(print_program(p)) == p``.
 
 The lexer is one compiled master regex: each match is the whitespace and
 comments before a token plus the token, and the matched group is the token
-kind. Tokens are plain parallel lists (kinds, values, start offsets) that
-the recursive-descent parser walks with an integer cursor; line and column
-come from the offset. A lexical error is positioned where no token starts,
-at the opening quote of an unterminated string or at the backslash of a bad
-escape. The end-of-file position is one past the last character of the last
-line, except after a trailing comment, where it is the column of the ``#``.
+kind. Its first alternative matches a whole statement, ``INDEX ":" body``
+with only spaces and tabs between its tokens, as printed PIR has it; the
+lexer builds that Stmt from the match at once and emits it as one statement
+token, so a statement costs one match, not one per token. Class and method
+headers, braces, and statements split over lines or holding a comment are
+lexed token by token. Tokens are plain parallel lists (kinds, values, start
+offsets) that the recursive-descent parser walks with an integer cursor;
+line and column come from the offset. Any error in this pass re-parses the
+text with the statement alternative off, so every error, its position and
+its message come from the token-by-token parse. A lexical error is
+positioned where no token starts, at the opening quote of an unterminated
+string or at the backslash of a bad escape. The end-of-file position is one
+past the last character of the last line, except after a trailing comment,
+where it is the column of the ``#``.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 
@@ -251,34 +260,82 @@ class Program:
             for m in sorted(cls.methods, key=lambda m: m.key):
                 yield cls, m
 
+    def locs(self) -> tuple[Loc, ...]:
+        """The Loc of every statement, in iter_methods order: the one Loc
+        per statement that the call graph, labels and dependence graph of
+        an analysis share.
+
+        Built on the first call and kept on the instance, outside its
+        dataclass fields, == and repr, as graph.method_facts is; the
+        program must therefore not be mutated after the first call."""
+        memo = vars(self)
+        if "_locs" not in memo:
+            locs: list[Loc] = []
+            for cls, m in self.iter_methods():
+                key = m.key  # one string per method, not one per Loc
+                locs += [Loc(cls.name, key, i) for i in range(len(m.body))]
+            memo["_locs"] = tuple(locs)
+        return memo["_locs"]
+
     def iter_locs(self) -> Iterator[tuple[Loc, Stmt]]:
-        for cls, m in self.iter_methods():
-            for i, s in enumerate(m.body):
-                yield Loc(cls.name, m.key, i), s
+        return zip(self.locs(), chain.from_iterable(m.body for _, m in self.iter_methods()))
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-# One match per token: the whitespace and comments before it, then the token.
-# m.lastindex is the token kind; a value is the token's source text (a string
-# keeps its quotes), so a value equal to a keyword or mark is that word or mark.
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
-    (?: ([{}()=:;,.@])                          # 1 punct
-      | (\$[A-Za-z_][A-Za-z0-9_]*)              # 2 local
-      | ("[^"\\\n]*(?:\\[ntr"\\][^"\\\n]*)*")   # 3 string
-      | ([0-9]+)                                # 4 int
-      | ([A-Za-z_][A-Za-z0-9_]*)                # 5 word
-      | (\Z)                                    # 6 end of text
-      | (.)                                     # 7 no token starts here
-    )
-    """,
-    re.VERBOSE,
-)
-_PUNCT, _LOCAL, _STRING, _INT, _WORD, _EOF, _BAD = range(1, 8)
+_SKIP = r"[ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*"  # whitespace and comments
+# Parts of the statement alternative, compiled with re.ASCII (\w is
+# [A-Za-z0-9_]). Each word, local and int ends where the longest token does.
+_NUM = r"\d{1,18}(?!\w)"  # an index that int() takes
+_LOC = r"(?:\$[A-Za-z_]\w*|p\d+)(?!\w)"
+_REF = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+(?!\w)"  # QNAME "." IDENT
+_STR = r'"[^"\\\n]*(?:\\[ntr"\\][^"\\\n]*)*"'
+
+# One whole statement, INDEX ":" body, with only spaces and tabs between its
+# tokens. Each form ends in an empty group, so m.lastindex names the form. A
+# copy, literal or load without its lhs is matched too, and _statement
+# refuses it. Where the token parse would take a statement further (a return
+# value, a widget or a qualified name after a line break), the next token is
+# neither a statement index nor '}', so the parse fails and is redone token
+# by token.
+_STATEMENT = rf"""
+    ({_NUM}) [ \t]*:[ \t]*                                           # group 1: index
+    (?: (?: ({_LOC}) [ \t]*=[ \t]* )?                                # 2: lhs
+        (?: call[ \t]+ ({_REF}) [ \t]*\([ \t]*                       # 3: callee
+              ({_LOC} (?:[ \t]*,[ \t]*{_LOC})*)? [ \t]*\)             # 4: args
+              (?: [ \t]*@[ \t]*widget[ \t]*\([ \t]* ({_STR}) [ \t]*\) )?  # 5: widget
+              (?P<call>)
+          | ({_STR}) (?P<const>) | ({_LOC}) (?P<copy>)                  # 7, 9
+          | load[ \t]+ ({_REF}) (?P<load>) )                           # 11
+      | store[ \t]+ ({_REF}) [ \t]*=[ \t]* ({_LOC}) (?P<store>)        # 13, 14
+      | if(?!\w) [ \t]* ({_LOC}) [ \t]* goto[ \t]+ ({_NUM}) (?P<if>)   # 16, 17
+      | goto[ \t]+ ({_NUM}) (?P<goto>)                                 # 19
+      | return(?!\w) (?: [ \t]* ({_LOC}) )? (?P<return>) )             # 21
+"""
+_TOKENS = r"""
+      ([{}()=:;,.@])                          # punct
+    | (\$[A-Za-z_][A-Za-z0-9_]*)              # local
+    | ("[^"\\\n]*(?:\\[ntr"\\][^"\\\n]*)*")   # string
+    | ([0-9]+)                                # int
+    | ([A-Za-z_][A-Za-z0-9_]*)                # word
+    | (\Z)                                    # end of text
+    | (.)                                     # no token starts here
+"""
+# One match per token: the whitespace and comments before it, then the token
+# or, first, a whole statement. m.lastindex is the token kind (or a statement
+# form); a value is the token's source text (a string keeps its quotes), so a
+# value equal to a keyword or mark is that word or mark. _TOKEN_ONLY is the
+# pattern without the statement alternative, compiled (and kept by re) for the
+# first text that needs it; its token groups are _SHIFT lower.
+_TOKEN_RE = re.compile(rf"{_SKIP} (?: {_STATEMENT} | {_TOKENS} )", re.VERBOSE | re.ASCII)
+_TOKEN_ONLY = rf"{_SKIP} (?: {_TOKENS} )"
+_CALL, _CONST, _COPY, _STORE, _IF, _GOTO, _RETURN = (_TOKEN_RE.groupindex[form] for form in (
+    "call", "const", "copy", "store", "if", "goto", "return"))
+_SHIFT = _RETURN  # the last statement group
+_STMT = 0  # the kind of a statement token, whose value is its Stmt
+_PUNCT, _LOCAL, _STRING, _INT, _WORD, _EOF, _BAD = range(_SHIFT + 1, _SHIFT + 8)
 _NEWLINE_RE = re.compile("\n")
 _PNUM_RE = re.compile(r"p[0-9]+\Z")
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -287,28 +344,80 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
 
-def _lex(text: str) -> tuple[list[int], list[str], list[int]]:
-    """Token kinds, values and start offsets, ending with one EOF token."""
+def _lex(text: str, statements: bool = True) -> tuple[list[int], list, list[int]]:
+    """Token kinds, values and start offsets, ending with one EOF token.
+
+    With statements, a whole statement that _TOKEN_RE matches is one token
+    of kind _STMT at its index: its value is the Stmt, which holds the
+    statement index in line until _Parser.methoddef positions it."""
     kinds: list[int] = []
-    values: list[str] = []
+    values: list = []
     offsets: list[int] = []
     add_kind, add_value, add_offset = kinds.append, values.append, offsets.append
-    for m in _TOKEN_RE.finditer(text):
-        k = m.lastindex
-        add_kind(k)
-        add_value(m[k])
-        add_offset(m.start(k))
+    shift = 0 if statements else _SHIFT
+    for m in (_TOKEN_RE if statements else re.compile(_TOKEN_ONLY, re.VERBOSE)).finditer(text):
+        g = m.lastindex
+        if g + shift >= _PUNCT:
+            add_kind(g + shift)
+            add_value(m[g])
+            add_offset(m.start(g))
+        else:
+            add_kind(_STMT)
+            add_value(_statement(m, g))
+            add_offset(m.start(1))
     if _BAD in kinds:
         raise _diagnose(text, offsets[kinds.index(_BAD)])
     while kinds and kinds[-1] == _EOF:  # \Z can match twice at the end
         del kinds[-1], values[-1], offsets[-1]
-    # The EOF column skips a trailing comment: it is the '#' column.
-    tail = max(offsets[-1] + len(values[-1]) if kinds else 0, text.rfind("\n") + 1)
+    # The EOF column skips a trailing comment: it is the '#' column. A text
+    # ending in a statement token ends inside a method: it fails to parse,
+    # and the token-by-token pass positions its EOF.
+    end = 0
+    if kinds:
+        end = offsets[-1] + (0 if kinds[-1] == _STMT else len(values[-1]))
+    tail = max(end, text.rfind("\n") + 1)
     comment = text.find("#", tail)
     kinds.append(_EOF)
     values.append("")
     offsets.append(comment if comment >= 0 else len(text))
     return kinds, values, offsets
+
+
+def _statement(m: re.Match, form: int) -> Stmt:
+    """The Stmt of a statement match of _TOKEN_RE, form its m.lastindex."""
+    index = int(m[1])
+    lhs = m[2]
+    if form == _CALL:
+        callee, args, widget = m.group(3, 4, 5)
+        args = tuple([a.strip(" \t") for a in args.split(",")]) if args else ()
+        if widget is not None:
+            widget = _unquote(widget)
+        if lhs is None:
+            return Call(callee, args, widget, line=index)
+        return AssignCall(lhs, callee, args, widget, line=index)
+    if form == _STORE:
+        cls, _, fld = m[13].rpartition(".")
+        return FieldStore(cls, fld, m[14], line=index)
+    if form == _IF:
+        return If(m[16], int(m[17]), line=index)
+    if form == _GOTO:
+        return Goto(int(m[19]), line=index)
+    if form == _RETURN:
+        return Return(m[21], line=index)
+    if lhs is None:  # the token-by-token parse reports where it fails
+        raise ParseError(0, 0, "local")
+    if form == _CONST:
+        return AssignConst(lhs, _unquote(m[7]), line=index)
+    if form == _COPY:
+        return AssignCopy(lhs, m[9], line=index)
+    cls, _, fld = m[11].rpartition(".")
+    return AssignFieldLoad(lhs, cls, fld, line=index)
+
+
+def _unquote(token: str) -> str:
+    """The text of a string token."""
+    s = token[1:-1]
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], s) if "\\" in s else s
 
 
 def _diagnose(text: str, off: int) -> ParseError:
@@ -343,8 +452,8 @@ _TOO_LONG = -1
 class _Parser:
     """Recursive descent over the token lists; i is the current token."""
 
-    def __init__(self, text: str):
-        self.kinds, self.values, self.offsets = _lex(text)
+    def __init__(self, text: str, statements: bool = True):
+        self.kinds, self.values, self.offsets = _lex(text, statements)
         self.line_starts = [0] + [m.end() for m in _NEWLINE_RE.finditer(text)]
         self.i = 0
 
@@ -423,8 +532,7 @@ class _Parser:
         if self.kinds[self.i] != _STRING:
             raise self.error(what)
         self.i += 1
-        s = self.values[self.i - 1][1:-1]
-        return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], s) if "\\" in s else s
+        return _unquote(self.values[self.i - 1])
 
     # -- grammar productions ------------------------------------------------
 
@@ -467,8 +575,19 @@ class _Parser:
         params = self.local_list()
         self.expect("{")
         body: list[Stmt] = []
-        while self.values[self.i] != "}":
-            body.append(self.stmt(len(body)))
+        kinds, values = self.kinds, self.values
+        while True:
+            if kinds[self.i] == _STMT:
+                s = values[self.i]
+                if s.line != len(body):
+                    raise self.error(f"statement index {len(body)}")
+                s.line, s.col = self.position(self.i)
+                body.append(s)
+                self.i += 1
+            elif values[self.i] == "}":
+                break
+            else:
+                body.append(self.stmt(len(body)))
         self.i += 1
         method = MethodDef(name, return_type, params, body, line=line, col=col)
         for s in body:
@@ -550,7 +669,10 @@ def parse_program(text: Union[str, bytes]) -> Program:
             line = prefix.count("\n") + 1
             col = len(prefix) - (prefix.rfind("\n") + 1) + 1
             raise ParseError(line, col, "valid UTF-8") from None
-    return _Parser(text).program()
+    try:
+        return _Parser(text).program()
+    except PirError:  # every error comes from the token-by-token parse
+        return _Parser(text, statements=False).program()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Two generator families:
 * ``gen_roundtrip_program`` — grammar-shaped programs for parser/printer
   round-trips: awkward identifiers, escape-heavy strings, empty bodies.
 
-Both build Program objects directly; tests print/parse as needed.
+``gen_perf_program`` draws desk-scale programs, and ``gen_hub_program`` and
+``shared_cell_program`` programs whose slices overlap. All build Program
+objects directly; tests print/parse as needed.
 """
 
 from __future__ import annotations
@@ -272,6 +274,82 @@ def gen_perf_program(rng: random.Random, n_methods: int = 200, stmts_each: int =
         callable_methods.append(("perf.App", m.name, len(m.params)))
     methods.reverse()
     return Program([ClassDef("perf.App", "java.lang.Object", [], methods)])
+
+
+def gen_hub_program(rng: random.Random, n_methods: int = 8, stmts_each: int = 16) -> Program:
+    """A program whose slices overlap through a few program-wide field
+    cells, as a desk-scale program's do (gen_perf_program's draws at unit
+    test sizes barely overlap). Some methods open with a source stored into
+    a cell, and every method loads the cells, so each such source's slice
+    holds every load of its cell and what follows it: copies, opaque and
+    app calls, sanitizers, sinks, short forward jumps and more stores."""
+    cells = FIELD_CELLS[:2]
+    methods: list[MethodDef] = []
+    callable_methods: list[tuple[str, str, int]] = []
+    for k in range(n_methods - 1, -1, -1):
+        params = tuple(f"p{i}" for i in range(rng.randint(0, 2)))
+        live = list(params)
+        body: list[Stmt] = []
+        if k < 2 or rng.random() < 0.4:  # at least two sources share cell 0
+            cls, fld = cells[0] if k < 2 else rng.choice(cells)
+            body.append(AssignCall("$s", rng.choice(list(SOURCE_SIGS)), ()))
+            body.append(FieldStore(cls, fld, "$s"))
+        body.append(AssignFieldLoad("$l", *cells[k % len(cells)]))
+        live.append("$l")
+        while len(body) < stmts_each - 1:
+            i = len(body)
+            v = f"$v{i}"
+            x = rng.choice(live[-4:])
+            roll = rng.random()
+            if roll < 0.15:
+                body.append(AssignFieldLoad(v, *rng.choice(cells)))
+            elif roll < 0.25:
+                body.append(FieldStore(*rng.choice(cells), x))
+                continue
+            elif roll < 0.35:
+                body.append(Call(rng.choice(list(SINK_SIGS)), (x,)))
+                continue
+            elif roll < 0.42:
+                body.append(AssignCall(v, rng.choice(SANITIZER_SIGS), (x,)))
+            elif roll < 0.52 and callable_methods:
+                ccls, cname, carity = rng.choice(callable_methods)
+                args = tuple(rng.choice(live) for _ in range(carity))
+                body.append(AssignCall(v, f"{ccls}.{cname}", args))
+            elif roll < 0.6 and i + 2 < stmts_each:
+                target = rng.randrange(i + 1, min(stmts_each, i + 4))
+                body.append(If(x, target) if rng.random() < 0.5 else Goto(target))
+                continue
+            elif roll < 0.8:
+                body.append(AssignCopy(v, x))
+            else:
+                body.append(AssignCall(v, rng.choice(OPAQUE_SIGS), (x,)))
+            live.append(v)
+        body.append(Return(rng.choice(live) if rng.random() < 0.5 else None))
+        methods.append(MethodDef(f"m{k}", "void", params, body))
+        callable_methods.append(("app.Main", f"m{k}", len(params)))
+    methods.reverse()
+    return Program([ClassDef("app.Main", "java.lang.Object", [], methods)])
+
+
+def shared_cell_program(n: int) -> Program:
+    """n methods that each store a source value in one field cell, load
+    the cell, and hash, format and send the load: every slice holds every
+    load and what follows it, and every node kind occurs."""
+    sources = sorted(SOURCE_SIGS)
+    methods = []
+    for k in range(n):
+        body: list[Stmt] = [
+            AssignCall("$s", sources[k % len(sources)], ()),
+            FieldStore("app.State", "f0", "$s"),
+            AssignFieldLoad("$l", "app.State", "f0"),
+            AssignCall("$h", "ext.Crypto.hash", ("$l",)),
+            AssignCall("$t", "ext.Util.fmt", ("$h",)),
+            Call("ext.Net.send", ("$t",)),
+            Call("ext.Log.info", ("$l",)),
+            Return(),
+        ]
+        methods.append(MethodDef(f"m{k}", "void", (), body))
+    return Program([ClassDef("app.Main", "java.lang.Object", [], methods)])
 
 
 # ---------------------------------------------------------------------------

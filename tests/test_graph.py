@@ -459,3 +459,62 @@ def test_method_facts_memo_not_part_of_equality_or_repr():
     before = repr(p)
     assert method_facts(p) is method_facts(p)
     assert p == fresh and repr(p) == before
+
+
+def _loc_inputs(tmp_path):
+    """(PIR text, Config) of a fixture and of a gen_perf_program draw."""
+    from pdaudit.cli import Config
+    from regen_goldens import perf_inputs
+
+    fixtures = Path(__file__).parent / "fixtures"
+    names = ("sources", "sinks", "sanitizers", "lexicon", "dpv")
+    fixture_cfg = Config(**{n: fixtures / "registries" / f"{n}.json" for n in names})
+    perf_inputs(tmp_path, n_methods=20)
+    perf_cfg = Config(**{n: tmp_path / f"{n}.json" for n in names})
+    return [((fixtures / "cha_override.pir").read_text(encoding="utf-8"), fixture_cfg),
+            ((tmp_path / "perf.pir").read_text(encoding="utf-8"), perf_cfg)]
+
+
+def test_one_loc_per_statement_in_an_analysis(monkeypatch, tmp_path):
+    from pdaudit.cli import run_analysis
+
+    built = []
+    init = Loc.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    inputs = _loc_inputs(tmp_path)
+    monkeypatch.setattr(Loc, "__init__", counting_init)
+    for text, cfg in inputs:
+        built.clear()
+        artifacts = run_analysis(text, cfg)
+        n_stmts = sum(len(m.body) for _, m in artifacts.program.iter_methods())
+        assert n_stmts > 0 and len(built) == n_stmts
+
+
+def test_call_graph_labels_and_method_facts_share_the_graphs_locs(tmp_path):
+    from pdaudit.registry import label_sources, load_registries
+
+    for text, cfg in _loc_inputs(tmp_path):
+        p = parse_program(text)
+        cg = build_call_graph(p)
+        g = build_pdg(p, cg)
+        src, _, _, lex = load_registries(cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon)
+        labels = label_sources(p, src, lex)
+        assert g.locs is p.locs() and cg.edges and labels
+        assert all(g.locs[g.id_of(site)] is site for site in cg.edges)
+        assert all(g.locs[g.id_of(l.location)] is l.location for l in labels)
+        for f in method_facts(p).values():
+            for i in range(len(f.m.body)):
+                assert g.locs[g.id_of(f.loc(i))] is f.loc(i)
+        assert [loc for loc, _ in p.iter_locs()] == list(g.locs)
+        assert all(s is t for (_, s), t in zip(p.iter_locs(), g.stmts))
+
+
+def test_program_locs_memo_not_part_of_equality_or_repr():
+    p = parse_program(FIXTURE_B)
+    before = repr(p)
+    assert p.locs() is p.locs()
+    assert p == parse_program(FIXTURE_B) and repr(p) == before

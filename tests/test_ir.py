@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from oracles import reference_parse
 from pdaudit.cli import _read_pir
 from pdaudit.graph import build_call_graph, build_pdg
 from pdaudit.ir import (
+    _INT,
+    _STMT,
     AssignCall,
     AssignConst,
     Call,
@@ -22,6 +25,8 @@ from pdaudit.ir import (
     Program,
     Return,
     Severity,
+    _lex,
+    _Parser,
     parse_program,
     print_program,
     validate,
@@ -335,3 +340,98 @@ def test_crlf_input_through_read_pir(tmp_path):
     bad = tmp_path / "bad.pir"
     bad.write_bytes(b"class C extends D {\r\n  field int ;\r\n}\r\n")
     assert _outcome(parse_program, _read_pir(str(bad))) == ("ParseError", 2, 13, "field name")
+
+
+# ---------------------------------------------------------------------------
+# Statement tokens: one lexer match per statement, the token parse on error
+# ---------------------------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+_SOURCE_TOKEN_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"|\$?[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S')
+_MARKS = set("{}()=:;,.@")
+_SEPARATORS = [" "] * 12 + ["\t", "  ", "\n", "\n    ", " \t", "\r\n", " # note\n",
+                             "\n# 1: goto 2 $x @widget\n"]
+_SPACES = [" ", " ", "\t", " \t "]
+
+
+def _relaid(rng, text):
+    """text's tokens joined by random spaces, tabs, newlines and comments,
+    or by spaces and tabs alone, and often by nothing next to a mark."""
+    seps = rng.choice([_SEPARATORS, _SPACES])
+    toks = _SOURCE_TOKEN_RE.findall(text)
+    return "".join(
+        a + ("" if (a in _MARKS or b in _MARKS) and rng.random() < 0.5 else rng.choice(seps))
+        for a, b in zip(toks, toks[1:] + [""])
+    )
+
+
+def _n_stmts(p):
+    return sum(len(m.body) for _, m in p.iter_methods())
+
+
+def test_parser_matches_reference_on_relaid_fixtures_and_prints():
+    rng = random.Random(6262)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.pir"))]
+    texts += [print_program(gen_roundtrip_program(rng)) for _ in range(300)]
+    for text in texts:
+        assert_same_as_reference(_relaid(rng, text))
+        assert_same_as_reference(_relaid(rng, _mutate(rng, text)))
+
+
+def _in_method(body):
+    return "class C extends D {\n  method void f(p0) {\n" + body + "\n  }\n}\n"
+
+
+@pytest.mark.parametrize(
+    "body, outcome",
+    [
+        ("0: goto 1: return", "ParseError"),
+        ('0: $x = "a"\n1: return\n  $x', [AssignConst("$x", "a"), Return("$x")]),
+        ('0: $x = call a.B.c()\n  @widget("w") 1: return',
+         [AssignCall("$x", "a.B.c", (), "w"), Return()]),
+        ("0: goto5", "ParseError"),
+        ("0: storex.f = p0", "ParseError"),
+        ("0: callx.y()", "ParseError"),
+        ("0: $a = callx.y()", "ParseError"),
+        ("0000000000000000000: return", [Return()]),  # 19 digits
+        ("0: goto 1000000000000000000", "InvalidTargetError"),
+        ("00: goto 01\n01: return", [Goto(1), Return()]),
+        ('0: $a =\r"x"\r\n1:\rreturn\r', [AssignConst("$a", "x"), Return()]),
+        ('0: $a = "q\\"b\\\\c\\nd\\te\\r"\n'
+         '1: call a.B.c($a, p0) @widget("w\\"x\\\\y\\n")\n2: return',
+         [AssignConst("$a", 'q"b\\c\nd\te\r'), Call("a.B.c", ("$a", "p0"), 'w"x\\y\n'),
+          Return()]),
+    ],
+)
+def test_pinned_statement_layouts_parse_as_the_reference(body, outcome):
+    text = _in_method(body)
+    got = _outcome(parse_program, text)
+    if isinstance(outcome, str):
+        assert got[0] == outcome
+    else:
+        assert got[0].classes[0].methods[0].body == outcome
+    assert_same_as_reference(text)
+
+
+def test_every_statement_of_fixtures_and_prints_is_one_token():
+    """The statement alternative is taken: a printed or fixture statement
+    is one token, and no index is lexed on its own."""
+    rng = random.Random(7373)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.pir"))]
+    texts += [print_program(gen_roundtrip_program(rng)) for _ in range(300)]
+    for text in texts:
+        kinds = _lex(text)[0]
+        assert kinds.count(_STMT) == _n_stmts(parse_program(text)) and _INT not in kinds
+        assert _STMT not in _lex(text, statements=False)[0]
+
+
+def test_bench_workloads_parse_the_same_with_and_without_statement_tokens(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    for name in sorted(workloads.GENERATORS):
+        text = workloads.generate(name, 7).text
+        fast = parse_program(text)
+        slow = _Parser(text, statements=False).program()
+        assert fast == slow and _positions(fast) == _positions(slow)
+        assert _lex(text)[0].count(_STMT) == _n_stmts(fast) > 10000

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
-from gen import SOURCE_SIGS
+from gen import gen_hub_program, shared_cell_program
 from pdaudit import __version__
 from pdaudit.dpv import DpvMap
 from pdaudit.graph import build_call_graph, build_pdg
@@ -329,31 +330,19 @@ def test_dot_byte_stable():
     assert a == b
 
 
-def _shared_cell_program(n: int) -> str:
-    """n methods that each store a source value in one field cell, load
-    the cell, and hash, format and send the load: every slice holds every
-    load and what follows it, and every node kind occurs."""
-    sources = sorted(SOURCE_SIGS)
-    methods = []
-    for k in range(n):
-        body = [f"$s = call {sources[k % len(sources)]}()", "store app.State.f0 = $s",
-                "$l = load app.State.f0", "$h = call ext.Crypto.hash($l)",
-                "$t = call ext.Util.fmt($h)", "call ext.Net.send($t)", "call ext.Log.info($l)",
-                "return"]
-        stmts = "\n".join(f"    {i}: {st}" for i, st in enumerate(body))
-        methods.append(f"  method void m{k}() {{\n{stmts}\n  }}")
-    return "class app.Main extends java.lang.Object {\n" + "\n".join(methods) + "\n}\n"
-
-
 def test_dot_lines_kept_on_the_graph_give_the_bytes_of_a_fresh_graph():
     """render_dot keeps a node's line on the graph from its second slice
     on. Rendering every slice forward, in reverse, and interleaved with
     other label lists (one of them edited in place) and other registries,
-    all on one graph, gives each time the bytes that a fresh graph gives."""
+    all on one graph, gives each time the bytes that a fresh graph gives,
+    on shared-cell programs and on gen_hub_program draws, whose slices
+    overlap."""
     other_sinks = SinkRegistry(exact={}, prefixes={"ext.": SinkMatch(SinkKind.LOG, None)})
     no_sanitizers = SanitizerRegistry(frozenset())
-    for n in (3, 8):
-        p = parse_program(_shared_cell_program(n))
+    rng = random.Random(3131)
+    programs = [shared_cell_program(3), shared_cell_program(8)]
+    programs += [gen_hub_program(rng, n_methods=rng.randint(2, 8)) for _ in range(12)]
+    for p in programs:
         cg, g, labels, _ = analyze_generated(p)
         edited = list(labels)
         variants = [

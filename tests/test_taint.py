@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
-from gen import SANITIZER_SIGS, SINK_SIGS, SOURCE_SIGS, gen_perf_program, gen_program
+from gen import (
+    SANITIZER_SIGS,
+    SINK_SIGS,
+    SOURCE_SIGS,
+    gen_hub_program,
+    gen_perf_program,
+    gen_program,
+    shared_cell_program,
+)
 from oracles import (
     all_paths_taint,
     expected_all_paths_pseudonymized,
@@ -159,15 +167,20 @@ def test_witness_edges_exist_in_graph():
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), perf=st.booleans())
-def test_early_stopped_witness_table_gives_the_full_tables_paths(seed, perf):
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["gen", "perf", "hub", "shared"]))
+def test_early_stopped_witness_table_gives_the_full_tables_paths(seed, shape):
     """_witness_rdist stops once every start state has a distance. Every
     distance it holds is final, and _witness from any of the starts, over
     any blocked set, finds the same path, or None, as over the table of
-    every state (starts naming every node: no early stop)."""
+    every state (starts naming every node: no early stop). Hub and shared
+    cell programs have slices that overlap, as desk-scale programs do."""
     rng = random.Random(seed)
-    if perf:
+    if shape == "perf":
         p = gen_perf_program(rng, n_methods=6, stmts_each=20)
+    elif shape == "hub":
+        p = gen_hub_program(rng, n_methods=rng.randint(2, 8))
+    elif shape == "shared":
+        p = shared_cell_program(rng.randint(2, 6))
     else:
         p = gen_program(rng, allow_loops=True, allow_recursion=True)
     g = build_pdg(p, build_call_graph(p))
