@@ -287,8 +287,20 @@ def _add_registry_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json-errors", action="store_true", help="machine-readable errors")
 
 
+class _FlagError(Exception):
+    """A bad command line: args are the parser that found it and its message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _FlagError instead of printing usage and exiting, so main can
+    report a bad command line as --json-errors asks."""
+
+    def error(self, message: str):
+        raise _FlagError(self, message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pdaudit", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="pdaudit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     an = sub.add_parser("analyze", help="run the full audit pipeline")
@@ -376,7 +388,16 @@ def cmd_print(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = make_parser().parse_args(argv)
+    except _FlagError as exc:
+        parser, message = exc.args
+        words = argv[: argv.index("--")] if "--" in argv else argv  # operands follow "--"
+        if "--json-errors" not in words:
+            argparse.ArgumentParser.error(parser, message)  # usage text, exit 2
+        _emit_error(UsageError(message), argparse.Namespace(pir=None, json_errors=True))
+        return 2
     if args.command == "analyze":
         return cmd_analyze(args)
     if args.command == "validate":

@@ -24,7 +24,10 @@ exit passes through j. A statement that cannot reach the exit (`k: goto k`)
 is postdominated by itself alone.
 
 Statements unreachable from a method's entry appear as graph nodes but
-carry no dependence edges.
+carry no dependence edges. Per method, one forward pass from the entry
+gives the reaching definitions of locals, and the statements it reaches
+are the reachable ones; the control dependences are taken from the CFG,
+which is then dropped.
 
 Storage. DepGraph has one constructor, DepGraph(locs, stmts, out, cells),
 and every loc is a node. A node's id is its rank in Loc order; build_pdg
@@ -59,6 +62,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .ir import (
@@ -317,21 +321,6 @@ def cfg_successors(m: MethodDef) -> dict[int, tuple[int, ...]]:
     return succs
 
 
-def reachable_indices(m: MethodDef, succs: dict[int, tuple[int, ...]]) -> set[int]:
-    """Statements reachable from the entry; `succs` is cfg_successors(m)."""
-    if not m.body:
-        return set()
-    seen = {0}
-    work = deque([0])
-    while work:
-        i = work.popleft()
-        for j in succs[i]:
-            if j != EXIT and j not in seen:
-                seen.add(j)
-                work.append(j)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Call graph (CHA)
 # ---------------------------------------------------------------------------
@@ -416,81 +405,73 @@ def build_call_graph(p: Program) -> CallGraph:
 
 
 class _MethodFacts:
-    """CFG successors, reachable set, reaching definitions and def-use
-    chains for one method. Built once per method by method_facts and shared
-    by the data, control and interprocedural edge builders and by the taint
-    engine.
+    """Reaching definitions, def-use chains and control dependences of one
+    method, from one forward pass over its CFG; the CFG is not kept, nor is
+    cls_name. Built once per method by method_facts and shared by the edge
+    builders and the taint engine.
 
-    defs lists the method's definitions as (local, index) pairs: each
-    parameter's entry value (index ENTRY_DEF), then each reachable defining
+    defs numbers every definition as a (local, index) pair: each
+    parameter's entry value (index ENTRY_DEF), then every defining
     statement in index order. before[i] is the set of definitions reaching
-    reachable statement i, as a bit set over defs (read it with pairs).
-    use_defs[i] gives, per position of stmt_uses(body[i]), the sorted
-    definitions of that local reaching i. def_uses[d] lists the statements
-    reading the local defined at d under that definition, and
-    entry_uses[param] those reading the parameter's entry value.
-    method_facts sets locs, the program's Loc tuple, and base, the rank of
-    the method's first statement in it, which loc reads."""
+    statement i, as a bit set over defs (read it with pairs); its keys,
+    reachable, are the statements reachable from the entry. use_defs[i]
+    gives, per position of stmt_uses(body[i]), the sorted definitions of
+    that local reaching i. def_uses[d] lists the statements reading the
+    local defined at d under that definition, and entry_uses[param] those
+    reading the parameter's entry value. control lists the (branch index,
+    dependent index) pairs of _control_pairs. method_facts sets locs, the
+    program's Loc tuple, and base, the rank of the method's first statement
+    in it, which loc reads."""
 
     def __init__(self, cls_name: str, m: MethodDef):
-        self.cls = cls_name
         self.m = m
-        self.succs = cfg_successors(m)
-        self.reachable = reachable_indices(m, self.succs)
         body = m.body
-        order = sorted(self.reachable)
-        self.defs: list[tuple[str, int]] = [(v, ENTRY_DEF) for v in dict.fromkeys(m.params)]
-        entry = (1 << len(self.defs)) - 1
-        preds: dict[int, list[int]] = {i: [] for i in order}
-        bit_at: dict[int, int] = {}
-        for i in order:
-            for j in self.succs[i]:
-                if j != EXIT:
-                    preds[j].append(i)
-            d = stmt_defs(body[i])
-            if d is not None:
-                bit_at[i] = 1 << len(self.defs)
-                self.defs.append((d, i))
+        succs = cfg_successors(m)
+        defs = self.defs = [(v, ENTRY_DEF) for v in dict.fromkeys(m.params)]
+        n_params = len(defs)
+        defs += [(v, i) for i, s in enumerate(body) if (v := stmt_defs(s)) is not None]
         of_local: dict[str, int] = {}  # local -> bits of all its definitions
-        for k, (v, _) in enumerate(self.defs):
+        for k, (v, _) in enumerate(defs):
             of_local[v] = of_local.get(v, 0) | 1 << k
-        keep_at = {i: ~of_local[stmt_defs(body[i])] for i in bit_at}
+        gen = [(-1, 0)] * len(body)  # per statement: the bits it passes on, the bit it adds
+        for k, (v, i) in enumerate(defs[n_params:], n_params):
+            gen[i] = (~of_local[v], 1 << k)
 
-        self.before: dict[int, int] = {}
-        out: dict[int, int] = {}
-        work = deque(order)
+        # Lowest index first: in loop-free code, every predecessor goes first.
+        before = self.before = {0: (1 << n_params) - 1} if body else {}
+        self.reachable = before.keys()
+        work = list(before)
         while work:
-            i = work.popleft()
-            inn = entry if i == 0 else 0
-            for pr in preds[i]:
-                inn |= out.get(pr, 0)
-            self.before[i] = inn
-            bit = bit_at.get(i)
-            new_out = inn if bit is None else inn & keep_at[i] | bit
-            if out.get(i) != new_out:
-                out[i] = new_out
-                for j in self.succs[i]:
-                    if j != EXIT:
-                        work.append(j)
+            i = heappop(work)
+            keep, own = gen[i]
+            out = before[i] & keep | own
+            for j in succs[i]:
+                if j != EXIT:
+                    old = before.get(j)
+                    new = out if old is None else old | out
+                    if new != old:
+                        before[j] = new
+                        heappush(work, j)
+        self.control = tuple(_control_pairs(m, before, succs))
 
         self.use_defs: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.def_uses: dict[int, list[int]] = {}
         self.entry_uses: dict[str, list[int]] = {}
-        for i in order:
+        for i in sorted(before):
             uses = stmt_uses(body[i])
             if not uses:
                 continue
-            per_local = {
-                v: tuple(d for _, d in self.pairs(self.before[i] & of_local.get(v, 0)))
-                for v in uses
-            }
-            self.use_defs[i] = tuple(per_local[v] for v in uses)
-            for v, ds in per_local.items():
-                for d in ds:
-                    if d == ENTRY_DEF:
-                        self.entry_uses.setdefault(v, []).append(i)
-                    else:
-                        self.def_uses.setdefault(d, []).append(i)
+            reach, union, per_use = before[i], 0, []
+            for v in uses:
+                bits = reach & of_local.get(v, 0)
+                union |= bits
+                per_use.append(tuple(defs[k][1] for k in _bits(bits)))
+            self.use_defs[i] = tuple(per_use)
+            for v, d in self.pairs(union):  # each reaching definition once
+                if d == ENTRY_DEF:
+                    self.entry_uses.setdefault(v, []).append(i)
+                else:
+                    self.def_uses.setdefault(d, []).append(i)
 
     def pairs(self, bits: int) -> Iterator[tuple[str, int]]:
         """The definitions in a bit set over defs, in defs order."""
@@ -573,9 +554,7 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     Every statement location is a node. Methods are numbered in sorted
     order, each over a contiguous id range, so the result is independent of
     source class order and ids follow Loc order."""
-    facts = method_facts(p)
-    mids = sorted(facts)
-    base = {mid: f.base for mid, f in facts.items()}
+    facts = method_facts(p)  # in MethodId order
     locs = p.locs()
     stmts = [s for _, m in p.iter_methods() for s in m.body]
     out: list[list[int]] = [[] for _ in locs]
@@ -586,16 +565,15 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     # Resolved call sites, in id order, with the definitions reaching each
     # argument.
     call_sites: list[tuple[int, MethodId, MethodId, tuple[str, ...], tuple, bool]] = []
-    for mid in mids:
-        f, b = facts[mid], base[mid]
-        body = f.m.body
+    for mid, f in facts.items():
+        b, body = f.base, f.m.body
         for i, per_use in f.use_defs.items():  # local def-use pairs
             code = (b + i) << _KIND_BITS | _DATA
             for ds in per_use:
                 for d in ds:
                     if d != ENTRY_DEF:
                         out[b + d].append(code)
-        for br, s in _control_pairs(f.m, f.reachable, f.succs):
+        for br, s in f.control:
             out[b + br].append((b + s) << _KIND_BITS | _CONTROL)
         rets = returns[mid] = []
         for i in sorted(f.reachable):
@@ -621,7 +599,7 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     # Call edges: call site -> callee entry statement.
     for site, _, t, _, _, _ in call_sites:
         if facts[t].m.body:
-            out[site].append(base[t] << _KIND_BITS | _CALL)
+            out[site].append(facts[t].base << _KIND_BITS | _CALL)
 
     # Feeders: for each (callee, param index), the statements whose defined
     # value can enter that parameter, chasing parameter-to-parameter
@@ -629,7 +607,7 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     feed: dict[tuple[MethodId, int], set[int]] = {}
     passthrough: dict[tuple[MethodId, int], set[tuple[MethodId, int]]] = {}
     for _, caller, t, args, arg_defs, _ in call_sites:
-        b = base[caller]
+        b = facts[caller].base
         for i, (a, ds) in enumerate(zip(args, arg_defs)):
             key = (t, i)
             feed.setdefault(key, set()).update(b + d for d in ds if d != ENTRY_DEF)
@@ -649,12 +627,12 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
 
     # ParamIn edges: feeder def site -> callee statements reading the param.
     for (t, i), sources in feed.items():
-        params = facts[t].m.params
+        tf = facts[t]
+        params = tf.m.params
         if i >= len(params):
             continue
-        b = base[t]
-        for u in facts[t].entry_uses.get(params[i], ()):
-            code = (b + u) << _KIND_BITS | _PARAM_IN
+        for u in tf.entry_uses.get(params[i], ()):
+            code = (tf.base + u) << _KIND_BITS | _PARAM_IN
             for src in sources:
                 out[src].append(code)
 

@@ -254,7 +254,7 @@ def propagate(
     for mid, i in sorted(label_at):
         push(mid, i)
 
-    n_stmts = sum(len(m.body) for _, m in p.iter_methods())
+    n_stmts = len(p.locs())
     budget = 4 * max(1, n_stmts) * max(1, 2 * len(labels)) + 1000
     steps = 0
 

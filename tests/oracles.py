@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Optional
 
-from pdaudit.graph import _KIND_BITS, KINDS, EXIT, DepEdge, DepGraph, EdgeKind, cfg_successors
+from pdaudit.graph import (
+    _KIND_BITS,
+    ENTRY_DEF,
+    EXIT,
+    KINDS,
+    DepEdge,
+    DepGraph,
+    EdgeKind,
+    cfg_successors,
+)
 from pdaudit.ir import (
     AssignCall,
     AssignConst,
@@ -127,6 +136,43 @@ def data_dep_pairs_by_paths(cls_name: str, m: MethodDef) -> set[tuple[Loc, Loc]]
             if d is not None:
                 last_def[d] = i
     return pairs
+
+
+def reaching_defs_by_search(m: MethodDef) -> dict[int, set[tuple[str, int]]]:
+    """The (local, definition index) pairs reaching each statement of m
+    reachable from the entry, keyed by those statements, by one search per
+    definition. A definition of v at a reachable statement d reaches i when
+    some CFG path leads from d to i with no other definition of v strictly
+    between; a parameter's entry value (index ENTRY_DEF) reaches i when
+    some path from the entry does."""
+    succs = cfg_successors(m)
+    reachable = {0} if m.body else set()
+    work = list(reachable)
+    while work:
+        for j in succs[work.pop()]:
+            if j != EXIT and j not in reachable:
+                reachable.add(j)
+                work.append(j)
+    reaching: dict[int, set[tuple[str, int]]] = {i: set() for i in reachable}
+
+    def search(v: str, d: int, starts) -> None:
+        seen: set[int] = set()
+        work = [j for j in starts if j != EXIT]
+        while work:
+            j = work.pop()
+            if j not in seen:
+                seen.add(j)
+                reaching[j].add((v, d))
+                if stmt_defs(m.body[j]) != v:
+                    work += [k for k in succs[j] if k != EXIT]
+
+    for v in set(m.params):
+        search(v, ENTRY_DEF, reachable & {0})
+    for d in reachable:
+        v = stmt_defs(m.body[d])
+        if v is not None:
+            search(v, d, succs[d])
+    return reaching
 
 
 def _reaches_exit(succs: dict[int, tuple[int, ...]], i: int, deleted: Optional[int] = None) -> bool:

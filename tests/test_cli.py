@@ -377,6 +377,47 @@ def test_errors_outside_config_name_pir_file(tmp_path, capsys, json_errors):
     assert (json.loads(err)["file"] if json_errors else err.split(":")[0]) == str(bad)
 
 
+FLAG_ERRORS = [
+    ("analyze", ["--fail-threshold", "abc"], "argument --fail-threshold: invalid float value: 'abc'"),
+    ("validate", ["--config"], "argument --config: expected one argument"),
+    ("print", ["--json-errors=yes"], "argument --json-errors: ignored explicit argument 'yes'"),
+] + [(command, ["--bogus", "1"], "unrecognized arguments: --bogus 1")
+     for command in ("analyze", "validate", "print")]
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("command, bad, message", FLAG_ERRORS)
+def test_flag_errors_exit_2(tmp_path, capsys, command, bad, message, json_errors):
+    """A bad flag value or an unknown flag exits 2 with argparse's usage
+    text, or with one UsageError object under --json-errors."""
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    flags = ["--json-errors"] if json_errors else []
+    argv = [command, str(FIXTURES / "b.pir"), *out, *flags, *bad]
+    if json_errors:
+        assert main(argv) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if json_errors:
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": "UsageError", "message": message, "file": None}
+    else:
+        assert captured.err.startswith("usage: pdaudit")
+        assert captured.err.endswith(f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_errors_after_double_dash_is_an_operand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["print", str(FIXTURES / "b.pir"), "--bogus", "--", "--json-errors"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pdaudit") and "unrecognized arguments: --bogus" in err
+
+
 BAD_FACTORS = ["-1.0", "-0.5", "NaN", "Infinity", "-Infinity", "true", "1" + "0" * 400]
 
 

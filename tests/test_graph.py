@@ -3,8 +3,14 @@ from pathlib import Path
 
 from conftest import FIXTURE_A, FIXTURE_B, MUTUAL_EXTENDS, SELF_EXTENDS, time_limit
 from gen import gen_program
-from oracles import brute_control_pairs, data_dep_pairs_by_paths, exit_unreachable
+from oracles import (
+    brute_control_pairs,
+    data_dep_pairs_by_paths,
+    exit_unreachable,
+    reaching_defs_by_search,
+)
 from pdaudit.graph import (
+    ENTRY_DEF,
     DepEdge,
     EdgeKind,
     MethodId,
@@ -14,7 +20,6 @@ from pdaudit.graph import (
     build_pdg,
     cfg_successors,
     method_facts,
-    reachable_indices,
 )
 from pdaudit.ir import (
     AssignCall,
@@ -29,6 +34,7 @@ from pdaudit.ir import (
     Program,
     Return,
     parse_program,
+    stmt_uses,
 )
 
 
@@ -217,6 +223,60 @@ def test_data_deps_match_path_oracle_on_random_methods():
         assert got == data_dep_pairs_by_paths("C", m)
 
 
+def _random_def_use_body(rng):
+    """1-12 statements with branches and gotos in every direction (self
+    loops included) over 2-3 locals and 0-2 parameters: constants, copies
+    and calls with and without a lhs (any of which may redefine a
+    parameter), and returns with and without a value."""
+    params = ("p0", "p1")[: rng.randint(0, 2)]
+    names = ["$a", "$b", "$c"][: rng.randint(2, 3)] + list(params)
+    pick = lambda: rng.choice(names)
+    n = rng.randint(1, 12)
+    body = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.2:
+            body.append(If(pick(), rng.randrange(n)))
+        elif roll < 0.3:
+            body.append(Goto(rng.randrange(n)))
+        elif roll < 0.38:
+            body.append(Return(rng.choice((None, pick()))))
+        elif roll < 0.55:
+            body.append(AssignConst(pick(), "k"))
+        elif roll < 0.75:
+            body.append(AssignCopy(pick(), pick()))
+        elif roll < 0.9:
+            body.append(AssignCall(pick(), "x.Y.g", tuple(pick() for _ in range(rng.randint(0, 2)))))
+        else:
+            body.append(Call("x.Y.h", tuple(pick() for _ in range(rng.randint(1, 3)))))
+    return MethodDef("f", "void", params, body)
+
+
+def test_reaching_definitions_match_search_oracle_on_loop_bodies():
+    rng = random.Random(9190)
+    carried = 0  # bodies where a definition reaches a statement at or before it
+    for _ in range(4000):
+        m = _random_def_use_body(rng)
+        f = _MethodFacts("C", m)
+        want = reaching_defs_by_search(m)
+        assert set(f.reachable) == set(want), m.body
+        def_uses: dict[int, list[int]] = {}
+        entry_uses: dict[str, list[int]] = {}
+        for i in sorted(want):
+            assert set(f.pairs(f.before[i])) == want[i], (m.body, i)
+            uses = stmt_uses(m.body[i])
+            assert f.use_defs.get(i, ()) == tuple(
+                tuple(sorted(d for w, d in want[i] if w == v)) for v in uses
+            ), (m.body, i)
+            for v, d in want[i]:
+                if v in uses:
+                    (entry_uses.setdefault(v, []) if d == ENTRY_DEF else def_uses.setdefault(d, [])).append(i)
+        assert set(f.use_defs) == {i for i in want if stmt_uses(m.body[i])}
+        assert (f.def_uses, f.entry_uses) == (def_uses, entry_uses), m.body
+        carried += any(d >= i for i, reach in want.items() for _, d in reach)
+    assert carried >= 1000  # definitions carried around loops are exercised
+
+
 # ---------------------------------------------------------------------------
 # Control dependences
 # ---------------------------------------------------------------------------
@@ -287,7 +347,7 @@ def test_control_pairs_match_deletion_oracle_on_random_bodies():
     for _ in range(5000):
         m = _random_jump_body(rng)
         succs = cfg_successors(m)
-        got = set(_control_pairs(m, reachable_indices(m, succs), succs))
+        got = set(_control_pairs(m, _MethodFacts("C", m).reachable, succs))
         assert got == brute_control_pairs(m), m.body
         stuck += bool(exit_unreachable(m))
     assert stuck >= 1000  # the cannot-reach-exit convention is exercised
