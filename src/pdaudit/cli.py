@@ -101,11 +101,15 @@ def _load_config_file(path: Path) -> dict:
             raw = tomllib.loads(text)
         except ValueError as exc:  # TOMLDecodeError, or an integer too long for int()
             raise UsageError(f"config {path}: {exc}") from None
+        except RecursionError:
+            raise UsageError(f"config {path}: invalid TOML: nested too deeply") from None
     else:
         try:
             raw = json.loads(text)
         except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
             raise UsageError(f"config {path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise UsageError(f"config {path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config top level must be an object, not {type(raw).__name__}")
     return raw
@@ -223,6 +227,7 @@ def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:
     labels = label_sources(program, sources, lexicon)
     pr = propagate(program, cg, labels, sanitizers)
     taint = build_taint_result(pr, program, sinks, g)
+    del cg, pr  # the method facts go with them, before slicing and output
     slices = [forward_slice(g, label) for label in labels]
 
     digest = input_digest(

@@ -29,25 +29,31 @@ gives the reaching definitions of locals, and the statements it reaches
 are the reachable ones; the control dependences are taken from the CFG,
 which is then dropped.
 
-Storage. DepGraph has one constructor, DepGraph(locs, stmts, out, cells),
-and every loc is a node. A node's id is its rank in Loc order; build_pdg
-numbers the methods in sorted order, each over a contiguous id range (base
-+ statement index), and its locs is the program's own tuple, p.locs(), so
-the call graph, the labels, the method facts and the graph hold one Loc per
-statement. stmts[id] is the statement at locs[id]: the one statement index
-downstream of parsing, read by flows, slice statistics and DOT output.
-Explicit edges are per-node sorted lists of ints packing the other end's id
-with a kind code, in both directions; the codes follow the order of the
-kind.value strings, so a sorted list is in (src Loc, dst Loc, kind.value)
-order. A field cell is stored once, as its sorted reachable
-store ids and load ids: its stores x loads Data edges are never stored,
-which keeps the graph linear in the program. Slicing and witness search
-walk ids and expand each cell at most once per traversal. DOT output never
-expands a cell: cell_edges numbers cell c as node len(locs) + c and gives
-its store -> cell and cell -> load Data edges, the summary-node reading of
-system dependence graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a
-slice's DOT file stays linear in the slice. DepEdge objects, cell pairs
-included, are built only by the edges view.
+Storage. DepGraph has one constructor, DepGraph(locs, stmts, src, dst,
+cells), and every loc is a node. A node's id is its rank in Loc order;
+build_pdg numbers the methods in sorted order, each over a contiguous id
+range (base + statement index), and its locs is the program's own tuple,
+p.locs(), so the call graph, the labels, the method facts and the graph
+hold one Loc per statement. id_of maps a Loc back to its id through its
+method's id span and a bisect over an int array of statement indices, with
+no {Loc: id} table. stmts[id] is the statement at locs[id]: the one
+statement index downstream of parsing, read by flows, slice statistics and
+DOT output. build_pdg emits the explicit edges as two flat int arrays, the
+source ids and the other ends packed with a kind code, and never builds a
+list per node. The graph keeps them in compressed sparse rows (CSR), one
+offsets array and one packed-edge array per direction: node i's edges are
+packed[offsets[i] : offsets[i + 1]], deduplicated and sorted. The codes
+follow the order of the kind.value strings, so each run is in (dst Loc,
+kind.value) order, or (src Loc, kind.value) order for incoming edges. A
+field cell is stored once, as its sorted reachable store ids and load ids:
+its stores x loads Data edges are never stored, which keeps the graph
+linear in the program. Slicing and witness search walk ids and expand each
+cell at most once per traversal. DOT output never expands a cell:
+cell_edges numbers cell c as node len(locs) + c and gives its store -> cell
+and cell -> load Data edges, the summary-node reading of system dependence
+graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a slice's DOT file
+stays linear in the slice. DepEdge objects, cell pairs included, are built
+only by the edges view.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
@@ -59,10 +65,14 @@ walked as far as each class's first repeat.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import accumulate, groupby, repeat
+from operator import and_, attrgetter, lshift, or_
 from typing import Iterator, Optional
 
 from .ir import (
@@ -116,39 +126,52 @@ _DATA_CODES = (_DATA, _PARAM_IN, _RETURN_OUT)
 class DepGraph:
     """Immutable-by-convention dependence graph on integer node ids.
 
-    DepGraph(locs, stmts, out, cells) is the graph whose nodes are locs,
-    which must be in Loc order (locs[id] is the Loc, so comparing ids
-    compares Locs); stmts[id] is the statement at locs[id]. out[i] lists
-    the explicit edges leaving node i, packed as dst << _KIND_BITS | code
-    (unsorted, duplicates allowed); it is deduplicated and sorted in place,
-    and _inn[i] gets the reverse, src << _KIND_BITS | code.
+    DepGraph(locs, stmts, src, dst, cells) is the graph whose nodes are
+    locs, which must be in Loc order (locs[id] is the Loc, so comparing ids
+    compares Locs); stmts[id] is the statement at locs[id]. src and dst are
+    parallel arrays of the explicit edges, in any order, duplicates
+    allowed: edge e leaves node src[e] and is packed as dst[e] = dst id <<
+    _KIND_BITS | code. They are grouped by source, deduplicated and sorted
+    into _out, and reversed into _inn, whose runs pack src id << _KIND_BITS
+    | code. _out and _inn are CSR pairs (offsets, packed): the run of node
+    i is packed[offsets[i]:offsets[i + 1]].
     cells[c] is one field cell, as (store ids, load ids) in id order; the
     store -> load Data edges it implies are not stored and must not repeat
     an explicit edge. reach, induced, cell_edges, data_in and data_out walk
     ids; edges builds the DepEdge objects, cell pairs included, on first
-    use, and sink_table the sink statements of a registry."""
+    use, and sink_table the sink statements of a registry. id_of finds a
+    Loc's id from its method's id span and a bisect over the statement
+    indices, so any node set in Loc order, however sparse, is indexed."""
 
     def __init__(
         self,
         locs: list[Loc],
         stmts: list[Stmt],
-        out: list[list[int]],
+        src: array,
+        dst: array,
         cells: list[tuple[tuple[int, ...], tuple[int, ...]]],
     ):
         self.locs = tuple(locs)
         self.stmts = tuple(stmts)
-        inn: list[list[int]] = [[] for _ in locs]
-        for i, lst in enumerate(out):
-            if len(lst) > 1:
-                lst[:] = sorted(set(lst))
-            for x in lst:
-                inn[x >> _KIND_BITS].append(i << _KIND_BITS | x & _KIND_MASK)
-        self._out = out
-        self._inn = inn  # filled in source order, so already sorted
+        n = len(self.locs)
+        # Each edge sorts as one int, its node id << shift | its packed end.
+        shift = n.bit_length() + _KIND_BITS
+        end = (1 << shift) - 1
+        keys = sorted(set(map(or_, map(lshift, src, repeat(shift)), dst)))
+        self._out = _csr(n, shift, keys)
+        keys = sorted([(k & end) >> _KIND_BITS << shift | (k >> shift) << _KIND_BITS
+                       | k & _KIND_MASK for k in keys])
+        self._inn = _csr(n, shift, keys)
         self.cells = cells
         self._store_cell = {s: c for c, (stores, _) in enumerate(cells) for s in stores}
         self._load_cell = {l: c for c, (_, loads) in enumerate(cells) for l in loads}
-        self._index = {loc: i for i, loc in enumerate(self.locs)}
+        self._indices = array("q", [loc.index for loc in self.locs])
+        self._spans: dict[tuple[str, str], tuple[int, int]] = {}
+        lo = 0
+        for method, run in groupby(self.locs, attrgetter("cls", "method")):
+            hi = lo + sum(1 for _ in run)
+            self._spans[method] = (lo, hi)
+            lo = hi
         self._edges: Optional[frozenset[DepEdge]] = None
         self._sinks: Optional[tuple[tuple[dict, dict], dict[int, SinkMatch]]] = None
 
@@ -182,17 +205,21 @@ class DepGraph:
         return memo[1]
 
     def id_of(self, loc: Loc) -> Optional[int]:
-        return self._index.get(loc)
+        span = self._spans.get((loc.cls, loc.method))
+        if span is None:
+            return None
+        i = bisect_left(self._indices, loc.index, *span)
+        return i if i < span[1] and self._indices[i] == loc.index else None
 
     def reach(self, root: int) -> list[int]:
         """The ids reachable from root over any edge kind, root first. A
         field cell's loads are added once, at the first of its stores."""
-        out, cells, store_cell = self._out, self.cells, self._store_cell
+        (at, out), cells, store_cell = self._out, self.cells, self._store_cell
         seen = {root}
         work = [root]
         expanded: set[int] = set()
         for n in work:  # grows while iterated: a FIFO queue
-            for x in out[n]:
+            for x in out[at[n] : at[n + 1]]:
                 d = x >> _KIND_BITS
                 if d not in seen:
                     seen.add(d)
@@ -231,7 +258,7 @@ class DepGraph:
         explicit edges into ids in (dst Loc, kind.value) order, then its
         Data edge to its cell; then per cell, its Data edges to its loads
         in ids, in id order."""
-        out, store_cell, n = self._out, self._store_cell, len(self.locs)
+        (at, out), store_cell, n = self._out, self._store_cell, len(self.locs)
         inside = set(ids)
         stored = dict.fromkeys(map(store_cell.get, ids))  # cells, in first-store order
         stored.pop(None, None)
@@ -240,7 +267,7 @@ class DepGraph:
 
         def edges() -> Iterator[tuple[int, int, int]]:
             for i in ids:
-                for x in out[i]:
+                for x in out[at[i] : at[i + 1]]:
                     j = x >> _KIND_BITS
                     if j in inside:
                         yield i, j, x & _KIND_MASK
@@ -262,9 +289,11 @@ class DepGraph:
         """Source ids of the data-carrying edges into w: the ReturnOut ones
         when via_ret, else the Data and ParamIn ones plus the stores of w's
         field cell, unless that cell is in expanded (it is then added)."""
+        at, inn = self._inn
+        run = inn[at[w] : at[w + 1]]
         if via_ret:
-            return [x >> _KIND_BITS for x in self._inn[w] if x & _KIND_MASK == _RETURN_OUT]
-        srcs = [x >> _KIND_BITS for x in self._inn[w] if x & _KIND_MASK in _DATA_IN]
+            return [x >> _KIND_BITS for x in run if x & _KIND_MASK == _RETURN_OUT]
+        srcs = [x >> _KIND_BITS for x in run if x & _KIND_MASK in _DATA_IN]
         c = self._load_cell.get(w)
         if c is not None and c not in expanded:
             expanded.add(c)
@@ -274,9 +303,10 @@ class DepGraph:
     def data_out(self, v: int) -> list[tuple[int, bool]]:
         """(dst id, is ReturnOut) of the data-carrying edges out of v, cell
         pairs included."""
+        at, out = self._out
         outs = [
             (x >> _KIND_BITS, x & _KIND_MASK == _RETURN_OUT)
-            for x in self._out[v]
+            for x in out[at[v] : at[v + 1]]
             if x & _KIND_MASK in _DATA_CODES
         ]
         c = self._store_cell.get(v)
@@ -285,8 +315,18 @@ class DepGraph:
         return outs
 
     def __repr__(self) -> str:
-        n_edges = sum(map(len, self._out)) + sum(len(s) * len(l) for s, l in self.cells)
+        n_edges = len(self._out[1]) + sum(len(s) * len(l) for s, l in self.cells)
         return f"DepGraph({len(self.locs)} nodes, {n_edges} edges)"
+
+
+def _csr(n: int, shift: int, keys: list[int]) -> tuple[array, array]:
+    """The CSR pair (offsets, packed) of keys, sorted distinct ints node id
+    << shift | packed edge end, node id < n: node i's ends, in increasing
+    order, are packed[offsets[i] : offsets[i + 1]]."""
+    counts = [0] * (n + 1)
+    for k in keys:
+        counts[(k >> shift) + 1] += 1
+    return array("q", accumulate(counts)), array("q", map(and_, keys, repeat((1 << shift) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +378,11 @@ class MethodId:
 class CallGraph:
     """edges maps each call site with a program target to its targets, in
     MethodId order; a site whose callee resolves to no program method has no
-    entry."""
+    entry. method_facts keeps its memo on the call graph."""
 
     def __init__(self, edges: dict[Loc, tuple[MethodId, ...]]):
         self.edges = edges
+        self._facts: Optional[dict[MethodId, _MethodFacts]] = None
 
     def resolved(self, loc: Loc) -> tuple[MethodId, ...]:
         return self.edges.get(loc, ())
@@ -406,9 +447,9 @@ def build_call_graph(p: Program) -> CallGraph:
 
 class _MethodFacts:
     """Reaching definitions, def-use chains and control dependences of one
-    method, from one forward pass over its CFG; the CFG is not kept, nor is
-    cls_name. Built once per method by method_facts and shared by the edge
-    builders and the taint engine.
+    method, from one forward pass over its CFG; the CFG is not kept. Built
+    once per method by method_facts and shared by the edge builders and the
+    taint engine.
 
     defs numbers every definition as a (local, index) pair: each
     parameter's entry value (index ENTRY_DEF), then every defining
@@ -423,7 +464,7 @@ class _MethodFacts:
     program's Loc tuple, and base, the rank of the method's first statement
     in it, which loc reads."""
 
-    def __init__(self, cls_name: str, m: MethodDef):
+    def __init__(self, m: MethodDef):
         self.m = m
         body = m.body
         succs = cfg_successors(m)
@@ -481,19 +522,21 @@ class _MethodFacts:
         return self.locs[self.base + i]
 
 
-def method_facts(p: Program) -> dict[MethodId, _MethodFacts]:
-    """One _MethodFacts per method of p, in iter_methods order.
+def method_facts(p: Program, cg: CallGraph) -> dict[MethodId, _MethodFacts]:
+    """One _MethodFacts per method of p, in iter_methods order; cg is p's
+    call graph.
 
-    Built on the first call and kept on the Program instance, outside its
-    dataclass fields, == and repr, as p.locs() is; p must therefore not be
-    mutated after the first call (the first analysis)."""
-    memo = vars(p)
-    facts = memo.get("_method_facts")
+    Built on the first call and kept on cg, the one object that build_pdg
+    and propagate both receive, so the facts live as long as the call graph
+    (and the PropagationResult, which reads them): cli.run_analysis drops
+    both once the flows are built, before slicing and output. p must not be
+    mutated after the first call."""
+    facts = cg._facts
     if facts is None:
-        facts = memo["_method_facts"] = {}
+        facts = cg._facts = {}
         locs, base = p.locs(), 0
         for cls, m in p.iter_methods():
-            f = facts[MethodId(cls.name, m.key)] = _MethodFacts(cls.name, m)
+            f = facts[MethodId(cls.name, m.key)] = _MethodFacts(m)
             f.locs, f.base = locs, base
             base += len(m.body)
     return facts
@@ -554,10 +597,12 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     Every statement location is a node. Methods are numbered in sorted
     order, each over a contiguous id range, so the result is independent of
     source class order and ids follow Loc order."""
-    facts = method_facts(p)  # in MethodId order
+    facts = method_facts(p, cg)  # in MethodId order
     locs = p.locs()
     stmts = [s for _, m in p.iter_methods() for s in m.body]
-    out: list[list[int]] = [[] for _ in locs]
+    # Explicit edges, one (src id, dst id << _KIND_BITS | code) pair each.
+    src, dst = array("q"), array("q")
+    add_src, add_dst = src.append, dst.append
 
     stores: dict[tuple[str, str], list[int]] = {}
     loads: dict[tuple[str, str], list[int]] = {}
@@ -572,9 +617,11 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
             for ds in per_use:
                 for d in ds:
                     if d != ENTRY_DEF:
-                        out[b + d].append(code)
+                        add_src(b + d)
+                        add_dst(code)
         for br, s in f.control:
-            out[b + br].append((b + s) << _KIND_BITS | _CONTROL)
+            add_src(b + br)
+            add_dst((b + s) << _KIND_BITS | _CONTROL)
         rets = returns[mid] = []
         for i in sorted(f.reachable):
             s = body[i]
@@ -599,7 +646,8 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     # Call edges: call site -> callee entry statement.
     for site, _, t, _, _, _ in call_sites:
         if facts[t].m.body:
-            out[site].append(facts[t].base << _KIND_BITS | _CALL)
+            add_src(site)
+            add_dst(facts[t].base << _KIND_BITS | _CALL)
 
     # Feeders: for each (callee, param index), the statements whose defined
     # value can enter that parameter, chasing parameter-to-parameter
@@ -633,14 +681,16 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
             continue
         for u in tf.entry_uses.get(params[i], ()):
             code = (tf.base + u) << _KIND_BITS | _PARAM_IN
-            for src in sources:
-                out[src].append(code)
+            for s in sources:
+                add_src(s)
+                add_dst(code)
 
     # ReturnOut edges: value-returning statements -> call sites with a lhs.
     for site, _, t, _, _, has_lhs in call_sites:
         if has_lhs:
             code = site << _KIND_BITS | _RETURN_OUT
             for r in returns[t]:
-                out[r].append(code)
+                add_src(r)
+                add_dst(code)
 
-    return DepGraph(locs, stmts, out, cells)
+    return DepGraph(locs, stmts, src, dst, cells)

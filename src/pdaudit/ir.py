@@ -31,6 +31,12 @@ positioned errors below, never an unrelated exception. Every statement
 records the line/column it was parsed from; positions are ignored by
 structural equality, so ``parse_program(print_program(p)) == p``.
 
+Statements and ``Loc`` are slotted dataclasses, with no per-instance
+``__dict__``, and every name the parser reads (locals, parameters, callees,
+class, field and method names) is interned with ``sys.intern`` on both
+lexer paths below, so a name that occurs many times is one string object.
+A program holds one object per statement and few distinct strings.
+
 The lexer is one compiled master regex: each match is the whitespace and
 comments before a token plus the token, and the matched group is the token
 kind. Its first alternative matches a whole statement, ``INDEX ":" body``
@@ -56,6 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from sys import intern
 from typing import Iterator, Optional, Union
 
 
@@ -95,7 +102,7 @@ class InvalidTargetError(PirError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Loc:
     """A statement location: (class, method key, statement index).
 
@@ -117,7 +124,7 @@ class Loc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     """Base statement. line/col are diagnostics only (excluded from ==)."""
 
@@ -125,19 +132,19 @@ class Stmt:
     col: int = field(default=0, compare=False, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignConst(Stmt):
     lhs: str
     value: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignCopy(Stmt):
     lhs: str
     rhs: str
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignCall(Stmt):
     lhs: str
     callee: str
@@ -145,39 +152,39 @@ class AssignCall(Stmt):
     widget: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignFieldLoad(Stmt):
     lhs: str
     cls: str
     fld: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldStore(Stmt):
     cls: str
     fld: str
     rhs: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Stmt):
     callee: str
     args: tuple[str, ...]
     widget: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: str
     target: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Goto(Stmt):
     target: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Optional[str] = None
 
@@ -266,8 +273,8 @@ class Program:
         an analysis share.
 
         Built on the first call and kept on the instance, outside its
-        dataclass fields, == and repr, as graph.method_facts is; the
-        program must therefore not be mutated after the first call."""
+        dataclass fields, == and repr; the program must therefore not be
+        mutated after the first call."""
         memo = vars(self)
         if "_locs" not in memo:
             locs: list[Loc] = []
@@ -387,31 +394,39 @@ def _statement(m: re.Match, form: int) -> Stmt:
     """The Stmt of a statement match of _TOKEN_RE, form its m.lastindex."""
     index = int(m[1])
     lhs = m[2]
+    if lhs is not None:
+        lhs = intern(lhs)
     if form == _CALL:
         callee, args, widget = m.group(3, 4, 5)
-        args = tuple([a.strip(" \t") for a in args.split(",")]) if args else ()
+        args = tuple([intern(a.strip(" \t")) for a in args.split(",")]) if args else ()
         if widget is not None:
             widget = _unquote(widget)
         if lhs is None:
-            return Call(callee, args, widget, line=index)
-        return AssignCall(lhs, callee, args, widget, line=index)
+            return Call(intern(callee), args, widget, line=index)
+        return AssignCall(lhs, intern(callee), args, widget, line=index)
     if form == _STORE:
-        cls, _, fld = m[13].rpartition(".")
-        return FieldStore(cls, fld, m[14], line=index)
+        cls, fld = _member(m[13])
+        return FieldStore(cls, fld, intern(m[14]), line=index)
     if form == _IF:
-        return If(m[16], int(m[17]), line=index)
+        return If(intern(m[16]), int(m[17]), line=index)
     if form == _GOTO:
         return Goto(int(m[19]), line=index)
     if form == _RETURN:
-        return Return(m[21], line=index)
+        value = m[21]
+        return Return(value if value is None else intern(value), line=index)
     if lhs is None:  # the token-by-token parse reports where it fails
         raise ParseError(0, 0, "local")
     if form == _CONST:
         return AssignConst(lhs, _unquote(m[7]), line=index)
     if form == _COPY:
-        return AssignCopy(lhs, m[9], line=index)
-    cls, _, fld = m[11].rpartition(".")
-    return AssignFieldLoad(lhs, cls, fld, line=index)
+        return AssignCopy(lhs, intern(m[9]), line=index)
+    return AssignFieldLoad(lhs, *_member(m[11]), line=index)
+
+
+def _member(ref: str) -> tuple[str, str]:
+    """QNAME "." IDENT split into its (owner, member) names, interned."""
+    owner, _, member = ref.rpartition(".")
+    return intern(owner), intern(member)
 
 
 def _unquote(token: str) -> str:
@@ -475,19 +490,19 @@ class _Parser:
         if self.kinds[self.i] != _WORD:
             raise self.error(what)
         self.i += 1
-        return self.values[self.i - 1]
+        return intern(self.values[self.i - 1])
 
     def qname(self) -> str:
         parts = [self.ident("qualified name")]
         while self.values[self.i] == ".":
             self.i += 1
             parts.append(self.ident("identifier after '.'"))
-        return ".".join(parts)
+        return intern(".".join(parts))
 
     def dotted_ref(self) -> tuple[str, str]:
         """QNAME '.' IDENT split into (owner, member): the final component
         is the member, everything before it the owner."""
-        owner, _, member = self.qname().rpartition(".")
+        owner, member = _member(self.qname())
         if not owner:
             raise self.error("'.'")
         return owner, member
@@ -500,7 +515,7 @@ class _Parser:
         if not self.at_local():
             raise self.error("local ('$name' or 'pN')")
         self.i += 1
-        return self.values[self.i - 1]
+        return intern(self.values[self.i - 1])
 
     def local_list(self) -> tuple[str, ...]:
         """'(' (LOCAL (',' LOCAL)*)? ')'"""
@@ -652,7 +667,7 @@ class _Parser:
             self.expect("(")
             widget = self.string("widget string")
             self.expect(")")
-        return f"{owner}.{member}", args, widget
+        return intern(f"{owner}.{member}"), args, widget
 
 
 def parse_program(text: Union[str, bytes]) -> Program:

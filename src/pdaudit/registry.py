@@ -131,12 +131,16 @@ class SourceLabel:
 def _read_json(path: Union[str, Path]) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedRegistryError(path, f"invalid UTF-8 at byte {e.start}") from None
     except OSError as e:
         raise MalformedRegistryError(path, f"cannot read: {e}") from None
     try:
         data = json.loads(raw)
     except ValueError as e:  # JSONDecodeError, or an integer too long for int()
         raise MalformedRegistryError(path, f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise MalformedRegistryError(path, "invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise MalformedRegistryError(path, "top level must be an object")
     return data

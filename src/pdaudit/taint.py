@@ -213,7 +213,7 @@ def propagate(
 ) -> PropagationResult:
     """Least fixpoint of the transfer rules over all reachable statements,
     propagated sparsely along def-use chains."""
-    facts = method_facts(p)
+    facts = method_facts(p, cg)
     entry: dict[MethodId, dict[str, _Facts]] = {mid: {} for mid in facts}
     defs: dict[MethodId, dict[int, _Facts]] = {mid: {} for mid in facts}
     ret_facts: dict[MethodId, _Facts] = {mid: {} for mid in facts}

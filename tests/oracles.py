@@ -9,6 +9,7 @@ that DepGraph's constructor takes.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import count
 from typing import Optional
@@ -61,11 +62,12 @@ def explicit_graph(stmts: dict[Loc, Optional[Stmt]], edges: frozenset[DepEdge]) 
     returned, so an oracle reading g.locs or g.edges reads the given sets."""
     locs = sorted(stmts)
     index = {loc: i for i, loc in enumerate(locs)}
-    out: list[list[int]] = [[] for _ in locs]
+    src, dst = array("q"), array("q")
     for e in edges:
         assert e.src in index and e.dst in index, f"edge endpoint is not a node: {e}"
-        out[index[e.src]].append(index[e.dst] << _KIND_BITS | KINDS.index(e.kind))
-    g = DepGraph(locs, [stmts[loc] for loc in locs], out, [])
+        src.append(index[e.src])
+        dst.append(index[e.dst] << _KIND_BITS | KINDS.index(e.kind))
+    g = DepGraph(locs, [stmts[loc] for loc in locs], src, dst, [])
     assert set(g.locs) == set(stmts), "DepGraph lost or added a node"
     assert g.edges == set(edges), "DepGraph lost, added or re-kinded an edge"
     return g
@@ -281,6 +283,44 @@ def simple_data_paths(
 
     walk(src, [], {src}, True)
     return paths
+
+
+def shortest_witness(
+    g: DepGraph, src: Loc, dst: Loc, blocked: frozenset[Loc] = frozenset()
+) -> Optional[list[Loc]]:
+    """The minimum, by (length, Loc sequence), of the valid paths src -> dst
+    over data-carrying edges, or None when there is none.
+
+    Validity is simple_data_paths': a blocked node can be left only when
+    the path arrived on a ReturnOut edge, and the start, taken as arrived
+    so, can always be left. Walks are taken one step longer at a time,
+    keeping for each (node, arrived via ReturnOut) state the least walk of
+    exactly that many steps to it; extending the least walk to a state keeps it least, since
+    equal-length walks compare by their first difference. A shortest valid
+    walk repeats no node: it left the node at its first visit, and which
+    edges it may take out of a node it can leave does not depend on how
+    it arrived, so cutting the loop between two visits leaves a shorter
+    valid walk. So the result is also the least of the shortest paths of
+    simple_data_paths, and walks as long as there are states suffice."""
+    succs: dict[Loc, list[DepEdge]] = {}
+    for e in g.edges:
+        if e.kind in DATA_KINDS:
+            succs.setdefault(e.src, []).append(e)
+    least: dict[tuple[Loc, bool], tuple[Loc, ...]] = {(src, True): (src,)}
+    for _ in range(2 * len(g.locs)):
+        done = [w for (node, _), w in least.items() if node == dst]
+        if done:
+            return list(min(done))
+        longer: dict[tuple[Loc, bool], tuple[Loc, ...]] = {}
+        for (node, via_ret), walk in least.items():
+            if node in blocked and not via_ret:
+                continue
+            for e in succs.get(node, ()):
+                state = (e.dst, e.kind is EdgeKind.RETURN_OUT)
+                if state not in longer or walk + (e.dst,) < longer[state]:
+                    longer[state] = walk + (e.dst,)
+        least = longer
+    return None
 
 
 def blocked_pass_through_locs(p: Program, cg, san) -> frozenset[Loc]:

@@ -492,6 +492,41 @@ def test_huge_json_integer_exits_2(tmp_path, capsys, slot, json_errors):
     assert not (tmp_path / "out").exists()
 
 
+_BAD_JSON_FILES = {
+    "utf8-first-byte": ("f.json", b"\xff\xfe", "invalid UTF-8 at byte 0"),
+    "utf8-in-string": ("f.json", b'{"n": "\xc3"}', "invalid UTF-8 at byte 7"),
+    "deep-json": ("f.json", b"[" * 200_000, "invalid JSON: nested too deeply"),
+}
+_BAD_INPUT_FILES = [
+    pytest.param(slot, *bad, id=f"{slot}-{kind}")
+    for slot in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "config")
+    for kind, bad in _BAD_JSON_FILES.items()
+] + [pytest.param("config", "f.toml", b"x = " + b"[" * 200_000,
+                  "invalid TOML: nested too deeply", id="config-deep-toml")]
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("slot, name, data, text", _BAD_INPUT_FILES)
+def test_undecodable_or_too_deep_input_file_exits_2(tmp_path, capsys, slot, command, name, data,
+                                                     text, json_errors):
+    """Bad UTF-8 or a nesting past the recursion limit, in any registry
+    file or the config file, is an input error (exit 2), never a traceback
+    with exit 1, which means findings."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    flags = [f"--{slot}", str(path)] + (["--json-errors"] if json_errors else [])
+    if command == "analyze":
+        flags += ["--out", str(tmp_path / "out")]
+    code = main([command, str(FIXTURES / "a.pir"), *flags])
+    if slot == "config":
+        _assert_exit_2(code, capsys, json_errors, "UsageError", f"config {path}: {text}",
+                       file=path)
+    else:
+        _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError", f"{path}: {text}")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Totality on registry and config input
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ dst Loc, kind) order.
 
 import json
 import random
+from array import array
 
 from gen import gen_perf_program, gen_program, registry_json
 from oracles import expand_cell_nodes, explicit_graph
 from pdaudit.graph import KINDS, DepEdge, EdgeKind, build_call_graph, build_pdg
-from pdaudit.ir import AssignFieldLoad, FieldStore, call_parts, parse_program
+from pdaudit.ir import AssignFieldLoad, FieldStore, Loc, call_parts, parse_program
 from pdaudit.registry import SinkKind, SinkMatch, SinkRegistry
 from pdaudit.report import render_dot
 from pdaudit.slicer import forward_slice
@@ -112,6 +113,48 @@ def test_cell_edges_expand_to_the_edges_between_any_id_set():
         inside = set(ids)
         between = [(g.id_of(e.src), g.id_of(e.dst), KINDS.index(e.kind)) for e in g.edges]
         assert sorted(expanded) == sorted(e for e in between if e[0] in inside and e[1] in inside)
+
+
+def test_depgraph_holds_csr_arrays_not_per_node_lists():
+    """Both directions are one offsets array and one packed-edge array;
+    no attribute is a sequence holding lists."""
+    rng = random.Random(4141)
+    for p in (gen_perf_program(rng, n_methods=20, stmts_each=30),
+              gen_program(rng, allow_loops=True, allow_recursion=True)):
+        g = build_pdg(p, build_call_graph(p))
+        n = len(g.locs)
+        for name, value in vars(g).items():
+            if isinstance(value, (list, tuple)):
+                assert not any(isinstance(x, list) for x in value), name
+        assert sum(map(len, g._out[1:])) == sum(map(len, g._inn[1:]))
+        for offsets, packed in (g._out, g._inn):
+            assert isinstance(offsets, array) and isinstance(packed, array)
+            assert len(offsets) == n + 1 and offsets[0] == 0 and offsets[-1] == len(packed)
+            assert list(offsets) == sorted(offsets)
+
+
+def test_id_of_is_none_off_the_graphs_nodes():
+    """id_of finds every node and nothing else: not a Loc of an unknown
+    class or method, past the end of a method, at a negative index, or a
+    statement left out of a sparse explicit_graph."""
+    rng = random.Random(4242)
+    for k in range(30):
+        p = (gen_perf_program(rng, n_methods=4, stmts_each=12) if k % 3 == 0
+             else gen_program(rng, allow_loops=True, allow_recursion=True))
+        g = build_pdg(p, build_call_graph(p))
+        assert [g.id_of(loc) for loc in g.locs] == list(range(len(g.locs)))
+        ends = {(loc.cls, loc.method): loc.index + 1 for loc in g.locs}
+        for (cls, method), end in ends.items():
+            assert g.id_of(Loc(cls, method, end)) is None
+            assert g.id_of(Loc(cls, method, -1)) is None
+            assert g.id_of(Loc(cls + "x", method, 0)) is None
+            assert g.id_of(Loc(cls, "nope/0", 0)) is None
+        kept = [loc for loc in g.locs if rng.random() < 0.5]
+        inside = set(kept)
+        h = explicit_graph(dict.fromkeys(kept),
+                           frozenset(e for e in g.edges if e.src in inside and e.dst in inside))
+        for loc in g.locs:
+            assert h.id_of(loc) == (kept.index(loc) if loc in inside else None)
 
 
 def test_sink_table_equals_a_per_statement_match():

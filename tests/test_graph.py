@@ -11,6 +11,7 @@ from oracles import (
 )
 from pdaudit.graph import (
     ENTRY_DEF,
+    CallGraph,
     DepEdge,
     EdgeKind,
     MethodId,
@@ -257,7 +258,7 @@ def test_reaching_definitions_match_search_oracle_on_loop_bodies():
     carried = 0  # bodies where a definition reaches a statement at or before it
     for _ in range(4000):
         m = _random_def_use_body(rng)
-        f = _MethodFacts("C", m)
+        f = _MethodFacts(m)
         want = reaching_defs_by_search(m)
         assert set(f.reachable) == set(want), m.body
         def_uses: dict[int, list[int]] = {}
@@ -347,7 +348,7 @@ def test_control_pairs_match_deletion_oracle_on_random_bodies():
     for _ in range(5000):
         m = _random_jump_body(rng)
         succs = cfg_successors(m)
-        got = set(_control_pairs(m, _MethodFacts("C", m).reachable, succs))
+        got = set(_control_pairs(m, _MethodFacts(m).reachable, succs))
         assert got == brute_control_pairs(m), m.body
         stuck += bool(exit_unreachable(m))
     assert stuck >= 1000  # the cannot-reach-exit convention is exercised
@@ -493,9 +494,9 @@ def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
     built = []
     init = _MethodFacts.__init__
 
-    def counting_init(self, cls_name, m):
-        built.append((cls_name, m.key))
-        init(self, cls_name, m)
+    def counting_init(self, m):
+        built.append(m)
+        init(self, m)
 
     monkeypatch.setattr(_MethodFacts, "__init__", counting_init)
     fixtures = Path(__file__).parent / "fixtures"
@@ -508,16 +509,42 @@ def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
         dpv=reg / "dpv.json",
     )
     artifacts = run_analysis((fixtures / "cha_override.pir").read_text(), cfg)
-    methods = [(cls.name, m.key) for cls, m in artifacts.program.iter_methods()]
+    methods = [m for _, m in artifacts.program.iter_methods()]
     assert len(methods) == 3
-    assert sorted(built) == sorted(methods)
+    assert sorted(map(id, built)) == sorted(map(id, methods))
+
+
+def test_analysis_artifacts_reach_no_method_facts(tmp_path):
+    """run_analysis drops the call graph, which holds the method facts,
+    and the propagation result, which reads them, once the flows are
+    built: nothing it returns refers to them."""
+    import gc
+    import types
+
+    from pdaudit.cli import run_analysis
+    from pdaudit.taint import PropagationResult
+
+    for text, cfg in _loc_inputs(tmp_path):
+        artifacts = run_analysis(text, cfg)
+        seen, work = set(), [artifacts]
+        while work:
+            obj = work.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (_MethodFacts, CallGraph, PropagationResult)), obj
+            work += gc.get_referents(obj)
+        assert len(seen) > len(artifacts.program.locs())
 
 
 def test_method_facts_memo_not_part_of_equality_or_repr():
     p = parse_program(FIXTURE_B)
     fresh = parse_program(FIXTURE_B)
     before = repr(p)
-    assert method_facts(p) is method_facts(p)
+    cg = build_call_graph(p)
+    assert method_facts(p, cg) is method_facts(p, cg)  # kept on the call graph
+    assert method_facts(p, build_call_graph(p)) is not method_facts(p, cg)
+    assert set(vars(p)) <= {"classes", "_locs"}  # the Program keeps only its Loc memo
     assert p == fresh and repr(p) == before
 
 
@@ -566,7 +593,7 @@ def test_call_graph_labels_and_method_facts_share_the_graphs_locs(tmp_path):
         assert g.locs is p.locs() and cg.edges and labels
         assert all(g.locs[g.id_of(site)] is site for site in cg.edges)
         assert all(g.locs[g.id_of(l.location)] is l.location for l in labels)
-        for f in method_facts(p).values():
+        for f in method_facts(p, cg).values():
             for i in range(len(f.m.body)):
                 assert g.locs[g.id_of(f.loc(i))] is f.loc(i)
         assert [loc for loc, _ in p.iter_locs()] == list(g.locs)

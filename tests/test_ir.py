@@ -20,6 +20,7 @@ from pdaudit.ir import (
     DuplicateClassError,
     Goto,
     InvalidTargetError,
+    Loc,
     ParseError,
     PirError,
     Program,
@@ -232,6 +233,69 @@ def test_graph_ids_index_the_method_bodies():
         assert len(g.stmts) == len(g.locs) == len(stmt_at)
         for loc, stmt in zip(g.locs, g.stmts):
             assert stmt is stmt_at[loc]
+
+
+# ---------------------------------------------------------------------------
+# Compact statements: slotted, with interned names
+# ---------------------------------------------------------------------------
+
+_EVERY_FORM = """\
+class app.C extends app.Base {
+  field java.lang.String f;
+  method void run(p0, $q) {
+    0: $a = "k"
+    1: $b = $a
+    2: $c = call app.C.get(p0, $q) @widget("w")
+    3: $d = load app.C.f
+    4: store app.C.f = $d
+    5: call app.C.put($c)
+    6: if $b goto 8
+    7: goto 8
+    8: return $a
+  }
+}
+"""
+
+
+def test_statements_and_locs_have_no_instance_dict():
+    p = parse_program(_EVERY_FORM)
+    body = p.classes[0].methods[0].body
+    assert len({type(s) for s in body}) == 9  # every statement class
+    for obj in [*body, *p.locs(), Return(None), Loc("a.B", "m/0", 0)]:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_names_from_statement_and_token_paths_are_one_object():
+    """Statements 0-2 and 5 are each lexed as one match; 3 and 4 hold a
+    comment, so they are lexed token by token, as the class and method
+    headers are. Each name is one str object wherever it was read."""
+    text = """\
+class app.C extends app.Base {
+  field app.C f;
+  method app.C run(p0) {
+    0: $a = call app.C.get(p0)
+    1: store app.C.f = $a
+    2: $b = load app.C.f
+    3: call app.C.get(  # a comment
+         $a, p0)
+    4: store app.C.f  # another
+         = $b
+    5: return $b
+  }
+}
+"""
+    kinds, _, _ = _lex(text)
+    assert kinds.count(_STMT) == 4  # statements 0, 1, 2 and 5
+    p = parse_program(text)
+    cls = p.classes[0]
+    m = cls.methods[0]
+    b = m.body
+    assert b[3].args[0] is b[0].lhs and b[1].rhs is b[0].lhs
+    assert b[3].args[1] is b[0].args[0] is m.params[0]
+    assert b[3].callee is b[0].callee
+    assert b[4].cls is b[1].cls is b[2].cls is cls.name is cls.fields[0][1] is m.return_type
+    assert b[4].fld is b[1].fld is b[2].fld is cls.fields[0][0]
+    assert b[4].rhs is b[2].lhs is b[5].value
 
 
 # ---------------------------------------------------------------------------

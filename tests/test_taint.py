@@ -16,9 +16,11 @@ from gen import (
 )
 from oracles import (
     all_paths_taint,
+    blocked_pass_through_locs,
     expected_all_paths_pseudonymized,
     program_sink_stmts,
     round_robin_taint,
+    shortest_witness,
 )
 from pdaudit.graph import MethodId, build_call_graph, build_pdg
 from pdaudit.ir import AssignCall, Goto, If, Loc, parse_program
@@ -194,6 +196,33 @@ def test_early_stopped_witness_table_gives_the_full_tables_paths(seed, shape):
         assert early.items() <= full.items()
         for src in srcs:
             assert _witness(g, src, dst, blocked, early) == _witness(g, src, dst, blocked, full)
+
+
+@pytest.mark.parametrize("shape, programs, minimum", [
+    ("gen", 300, 100), ("loops", 300, 100), ("hub", 30, 300), ("perf", 10, 30)])
+def test_every_witness_is_the_least_shortest_valid_path(shape, programs, minimum):
+    """Each flow's witness is oracles.shortest_witness of its source and
+    sink: the least, by (length, Loc sequence), of the valid data paths.
+    Programs with and without loops and recursion, hub programs whose
+    slices meet in field cells, and small desk-shaped draws."""
+    rng = random.Random(7373)
+    checked = 0
+    for _ in range(programs):
+        if shape == "gen":
+            p = gen_program(rng)
+        elif shape == "loops":
+            p = gen_program(rng, allow_loops=True, allow_recursion=True)
+        elif shape == "hub":
+            p = gen_hub_program(rng, n_methods=rng.randint(2, 8))
+        else:
+            p = gen_perf_program(rng, n_methods=50, stmts_each=50)
+        cg, g, labels, pr = analyze_generated(p)
+        blocked = blocked_pass_through_locs(p, cg, GEN_SANITIZERS)
+        for f in collect_flows(pr, GEN_SINKS, g):
+            want = shortest_witness(g, f.source.location, f.sink.location, blocked)
+            assert list(f.witness) == want, (f.source.location, f.sink.location)
+            checked += 1
+    assert checked >= minimum, checked
 
 
 def test_witness_search_stops_at_the_farthest_source():
