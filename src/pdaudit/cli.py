@@ -40,7 +40,14 @@ from .ir import (
     print_program,
     validate,
 )
-from .registry import RegistryError, SinkKind, is_factor, label_sources, load_registries
+from .registry import (
+    RegistryError,
+    SinkKind,
+    is_factor,
+    label_sources,
+    load_registries,
+    parse_json,
+)
 from .report import (
     AuditReport,
     ReportConfig,
@@ -105,8 +112,8 @@ def _load_config_file(path: Path) -> dict:
             raise UsageError(f"config {path}: invalid TOML: nested too deeply") from None
     else:
         try:
-            raw = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
+            raw = parse_json(text)
+        except ValueError as exc:  # bad JSON, an integer too long for int(), a lone surrogate
             raise UsageError(f"config {path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise UsageError(f"config {path}: invalid JSON: nested too deeply") from None

@@ -27,22 +27,27 @@ Statements unreachable from a method's entry appear as graph nodes but
 carry no dependence edges. Per method, one forward pass from the entry
 gives the reaching definitions of locals, and the statements it reaches
 are the reachable ones; the control dependences are taken from the CFG,
-which is then dropped.
+which is then dropped. One walk over the reachable statements then makes
+the def-use chains and the method's record: its field loads and stores
+by (class, field), its value returns and its call statements, to which
+method_facts attaches the call graph's targets. build_pdg and the taint
+engine both read that record, and neither classifies statements again.
 
 Storage. DepGraph has one constructor, DepGraph(locs, stmts, src, dst,
 cells), and every loc is a node. A node's id is its rank in Loc order;
 build_pdg numbers the methods in sorted order, each over a contiguous id
 range (base + statement index), and its locs is the program's own tuple,
-p.locs(), so the call graph, the labels, the method facts and the graph
-hold one Loc per statement. id_of maps a Loc back to its id through its
-method's id span and a bisect over an int array of statement indices, with
-no {Loc: id} table. stmts[id] is the statement at locs[id]: the one
-statement index downstream of parsing, read by flows, slice statistics and
-DOT output. build_pdg emits the explicit edges as two flat int arrays, the
-source ids and the other ends packed with a kind code, and never builds a
-list per node. The graph keeps them in compressed sparse rows (CSR), one
-offsets array and one packed-edge array per direction: node i's edges are
-packed[offsets[i] : offsets[i + 1]], deduplicated and sorted. The codes
+p.locs(), so the call graph, the labels and the graph hold one Loc per
+statement; the method facts hold none, only each method's base. id_of maps
+a Loc back to its id through its method's id span and a bisect over an int
+array of statement indices, with no {Loc: id} table. stmts[id] is the
+statement at locs[id]: the one statement index downstream of parsing, read
+by flows, slice statistics and DOT output. build_pdg emits the explicit
+edges as two flat int arrays, the source ids and the other ends packed
+with a kind code, and never builds a list per node. The graph keeps
+them in compressed sparse rows (CSR), one offsets array and one
+packed-edge array per direction: node i's edges are packed[offsets[i] :
+offsets[i + 1]], deduplicated and sorted. The codes
 follow the order of the kind.value strings, so each run is in (dst Loc,
 kind.value) order, or (src Loc, kind.value) order for incoming edges. A
 field cell is stored once, as its sorted reachable store ids and load ids:
@@ -446,10 +451,10 @@ def build_call_graph(p: Program) -> CallGraph:
 
 
 class _MethodFacts:
-    """Reaching definitions, def-use chains and control dependences of one
-    method, from one forward pass over its CFG; the CFG is not kept. Built
-    once per method by method_facts and shared by the edge builders and the
-    taint engine.
+    """Reaching definitions, def-use chains, control dependences and the
+    statement record of one method, from one forward pass over its CFG;
+    the CFG is not kept. Built once per method by method_facts and shared
+    by the edge builders and the taint engine.
 
     defs numbers every definition as a (local, index) pair: each
     parameter's entry value (index ENTRY_DEF), then every defining
@@ -460,9 +465,16 @@ class _MethodFacts:
     that local reaching i. def_uses[d] lists the statements reading the
     local defined at d under that definition, and entry_uses[param] those
     reading the parameter's entry value. control lists the (branch index,
-    dependent index) pairs of _control_pairs. method_facts sets locs, the
-    program's Loc tuple, and base, the rank of the method's first statement
-    in it, which loc reads."""
+    dependent index) pairs of _control_pairs.
+
+    The record is the one classification of the reachable statements, each
+    list in index order: loads[(class, field)] and stores[(class, field)]
+    are the field loads and stores of that cell, returns the statements
+    returning a value, and calls maps each call statement to (). Then
+    method_facts keeps in calls only the calls with program targets, in
+    index order, each mapped to the call graph's own target tuple, and sets
+    base, the rank of the method's first statement in p.locs(), which is
+    its first dependence graph id."""
 
     def __init__(self, m: MethodDef):
         self.m = m
@@ -498,8 +510,22 @@ class _MethodFacts:
         self.use_defs: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.def_uses: dict[int, list[int]] = {}
         self.entry_uses: dict[str, list[int]] = {}
+        self.loads: dict[tuple[str, str], list[int]] = {}
+        self.stores: dict[tuple[str, str], list[int]] = {}
+        self.returns: list[int] = []
+        self.calls: dict[int, tuple[MethodId, ...]] = {}
         for i in sorted(before):
-            uses = stmt_uses(body[i])
+            s = body[i]
+            if isinstance(s, AssignFieldLoad):
+                self.loads.setdefault((s.cls, s.fld), []).append(i)
+            elif isinstance(s, FieldStore):
+                self.stores.setdefault((s.cls, s.fld), []).append(i)
+            elif isinstance(s, Return):
+                if s.value is not None:
+                    self.returns.append(i)
+            elif isinstance(s, (AssignCall, Call)):
+                self.calls[i] = ()
+            uses = stmt_uses(s)
             if not uses:
                 continue
             reach, union, per_use = before[i], 0, []
@@ -518,13 +544,10 @@ class _MethodFacts:
         """The definitions in a bit set over defs, in defs order."""
         return (self.defs[k] for k in _bits(bits))
 
-    def loc(self, i: int) -> Loc:
-        return self.locs[self.base + i]
-
 
 def method_facts(p: Program, cg: CallGraph) -> dict[MethodId, _MethodFacts]:
-    """One _MethodFacts per method of p, in iter_methods order; cg is p's
-    call graph.
+    """One _MethodFacts per method of p, in iter_methods order, with each
+    call statement's targets taken from cg, p's call graph.
 
     Built on the first call and kept on cg, the one object that build_pdg
     and propagate both receive, so the facts live as long as the call graph
@@ -534,10 +557,11 @@ def method_facts(p: Program, cg: CallGraph) -> dict[MethodId, _MethodFacts]:
     facts = cg._facts
     if facts is None:
         facts = cg._facts = {}
-        locs, base = p.locs(), 0
+        locs, edges, base = p.locs(), cg.edges, 0
         for cls, m in p.iter_methods():
             f = facts[MethodId(cls.name, m.key)] = _MethodFacts(m)
-            f.locs, f.base = locs, base
+            f.base = base
+            f.calls = {i: t for i in f.calls if (t := edges.get(locs[base + i]))}
             base += len(m.body)
     return facts
 
@@ -598,7 +622,6 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     order, each over a contiguous id range, so the result is independent of
     source class order and ids follow Loc order."""
     facts = method_facts(p, cg)  # in MethodId order
-    locs = p.locs()
     stmts = [s for _, m in p.iter_methods() for s in m.body]
     # Explicit edges, one (src id, dst id << _KIND_BITS | code) pair each.
     src, dst = array("q"), array("q")
@@ -606,12 +629,13 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
 
     stores: dict[tuple[str, str], list[int]] = {}
     loads: dict[tuple[str, str], list[int]] = {}
-    returns: dict[MethodId, list[int]] = {}  # value-returning statement ids
-    # Resolved call sites, in id order, with the definitions reaching each
-    # argument.
-    call_sites: list[tuple[int, MethodId, MethodId, tuple[str, ...], tuple, bool]] = []
+    # Feeders: for each (callee, param index), the statements whose defined
+    # value can enter that parameter; passthrough links a caller's parameter
+    # to the (callee, param index) keys it is passed on to.
+    feed: dict[tuple[MethodId, int], set[int]] = {}
+    passthrough: dict[tuple[MethodId, int], set[tuple[MethodId, int]]] = {}
     for mid, f in facts.items():
-        b, body = f.base, f.m.body
+        b, m = f.base, f.m
         for i, per_use in f.use_defs.items():  # local def-use pairs
             code = (b + i) << _KIND_BITS | _DATA
             for ds in per_use:
@@ -622,20 +646,26 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
         for br, s in f.control:
             add_src(b + br)
             add_dst((b + s) << _KIND_BITS | _CONTROL)
-        rets = returns[mid] = []
-        for i in sorted(f.reachable):
-            s = body[i]
-            if isinstance(s, FieldStore):
-                stores.setdefault((s.cls, s.fld), []).append(b + i)
-            elif isinstance(s, AssignFieldLoad):
-                loads.setdefault((s.cls, s.fld), []).append(b + i)
-            elif isinstance(s, Return):
-                if s.value is not None:
-                    rets.append(b + i)
-            elif isinstance(s, (AssignCall, Call)):
-                has_lhs = isinstance(s, AssignCall)
-                for t in cg.resolved(locs[b + i]):
-                    call_sites.append((b + i, mid, t, s.args, f.use_defs.get(i, ()), has_lhs))
+        for c, at in f.stores.items():
+            stores.setdefault(c, []).extend([b + i for i in at])
+        for c, at in f.loads.items():
+            loads.setdefault(c, []).extend([b + i for i in at])
+        for i, targets in f.calls.items():
+            site, s = b + i, m.body[i]
+            arg_defs = f.use_defs.get(i, ())
+            for t in targets:
+                tf = facts[t]
+                if tf.m.body:  # Call: call site -> callee entry statement
+                    add_src(site)
+                    add_dst(tf.base << _KIND_BITS | _CALL)
+                if isinstance(s, AssignCall):  # ReturnOut: value returns -> lhs def
+                    for r in tf.returns:
+                        add_src(tf.base + r)
+                        add_dst(site << _KIND_BITS | _RETURN_OUT)
+                for k, (a, ds) in enumerate(zip(s.args, arg_defs)):
+                    feed.setdefault((t, k), set()).update(b + d for d in ds if d != ENTRY_DEF)
+                    if ds and ds[0] == ENTRY_DEF:
+                        passthrough.setdefault((mid, m.params.index(a)), set()).add((t, k))
 
     # Field cells: program-wide store -> load, order-insensitive, kept as
     # one (stores, loads) pair per cell instead of stores x loads edges. No
@@ -643,25 +673,7 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     # branch or return), so no cell pair repeats one.
     cells = [(tuple(stores[c]), tuple(loads[c])) for c in sorted(stores) if c in loads]
 
-    # Call edges: call site -> callee entry statement.
-    for site, _, t, _, _, _ in call_sites:
-        if facts[t].m.body:
-            add_src(site)
-            add_dst(facts[t].base << _KIND_BITS | _CALL)
-
-    # Feeders: for each (callee, param index), the statements whose defined
-    # value can enter that parameter, chasing parameter-to-parameter
-    # pass-through across call sites to a fixpoint.
-    feed: dict[tuple[MethodId, int], set[int]] = {}
-    passthrough: dict[tuple[MethodId, int], set[tuple[MethodId, int]]] = {}
-    for _, caller, t, args, arg_defs, _ in call_sites:
-        b = facts[caller].base
-        for i, (a, ds) in enumerate(zip(args, arg_defs)):
-            key = (t, i)
-            feed.setdefault(key, set()).update(b + d for d in ds if d != ENTRY_DEF)
-            if ds and ds[0] == ENTRY_DEF:
-                j = facts[caller].m.params.index(a)
-                passthrough.setdefault((caller, j), set()).add(key)
+    # Chase parameter-to-parameter pass-through across call sites to a fixpoint.
     changed = True
     while changed:
         changed = False
@@ -685,12 +697,4 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
                 add_src(s)
                 add_dst(code)
 
-    # ReturnOut edges: value-returning statements -> call sites with a lhs.
-    for site, _, t, _, _, has_lhs in call_sites:
-        if has_lhs:
-            code = site << _KIND_BITS | _RETURN_OUT
-            for r in returns[t]:
-                add_src(r)
-                add_dst(code)
-
-    return DepGraph(locs, stmts, src, dst, cells)
+    return DepGraph(p.locs(), stmts, src, dst, cells)

@@ -128,6 +128,32 @@ class SourceLabel:
     origin: Origin
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def parse_json(text: str):
+    """json.loads(text), refusing any string, key or value, that holds an
+    unpaired surrogate. A \\uD800-style escape spells one; no UTF-8 file,
+    file name or report can hold it. json.loads joins a valid surrogate
+    pair into one character, so any surrogate left is unpaired. Raises
+    ValueError for bad JSON, as json.loads does, and RecursionError for
+    nesting past the recursion limit."""
+    data = json.loads(text)
+    work = [data]
+    while work:  # no recursion: data may be nested nearly to the limit
+        x = work.pop()
+        if isinstance(x, str):
+            m = _SURROGATE.search(x)
+            if m:
+                raise ValueError(f"unpaired surrogate U+{ord(m[0]):04X} in a string")
+        elif isinstance(x, dict):
+            work += x
+            work += x.values()
+        elif isinstance(x, list):
+            work += x
+    return data
+
+
 def _read_json(path: Union[str, Path]) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
@@ -136,8 +162,8 @@ def _read_json(path: Union[str, Path]) -> dict:
     except OSError as e:
         raise MalformedRegistryError(path, f"cannot read: {e}") from None
     try:
-        data = json.loads(raw)
-    except ValueError as e:  # JSONDecodeError, or an integer too long for int()
+        data = parse_json(raw)
+    except ValueError as e:  # bad JSON, an integer too long for int(), a lone surrogate
         raise MalformedRegistryError(path, f"invalid JSON: {e}") from None
     except RecursionError:
         raise MalformedRegistryError(path, "invalid JSON: nested too deeply") from None

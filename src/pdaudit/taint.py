@@ -35,6 +35,11 @@ parameter's entry value re-queues its entry-value readers, a field cell
 its loads and a return value the method's call sites. The state before a
 statement, {(local, source id): status}, is derived on demand from the
 same reaching definitions.
+
+The loads of each field cell, each call's targets and the resolved call
+statements come from the method facts' record, which the dependence
+graph reads too: propagation asks the call graph nothing, touches no Loc
+and classifies a statement only to apply its transfer rule.
 """
 
 from __future__ import annotations
@@ -151,9 +156,10 @@ class PropagationResult:
     parameter's entry value, and the field cells. The state before any
     statement is derived from these and the method's reaching definitions.
 
-    blocked_pass_through holds the resolved non-sanitizer call statements:
-    their lhs comes from the callee's return alone, so a dependence path may
-    continue through them only when it arrived on a ReturnOut edge."""
+    blocked_pass_through holds the dependence graph ids of the resolved
+    non-sanitizer call statements: their lhs comes from the callee's return
+    alone, so a dependence path may continue through them only when it
+    arrived on a ReturnOut edge."""
 
     def __init__(
         self,
@@ -162,7 +168,7 @@ class PropagationResult:
         entry: dict[MethodId, dict[str, _Facts]],
         defs: dict[MethodId, dict[int, _Facts]],
         field_cells: dict[tuple[str, str], _Facts],
-        blocked_pass_through: frozenset[Loc] = frozenset(),
+        blocked_pass_through: frozenset[int],
     ):
         self.labels = labels
         self._facts = facts
@@ -219,21 +225,19 @@ def propagate(
     ret_facts: dict[MethodId, _Facts] = {mid: {} for mid in facts}
     field_cells: dict[tuple[str, str], _Facts] = {}
 
-    loads_of: dict[tuple[str, str], list[tuple[MethodId, int]]] = {}
+    # The loads of each field cell, per method, and the callers of each
+    # method, from the method facts' record of the reachable statements.
+    loads_of: dict[tuple[str, str], list[tuple[MethodId, list[int]]]] = {}
     callers_of: dict[MethodId, list[tuple[MethodId, int]]] = {}
-    blocked: set[Loc] = set()
+    blocked: set[int] = set()
     for mid, f in facts.items():
-        for i in sorted(f.reachable):
-            s = f.m.body[i]
-            if isinstance(s, AssignFieldLoad):
-                loads_of.setdefault((s.cls, s.fld), []).append((mid, i))
-            elif isinstance(s, (AssignCall, Call)):
-                site = f.loc(i)
-                resolved = cg.resolved(site)
-                for t in resolved:
-                    callers_of.setdefault(t, []).append((mid, i))
-                if resolved and s.callee not in san:
-                    blocked.add(site)
+        for c, at in f.loads.items():
+            loads_of.setdefault(c, []).append((mid, at))
+        for i, targets in f.calls.items():
+            for t in targets:
+                callers_of.setdefault(t, []).append((mid, i))
+            if f.m.body[i].callee not in san:
+                blocked.add(f.base + i)
 
     work: deque[tuple[MethodId, int]] = deque()
     queued: set[tuple[MethodId, int]] = set()
@@ -280,8 +284,9 @@ def propagate(
         elif isinstance(stmt, FieldStore):
             moved = _read(stmt.rhs, uses[0], mentry, mdefs)
             if moved and _join_into(field_cells.setdefault((stmt.cls, stmt.fld), {}), moved):
-                for load in loads_of.get((stmt.cls, stmt.fld), ()):
-                    push(*load)
+                for lmid, at in loads_of.get((stmt.cls, stmt.fld), ()):
+                    for u in at:
+                        push(lmid, u)
         elif isinstance(stmt, Return):
             if stmt.value is not None and _join_into(
                 ret_facts[mid], _read(stmt.value, uses[0], mentry, mdefs)
@@ -296,7 +301,7 @@ def propagate(
                     for sid in af:
                         result[sid] = Status.PSEUDONYMIZED
             else:
-                resolved = cg.resolved(f.loc(i))
+                resolved = f.calls.get(i, ())
                 for t in resolved:
                     tf, tentry = facts[t], entry[t]
                     for param, af in zip(tf.m.params, arg_facts):
@@ -414,7 +419,7 @@ def collect_flows(pr: PropagationResult, sinks: SinkRegistry, g: DepGraph) -> li
     label_by_id = {l.id: l for l in pr.labels}
     flows: list[Flow] = []
     locs, stmts = g.locs, g.stmts
-    blocked = {i for i in map(g.id_of, pr.blocked_pass_through) if i is not None}
+    blocked = pr.blocked_pass_through
     for dst, match in g.sink_table(sinks).items():
         args = stmts[dst].args
         loc = locs[dst]
@@ -483,13 +488,14 @@ def derived_data(pr: PropagationResult, label: SourceLabel) -> DerivedData:
         raise NotALabelError(label.id)
     cells: set[Cell] = set()
     sigs: set[str] = set()
+    here = (MethodId(label.location.cls, label.location.method), label.location.index)
     for mid, f in pr._facts.items():
         for d, held in pr._defs[mid].items():
             if label.id not in held:
                 continue
             stmt = f.m.body[d]
             cells.add(LocalCell(mid.cls, mid.method, stmt_defs(stmt)))
-            if isinstance(stmt, AssignCall) and f.loc(d) != label.location:
+            if isinstance(stmt, AssignCall) and (mid, d) != here:
                 sigs.add(stmt.callee)
         if f.m.body:  # entry values hold at the first statement
             for param, held in pr._entry[mid].items():

@@ -496,6 +496,11 @@ _BAD_JSON_FILES = {
     "utf8-first-byte": ("f.json", b"\xff\xfe", "invalid UTF-8 at byte 0"),
     "utf8-in-string": ("f.json", b'{"n": "\xc3"}', "invalid UTF-8 at byte 7"),
     "deep-json": ("f.json", b"[" * 200_000, "invalid JSON: nested too deeply"),
+    "lone-high-surrogate": ("f.json", b'{"n": ["\\ud800"]}', "invalid JSON: unpaired surrogate U+D800"),
+    "lone-low-surrogate-key": ("f.json", b'{"n": {"a\\udc00": 1}}',
+                               "invalid JSON: unpaired surrogate U+DC00"),
+    "reversed-surrogate-pair": ("f.json", b'{"n": "\\ude00\\ud83d"}',
+                                "invalid JSON: unpaired surrogate U+DE00"),
 }
 _BAD_INPUT_FILES = [
     pytest.param(slot, *bad, id=f"{slot}-{kind}")
@@ -510,9 +515,10 @@ _BAD_INPUT_FILES = [
 @pytest.mark.parametrize("slot, name, data, text", _BAD_INPUT_FILES)
 def test_undecodable_or_too_deep_input_file_exits_2(tmp_path, capsys, slot, command, name, data,
                                                      text, json_errors):
-    """Bad UTF-8 or a nesting past the recursion limit, in any registry
-    file or the config file, is an input error (exit 2), never a traceback
-    with exit 1, which means findings."""
+    """Bad UTF-8, a \\uD800-style escape that leaves an unpaired surrogate
+    (no UTF-8 text holds one) or a nesting past the recursion limit, in any
+    registry file or the config file, is an input error (exit 2), never a
+    traceback with exit 1, which means findings."""
     path = tmp_path / name
     path.write_bytes(data)
     flags = [f"--{slot}", str(path)] + (["--json-errors"] if json_errors else [])
@@ -525,6 +531,23 @@ def test_undecodable_or_too_deep_input_file_exits_2(tmp_path, capsys, slot, comm
     else:
         _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError", f"{path}: {text}")
     assert not (tmp_path / "out").exists()
+
+
+def test_surrogate_pair_escape_still_loads(tmp_path):
+    """A valid pair, \\ud83d\\ude00, is one character: it loads, and
+    reaches report.json and the output directory's name."""
+    smile = "\U0001F600"
+    dpv_map = json.loads((REG / "dpv.json").read_text(encoding="utf-8"))
+    dpv_map["sink_kinds"]["Analytics"] = smile
+    dpv = tmp_path / "dpv.json"
+    dpv.write_text(json.dumps(dpv_map), encoding="ascii")  # ensure_ascii writes the pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(tmp_path / f"out{smile}")}), encoding="ascii")
+    assert "\\ud83d\\ude00" in dpv.read_text() and "\\ud83d\\ude00" in config.read_text()
+    flags = registry_flags(tmp_path / "unused")[:-2] + ["--dpv", str(dpv), "--config", str(config)]
+    assert main(["analyze", str(FIXTURES / "a.pir"), *flags]) == 1
+    assert smile in (tmp_path / f"out{smile}" / "report.json").read_text(encoding="utf-8")
+    assert main(["validate", str(FIXTURES / "a.pir"), *flags]) == 0
 
 
 # ---------------------------------------------------------------------------

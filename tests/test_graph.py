@@ -1,8 +1,10 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from conftest import FIXTURE_A, FIXTURE_B, MUTUAL_EXTENDS, SELF_EXTENDS, time_limit
-from gen import gen_program
+from gen import gen_hub_program, gen_perf_program, gen_program
 from oracles import (
     brute_control_pairs,
     data_dep_pairs_by_paths,
@@ -26,8 +28,10 @@ from pdaudit.ir import (
     AssignCall,
     AssignConst,
     AssignCopy,
+    AssignFieldLoad,
     Call,
     ClassDef,
+    FieldStore,
     Goto,
     If,
     Loc,
@@ -488,6 +492,56 @@ def test_resolved_targets_are_the_method_targets():
             assert list(targets) == sorted(set(targets))
 
 
+def _classified(f, cg, locs):
+    """(loads, stores, returns, calls) of f's method, classified afresh
+    from its reachable statements, with each call's targets from cg and
+    the opaque calls left out."""
+    loads, stores, returns, calls = {}, {}, [], {}
+    for i in sorted(f.reachable):
+        s = f.m.body[i]
+        if isinstance(s, AssignFieldLoad):
+            loads.setdefault((s.cls, s.fld), []).append(i)
+        elif isinstance(s, FieldStore):
+            stores.setdefault((s.cls, s.fld), []).append(i)
+        elif isinstance(s, Return) and s.value is not None:
+            returns.append(i)
+        elif isinstance(s, (AssignCall, Call)) and cg.resolved(locs[f.base + i]):
+            calls[i] = cg.resolved(locs[f.base + i])
+    return loads, stores, returns, calls
+
+
+@pytest.mark.parametrize("shape, programs", [("gen", 200), ("loops", 200), ("hub", 30), ("perf", 2)])
+def test_method_record_is_a_fresh_classification_of_reachable_statements(shape, programs):
+    """Each method's record (field loads and stores per cell, value
+    returns, call targets) equals a classification of sorted(f.reachable)
+    made with cg.resolved, and holds the call graph's own target tuples."""
+    rng = random.Random(6464)
+    seen = dict.fromkeys(["load", "store", "return", "call", "unreachable"], 0)
+    for _ in range(programs):
+        if shape == "gen":
+            p = gen_program(rng)
+        elif shape == "loops":
+            p = gen_program(rng, allow_loops=True, allow_recursion=True)
+        elif shape == "hub":
+            p = gen_hub_program(rng, n_methods=rng.randint(2, 8))
+        else:
+            p = gen_perf_program(rng, n_methods=20, stmts_each=30)
+        cg = build_call_graph(p)
+        locs = p.locs()
+        for f in method_facts(p, cg).values():
+            want = _classified(f, cg, locs)
+            assert (f.loads, f.stores, f.returns, f.calls) == want
+            assert list(f.calls) == sorted(f.calls)
+            for i, targets in f.calls.items():
+                assert targets is cg.edges[locs[f.base + i]]  # stored, not copied
+            seen["load"] += sum(map(len, f.loads.values()))
+            seen["store"] += sum(map(len, f.stores.values()))
+            seen["return"] += len(f.returns)
+            seen["call"] += len(f.calls)
+            seen["unreachable"] += len(f.m.body) - len(f.reachable)
+    assert all(n > 0 for k, n in seen.items() if shape != "perf" or k != "unreachable"), seen
+
+
 def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
     from pdaudit.cli import Config, run_analysis
 
@@ -593,9 +647,10 @@ def test_call_graph_labels_and_method_facts_share_the_graphs_locs(tmp_path):
         assert g.locs is p.locs() and cg.edges and labels
         assert all(g.locs[g.id_of(site)] is site for site in cg.edges)
         assert all(g.locs[g.id_of(l.location)] is l.location for l in labels)
-        for f in method_facts(p, cg).values():
+        for mid, f in method_facts(p, cg).items():  # base is the method's first id
             for i in range(len(f.m.body)):
-                assert g.locs[g.id_of(f.loc(i))] is f.loc(i)
+                loc = g.locs[f.base + i]
+                assert (loc.cls, loc.method, loc.index) == (mid.cls, mid.method, i)
         assert [loc for loc, _ in p.iter_locs()] == list(g.locs)
         assert all(s is t for (_, s), t in zip(p.iter_locs(), g.stmts))
 

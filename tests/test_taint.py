@@ -22,7 +22,7 @@ from oracles import (
     round_robin_taint,
     shortest_witness,
 )
-from pdaudit.graph import MethodId, build_call_graph, build_pdg
+from pdaudit.graph import CallGraph, MethodId, build_call_graph, build_pdg, method_facts
 from pdaudit.ir import AssignCall, Goto, If, Loc, parse_program
 from pdaudit.registry import (
     Lexicon,
@@ -234,7 +234,7 @@ def test_witness_search_stops_at_the_farthest_source():
     sources = {}
     for f in flows:
         sources.setdefault(g.id_of(f.sink.location), set()).add(g.id_of(f.source.location))
-    blocked = {g.id_of(loc) for loc in pr.blocked_pass_through}
+    blocked = pr.blocked_pass_through  # graph ids
     every = {2 * i + 1 for i in range(len(g.locs))}
     early = sum(len(_witness_rdist(g, d, blocked, {2 * s + 1 for s in ss}))
                 for d, ss in sources.items())
@@ -511,6 +511,40 @@ def test_fixpoint_matches_round_robin_oracle_with_loops_and_recursion():
         )
         recursive += _has_call_cycle(p, cg)
     assert looped >= 30 and recursive >= 30, (looped, recursive)
+
+
+def test_propagate_reads_call_targets_and_loads_from_the_method_facts(monkeypatch):
+    """Once method_facts has run, propagate asks the call graph nothing and
+    builds, hashes or compares no Loc: the field loads, each call's targets
+    and the blocked pass-through statements come from the facts' record.
+    blocked_pass_through holds the graph ids of the oracle's blocked
+    statements that are reachable."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagate asked the call graph or used a Loc")
+
+    rng = random.Random(3131)
+    programs = [gen_program(rng, allow_loops=True, allow_recursion=True) for _ in range(40)]
+    programs += [gen_hub_program(rng, n_methods=6), gen_perf_program(rng, 20, 30)]
+    bitten = 0  # programs with a label and a resolved call
+    for p in programs:
+        cg, g, labels, want = analyze_generated(p)
+        facts = method_facts(p, cg)
+        blocked = {
+            g.id_of(loc) for loc in blocked_pass_through_locs(p, cg, GEN_SANITIZERS)
+            if loc.index in facts[MethodId(loc.cls, loc.method)].reachable
+        }
+        cold = build_call_graph(p)
+        method_facts(p, cold)
+        with monkeypatch.context() as mp:
+            for name in ("__init__", "__hash__", "__eq__"):
+                mp.setattr(Loc, name, refuse)
+            mp.setattr(CallGraph, "resolved", refuse)
+            got = propagate(p, cold, labels, GEN_SANITIZERS)
+        assert got.blocked_pass_through == blocked
+        assert (got._entry, got._defs, got.field_cells) == (want._entry, want._defs, want.field_cells)
+        bitten += bool(labels and cg.edges)
+    assert bitten >= 15, bitten
 
 
 def test_loops_terminate_and_overapproximate_unrolled():
