@@ -6,11 +6,20 @@ Subcommands:
             no analysis
   print     canonical PIR to stdout
 
-Exit codes (analyze):
-  0  no finding with risk >= --fail-threshold
-  1  at least one finding at or above the threshold (report still written)
-  2  usage, parse or registry error, a category whose risk overflows a
-     float, or an internal analysis error
+Exit codes:
+  0  analyze: no finding with risk >= --fail-threshold; validate: no IR
+     error among the diagnostics; print: the program was printed
+  1  analyze: at least one finding at or above the threshold (report still
+     written); validate: at least one IR error among the diagnostics
+  2  any failure, with a message on stderr (a JSON object under
+     --json-errors): a bad flag or config value; an unreadable or malformed
+     PIR, registry, DPV map or config file; a category whose risk
+     overflows a float; an internal analysis error; or a failed write, to
+     the output directory or to stdout, a closed pipe included (a full
+     device behind a buffered stdout still ends in exit 120)
+
+An error message names the file the error is in: the registry, DPV map or
+config file when the error is in one, else the PIR file.
 
 Registry flags default to the bundled seed files. A --config file (JSON, or
 TOML on installs with tomli/tomllib) may supply the same keys; explicit
@@ -29,7 +38,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .dpv import MissingMappingError, load_dpv_map
+from .dpv import load_dpv_map
 from .graph import build_call_graph, build_pdg
 from .ir import (
     ParseError,
@@ -82,7 +91,8 @@ class Config:
 
 class UsageError(Exception):
     """A bad flag or config value. file is the config file when the error is
-    in it; other errors are reported against the PIR file."""
+    in it, else None, and main reports the error against the PIR file (or,
+    for a bad command line under --json-errors, against no file)."""
 
     def __init__(self, message: str, file: Optional[str] = None):
         super().__init__(message)
@@ -269,9 +279,9 @@ def _read_pir(path: str) -> bytes:
 
 
 def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
-    """Report exc on stderr against the file it is in: the config file for a
-    config error, else the PIR file."""
-    source_file = (exc.file if isinstance(exc, UsageError) else None) or args.pir
+    """Report exc on stderr against the file it is in: its own file when it
+    carries one (a config, registry or DPV map error), else the PIR file."""
+    source_file = getattr(exc, "file", None) or args.pir
     if args.json_errors:
         payload: dict = {"error": type(exc).__name__, "message": str(exc), "file": source_file}
         if isinstance(exc, ParseError):
@@ -332,22 +342,6 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analyze(args: argparse.Namespace) -> int:
-    try:
-        cfg = build_config(args)
-        pir_text = _read_pir(args.pir)
-        artifacts = run_analysis(pir_text, cfg)
-        write_outputs(artifacts, cfg.out)
-    except (PirError, RegistryError, RiskOverflowError, MissingMappingError, TaintError,
-            UsageError, OSError) as exc:
-        _emit_error(exc, args)
-        return 2
-    # the dict write_outputs serialized: report_json keeps it on the report
-    print(summarize(report_json(artifacts.report), color=_use_color()), end="")
-    over = [f for f in artifacts.report.findings if f.risk >= cfg.fail_threshold]
-    return 1 if over else 0
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Run the pipeline, write the outputs and print the summary, with the
     cyclic garbage collector off.
@@ -361,27 +355,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _analyze(args)
+        cfg = build_config(args)
+        pir_text = _read_pir(args.pir)
+        artifacts = run_analysis(pir_text, cfg)
+        write_outputs(artifacts, cfg.out)
+        # the dict write_outputs serialized: report_json keeps it on the report
+        print(summarize(report_json(artifacts.report), color=_use_color()), end="")
+        over = [f for f in artifacts.report.findings if f.risk >= cfg.fail_threshold]
+        return 1 if over else 0
     finally:
         if was_enabled:
             gc.enable()
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        cfg = build_config(args)
-        pir_text = _read_pir(args.pir)
-        program = parse_program(pir_text)
-        sources, _, _, lexicon = load_registries(
-            cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon
-        )
-        categories = {*sources.entries.values(), *lexicon.entries.values()}
-        check_risks_finite(categories, cfg.risk)
-        load_dpv_map(cfg.dpv, {c.name for c in categories}, [k.value for k in SinkKind])
-    except (PirError, RegistryError, RiskOverflowError, MissingMappingError, UsageError,
-            OSError) as exc:
-        _emit_error(exc, args)
-        return 2
+    cfg = build_config(args)
+    pir_text = _read_pir(args.pir)
+    program = parse_program(pir_text)
+    sources, _, _, lexicon = load_registries(cfg.sources, cfg.sinks, cfg.sanitizers, cfg.lexicon)
+    categories = {*sources.entries.values(), *lexicon.entries.values()}
+    check_risks_finite(categories, cfg.risk)
+    load_dpv_map(cfg.dpv, {c.name for c in categories}, [k.value for k in SinkKind])
     diags = validate(program)
     for d in diags:
         print(str(d))
@@ -389,14 +383,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_print(args: argparse.Namespace) -> int:
-    try:
-        pir_text = _read_pir(args.pir)
-        program = parse_program(pir_text)
-    except (PirError, OSError) as exc:
-        _emit_error(exc, args)
-        return 2
+    pir_text = _read_pir(args.pir)
+    program = parse_program(pir_text)
     print(print_program(program), end="")
     return 0
+
+
+# What a command may raise for bad input or a failed write; main reports
+# each as exit 2. BrokenPipeError, a closed stdout, is an OSError.
+_INPUT_ERRORS = (PirError, RegistryError, RiskOverflowError, TaintError, UsageError, OSError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -410,11 +405,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             argparse.ArgumentParser.error(parser, message)  # usage text, exit 2
         _emit_error(UsageError(message), argparse.Namespace(pir=None, json_errors=True))
         return 2
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "validate":
-        return cmd_validate(args)
-    return cmd_print(args)
+    command = {"analyze": cmd_analyze, "validate": cmd_validate, "print": cmd_print}
+    try:
+        code = command[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here at the latest, not at exit
+    except _INPUT_ERRORS as exc:
+        _emit_error(exc, args)
+        if isinstance(exc, BrokenPipeError):
+            # Nothing reads stdout any more. Point it at os.devnull, so that
+            # the flush at interpreter exit cannot fail on it a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

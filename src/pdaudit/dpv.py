@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .registry import MalformedRegistryError, SourceLabel, _read_json, canonical_text
+from .registry import MalformedRegistryError, RegistryError, SourceLabel, _read_json, canonical_text
 from .taint import Flow, Status
 
 
-class MissingMappingError(Exception):
-    def __init__(self, missing: list[str]):
+class MissingMappingError(RegistryError):
+    def __init__(self, file: Union[str, Path], missing: list[str]):
         self.missing = missing
-        super().__init__(f"DPV map lacks entries for: {', '.join(missing)}")
+        super().__init__(file, f"DPV map lacks entries for: {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def load_dpv_map(
     if "pseudonymisation" not in raw:
         missing.append("pseudonymisation")
     if missing:
-        raise MissingMappingError(missing)
+        raise MissingMappingError(path, missing)
     return DpvMap(dict(cat_map), dict(kind_map), raw["collection"], raw["pseudonymisation"],
                   canonical_text(raw))
 

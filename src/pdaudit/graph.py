@@ -465,7 +465,8 @@ class _MethodFacts:
     that local reaching i. def_uses[d] lists the statements reading the
     local defined at d under that definition, and entry_uses[param] those
     reading the parameter's entry value. control lists the (branch index,
-    dependent index) pairs of _control_pairs.
+    dependent index) pairs of _control_pairs, for the branches (If
+    statements) that the record's walk finds.
 
     The record is the one classification of the reachable statements, each
     list in index order: loads[(class, field)] and stores[(class, field)]
@@ -505,7 +506,6 @@ class _MethodFacts:
                     if new != old:
                         before[j] = new
                         heappush(work, j)
-        self.control = tuple(_control_pairs(m, before, succs))
 
         self.use_defs: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.def_uses: dict[int, list[int]] = {}
@@ -514,6 +514,7 @@ class _MethodFacts:
         self.stores: dict[tuple[str, str], list[int]] = {}
         self.returns: list[int] = []
         self.calls: dict[int, tuple[MethodId, ...]] = {}
+        branches = []
         for i in sorted(before):
             s = body[i]
             if isinstance(s, AssignFieldLoad):
@@ -525,6 +526,8 @@ class _MethodFacts:
                     self.returns.append(i)
             elif isinstance(s, (AssignCall, Call)):
                 self.calls[i] = ()
+            elif isinstance(s, If):
+                branches.append(i)
             uses = stmt_uses(s)
             if not uses:
                 continue
@@ -539,6 +542,7 @@ class _MethodFacts:
                     self.entry_uses.setdefault(v, []).append(i)
                 else:
                     self.def_uses.setdefault(d, []).append(i)
+        self.control = tuple(_control_pairs(m, before, succs, branches))
 
     def pairs(self, bits: int) -> Iterator[tuple[str, int]]:
         """The definitions in a bit set over defs, in defs order."""
@@ -571,15 +575,16 @@ def method_facts(p: Program, cg: CallGraph) -> dict[MethodId, _MethodFacts]:
 # ---------------------------------------------------------------------------
 
 
-def _control_pairs(m: MethodDef, reachable: set[int], succs: dict[int, tuple[int, ...]]):
-    """(branch index, dependent index) of each control dependence.
+def _control_pairs(m: MethodDef, reachable: set[int], succs: dict[int, tuple[int, ...]],
+                   branches: list[int]):
+    """(branch index, dependent index) of each control dependence, for
+    branches, the reachable If statements of m in index order.
 
     pdom[i], the statements postdominating i as a bit set, is the greatest
     fixpoint of {i} | AND of pdom over i's successors that reach the exit,
     EXIT contributing the empty set. Bit len(body) marks the statements that
     cannot reach the exit; each of those is postdominated by itself alone.
     Branch b controls, over each successor s, pdom[s] & ~(pdom[b] minus b)."""
-    branches = [i for i in sorted(reachable) if isinstance(m.body[i], If)]
     if not branches:
         return
     stuck = 1 << len(m.body)

@@ -33,20 +33,24 @@ from .ir import AssignCall, Call, Loc, Program
 
 
 class RegistryError(Exception):
-    """Base class for registry loading errors."""
+    """Base class for registry and DPV map loading errors; file is the
+    registry or DPV map file the error is in."""
+
+    def __init__(self, file: Union[str, Path], message: str):
+        super().__init__(message)
+        self.file = str(file)
 
 
 class MalformedRegistryError(RegistryError):
-    def __init__(self, path: Union[str, Path], reason: str):
-        self.path = str(path)
+    def __init__(self, file: Union[str, Path], reason: str):
         self.reason = reason
-        super().__init__(f"{path}: {reason}")
+        super().__init__(file, f"{file}: {reason}")
 
 
 class ConflictingEntryError(RegistryError):
-    def __init__(self, signature: str):
+    def __init__(self, file: Union[str, Path], signature: str):
         self.signature = signature
-        super().__init__(f"conflicting registry entry: {signature}")
+        super().__init__(file, f"conflicting registry entry: {signature}")
 
 
 @dataclass(frozen=True)
@@ -261,11 +265,11 @@ def load_registries(
         if matcher.endswith(".*"):
             key = matcher[:-1]  # keep the dot: "com.x.*" matches "com.x.C.m"
             if key in prefixes:
-                raise ConflictingEntryError(matcher)
+                raise ConflictingEntryError(sinks_path, matcher)
             prefixes[key] = SinkMatch(kind, name)
         else:
             if matcher in exact:
-                raise ConflictingEntryError(matcher)
+                raise ConflictingEntryError(sinks_path, matcher)
             exact[matcher] = SinkMatch(kind, name)
     sinks = SinkRegistry(exact, prefixes, canonical_text(sink_data))
 
@@ -275,10 +279,10 @@ def load_registries(
         raise MalformedRegistryError(sanitizers_path, "entries must be a list of signatures")
     if len(set(san_entries)) != len(san_entries):
         dupe = next(s for s in san_entries if san_entries.count(s) > 1)
-        raise ConflictingEntryError(dupe)
+        raise ConflictingEntryError(sanitizers_path, dupe)
     for sig in san_entries:
         if sig in sources.entries:
-            raise ConflictingEntryError(sig)
+            raise ConflictingEntryError(sanitizers_path, sig)
     sanitizers = SanitizerRegistry(frozenset(san_entries), canonical_text(san_data))
 
     return sources, sinks, sanitizers, lexicon

@@ -16,8 +16,12 @@ from hypothesis import strategies as st
 
 from conftest import MUTUAL_EXTENDS, SELF_EXTENDS, time_limit
 from gen import SANITIZER_SIGS, SINK_SIGS, SOURCE_SIGS, gen_program, registry_json
-from pdaudit.cli import _bundled, cmd_analyze, main, make_parser
-from pdaudit.ir import AssignCall, Call, Goto, If, print_program
+import pdaudit.cli as cli
+from pdaudit.cli import UsageError, _bundled, cmd_analyze, main, make_parser
+from pdaudit.ir import AssignCall, Call, Goto, If, PirError, print_program
+from pdaudit.registry import RegistryError
+from pdaudit.report import RiskOverflowError
+from pdaudit.taint import TaintError
 from regen_goldens import analyze_args, perf_inputs
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -290,7 +294,6 @@ def test_non_string_sink_name_exits_2(tmp_path, capsys, name, command, json_erro
 
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_taint_engine_error_exits_2(tmp_path, capsys, monkeypatch, json_errors):
-    import pdaudit.cli as cli
     from pdaudit.taint import FixpointBudgetExceededError
 
     def exceed(p, cg, labels, san):
@@ -301,6 +304,40 @@ def test_taint_engine_error_exits_2(tmp_path, capsys, monkeypatch, json_errors):
     code = run_analyze("a.pir", tmp_path / "out", *flags)
     _assert_exit_2(code, capsys, json_errors, "FixpointBudgetExceededError",
                    "fixpoint exceeded 1 statement visits")
+    assert not (tmp_path / "out").exists()
+
+
+# One instance of each input error type main handles, and the file it is
+# reported against (None: the PIR file).
+INPUT_ERRORS = [
+    (PirError("bad program"), None), (RegistryError("r.json", "bad registry"), "r.json"),
+    (RiskOverflowError("overflow"), None), (TaintError("engine fault"), None),
+    (UsageError("bad value"), None), (UsageError("bad key", file="c.json"), "c.json"),
+    (OSError("cannot write"), None),
+]
+
+
+def test_input_errors_cover_the_handled_types():
+    assert {type(e) for e, _ in INPUT_ERRORS} == set(cli._INPUT_ERRORS)
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("command", ["analyze", "validate", "print"])
+@pytest.mark.parametrize("exc, file", INPUT_ERRORS,
+                         ids=[f"{type(e).__name__}-{f}" for e, f in INPUT_ERRORS])
+def test_each_input_error_from_inside_a_command_exits_2(tmp_path, capsys, monkeypatch, exc, file,
+                                                        command, json_errors):
+    """main's one handler covers each command's whole run, and names the
+    error's own file if it carries one, else the PIR file."""
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "_read_pir", fail)
+    pir = str(FIXTURES / "b.pir")
+    flags = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    flags += ["--json-errors"] if json_errors else []
+    code = main([command, pir, *flags])
+    _assert_exit_2(code, capsys, json_errors, type(exc).__name__, str(exc), file=file or pir)
     assert not (tmp_path / "out").exists()
 
 
@@ -488,7 +525,7 @@ def test_huge_json_integer_exits_2(tmp_path, capsys, slot, json_errors):
                        file=path)
     else:
         _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
-                       f"{path}: invalid JSON")
+                       f"{path}: invalid JSON", file=path)
     assert not (tmp_path / "out").exists()
 
 
@@ -529,7 +566,8 @@ def test_undecodable_or_too_deep_input_file_exits_2(tmp_path, capsys, slot, comm
         _assert_exit_2(code, capsys, json_errors, "UsageError", f"config {path}: {text}",
                        file=path)
     else:
-        _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError", f"{path}: {text}")
+        _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError", f"{path}: {text}",
+                       file=path)
     assert not (tmp_path / "out").exists()
 
 
@@ -835,8 +873,44 @@ def test_unreadable_dpv_map_in_config_exits_2(tmp_path, capsys, monkeypatch, com
     flags = ["--json-errors"] if json_errors else []
     code = main([command, str(FIXTURES / "b.pir"), "--config", "d.json", *flags])
     _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
-                   "missing.json: cannot read", file=FIXTURES / "b.pir")
+                   "missing.json: cannot read", file="missing.json")
     assert not Path("pdaudit-out").exists()
+
+
+def _without_collection(dpv: dict) -> dict:
+    return {k: v for k, v in dpv.items() if k != "collection"}
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize(
+    "slot, edit, error, text",
+    [
+        ("sinks", lambda d: {"entries": d["entries"] + d["entries"][:1]},
+         "ConflictingEntryError", "conflicting registry entry: com.analytics.*"),
+        ("sanitizers", lambda d: {"entries": ["a.B.c", "a.B.c"]},
+         "ConflictingEntryError", "conflicting registry entry: a.B.c"),
+        ("sanitizers", lambda d: {"entries": [_SOURCE_SIG]},
+         "ConflictingEntryError", f"conflicting registry entry: {_SOURCE_SIG}"),
+        ("dpv", _without_collection, "MissingMappingError",
+         "DPV map lacks entries for: collection"),
+    ],
+    ids=["sinks-duplicate", "sanitizers-duplicate", "sanitizers-source", "dpv-missing"],
+)
+def test_registry_and_dpv_errors_name_their_own_file(tmp_path, capsys, slot, edit, error, text,
+                                                      command, json_errors):
+    """A conflicting registry entry or a missing DPV mapping is reported
+    against the registry or DPV map file that holds it, not the PIR file."""
+    path = tmp_path / f"{slot}.json"
+    path.write_text(json.dumps(edit(json.loads((REG / f"{slot}.json").read_text()))),
+                    encoding="utf-8")
+    flags = registry_flags(tmp_path / "out")
+    if command == "validate":
+        flags = flags[:-2]  # no --out
+    flags += [f"--{slot}", str(path)] + (["--json-errors"] if json_errors else [])
+    code = main([command, str(FIXTURES / "a.pir"), *flags])
+    _assert_exit_2(code, capsys, json_errors, error, text, file=path)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -904,9 +978,70 @@ def test_console_entry_point_smoke(tmp_path):
     assert "com.app.Main" in result.stdout
 
 
-def test_no_color_env(monkeypatch):
-    import pdaudit.cli as cli
+def _closed_stdout_run(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """argv run as a `python -m pdaudit.cli` child whose stdout is a pipe
+    that nothing reads: its read end is closed before the child starts."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "pdaudit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
 
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """PIR files larger than a pipe buffer (64 KiB): a generated program
+    with its registries, and a program with 2,000 validate warnings."""
+    tmp = tmp_path_factory.mktemp("large")
+    _, argv = perf_inputs(tmp, n_methods=60)
+    warnings = tmp / "warnings.pir"
+    calls = " ".join(f"{i}: call x.Y.g($ghost)" for i in range(2000))
+    warnings.write_text("class C extends D { method void f() { %s 2000: return } }" % calls,
+                        encoding="utf-8")
+    return Path(argv[1]), argv[2:-4], warnings
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("json_errors", [False, True])
+@pytest.mark.parametrize("size", ["fixture", "large"])
+@pytest.mark.parametrize("command", ["analyze", "validate", "print"])
+def test_closed_stdout_exits_2(tmp_path, large_inputs, command, size, json_errors, unbuffered):
+    """A closed stdout is a failed write: exit 2 with one message on stderr,
+    never exit 1 (findings), exit 120 (a failed flush at interpreter exit)
+    or a traceback, whether the write fails in the command or at the final
+    flush, and whatever the size of the output."""
+    big_pir, registries, warnings = large_inputs
+    if command == "validate":
+        if size == "fixture":
+            pir = tmp_path / "warn.pir"
+            pir.write_text("class C extends D { method void f() { 0: call x.Y.g($ghost) "
+                           "1: return } }", encoding="utf-8")
+        else:
+            pir = warnings
+        flags = []
+    else:
+        pir = FIXTURES / "b.pir" if size == "fixture" else big_pir
+        flags = registries if size == "large" and command == "analyze" else []
+    if command == "analyze":
+        flags = [*flags, "--out", str(tmp_path / "out")]
+    flags += ["--json-errors"] if json_errors else []
+    result = _closed_stdout_run([command, str(pir), *flags], unbuffered)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    if json_errors:
+        assert json.loads(result.stderr) == {"error": "BrokenPipeError",
+                                             "message": "[Errno 32] Broken pipe",
+                                             "file": str(pir)}
+    else:
+        assert result.stderr == f"{pir}: [Errno 32] Broken pipe\n"
+
+
+def test_no_color_env(monkeypatch):
     monkeypatch.setattr(sys.stdout, "isatty", lambda: True, raising=False)
     monkeypatch.delenv("PDAUDIT_NO_COLOR", raising=False)
     assert cli._use_color()

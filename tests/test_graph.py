@@ -17,11 +17,9 @@ from pdaudit.graph import (
     DepEdge,
     EdgeKind,
     MethodId,
-    _control_pairs,
     _MethodFacts,
     build_call_graph,
     build_pdg,
-    cfg_successors,
     method_facts,
 )
 from pdaudit.ir import (
@@ -351,8 +349,7 @@ def test_control_pairs_match_deletion_oracle_on_random_bodies():
     stuck = 0
     for _ in range(5000):
         m = _random_jump_body(rng)
-        succs = cfg_successors(m)
-        got = set(_control_pairs(m, _MethodFacts(m).reachable, succs))
+        got = set(_MethodFacts(m).control)
         assert got == brute_control_pairs(m), m.body
         stuck += bool(exit_unreachable(m))
     assert stuck >= 1000  # the cannot-reach-exit convention is exercised

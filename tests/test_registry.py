@@ -81,7 +81,7 @@ def test_malformed_json_reports_path(tmp_path):
     bad.write_text("{", encoding="utf-8")
     with pytest.raises(MalformedRegistryError) as e:
         load_registries(bad, ok[1], ok[2], ok[3])
-    assert str(bad) == e.value.path
+    assert str(bad) == e.value.file
 
 
 def test_analytics_sink_requires_name(tmp_path):

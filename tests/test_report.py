@@ -28,7 +28,6 @@ from pdaudit.report import (
     ASSUMPTIONS,
     AuditReport,
     FindingKind,
-    InconsistentInputsError,
     ReportConfig,
     build_report,
     draft_data_safety,
@@ -176,15 +175,6 @@ class C extends D {
 def test_statement_count_partition():
     *_, report, _, _ = pipeline(FIXTURE_B)
     assert len(report.statements) == len(report.findings) == 1
-
-
-def test_inconsistent_inputs_rejected():
-    p, labels, g, slices, taint, report, sinks, _ = pipeline(FIXTURE_A)
-    ghost = SourceLabel(
-        7, Loc("Nowhere", "f/0", 0), PersonalDataCategory("Location"), Origin("SystemApi")
-    )
-    with pytest.raises(InconsistentInputsError):
-        build_report(p, labels + [ghost], slices, taint, DPV, sinks, "d")
 
 
 # ---------------------------------------------------------------------------
