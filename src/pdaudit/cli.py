@@ -15,8 +15,8 @@ Exit codes:
      --json-errors): a bad flag or config value; an unreadable or malformed
      PIR, registry, DPV map or config file; a category whose risk
      overflows a float; an internal analysis error; or a failed write, to
-     the output directory or to stdout, a closed pipe included (a full
-     device behind a buffered stdout still ends in exit 120)
+     the output directory or to stdout, a closed pipe or a full device
+     included
 
 An error message names the file the error is in: the registry, DPV map or
 config file when the error is in one, else the PIR file.
@@ -390,7 +390,7 @@ def cmd_print(args: argparse.Namespace) -> int:
 
 
 # What a command may raise for bad input or a failed write; main reports
-# each as exit 2. BrokenPipeError, a closed stdout, is an OSError.
+# each as exit 2. A failed write to stdout (BrokenPipeError, ENOSPC) is an OSError.
 _INPUT_ERRORS = (PirError, RegistryError, RiskOverflowError, TaintError, UsageError, OSError)
 
 
@@ -411,8 +411,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.flush()  # a closed stdout fails here at the latest, not at exit
     except _INPUT_ERRORS as exc:
         _emit_error(exc, args)
-        if isinstance(exc, BrokenPipeError):
-            # Nothing reads stdout any more. Point it at os.devnull, so that
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout cannot be written (a closed pipe, a full device) and
+            # still holds what it failed on. Point it at os.devnull, so that
             # the flush at interpreter exit cannot fail on it a second time.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2

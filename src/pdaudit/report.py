@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Iterable, Optional
@@ -43,8 +43,8 @@ from .registry import (
     SinkRegistry,
     SourceLabel,
 )
-from .slicer import Slice, slice_stats
-from .taint import Flow, SinkRef, Status, TaintResult
+from .slicer import Slice
+from .taint import Flow, Status, TaintResult
 
 
 class RiskOverflowError(ValueError):
@@ -93,7 +93,6 @@ class Finding:
     kind: FindingKind
     risk: float
     source: SourceLabel
-    sink: Optional[SinkRef]
     flow: Optional[Flow]
     statement: ComplianceStatement
 
@@ -106,7 +105,6 @@ class AuditReport:
     findings: list[Finding]
     slices: list[dict]
     data_safety: dict
-    statements: list[ComplianceStatement]
 
 
 def risk_score(
@@ -158,11 +156,13 @@ def build_report(
     config: ReportConfig = ReportConfig(),
 ) -> AuditReport:
     """Assemble the deterministic audit report from one program's slices
-    and taint result.
+    and taint result. Each finding, with its compliance statement, each
+    slice entry and the data-safety draft are built once, and the report
+    is built once from them.
 
     p and labels are not read, and stay only because the traced benchmark
     (bench/layers.py) pins this signature."""
-    raw_findings: list[tuple[float, FindingKind, int, Loc, object]] = []
+    raw_findings: list[tuple[float, FindingKind, int, Loc, SourceLabel, Optional[Flow]]] = []
     for f in taint.flows:
         kind = (
             FindingKind.PSEUDONYMIZED_FLOW
@@ -170,68 +170,63 @@ def build_report(
             else FindingKind.RAW_FLOW
         )
         risk = risk_score(f.source.category.weight, f.status, f.sink.kind, config)
-        raw_findings.append((risk, kind, f.source.id, f.sink.location, f))
+        raw_findings.append((risk, kind, f.source.id, f.sink.location, f.source, f))
     for label in taint.unsunk:
         risk = risk_score(label.category.weight, Status.RAW, None, config)
         raw_findings.append(
-            (risk, FindingKind.COLLECTED_NO_EGRESS, label.id, label.location, label)
+            (risk, FindingKind.COLLECTED_NO_EGRESS, label.id, label.location, label, None)
         )
 
     raw_findings.sort(key=lambda t: (-t[0], _KIND_ORDER[t[1]], t[2], t[3]))
-    findings: list[Finding] = []
-    statements: list[ComplianceStatement] = []
-    for n, (risk, kind, _, _, ref) in enumerate(raw_findings):
-        if isinstance(ref, Flow):
-            stmt = map_flow(ref, dpv_map)
-            finding = Finding(f"F{n}", kind, risk, ref.source, ref.sink, ref, stmt)
-        else:
-            stmt = map_flow(ref, dpv_map)
-            finding = Finding(f"F{n}", kind, risk, ref, None, None, stmt)
-        findings.append(finding)
-        statements.append(stmt)
+    findings = [
+        Finding(f"F{n}", kind, risk, source, flow,
+                map_flow(source if flow is None else flow, dpv_map))
+        for n, (risk, kind, _, _, source, flow) in enumerate(raw_findings)
+    ]
 
     slice_entries = []
     for s in sorted(slices, key=lambda s: s.root.id):
-        st = slice_stats(s, sinks)
+        # s.ids is in Loc order, so its sink nodes are too
+        locs, table = s.graph.locs, s.graph.sink_table(sinks)
         slice_entries.append(
             {
                 "label": s.root.id,
                 "root": _loc_json(s.root.location),
-                "node_count": st.node_count,
-                "methods_touched": st.methods_touched,
-                "sink_nodes": [_loc_json(n) for n in sorted(st.sink_nodes)],
+                "node_count": len(s.ids),
+                "methods_touched": len({(locs[i].cls, locs[i].method) for i in s.ids}),
+                "sink_nodes": [_loc_json(locs[i]) for i in s.ids if i in table],
             }
         )
 
-    report = AuditReport(
+    return AuditReport(
         tool_version=__version__,
         input_digest=digest,
         assumptions=ASSUMPTIONS,
         findings=findings,
         slices=slice_entries,
-        data_safety={},
-        statements=statements,
+        data_safety=draft_data_safety(findings),
     )
-    return replace(report, data_safety=draft_data_safety(report))
 
 
-def draft_data_safety(r: AuditReport) -> dict:
-    """Per-category collection/sharing/security summary.
+def draft_data_safety(findings: list[Finding]) -> dict:
+    """Per-category collection/sharing/security summary of findings,
+    built once per report by build_report.
 
     A category counts as secured by pseudonymisation only when it has at
     least one flow and every flow is pseudonymized; data that never leaves
     the app gets no security claim."""
     by_cat: dict[str, dict] = {}
-    for f in r.findings:
+    for f in findings:
         cat = f.source.category.name
         entry = by_cat.setdefault(
             cat, {"collected": True, "shared_with": set(), "flows": [], "network": False}
         )
         if f.flow is not None:
+            sink = f.flow.sink
             entry["flows"].append(f)
-            if f.sink.kind in (SinkKind.THIRD_PARTY, SinkKind.ANALYTICS) and f.sink.name:
-                entry["shared_with"].add(f.sink.name)
-            if f.sink.kind is SinkKind.NETWORK:
+            if sink.kind in (SinkKind.THIRD_PARTY, SinkKind.ANALYTICS) and sink.name:
+                entry["shared_with"].add(sink.name)
+            if sink.kind is SinkKind.NETWORK:
                 entry["network"] = True
     draft = {}
     for cat in sorted(by_cat):
@@ -299,11 +294,12 @@ def _finding_json(f: Finding) -> dict:
         "risk": f.risk,
         "source": _label_json(f.source),
     }
-    if f.flow is not None and f.sink is not None:
+    if f.flow is not None:
+        sink = f.flow.sink
         out["sink"] = {
-            "location": _loc_json(f.sink.location),
-            "kind": f.sink.kind.value,
-            "name": f.sink.name,
+            "location": _loc_json(sink.location),
+            "kind": sink.kind.value,
+            "name": sink.name,
         }
         out["witness"] = [_loc_json(w) for w in f.flow.witness]
         out["manipulations"] = list(f.flow.manipulations)
@@ -319,17 +315,20 @@ def report_json(r: AuditReport) -> dict:
     """The dict report.json holds. Built on the first call and kept on r,
     which is frozen: write_outputs serializes it and cmd_analyze renders
     the summary from the same dict. Callers share it and must not mutate
-    it."""
+    it. Each compliance statement is encoded once: the top-level
+    statements list holds the same dicts as the findings' statement keys,
+    in finding order."""
     d = vars(r).get("_json")
     if d is None:
+        findings = [_finding_json(f) for f in r.findings]
         d = vars(r)["_json"] = {
             "version": {"schema": 1, "tool": r.tool_version},
             "input_digest": r.input_digest,
             "assumptions": list(r.assumptions),
-            "findings": [_finding_json(f) for f in r.findings],
+            "findings": findings,
             "slices": r.slices,
             "data_safety": r.data_safety,
-            "statements": [_statement_json(s) for s in r.statements],
+            "statements": [f["statement"] for f in findings],
         }
     return d
 
@@ -448,7 +447,7 @@ def render_dot(
     A statement's line does not depend on the slice, and overlapping slices
     hold the same statement many times, so a line rendered a second time is
     kept on the graph (_dot_nodes) and later slices reuse it. Sink kinds
-    come from g.sink_table(sinks), shared with flows and slice statistics.
+    come from g.sink_table(sinks), shared with flows and slice entries.
 
     Statements are read from s.graph; p is not read, and stays only because
     the traced benchmark (bench/layers.py) pins this signature."""

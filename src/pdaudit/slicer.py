@@ -7,7 +7,7 @@ from functools import cached_property
 
 from .graph import KINDS, DepEdge, DepGraph
 from .ir import Loc
-from .registry import SinkRegistry, SourceLabel
+from .registry import SourceLabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,13 +34,6 @@ class Slice:
         )
 
 
-@dataclass(frozen=True)
-class SliceStats:
-    node_count: int
-    methods_touched: int
-    sink_nodes: frozenset[Loc]
-
-
 def forward_slice(g: DepGraph, label: SourceLabel) -> Slice:
     """Everything reachable from the label over any edge kind, with the
     induced edge set."""
@@ -49,13 +42,3 @@ def forward_slice(g: DepGraph, label: SourceLabel) -> Slice:
         raise ValueError(f"label location {label.location} is not a graph node")
     return Slice(label, g, tuple(sorted(g.reach(root))))
 
-
-def slice_stats(s: Slice, sinks: SinkRegistry) -> SliceStats:
-    """Size, methods touched and sink statements of s. A statement is a
-    sink or not whatever the slice, so the sink test is a lookup in
-    g.sink_table(sinks), built once per graph and registry, not a registry
-    match per slice node."""
-    locs, table = s.graph.locs, s.graph.sink_table(sinks)
-    methods = {(n.cls, n.method) for n in map(locs.__getitem__, s.ids)}
-    sink_nodes = frozenset(locs[i] for i in s.ids if i in table)
-    return SliceStats(len(s.ids), len(methods), sink_nodes)

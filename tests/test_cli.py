@@ -978,14 +978,20 @@ def test_console_entry_point_smoke(tmp_path):
     assert "com.app.Main" in result.stdout
 
 
-def _closed_stdout_run(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
-    """argv run as a `python -m pdaudit.cli` child whose stdout is a pipe
-    that nothing reads: its read end is closed before the child starts."""
+def _closed_stdout_run(argv: list[str], unbuffered: bool,
+                       target: str) -> subprocess.CompletedProcess:
+    """argv run as a `python -m pdaudit.cli` child whose stdout cannot be
+    written: for target "pipe" a pipe whose read end is closed before the
+    child starts, for "full" /dev/full, on which every write fails with
+    ENOSPC."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    if target == "pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+    else:
+        write_end = os.open("/dev/full", os.O_WRONLY)
     try:
         return subprocess.run([sys.executable, "-m", "pdaudit.cli", *argv], stdout=write_end,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=60)
@@ -1006,15 +1012,20 @@ def large_inputs(tmp_path_factory):
     return Path(argv[1]), argv[2:-4], warnings
 
 
+@pytest.mark.parametrize("target", ["pipe", "full"])
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("json_errors", [False, True])
 @pytest.mark.parametrize("size", ["fixture", "large"])
 @pytest.mark.parametrize("command", ["analyze", "validate", "print"])
-def test_closed_stdout_exits_2(tmp_path, large_inputs, command, size, json_errors, unbuffered):
-    """A closed stdout is a failed write: exit 2 with one message on stderr,
-    never exit 1 (findings), exit 120 (a failed flush at interpreter exit)
-    or a traceback, whether the write fails in the command or at the final
-    flush, and whatever the size of the output."""
+def test_closed_stdout_exits_2(tmp_path, large_inputs, command, size, json_errors, unbuffered,
+                               target):
+    """A closed stdout, or one on a full device, is a failed write: exit 2
+    with one message on stderr, never exit 1 (findings), exit 120 (a failed
+    flush at interpreter exit) or a traceback, whether the write fails in
+    the command or at the final flush, and whatever the size of the
+    output."""
+    if target == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
     big_pir, registries, warnings = large_inputs
     if command == "validate":
         if size == "fixture":
@@ -1030,15 +1041,16 @@ def test_closed_stdout_exits_2(tmp_path, large_inputs, command, size, json_error
     if command == "analyze":
         flags = [*flags, "--out", str(tmp_path / "out")]
     flags += ["--json-errors"] if json_errors else []
-    result = _closed_stdout_run([command, str(pir), *flags], unbuffered)
+    result = _closed_stdout_run([command, str(pir), *flags], unbuffered, target)
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    error, message = {"pipe": ("BrokenPipeError", "[Errno 32] Broken pipe"),
+                      "full": ("OSError", "[Errno 28] No space left on device")}[target]
     if json_errors:
-        assert json.loads(result.stderr) == {"error": "BrokenPipeError",
-                                             "message": "[Errno 32] Broken pipe",
+        assert json.loads(result.stderr) == {"error": error, "message": message,
                                              "file": str(pir)}
     else:
-        assert result.stderr == f"{pir}: [Errno 32] Broken pipe\n"
+        assert result.stderr == f"{pir}: {message}\n"
 
 
 def test_no_color_env(monkeypatch):

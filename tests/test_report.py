@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
 from gen import gen_hub_program, shared_cell_program
 from pdaudit import __version__
+from pdaudit.cli import main
 from pdaudit.dpv import DpvMap
 from pdaudit.graph import build_call_graph, build_pdg
 from pdaudit.ir import Loc, parse_program, print_program
@@ -41,6 +42,7 @@ from pdaudit.report import (
 )
 from pdaudit.slicer import forward_slice
 from pdaudit.taint import Status, build_taint_result, propagate
+from regen_goldens import FIXTURES, analyze_args
 from test_taint import GEN_SANITIZERS, GEN_SINKS, analyze_generated
 
 DPV = DpvMap(
@@ -114,7 +116,7 @@ def test_fixture_a_report():
     assert f.kind is FindingKind.RAW_FLOW
     assert f.risk == 6.0
     assert f.id == "F0"
-    assert len(report.statements) == 1
+    assert len(report_json(report)["statements"]) == 1
 
 
 def test_fixture_b_prime_report():
@@ -128,7 +130,7 @@ def test_fixture_b_prime_report():
 def test_empty_program_report():
     *_, report, _, _ = pipeline("")
     assert report.findings == []
-    assert report.statements == []
+    assert report_json(report)["statements"] == []
     assert report.data_safety == {}
     text = serialize_report(report)
     assert json.loads(text)["findings"] == []
@@ -148,7 +150,7 @@ class C extends D {
     f = report.findings[0]
     assert f.kind is FindingKind.COLLECTED_NO_EGRESS
     assert f.risk == 1.0
-    assert f.sink is None
+    assert f.flow is None
     assert f.statement.processing == "iri:proc/collect"
 
 
@@ -172,9 +174,13 @@ class C extends D {
     assert report.findings[0].risk > report.findings[1].risk
 
 
-def test_statement_count_partition():
-    *_, report, _, _ = pipeline(FIXTURE_B)
-    assert len(report.statements) == len(report.findings) == 1
+def test_statement_count_partition(tmp_path):
+    """report.json's statements list holds each finding's statement, in
+    finding order, on every fixture: report_json shares those dicts."""
+    for pir in sorted(FIXTURES.glob("*.pir")):
+        assert main(analyze_args(pir, tmp_path / pir.stem)) == 0
+        d = json.loads((tmp_path / pir.stem / "report.json").read_text(encoding="utf-8"))
+        assert d["statements"] == [f["statement"] for f in d["findings"]], pir.name
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +219,7 @@ class C extends D {
 
 def test_data_safety_matches_draft_function():
     *_, report, _, _ = pipeline(FIXTURE_B)
-    assert report.data_safety == draft_data_safety(report)
+    assert report.data_safety == draft_data_safety(report.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +436,7 @@ def test_serialize_peak_memory_is_about_twice_the_output():
          "sink_nodes": [loc(i, j) for j in range(5)]}
         for i in range(4000)
     ]
-    r = AuditReport(__version__, "0" * 64, ASSUMPTIONS, [], slices, {}, [])
+    r = AuditReport(__version__, "0" * 64, ASSUMPTIONS, [], slices, {})
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
