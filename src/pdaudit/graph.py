@@ -45,11 +45,11 @@ statement at locs[id]: the one statement index downstream of parsing, read
 by flows, slice statistics and DOT output. build_pdg emits the explicit
 edges as two flat int arrays, the source ids and the other ends packed
 with a kind code, and never builds a list per node. The graph keeps
-them in compressed sparse rows (CSR), one offsets array and one
-packed-edge array per direction: node i's edges are packed[offsets[i] :
-offsets[i + 1]], deduplicated and sorted. The codes
-follow the order of the kind.value strings, so each run is in (dst Loc,
-kind.value) order, or (src Loc, kind.value) order for incoming edges. A
+the outgoing edges, the only direction any traversal reads, in
+compressed sparse rows (CSR), one offsets array and one packed-edge
+array: node i's edges are packed[offsets[i] : offsets[i + 1]],
+deduplicated and sorted. The codes follow the order of the kind.value
+strings, so each run is in (dst Loc, kind.value) order. A
 field cell is stored once, as its sorted reachable store ids and load ids:
 its stores x loads Data edges are never stored, which keeps the graph
 linear in the program. Slicing and witness search walk ids and expand each
@@ -124,7 +124,6 @@ _CALL, _CONTROL, _DATA, _PARAM_IN, _RETURN_OUT = (_CODE[k] for k in (
     EdgeKind.CALL, EdgeKind.CONTROL, EdgeKind.DATA, EdgeKind.PARAM_IN, EdgeKind.RETURN_OUT))
 _KIND_BITS = 3
 _KIND_MASK = (1 << _KIND_BITS) - 1
-_DATA_IN = (_DATA, _PARAM_IN)  # data-carrying codes other than ReturnOut
 _DATA_CODES = (_DATA, _PARAM_IN, _RETURN_OUT)
 
 
@@ -137,16 +136,15 @@ class DepGraph:
     parallel arrays of the explicit edges, in any order, duplicates
     allowed: edge e leaves node src[e] and is packed as dst[e] = dst id <<
     _KIND_BITS | code. They are grouped by source, deduplicated and sorted
-    into _out, and reversed into _inn, whose runs pack src id << _KIND_BITS
-    | code. _out and _inn are CSR pairs (offsets, packed): the run of node
-    i is packed[offsets[i]:offsets[i + 1]].
+    into _out, a CSR pair (offsets, packed): the run of node i is
+    packed[offsets[i]:offsets[i + 1]].
     cells[c] is one field cell, as (store ids, load ids) in id order; the
     store -> load Data edges it implies are not stored and must not repeat
-    an explicit edge. reach, induced, cell_edges, data_in and data_out walk
-    ids; edges builds the DepEdge objects, cell pairs included, on first
-    use, and sink_table the sink statements of a registry. id_of finds a
-    Loc's id from its method's id span and a bisect over the statement
-    indices, so any node set in Loc order, however sparse, is indexed."""
+    an explicit edge. reach, induced, cell_edges and data_out walk ids;
+    edges builds the DepEdge objects, cell pairs included, on first use,
+    and sink_table the sink statements of a registry. id_of finds a Loc's
+    id from its method's id span and a bisect over the statement indices,
+    so any node set in Loc order, however sparse, is indexed."""
 
     def __init__(
         self,
@@ -161,15 +159,10 @@ class DepGraph:
         n = len(self.locs)
         # Each edge sorts as one int, its node id << shift | its packed end.
         shift = n.bit_length() + _KIND_BITS
-        end = (1 << shift) - 1
         keys = sorted(set(map(or_, map(lshift, src, repeat(shift)), dst)))
         self._out = _csr(n, shift, keys)
-        keys = sorted([(k & end) >> _KIND_BITS << shift | (k >> shift) << _KIND_BITS
-                       | k & _KIND_MASK for k in keys])
-        self._inn = _csr(n, shift, keys)
         self.cells = cells
         self._store_cell = {s: c for c, (stores, _) in enumerate(cells) for s in stores}
-        self._load_cell = {l: c for c, (_, loads) in enumerate(cells) for l in loads}
         self._indices = array("q", [loc.index for loc in self.locs])
         self._spans: dict[tuple[str, str], tuple[int, int]] = {}
         lo = 0
@@ -290,33 +283,22 @@ class DepGraph:
         s = self.stmts[self.cells[c][0][0]]
         return s.cls, s.fld
 
-    def data_in(self, w: int, via_ret: bool, expanded: set[int]) -> list[int]:
-        """Source ids of the data-carrying edges into w: the ReturnOut ones
-        when via_ret, else the Data and ParamIn ones plus the stores of w's
-        field cell, unless that cell is in expanded (it is then added)."""
-        at, inn = self._inn
-        run = inn[at[w] : at[w + 1]]
-        if via_ret:
-            return [x >> _KIND_BITS for x in run if x & _KIND_MASK == _RETURN_OUT]
-        srcs = [x >> _KIND_BITS for x in run if x & _KIND_MASK in _DATA_IN]
-        c = self._load_cell.get(w)
-        if c is not None and c not in expanded:
-            expanded.add(c)
-            srcs += self.cells[c][0]
-        return srcs
-
-    def data_out(self, v: int) -> list[tuple[int, bool]]:
-        """(dst id, is ReturnOut) of the data-carrying edges out of v, cell
-        pairs included."""
+    def data_out(self, v: int, expanded: set[int]) -> list[int]:
+        """The search states the data-carrying edges out of v lead to:
+        2 * dst id + 1 for a ReturnOut edge, 2 * dst id for a Data or
+        ParamIn one, plus 2 * load id for the loads of v's field cell,
+        unless that cell is in expanded (it is then added). A state may
+        occur twice."""
         at, out = self._out
         outs = [
-            (x >> _KIND_BITS, x & _KIND_MASK == _RETURN_OUT)
+            (x >> _KIND_BITS) * 2 + (x & _KIND_MASK == _RETURN_OUT)
             for x in out[at[v] : at[v + 1]]
             if x & _KIND_MASK in _DATA_CODES
         ]
         c = self._store_cell.get(v)
-        if c is not None:
-            outs += [(l, False) for l in self.cells[c][1]]
+        if c is not None and c not in expanded:
+            expanded.add(c)
+            outs += [2 * l for l in self.cells[c][1]]
         return outs
 
     def __repr__(self) -> str:

@@ -40,6 +40,12 @@ The loads of each field cell, each call's targets and the resolved call
 statements come from the method facts' record, which the dependence
 graph reads too: propagation asks the call graph nothing, touches no Loc
 and classifies a statement only to apply its transfer rule.
+
+Each flow's witness is the least valid data path from the label's
+statement to the sink, shortest first, then by Loc sequence. One layered
+breadth-first search per source statement, forward over the dependence
+graph, finds the witnesses to all of that statement's sinks, and stops once
+it has found them.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from .ir import (
     call_parts,
     stmt_defs,
 )
-from .registry import SanitizerRegistry, SinkKind, SinkRegistry, SourceLabel
+from .registry import SanitizerRegistry, SinkKind, SinkMatch, SinkRegistry, SourceLabel
 
 
 class TaintError(Exception):
@@ -331,128 +337,114 @@ def propagate(
 # ---------------------------------------------------------------------------
 
 
-def _witness_rdist(
-    g: DepGraph, dst: int, blocked: set[int], starts: set[int]
-) -> dict[int, int]:
-    """Fewest valid steps to node dst per search state, for every state
-    nearer to dst than the farthest of starts.
-
-    A state is 2 * node id + 1 when the path arrived via ReturnOut, else
-    2 * node id. The first load of a field cell to be dequeued gives every
-    store of the cell its distance; later loads of the cell would give the
-    stores no shorter one, so the cell is expanded once.
-
-    The search stops once every state of starts has a distance (or when
-    none is left to expand). A breadth-first search fixes a state's distance
-    when it first reaches it, and reaches every state of distance d before
-    it expands one of distance d, so at that point the table holds every
-    state nearer than the farthest start, with its final distance: all that
-    _witness from those starts reads. A sink's flows need only its sources'
-    paths, and the rest of the reverse graph can be far larger."""
-    rdist = {2 * dst: 0, 2 * dst + 1: 0}
-    pending = starts - rdist.keys()
-    work = deque(rdist)
-    expanded: set[int] = set()
-    while work and pending:
-        state = work.popleft()
-        d = rdist[state] + 1
-        for v in g.data_in(state >> 1, bool(state & 1), expanded):
-            stay = 2 * v
-            if stay not in rdist and v not in blocked:
-                rdist[stay] = d
-                work.append(stay)
-            if stay + 1 not in rdist:
-                rdist[stay + 1] = d
-                work.append(stay + 1)
-                pending.discard(stay + 1)  # every start is a 2 * src + 1 state
-    return rdist
-
-
-def _witness(
-    g: DepGraph, src: int, dst: int, blocked: set[int], rdist: dict[int, int]
-) -> Optional[list[int]]:
-    """Shortest valid src -> dst path over data-carrying edges, as node ids;
-    among equal-length paths, the lexicographically smallest node sequence.
-    rdist is _witness_rdist(g, dst, blocked, starts) with 2 * src + 1 in
-    starts: it reads only states nearer to dst than that start.
+def _witnesses(
+    g: DepGraph, src: int, targets: set[int], blocked: set[int]
+) -> dict[int, list[int]]:
+    """{dst: path} for each dst of targets that a valid path from src
+    reaches: the shortest valid src -> dst path over data-carrying edges,
+    as node ids, and among equal-length paths the lexicographically
+    smallest node sequence (ids compare as their Locs do).
 
     Validity: a path may leave a blocked statement (resolved non-sanitizer
     call) only when it arrived there via ReturnOut; the start may always be
     left, since its own definition is what the path tracks. Search states
-    are therefore (location, arrived-via-ReturnOut)."""
-    if src == dst:
-        return [src]
-    start = 2 * src + 1
-    if start not in rdist:
-        return None
+    are therefore 2 * node id + 1 when the path arrived via ReturnOut, else
+    2 * node id, and the search starts from 2 * src + 1.
 
-    # frontier greedy: at each step pick the smallest next location that
-    # still reaches dst in the remaining number of steps
-    path = [src]
-    frontier: set[int] = {start}
-    remaining = rdist[start]
-    while remaining > 0:
-        candidates: dict[int, set[int]] = {}
-        for state in frontier:
+    The search is breadth-first, one layer at a time, and keeps each layer
+    in the order of its states' least paths: a parent's new states are
+    sorted by id and appended after those of earlier parents, so the first
+    parent to reach a state gives it its least path, which the state keeps.
+    A field cell is expanded once, at its first store: that store gives
+    every load of the cell its least path. The search stops once every
+    target is found."""
+    start = 2 * src + 1
+    parent = {start: start}
+    left = set(targets)
+    found: dict[int, list[int]] = {}
+
+    def reached(state: int) -> None:
+        path = [state >> 1]
+        while state != start:
+            state = parent[state]
+            path.append(state >> 1)
+        found[path[0]] = path[::-1]
+        left.discard(path[0])
+
+    if src in left:
+        reached(start)
+    layer = [start]
+    expanded: set[int] = set()
+    while layer and left:
+        nxt = []
+        for state in layer:
             v = state >> 1
             if not state & 1 and v in blocked:
                 continue
-            for w, via_ret in g.data_out(v):
-                nxt = 2 * w + via_ret
-                if rdist.get(nxt) == remaining - 1:
-                    candidates.setdefault(w, set()).add(nxt)
-        step = min(candidates)
-        path.append(step)
-        frontier = candidates[step]
-        remaining -= 1
-    return path
+            for s in sorted(g.data_out(v, expanded)):
+                if s not in parent:
+                    parent[s] = state
+                    nxt.append(s)
+                    if s >> 1 in left:
+                        reached(s)
+                        if not left:
+                            return found
+        layer = nxt
+    return found
 
 
 def collect_flows(pr: PropagationResult, sinks: SinkRegistry, g: DepGraph) -> list[Flow]:
-    """One Flow per (sink statement, source id) with a fact on any argument.
+    """One Flow per (sink statement, source id) with a fact on any argument,
+    in sink id, then source id order.
 
     Status is the lattice join across arguments; the witness is the
-    pinned-down shortest dependence path; manipulations are the callee
-    signatures of interior call statements along the witness. The sink
-    statements come from g.sink_table(sinks), which report building and DOT
-    output read again."""
+    pinned-down shortest dependence path, from one _witnesses search per
+    source statement to all of that statement's sinks (labels on one
+    statement share it); manipulations are the callee signatures of
+    interior call statements along the witness. The sink statements come
+    from g.sink_table(sinks), which report building and DOT output read
+    again."""
     label_by_id = {l.id: l for l in pr.labels}
-    flows: list[Flow] = []
     locs, stmts = g.locs, g.stmts
-    blocked = pr.blocked_pass_through
+    rows: list[tuple[int, SinkMatch, SourceLabel, Optional[int], Status]] = []
+    targets: dict[int, set[int]] = {}  # source statement id -> its sinks
     for dst, match in g.sink_table(sinks).items():
         args = stmts[dst].args
-        loc = locs[dst]
-        state = pr.raw_before(loc)
         per_id: dict[int, Status] = {}
-        for (name, sid), st in state.items():
+        for (name, sid), st in pr.raw_before(locs[dst]).items():
             if name in args:
                 per_id[sid] = max(per_id.get(sid, Status.PSEUDONYMIZED), st)
-        src_of = {sid: g.id_of(label_by_id[sid].location) for sid in sorted(per_id)}
-        starts = {2 * i + 1 for i in src_of.values() if i is not None}
-        rdist = _witness_rdist(g, dst, blocked, starts) if starts else {}
-        for sid, src in src_of.items():
+        for sid in sorted(per_id):
             label = label_by_id[sid]
-            path = None if src is None else _witness(g, src, dst, blocked, rdist)
-            if path is None:
-                raise TaintError(
-                    f"no dependence path for flow {label.location} -> {loc}; "
-                    "graph and facts disagree"
-                )
-            manipulations = []
-            for w in path[1:-1]:
-                wparts = call_parts(stmts[w])
-                if wparts is not None:
-                    manipulations.append(wparts[0])
-            flows.append(
-                Flow(
-                    source=label,
-                    sink=SinkRef(loc, match.kind, match.name),
-                    status=per_id[sid],
-                    witness=tuple(locs[w] for w in path),
-                    manipulations=tuple(manipulations),
-                )
+            src = g.id_of(label.location)
+            rows.append((dst, match, label, src, per_id[sid]))
+            if src is not None:
+                targets.setdefault(src, set()).add(dst)
+    blocked = pr.blocked_pass_through
+    paths = {src: _witnesses(g, src, ts, blocked) for src, ts in targets.items()}
+
+    flows: list[Flow] = []
+    for dst, match, label, src, status in rows:
+        path = None if src is None else paths[src].get(dst)
+        if path is None:
+            raise TaintError(
+                f"no dependence path for flow {label.location} -> {locs[dst]}; "
+                "graph and facts disagree"
             )
+        manipulations = []
+        for w in path[1:-1]:
+            wparts = call_parts(stmts[w])
+            if wparts is not None:
+                manipulations.append(wparts[0])
+        flows.append(
+            Flow(
+                source=label,
+                sink=SinkRef(locs[dst], match.kind, match.name),
+                status=status,
+                witness=tuple(locs[w] for w in path),
+                manipulations=tuple(manipulations),
+            )
+        )
     return flows
 
 

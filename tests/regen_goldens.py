@@ -13,7 +13,12 @@ output change did.
 
 Then runs the 10,000-statement analysis of criterion 8 (perf_inputs) and
 writes output_digest of its output directory to PERF_DIGEST, which
-test_criterion_8_desk_scale_performance compares with its own run.
+test_criterion_8_desk_scale_performance compares with its own run, and
+does the same for the 40,000-statement program (perf_inputs with
+n_methods=SCALE_40K_METHODS) into SCALE_40K_DIGEST, which
+test_scale_40k_outputs_are_pinned compares. The 40k program has about
+twenty times the flows of the 10k one, so its digest pins witnesses,
+slices and DOT files that the smaller runs never make.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ FIXTURES = TESTS / "fixtures"
 GOLDENS = TESTS / "goldens"
 REG = FIXTURES / "registries"
 PERF_DIGEST = TESTS / "criterion_8.sha256"
+SCALE_40K_DIGEST = TESTS / "scale_40k.sha256"
+SCALE_40K_METHODS = 800
 PERF_SEED = 94304  # acceptance CORPUS_SEED + 3
 
 PERF_DPV = {
@@ -58,7 +65,7 @@ def analyze_args(pir: Path, out: Path) -> list[str]:
 
 def perf_inputs(tmp: Path, n_methods: int = 200):
     """Write the criterion-8 program, gen_perf_program(Random(PERF_SEED))
-    (10,000 statements in 200 methods, unless n_methods asks for fewer),
+    (10,000 statements in 200 methods, unless n_methods asks otherwise),
     and its registries into tmp. Returns (program, analyze argv writing to
     tmp / "out")."""
     from gen import gen_perf_program, registry_json
@@ -102,13 +109,15 @@ def main() -> int:
                 return 1
             for f in sorted(out.iterdir()):
                 shutil.copyfile(f, GOLDENS / f"{pir.stem}.{f.name}")
-    with tempfile.TemporaryDirectory() as tmp:
-        _, argv = perf_inputs(Path(tmp))
-        code = pdaudit(argv)
-        if code != 0:
-            print(f"criterion-8 program: analyze exited {code}", file=sys.stderr)
-            return 1
-        PERF_DIGEST.write_text(output_digest(Path(tmp) / "out") + "\n", encoding="utf-8")
+    for name, n_methods, pinned in [("criterion-8", 200, PERF_DIGEST),
+                                    ("40k", SCALE_40K_METHODS, SCALE_40K_DIGEST)]:
+        with tempfile.TemporaryDirectory() as tmp:
+            _, argv = perf_inputs(Path(tmp), n_methods=n_methods)
+            code = pdaudit(argv)
+            if code != 0:
+                print(f"{name} program: analyze exited {code}", file=sys.stderr)
+                return 1
+            pinned.write_text(output_digest(Path(tmp) / "out") + "\n", encoding="utf-8")
     return 0
 
 

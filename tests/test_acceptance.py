@@ -42,7 +42,14 @@ from pdaudit.taint import (
     propagate,
     unsunk_labels,
 )
-from regen_goldens import PERF_DIGEST, analyze_args, output_digest, perf_inputs
+from regen_goldens import (
+    PERF_DIGEST,
+    SCALE_40K_DIGEST,
+    SCALE_40K_METHODS,
+    analyze_args,
+    output_digest,
+    perf_inputs,
+)
 from test_taint import GEN_LEXICON, GEN_SANITIZERS, GEN_SINKS, GEN_SOURCES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -243,3 +250,14 @@ def test_criterion_8_desk_scale_performance(tmp_path):
     want = PERF_DIGEST.read_text(encoding="utf-8").strip()
     assert output_digest(tmp_path / "out") == want, "criterion-8 outputs drifted"
     _passline(8, f"10,000-statement / 200-method analyze in {elapsed:.2f}s")
+
+
+def test_scale_40k_outputs_are_pinned(tmp_path):
+    """The 40,000-statement program's report.json and DOT files, byte for
+    byte: its flows (785, against 38 at 10k) cross field cells and call
+    chains that criterion 8's program is too small to hold.
+    tests/regen_goldens.py rewrites the pinned value."""
+    _, argv = perf_inputs(tmp_path, n_methods=SCALE_40K_METHODS)
+    assert main(argv) == 0
+    want = SCALE_40K_DIGEST.read_text(encoding="utf-8").strip()
+    assert output_digest(tmp_path / "out") == want, "40k outputs drifted"

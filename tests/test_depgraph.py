@@ -116,8 +116,9 @@ def test_cell_edges_expand_to_the_edges_between_any_id_set():
 
 
 def test_depgraph_holds_csr_arrays_not_per_node_lists():
-    """Both directions are one offsets array and one packed-edge array;
-    no attribute is a sequence holding lists."""
+    """The outgoing edges are one offsets array and one packed-edge array
+    that holds exactly the explicit edges, with no reversed copy; no
+    attribute is a sequence holding lists."""
     rng = random.Random(4141)
     for p in (gen_perf_program(rng, n_methods=20, stmts_each=30),
               gen_program(rng, allow_loops=True, allow_recursion=True)):
@@ -126,11 +127,12 @@ def test_depgraph_holds_csr_arrays_not_per_node_lists():
         for name, value in vars(g).items():
             if isinstance(value, (list, tuple)):
                 assert not any(isinstance(x, list) for x in value), name
-        assert sum(map(len, g._out[1:])) == sum(map(len, g._inn[1:]))
-        for offsets, packed in (g._out, g._inn):
-            assert isinstance(offsets, array) and isinstance(packed, array)
-            assert len(offsets) == n + 1 and offsets[0] == 0 and offsets[-1] == len(packed)
-            assert list(offsets) == sorted(offsets)
+        assert len(g._out[1]) == len(g.edges) - sum(len(s) * len(l) for s, l in g.cells)
+        assert not hasattr(g, "_inn") and not hasattr(g, "_load_cell")
+        offsets, packed = g._out
+        assert isinstance(offsets, array) and isinstance(packed, array)
+        assert len(offsets) == n + 1 and offsets[0] == 0 and offsets[-1] == len(packed)
+        assert list(offsets) == sorted(offsets)
 
 
 def test_id_of_is_none_off_the_graphs_nodes():
