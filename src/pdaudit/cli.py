@@ -18,8 +18,9 @@ Exit codes:
      the output directory or to stdout, a closed pipe or a full device
      included
 
-An error message names the file the error is in: the registry, DPV map or
-config file when the error is in one, else the PIR file.
+An error message names the file the error is in, once: the registry, DPV
+map or config file when the error is in one, the file a failed read or
+write names (an output file under --out, say), else the PIR file.
 
 Registry flags default to the bundled seed files. A --config file (JSON, or
 TOML on installs with tomli/tomllib) may supply the same keys; explicit
@@ -275,13 +276,17 @@ def _read_pir(path: str) -> bytes:
     """The PIR file's bytes, for parse_program to decode (so bad UTF-8 is a
     positioned ParseError), with line endings translated as text mode
     would: CR and LF bytes never occur inside a multi-byte UTF-8 sequence."""
-    return Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    with open(path, "rb") as fh:  # an OSError names path as given
+        return fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
     """Report exc on stderr against the file it is in: its own file when it
-    carries one (a config, registry or DPV map error), else the PIR file."""
-    source_file = getattr(exc, "file", None) or args.pir
+    carries one (a config, registry or DPV map error, or an OSError with a
+    filename, such as a failed write under --out), else the PIR file. The
+    text form names the file once, also when the message starts with it."""
+    own = getattr(exc, "file", None) or getattr(exc, "filename", None)
+    source_file = args.pir if own is None else str(own)
     if args.json_errors:
         payload: dict = {"error": type(exc).__name__, "message": str(exc), "file": source_file}
         if isinstance(exc, ParseError):
@@ -292,7 +297,10 @@ def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
     elif isinstance(exc, ParseError):
         print(f"{source_file}:{exc.line}:{exc.col}: expected {exc.expected}", file=sys.stderr)
     else:
-        print(f"{source_file}: {exc}", file=sys.stderr)
+        text = str(exc)
+        if not text.startswith(f"{source_file}: "):
+            text = f"{source_file}: {text}"
+        print(text, file=sys.stderr)
 
 
 def _use_color() -> bool:

@@ -38,27 +38,26 @@ cells), and every loc is a node. A node's id is its rank in Loc order;
 build_pdg numbers the methods in sorted order, each over a contiguous id
 range (base + statement index), and its locs is the program's own tuple,
 p.locs(), so the call graph, the labels and the graph hold one Loc per
-statement; the method facts hold none, only each method's base. id_of maps
-a Loc back to its id through its method's id span and a bisect over an int
-array of statement indices, with no {Loc: id} table. stmts[id] is the
-statement at locs[id]: the one statement index downstream of parsing, read
-by flows, slice statistics and DOT output. build_pdg emits the explicit
-edges as two flat int arrays, the source ids and the other ends packed
-with a kind code, and never builds a list per node. The graph keeps
-the outgoing edges, the only direction any traversal reads, in
-compressed sparse rows (CSR), one offsets array and one packed-edge
-array: node i's edges are packed[offsets[i] : offsets[i + 1]],
-deduplicated and sorted. The codes follow the order of the kind.value
-strings, so each run is in (dst Loc, kind.value) order. A
-field cell is stored once, as its sorted reachable store ids and load ids:
-its stores x loads Data edges are never stored, which keeps the graph
-linear in the program. Slicing and witness search walk ids and expand each
-cell at most once per traversal. DOT output never expands a cell:
-cell_edges numbers cell c as node len(locs) + c and gives its store -> cell
-and cell -> load Data edges, the summary-node reading of system dependence
-graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a slice's DOT file
-stays linear in the slice. DepEdge objects, cell pairs included, are built
-only by the edges view.
+statement; the method facts hold none, only each method's base. Loc and
+MethodId are tuples, so they compare and hash in C; id_of maps a Loc back
+to its id by one bisect over locs, with no {Loc: id} table. stmts[id] is
+the statement at locs[id]: the one statement index downstream of parsing,
+read by flows, slice statistics and DOT output. build_pdg emits each
+explicit edge once, into two flat int arrays, the source ids and the other
+ends packed with a kind code, and never builds a list per node. The graph
+keeps the outgoing edges, the only direction any traversal reads, in
+compressed sparse rows (CSR), one offsets array and one packed-edge array:
+node i's edges are packed[offsets[i] : offsets[i + 1]], sorted. The codes
+follow the order of the kind.value strings, so each run is in (dst Loc,
+kind.value) order. A field cell is stored once, as its sorted reachable
+store ids and load ids: its stores x loads Data edges are never stored,
+which keeps the graph linear in the program. Slicing and witness search
+walk ids and expand each cell at most once per traversal. DOT output never
+expands a cell: cell_edges numbers cell c as node len(locs) + c and gives
+its store -> cell and cell -> load Data edges, the summary-node reading of
+system dependence graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a
+slice's DOT file stays linear in the slice. DepEdge objects, cell pairs
+included, are built only by the edges view.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
@@ -76,9 +75,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import accumulate, groupby, repeat
-from operator import and_, attrgetter, lshift, or_
-from typing import Iterator, Optional
+from itertools import accumulate, repeat
+from operator import and_, lshift, or_
+from typing import Iterator, NamedTuple, Optional
 
 from .ir import (
     AssignCall,
@@ -133,18 +132,18 @@ class DepGraph:
     DepGraph(locs, stmts, src, dst, cells) is the graph whose nodes are
     locs, which must be in Loc order (locs[id] is the Loc, so comparing ids
     compares Locs); stmts[id] is the statement at locs[id]. src and dst are
-    parallel arrays of the explicit edges, in any order, duplicates
-    allowed: edge e leaves node src[e] and is packed as dst[e] = dst id <<
-    _KIND_BITS | code. They are grouped by source, deduplicated and sorted
-    into _out, a CSR pair (offsets, packed): the run of node i is
+    parallel arrays of the explicit edges, distinct and in any order: edge
+    e leaves node src[e] and is packed as dst[e] = dst id << _KIND_BITS |
+    code. They are grouped by source and sorted into _out, a CSR pair
+    (offsets, packed): the run of node i is
     packed[offsets[i]:offsets[i + 1]].
     cells[c] is one field cell, as (store ids, load ids) in id order; the
     store -> load Data edges it implies are not stored and must not repeat
     an explicit edge. reach, induced, cell_edges and data_out walk ids;
     edges builds the DepEdge objects, cell pairs included, on first use,
     and sink_table the sink statements of a registry. id_of finds a Loc's
-    id from its method's id span and a bisect over the statement indices,
-    so any node set in Loc order, however sparse, is indexed."""
+    id by one bisect over locs, so any node set in Loc order, however
+    sparse, is indexed."""
 
     def __init__(
         self,
@@ -159,17 +158,10 @@ class DepGraph:
         n = len(self.locs)
         # Each edge sorts as one int, its node id << shift | its packed end.
         shift = n.bit_length() + _KIND_BITS
-        keys = sorted(set(map(or_, map(lshift, src, repeat(shift)), dst)))
+        keys = sorted(map(or_, map(lshift, src, repeat(shift)), dst))
         self._out = _csr(n, shift, keys)
         self.cells = cells
         self._store_cell = {s: c for c, (stores, _) in enumerate(cells) for s in stores}
-        self._indices = array("q", [loc.index for loc in self.locs])
-        self._spans: dict[tuple[str, str], tuple[int, int]] = {}
-        lo = 0
-        for method, run in groupby(self.locs, attrgetter("cls", "method")):
-            hi = lo + sum(1 for _ in run)
-            self._spans[method] = (lo, hi)
-            lo = hi
         self._edges: Optional[frozenset[DepEdge]] = None
         self._sinks: Optional[tuple[tuple[dict, dict], dict[int, SinkMatch]]] = None
 
@@ -203,11 +195,8 @@ class DepGraph:
         return memo[1]
 
     def id_of(self, loc: Loc) -> Optional[int]:
-        span = self._spans.get((loc.cls, loc.method))
-        if span is None:
-            return None
-        i = bisect_left(self._indices, loc.index, *span)
-        return i if i < span[1] and self._indices[i] == loc.index else None
+        i = bisect_left(self.locs, loc)
+        return i if i < len(self.locs) and self.locs[i] == loc else None
 
     def reach(self, root: int) -> list[int]:
         """The ids reachable from root over any edge kind, root first. A
@@ -353,8 +342,9 @@ def cfg_successors(m: MethodDef) -> dict[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class MethodId:
+class MethodId(NamedTuple):
+    """A method: (class, method key), ordered and hashed as that tuple."""
+
     cls: str
     method: str  # name/arity key
 
@@ -623,13 +613,10 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     passthrough: dict[tuple[MethodId, int], set[tuple[MethodId, int]]] = {}
     for mid, f in facts.items():
         b, m = f.base, f.m
-        for i, per_use in f.use_defs.items():  # local def-use pairs
-            code = (b + i) << _KIND_BITS | _DATA
-            for ds in per_use:
-                for d in ds:
-                    if d != ENTRY_DEF:
-                        add_src(b + d)
-                        add_dst(code)
+        for d, uses in f.def_uses.items():  # local def-use pairs
+            for u in uses:
+                add_src(b + d)
+                add_dst((b + u) << _KIND_BITS | _DATA)
         for br, s in f.control:
             add_src(b + br)
             add_dst((b + s) << _KIND_BITS | _CONTROL)
@@ -672,16 +659,19 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
                     cur |= src_feed
                     changed = True
 
-    # ParamIn edges: feeder def site -> callee statements reading the param.
+    # ParamIn edges: feeder def site -> callee statements reading the param,
+    # the feeders of all the params a statement reads merged, so each once.
+    readers: dict[int, set[int]] = {}
     for (t, i), sources in feed.items():
         tf = facts[t]
         params = tf.m.params
-        if i >= len(params):
-            continue
-        for u in tf.entry_uses.get(params[i], ()):
-            code = (tf.base + u) << _KIND_BITS | _PARAM_IN
-            for s in sources:
-                add_src(s)
-                add_dst(code)
+        if i < len(params):
+            for u in tf.entry_uses.get(params[i], ()):
+                readers.setdefault(tf.base + u, set()).update(sources)
+    for u, sources in readers.items():
+        code = u << _KIND_BITS | _PARAM_IN
+        for s in sources:
+            add_src(s)
+            add_dst(code)
 
     return DepGraph(p.locs(), stmts, src, dst, cells)

@@ -31,11 +31,12 @@ positioned errors below, never an unrelated exception. Every statement
 records the line/column it was parsed from; positions are ignored by
 structural equality, so ``parse_program(print_program(p)) == p``.
 
-Statements and ``Loc`` are slotted dataclasses, with no per-instance
-``__dict__``, and every name the parser reads (locals, parameters, callees,
-class, field and method names) is interned with ``sys.intern`` on both
-lexer paths below, so a name that occurs many times is one string object.
-A program holds one object per statement and few distinct strings.
+Statements are slotted dataclasses and ``Loc`` is a NamedTuple, neither
+with a per-instance ``__dict__``, and every name the parser reads (locals,
+parameters, callees, class, field and method names) is interned with
+``sys.intern`` on both lexer paths below, so a name that occurs many times
+is one string object. A program holds one object per statement and few
+distinct strings.
 
 The lexer is one compiled master regex: each match is the whitespace and
 comments before a token plus the token, and the matched group is the token
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from sys import intern
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
 class PirError(Exception):
@@ -102,13 +103,14 @@ class InvalidTargetError(PirError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Loc:
+class Loc(NamedTuple):
     """A statement location: (class, method key, statement index).
 
     The method key is ``name/arity`` so overloads-by-arity stay distinct.
     Ordering is lexicographic, which fixes the deterministic order used for
-    label ids, graph assembly and report output.
+    label ids, graph assembly and report output. A Loc is the tuple of its
+    fields, so it orders, compares and hashes as that tuple, in C. Its
+    ``index`` field shadows ``tuple.index``, which nothing calls.
     """
 
     cls: str

@@ -22,7 +22,6 @@ from pdaudit.graph import (
     DepEdge,
     DepGraph,
     EdgeKind,
-    cfg_successors,
 )
 from pdaudit.ir import (
     AssignCall,
@@ -102,11 +101,30 @@ def expand_cell_nodes(dot: str) -> str:
     return "\n".join(out) + "\n"
 
 
+def successors(m: MethodDef) -> dict[int, tuple[int, ...]]:
+    """The CFG successors of each statement of m, read off the grammar: a
+    return goes to the exit (EXIT), a goto to its target, an if to the next
+    statement and then its target (once when the two are the same), and any
+    other statement to the next one. Past the last statement is the exit."""
+    out: dict[int, tuple[int, ...]] = {}
+    for i, s in enumerate(m.body):
+        nxt = EXIT if i == len(m.body) - 1 else i + 1
+        if isinstance(s, Return):
+            out[i] = (EXIT,)
+        elif isinstance(s, Goto):
+            out[i] = (s.target,)
+        elif isinstance(s, If) and s.target != nxt:
+            out[i] = (nxt, s.target)
+        else:
+            out[i] = (nxt,)
+    return out
+
+
 def enumerate_cfg_paths(m: MethodDef, limit: int = 200000) -> list[list[int]]:
     """All entry-to-exit paths of a loop-free method body."""
     if not m.body:
         return [[]]
-    succs = cfg_successors(m)
+    succs = successors(m)
     paths: list[list[int]] = []
     counter = count()
 
@@ -147,7 +165,7 @@ def reaching_defs_by_search(m: MethodDef) -> dict[int, set[tuple[str, int]]]:
     some CFG path leads from d to i with no other definition of v strictly
     between; a parameter's entry value (index ENTRY_DEF) reaches i when
     some path from the entry does."""
-    succs = cfg_successors(m)
+    succs = successors(m)
     reachable = {0} if m.body else set()
     work = list(reachable)
     while work:
@@ -194,7 +212,7 @@ def _reaches_exit(succs: dict[int, tuple[int, ...]], i: int, deleted: Optional[i
 
 def exit_unreachable(m: MethodDef) -> set[int]:
     """The statements of m from which no CFG path reaches the exit."""
-    succs = cfg_successors(m)
+    succs = successors(m)
     return {i for i in range(len(m.body)) if not _reaches_exit(succs, i)}
 
 
@@ -205,7 +223,7 @@ def brute_control_pairs(m: MethodDef) -> set[tuple[int, int]]:
     postdominated by itself alone. j depends on a branch b reachable from
     the entry when j postdominates a successor of b and does not strictly
     postdominate b (Ferrante, Ottenstein and Warren, TOPLAS 1987)."""
-    succs = cfg_successors(m)
+    succs = successors(m)
     n = len(m.body)
 
     def pdom(i: int) -> set[int]:
@@ -488,7 +506,7 @@ def round_robin_taint(p: Program, cg, labels, san):
     sums = _Summaries(p, cg, labels, san)
     methods = []
     for cls, m in p.iter_methods():
-        succs = cfg_successors(m)
+        succs = successors(m)
         reach = set()
         todo = [0] if m.body else []
         while todo:

@@ -16,7 +16,10 @@ PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 
 import filecmp
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -229,7 +232,21 @@ def test_criterion_7_analyze_determinism(tmp_path):
     assert names_a == names_b
     match, mismatch, errors = filecmp.cmpfiles(a, b, names_a, shallow=False)
     assert mismatch == [] and errors == []
-    _passline(7, f"two analyze runs byte-identical across {len(names_a)} files")
+
+    # Both runs above share one hash seed. Two children under different
+    # PYTHONHASHSEEDs would show any set or dict order that reaches the
+    # outputs, on criterion 8's program, where the flows cross field cells.
+    _, argv = perf_inputs(tmp_path)
+    want = PERF_DIGEST.read_text(encoding="utf-8").strip()
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash_seed_{seed}"
+        child = subprocess.run([sys.executable, "-m", "pdaudit.cli", *argv, "--out", str(out)],
+                               capture_output=True, text=True, timeout=120,
+                               env={**os.environ, "PYTHONHASHSEED": seed})
+        assert child.returncode == 0, child.stderr
+        assert output_digest(out) == want, f"outputs drifted under PYTHONHASHSEED={seed}"
+    _passline(7, f"two analyze runs byte-identical across {len(names_a)} files; criterion-8 "
+                 "outputs identical under PYTHONHASHSEED 0 and 1")
 
 
 def test_criterion_8_desk_scale_performance(tmp_path):

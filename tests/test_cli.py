@@ -1,4 +1,5 @@
 import copy
+import errno
 import gc
 import io
 import json
@@ -314,11 +315,14 @@ INPUT_ERRORS = [
     (RiskOverflowError("overflow"), None), (TaintError("engine fault"), None),
     (UsageError("bad value"), None), (UsageError("bad key", file="c.json"), "c.json"),
     (OSError("cannot write"), None),
+    (OSError(errno.EACCES, "Permission denied", "out/report.json"), "out/report.json"),
 ]
 
 
 def test_input_errors_cover_the_handled_types():
-    assert {type(e) for e, _ in INPUT_ERRORS} == set(cli._INPUT_ERRORS)
+    # OSError(errno.EACCES, ...) is a PermissionError, a handled subclass
+    assert all(isinstance(e, cli._INPUT_ERRORS) for e, _ in INPUT_ERRORS)
+    assert set(cli._INPUT_ERRORS) <= {type(e) for e, _ in INPUT_ERRORS}
 
 
 @pytest.mark.parametrize("json_errors", [False, True])
@@ -911,6 +915,39 @@ def test_registry_and_dpv_errors_name_their_own_file(tmp_path, capsys, slot, edi
     code = main([command, str(FIXTURES / "a.pir"), *flags])
     _assert_exit_2(code, capsys, json_errors, error, text, file=path)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize("slot, data, reason", [
+    ("sinks", {"entries": 5}, "entries must be a list"),
+    ("dpv", {"categories": 5}, "categories must map names to IRI strings"),
+])
+def test_malformed_registry_names_its_file_once_in_text(tmp_path, capsys, slot, data, reason,
+                                                        command):
+    """A malformed registry's message starts with its file, and the text
+    form adds no second copy of it."""
+    path = tmp_path / f"{slot}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    flags = [f"--{slot}", str(path)]
+    if command == "analyze":
+        flags += ["--out", str(tmp_path / "out")]
+    code = main([command, str(FIXTURES / "b.pir"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"{path}: {reason}\n"
+    assert err.count(str(path)) == 1
+
+
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_failed_write_under_out_names_the_output_file(tmp_path, capsys, json_errors):
+    """--out naming an existing regular file fails in the write, and the
+    error is reported against that file, not the PIR file."""
+    out = tmp_path / "out"
+    out.write_text("not a directory", encoding="utf-8")
+    flags = ["--json-errors"] if json_errors else []
+    code = run_analyze("b.pir", out, *flags)
+    _assert_exit_2(code, capsys, json_errors, "FileExistsError", "File exists", file=out)
+    assert out.read_text(encoding="utf-8") == "not a directory"
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])

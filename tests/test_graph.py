@@ -10,16 +10,20 @@ from oracles import (
     data_dep_pairs_by_paths,
     exit_unreachable,
     reaching_defs_by_search,
+    successors,
 )
 from pdaudit.graph import (
     ENTRY_DEF,
+    EXIT,
     CallGraph,
     DepEdge,
+    DepGraph,
     EdgeKind,
     MethodId,
     _MethodFacts,
     build_call_graph,
     build_pdg,
+    cfg_successors,
     method_facts,
 )
 from pdaudit.ir import (
@@ -344,6 +348,45 @@ def _random_jump_body(rng):
     return MethodDef("f", "void", (), body)
 
 
+_CFG_SHAPES = """\
+class C extends D {
+  method void trailing_if() {
+    0: $c = "x"
+    1: if $c goto 0
+  }
+  method void branch_to_next() {
+    0: $c = "x"
+    1: if $c goto 2
+    2: return
+  }
+  method void self_loop() {
+    0: goto 0
+  }
+  method void empty() {
+  }
+}
+"""
+
+
+def test_cfg_successors_match_the_grammar_oracle():
+    """cfg_successors against the oracles' own successor function, which
+    the path, reaching-definition, control and taint oracles read."""
+    shapes = {m.name: m for _, m in parse_program(_CFG_SHAPES).iter_methods()}
+    assert successors(shapes["trailing_if"]) == {0: (1,), 1: (EXIT, 0)}
+    assert successors(shapes["branch_to_next"]) == {0: (1,), 1: (2,), 2: (EXIT,)}
+    assert successors(shapes["self_loop"]) == {0: (0,)}
+    assert successors(shapes["empty"]) == {}
+    rng = random.Random(9186)
+    bodies = list(shapes.values())
+    for _ in range(300):
+        bodies += [m for _, m in gen_program(rng, max_branches=4, allow_loops=True).iter_methods()]
+    back_jumps = 0
+    for m in bodies:
+        assert cfg_successors(m) == successors(m), m.body
+        back_jumps += sum(isinstance(s, (If, Goto)) and s.target <= i for i, s in enumerate(m.body))
+    assert back_jumps >= 100  # the draws hold loops
+
+
 def test_control_pairs_match_deletion_oracle_on_random_bodies():
     rng = random.Random(9187)
     stuck = 0
@@ -444,6 +487,53 @@ class Use extends java.lang.Object {
     g = build_pdg(p, build_call_graph(p))
     assert DepEdge(loc("Main", "go/0", 0), loc("Relay", "r/1", 0), EdgeKind.PARAM_IN) in g.edges
     assert DepEdge(loc("Main", "go/0", 0), loc("Use", "u/1", 0), EdgeKind.PARAM_IN) in g.edges
+
+
+_REPEATED_READS = """\
+class C extends D {
+  method void go() {
+    0: $a = call ext.Sys.read()
+    1: call ext.f($a, $a)
+    2: $x = call ext.Sys.read()
+    3: call C.g($x, $x)
+    4: return
+  }
+  method void g(p0, p1) {
+    0: call ext.Net.send(p0, p1)
+    1: return
+  }
+}
+"""
+
+
+def test_build_pdg_emits_each_edge_once(monkeypatch):
+    """No (src, dst) pair reaches DepGraph twice: not a local def read at
+    two argument positions, nor a def fed to two parameters that one
+    callee statement reads."""
+    init = DepGraph.__init__
+    handed = []  # per graph built, the (src id, packed dst) pairs it got
+
+    def capture(self, locs, stmts, src, dst, cells):
+        handed.append(list(zip(src, dst)))
+        init(self, locs, stmts, src, dst, cells)
+
+    monkeypatch.setattr(DepGraph, "__init__", capture)
+    p = parse_program(_REPEATED_READS)
+    g = build_pdg(p, build_call_graph(p))
+    assert len(handed[-1]) == len(set(handed[-1])) == len(g.edges)
+    go, callee = (lambda i: loc("C", "go/0", i)), loc("C", "g/2", 0)
+    assert DepEdge(go(0), go(1), EdgeKind.DATA) in g.edges
+    assert DepEdge(go(2), callee, EdgeKind.PARAM_IN) in g.edges
+    rng = random.Random(9189)
+    edges = 0
+    for _ in range(200):
+        p = gen_program(rng, max_branches=4, allow_loops=True, allow_recursion=True)
+        g = build_pdg(p, build_call_graph(p))
+        pairs = handed[-1]
+        assert len(pairs) == len(set(pairs))
+        assert len(pairs) + sum(len(s) * len(l) for s, l in g.cells) == len(g.edges)
+        edges += len(pairs)
+    assert edges >= 1000
 
 
 def test_pdg_empty_program():
@@ -617,14 +707,14 @@ def test_one_loc_per_statement_in_an_analysis(monkeypatch, tmp_path):
     from pdaudit.cli import run_analysis
 
     built = []
-    init = Loc.__init__
+    new = Loc.__new__
 
-    def counting_init(self, *args):
+    def counting_new(cls, *args):
         built.append(args)
-        init(self, *args)
+        return new(cls, *args)
 
     inputs = _loc_inputs(tmp_path)
-    monkeypatch.setattr(Loc, "__init__", counting_init)
+    monkeypatch.setattr(Loc, "__new__", counting_new)
     for text, cfg in inputs:
         built.clear()
         artifacts = run_analysis(text, cfg)
