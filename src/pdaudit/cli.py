@@ -51,12 +51,14 @@ from .ir import (
     validate,
 )
 from .registry import (
+    MalformedRegistryError,
     RegistryError,
     SinkKind,
+    _read_json,
+    _read_text,
     is_factor,
     label_sources,
     load_registries,
-    parse_json,
 )
 from .report import (
     AuditReport,
@@ -100,37 +102,29 @@ class UsageError(Exception):
         self.file = file
 
 
-def _load_config_file(path: Path) -> dict:
+def _load_config_file(path: str) -> dict:
+    """The config file's top-level table, read as the registry files are
+    (JSON, or TOML by suffix). Its errors are UsageErrors whose message
+    starts with path, as a registry error's does."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"config {path}: invalid UTF-8 at byte {exc.start}") from None
-    except OSError as exc:
-        raise UsageError(f"config {path}: cannot read: {exc}") from None
-    if path.suffix in (".toml", ".tml"):
+        if Path(path).suffix not in (".toml", ".tml"):
+            return _read_json(path)
+        text = _read_text(path)
+    except MalformedRegistryError as exc:
+        raise UsageError(str(exc)) from None
+    try:
+        import tomllib  # type: ignore[import-not-found]
+    except ModuleNotFoundError:
         try:
-            import tomllib  # type: ignore[import-not-found]
+            import tomli as tomllib  # type: ignore[no-redef]
         except ModuleNotFoundError:
-            try:
-                import tomli as tomllib  # type: ignore[no-redef]
-            except ModuleNotFoundError:
-                raise UsageError("TOML config needs Python 3.11+ or the tomli package") from None
-        try:
-            raw = tomllib.loads(text)
-        except ValueError as exc:  # TOMLDecodeError, or an integer too long for int()
-            raise UsageError(f"config {path}: {exc}") from None
-        except RecursionError:
-            raise UsageError(f"config {path}: invalid TOML: nested too deeply") from None
-    else:
-        try:
-            raw = parse_json(text)
-        except ValueError as exc:  # bad JSON, an integer too long for int(), a lone surrogate
-            raise UsageError(f"config {path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise UsageError(f"config {path}: invalid JSON: nested too deeply") from None
-    if not isinstance(raw, dict):
-        raise UsageError(f"config top level must be an object, not {type(raw).__name__}")
-    return raw
+            raise UsageError("TOML config needs Python 3.11+ or the tomli package") from None
+    try:
+        return tomllib.loads(text)
+    except ValueError as exc:  # TOMLDecodeError, or an integer too long for int()
+        raise UsageError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{path}: invalid TOML: nested too deeply") from None
 
 
 def _table(value, key: str) -> dict:
@@ -175,7 +169,7 @@ def _risk_config(raw) -> ReportConfig:
     )
 
 
-def _apply_config_file(cfg: Config, path: Path) -> None:
+def _apply_config_file(cfg: Config, path: str) -> None:
     raw = _load_config_file(path)
     for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out"):
         if key in raw:
@@ -196,7 +190,7 @@ def build_config(args: argparse.Namespace) -> Config:
     cfg = Config()
     if args.config is not None:
         try:
-            _apply_config_file(cfg, Path(args.config))
+            _apply_config_file(cfg, args.config)
         except UsageError as exc:
             raise UsageError(str(exc), file=args.config) from None
     for key in ("sources", "sinks", "sanitizers", "lexicon", "dpv", "out"):
@@ -284,7 +278,9 @@ def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
     """Report exc on stderr against the file it is in: its own file when it
     carries one (a config, registry or DPV map error, or an OSError with a
     filename, such as a failed write under --out), else the PIR file. The
-    text form names the file once, also when the message starts with it."""
+    text form names the file once: as '<file>: ' before the message, which
+    for an OSError with a filename is its strerror, and not again when the
+    message starts with it."""
     own = getattr(exc, "file", None) or getattr(exc, "filename", None)
     source_file = args.pir if own is None else str(own)
     if args.json_errors:
@@ -297,7 +293,7 @@ def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
     elif isinstance(exc, ParseError):
         print(f"{source_file}:{exc.line}:{exc.col}: expected {exc.expected}", file=sys.stderr)
     else:
-        text = str(exc)
+        text = exc.strerror if isinstance(exc, OSError) and own is not None else str(exc)
         if not text.startswith(f"{source_file}: "):
             text = f"{source_file}: {text}"
         print(text, file=sys.stderr)

@@ -80,7 +80,6 @@ from operator import and_, lshift, or_
 from typing import Iterator, NamedTuple, Optional
 
 from .ir import (
-    AssignCall,
     AssignFieldLoad,
     Call,
     FieldStore,
@@ -185,7 +184,7 @@ class DepGraph:
             matched: dict[str, Optional[SinkMatch]] = {}
             table: dict[int, SinkMatch] = {}
             for i, s in enumerate(self.stmts):
-                if isinstance(s, (AssignCall, Call)):
+                if isinstance(s, Call):
                     if s.callee not in matched:
                         matched[s.callee] = sinks.match(s.callee)
                     m = matched[s.callee]
@@ -410,7 +409,7 @@ def build_call_graph(p: Program) -> CallGraph:
 
     edges: dict[Loc, tuple[MethodId, ...]] = {}
     for loc, stmt in p.iter_locs():
-        if isinstance(stmt, (AssignCall, Call)):
+        if isinstance(stmt, Call):
             targets = resolve(stmt.callee, len(stmt.args))
             if targets:
                 edges[loc] = targets
@@ -496,7 +495,7 @@ class _MethodFacts:
             elif isinstance(s, Return):
                 if s.value is not None:
                     self.returns.append(i)
-            elif isinstance(s, (AssignCall, Call)):
+            elif isinstance(s, Call):
                 self.calls[i] = ()
             elif isinstance(s, If):
                 branches.append(i)
@@ -632,7 +631,7 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
                 if tf.m.body:  # Call: call site -> callee entry statement
                     add_src(site)
                     add_dst(tf.base << _KIND_BITS | _CALL)
-                if isinstance(s, AssignCall):  # ReturnOut: value returns -> lhs def
+                if s.lhs is not None:  # ReturnOut: value returns -> lhs def
                     for r in tf.returns:
                         add_src(tf.base + r)
                         add_dst(site << _KIND_BITS | _RETURN_OUT)

@@ -5,6 +5,8 @@ a class has fields and methods; a method body is a dense, zero-indexed list
 of statements. Conditions are opaque locals (both branch outcomes are
 feasible), literals are uninterpreted strings, and call statements may carry
 a ``@widget("...")`` annotation naming the UI widget the value came from.
+Both call forms, ``call ...`` and ``$x = call ...``, are one ``Call``
+statement, whose ``lhs`` is None for a bare call.
 
 Grammar (whitespace-insensitive, ``#`` starts a line comment):
 
@@ -147,14 +149,6 @@ class AssignCopy(Stmt):
 
 
 @dataclass(slots=True)
-class AssignCall(Stmt):
-    lhs: str
-    callee: str
-    args: tuple[str, ...]
-    widget: Optional[str] = None
-
-
-@dataclass(slots=True)
 class AssignFieldLoad(Stmt):
     lhs: str
     cls: str
@@ -170,9 +164,13 @@ class FieldStore(Stmt):
 
 @dataclass(slots=True)
 class Call(Stmt):
+    """A call, bare or on an assignment's right side; lhs is None when the
+    result is not assigned."""
+
     callee: str
     args: tuple[str, ...]
     widget: Optional[str] = None
+    lhs: Optional[str] = None
 
 
 @dataclass(slots=True)
@@ -193,7 +191,7 @@ class Return(Stmt):
 
 def stmt_defs(s: Stmt) -> Optional[str]:
     """The local defined by s, if any."""
-    if isinstance(s, (AssignConst, AssignCopy, AssignCall, AssignFieldLoad)):
+    if isinstance(s, (AssignConst, AssignCopy, Call, AssignFieldLoad)):
         return s.lhs
     return None
 
@@ -202,7 +200,7 @@ def stmt_uses(s: Stmt) -> tuple[str, ...]:
     """The locals read by s, in syntactic order."""
     if isinstance(s, AssignCopy):
         return (s.rhs,)
-    if isinstance(s, (AssignCall, Call)):
+    if isinstance(s, Call):
         return s.args
     if isinstance(s, FieldStore):
         return (s.rhs,)
@@ -211,13 +209,6 @@ def stmt_uses(s: Stmt) -> tuple[str, ...]:
     if isinstance(s, Return) and s.value is not None:
         return (s.value,)
     return ()
-
-
-def call_parts(s: Stmt) -> Optional[tuple[str, tuple[str, ...]]]:
-    """(callee signature, args) for call-form statements, else None."""
-    if isinstance(s, (AssignCall, Call)):
-        return s.callee, s.args
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +394,7 @@ def _statement(m: re.Match, form: int) -> Stmt:
         args = tuple([intern(a.strip(" \t")) for a in args.split(",")]) if args else ()
         if widget is not None:
             widget = _unquote(widget)
-        if lhs is None:
-            return Call(intern(callee), args, widget, line=index)
-        return AssignCall(lhs, intern(callee), args, widget, line=index)
+        return Call(intern(callee), args, widget, lhs, line=index)
     if form == _STORE:
         cls, fld = _member(m[13])
         return FieldStore(cls, fld, intern(m[14]), line=index)
@@ -652,7 +641,7 @@ class _Parser:
                 self.i += 1
                 return AssignFieldLoad(lhs, *self.dotted_ref())
             if v == "call":
-                return AssignCall(lhs, *self.callexpr())
+                return Call(*self.callexpr(), lhs)
             if self.at_local():
                 return AssignCopy(lhs, self.local())
             raise self.error("literal, local, 'load' or 'call'")
@@ -707,14 +696,15 @@ def print_stmt(s: Stmt) -> str:
         return f"{s.lhs} = {_quote(s.value)}"
     if isinstance(s, AssignCopy):
         return f"{s.lhs} = {s.rhs}"
-    if isinstance(s, AssignCall):
-        return f"{s.lhs} = {_print_call(s.callee, s.args, s.widget)}"
     if isinstance(s, AssignFieldLoad):
         return f"{s.lhs} = load {s.cls}.{s.fld}"
     if isinstance(s, FieldStore):
         return f"store {s.cls}.{s.fld} = {s.rhs}"
     if isinstance(s, Call):
-        return _print_call(s.callee, s.args, s.widget)
+        text = f"call {s.callee}({', '.join(s.args)})"
+        if s.widget is not None:
+            text += f" @widget({_quote(s.widget)})"
+        return text if s.lhs is None else f"{s.lhs} = {text}"
     if isinstance(s, If):
         return f"if {s.cond} goto {s.target}"
     if isinstance(s, Goto):
@@ -722,13 +712,6 @@ def print_stmt(s: Stmt) -> str:
     if isinstance(s, Return):
         return "return" if s.value is None else f"return {s.value}"
     raise TypeError(f"not a statement: {s!r}")
-
-
-def _print_call(callee: str, args: tuple[str, ...], widget: Optional[str]) -> str:
-    text = f"call {callee}({', '.join(args)})"
-    if widget is not None:
-        text += f" @widget({_quote(widget)})"
-    return text
 
 
 def print_program(p: Program) -> str:

@@ -29,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
-from .ir import AssignCall, Call, Loc, Program
+from .ir import Call, Loc, Program
 
 
 class RegistryError(Exception):
@@ -158,13 +158,19 @@ def parse_json(text: str):
     return data
 
 
-def _read_json(path: Union[str, Path]) -> dict:
+def _read_text(path: Union[str, Path]) -> str:
+    """The file's UTF-8 text. A failure is a MalformedRegistryError, whose
+    message starts with path, so its reason does not name the file again."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise MalformedRegistryError(path, f"invalid UTF-8 at byte {e.start}") from None
     except OSError as e:
-        raise MalformedRegistryError(path, f"cannot read: {e}") from None
+        raise MalformedRegistryError(path, f"cannot read: {e.strerror}") from None
+
+
+def _read_json(path: Union[str, Path]) -> dict:
+    raw = _read_text(path)
     try:
         data = parse_json(raw)
     except ValueError as e:  # bad JSON, an integer too long for int(), a lone surrogate
@@ -333,7 +339,7 @@ def label_sources(p: Program, src: SourceRegistry, lex: Lexicon) -> list[SourceL
     """
     labels: list[SourceLabel] = []
     for loc, stmt in p.iter_locs():
-        if not isinstance(stmt, (AssignCall, Call)):
+        if not isinstance(stmt, Call):
             continue
         cat = src.category_for(stmt.callee)
         if cat is not None:

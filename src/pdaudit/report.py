@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 from . import __version__
 from .dpv import ComplianceStatement, DpvMap, map_flow
 from .graph import KINDS, DepGraph
-from .ir import Loc, Program, call_parts, print_stmt
+from .ir import Call, Loc, Program, print_stmt
 from .registry import (
     PersonalDataCategory,
     SanitizerRegistry,
@@ -457,11 +457,10 @@ def render_dot(
 
     def node_line(i: int) -> tuple[str, str]:
         loc, stmt = locs[i], stmts[i]
-        parts = call_parts(stmt)
         kind = (
             "source" if i in label_ids
             else "sink" if i in table
-            else "sanitizer" if parts is not None and parts[0] in sanitizers
+            else "sanitizer" if isinstance(stmt, Call) and stmt.callee in sanitizers
             else "normal"
         )
         q = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'

@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Union
+from typing import Optional
 
 from .graph import (
     ENTRY_DEF,
@@ -63,18 +63,7 @@ from .graph import (
     _MethodFacts,
     method_facts,
 )
-from .ir import (
-    AssignCall,
-    AssignCopy,
-    AssignFieldLoad,
-    Call,
-    FieldStore,
-    Loc,
-    Program,
-    Return,
-    call_parts,
-    stmt_defs,
-)
+from .ir import AssignCopy, AssignFieldLoad, Call, FieldStore, Loc, Program, Return
 from .registry import SanitizerRegistry, SinkKind, SinkMatch, SinkRegistry, SourceLabel
 
 
@@ -87,37 +76,9 @@ class FixpointBudgetExceededError(TaintError):
     property of the analyzed program (the lattice is finite)."""
 
 
-class NotALabelError(TaintError):
-    def __init__(self, label_id: int):
-        self.label_id = label_id
-        super().__init__(f"no source label with id {label_id}")
-
-
 class Status(IntEnum):
     PSEUDONYMIZED = 1
     RAW = 2  # top: join(Raw, x) = Raw
-
-
-@dataclass(frozen=True, order=True)
-class LocalCell:
-    cls: str
-    method: str
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True, order=True)
-class FieldCell:
-    cls: str
-    fld: str
-
-    def __str__(self) -> str:
-        return f"{self.cls}.{self.fld}"
-
-
-Cell = Union[LocalCell, FieldCell]
 
 
 @dataclass(frozen=True)
@@ -299,7 +260,7 @@ def propagate(
             ):
                 for caller in callers_of.get(mid, ()):
                     push(*caller)
-        elif isinstance(stmt, (AssignCall, Call)):
+        elif isinstance(stmt, Call):
             arg_facts = [_read(a, ds, mentry, mdefs) for a, ds in zip(stmt.args, uses)]
             result: _Facts = {}
             if stmt.callee in san:
@@ -318,7 +279,7 @@ def propagate(
                 if not resolved:
                     for af in arg_facts:
                         _join_into(result, af)
-            if isinstance(stmt, AssignCall):
+            if stmt.lhs is not None:
                 value = result
                 sid = label_at.get(item)
                 if sid is not None:
@@ -431,11 +392,7 @@ def collect_flows(pr: PropagationResult, sinks: SinkRegistry, g: DepGraph) -> li
                 f"no dependence path for flow {label.location} -> {locs[dst]}; "
                 "graph and facts disagree"
             )
-        manipulations = []
-        for w in path[1:-1]:
-            wparts = call_parts(stmts[w])
-            if wparts is not None:
-                manipulations.append(wparts[0])
+        manipulations = [stmts[w].callee for w in path[1:-1] if isinstance(stmts[w], Call)]
         flows.append(
             Flow(
                 source=label,
@@ -461,39 +418,3 @@ def build_taint_result(
     flows = collect_flows(pr, sinks, g)
     return TaintResult(flows, unsunk_labels(pr.labels, flows))
 
-
-# ---------------------------------------------------------------------------
-# Derived data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivedData:
-    cells: frozenset[Cell]
-    signatures: frozenset[str]
-
-
-def derived_data(pr: PropagationResult, label: SourceLabel) -> DerivedData:
-    """Every cell that ever holds the label's fact, and every call whose
-    output carries it (excluding the label's own acquisition site)."""
-    if not any(l.id == label.id for l in pr.labels):
-        raise NotALabelError(label.id)
-    cells: set[Cell] = set()
-    sigs: set[str] = set()
-    here = (MethodId(label.location.cls, label.location.method), label.location.index)
-    for mid, f in pr._facts.items():
-        for d, held in pr._defs[mid].items():
-            if label.id not in held:
-                continue
-            stmt = f.m.body[d]
-            cells.add(LocalCell(mid.cls, mid.method, stmt_defs(stmt)))
-            if isinstance(stmt, AssignCall) and (mid, d) != here:
-                sigs.add(stmt.callee)
-        if f.m.body:  # entry values hold at the first statement
-            for param, held in pr._entry[mid].items():
-                if label.id in held:
-                    cells.add(LocalCell(mid.cls, mid.method, param))
-    for (cls, fld), cell_state in pr.field_cells.items():
-        if label.id in cell_state:
-            cells.add(FieldCell(cls, fld))
-    return DerivedData(frozenset(cells), frozenset(sigs))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 
 from pdaudit.ir import (
-    AssignCall,
     AssignConst,
     AssignCopy,
     AssignFieldLoad,
@@ -104,11 +103,11 @@ def _gen_method(
         if roll < 0.08 and remaining >= 4:
             # source -> (sanitize | copy) -> sink idiom, the shape under audit
             v = fresh()
-            body.append(AssignCall(v, rng.choice(list(SOURCE_SIGS)), ()))
+            body.append(Call(rng.choice(list(SOURCE_SIGS)), (), lhs=v))
             live.append(v)
             w = fresh()
             if rng.random() < 0.7:
-                body.append(AssignCall(w, rng.choice(SANITIZER_SIGS), (v,)))
+                body.append(Call(rng.choice(SANITIZER_SIGS), (v,), lhs=w))
             else:
                 body.append(AssignCopy(w, v))
             live.append(w)
@@ -138,11 +137,11 @@ def _gen_method(
             live.append(v)
         elif roll < 0.48:
             v = fresh()
-            body.append(AssignCall(v, rng.choice(list(SOURCE_SIGS)), ()))
+            body.append(Call(rng.choice(list(SOURCE_SIGS)), (), lhs=v))
             live.append(v)
         elif roll < 0.58 and live:
             v = fresh()
-            body.append(AssignCall(v, rng.choice(SANITIZER_SIGS), (pick_local(),)))
+            body.append(Call(rng.choice(SANITIZER_SIGS), (pick_local(),), lhs=v))
             live.append(v)
         elif roll < 0.70 and live:
             nargs = rng.randint(1, min(2, len(live)))
@@ -161,7 +160,7 @@ def _gen_method(
             args = tuple(pick_local() for _ in range(carity))
             if rng.random() < 0.7:
                 v = fresh()
-                body.append(AssignCall(v, f"{ccls}.{cname}", args))
+                body.append(Call(f"{ccls}.{cname}", args, lhs=v))
                 live.append(v)
             else:
                 body.append(Call(f"{ccls}.{cname}", args))
@@ -169,7 +168,7 @@ def _gen_method(
             nargs = rng.randint(1, min(2, len(live)))
             args = tuple(pick_local() for _ in range(nargs))
             v = fresh()
-            body.append(AssignCall(v, rng.choice(OPAQUE_SIGS), args))
+            body.append(Call(rng.choice(OPAQUE_SIGS), args, lhs=v))
             live.append(v)
         else:
             v = fresh()
@@ -235,10 +234,10 @@ def gen_perf_program(rng: random.Random, n_methods: int = 200, stmts_each: int =
             roll = rng.random()
             v = f"$v{i}"
             if roll < 0.01:
-                body.append(AssignCall(v, rng.choice(list(SOURCE_SIGS)), ()))
+                body.append(Call(rng.choice(list(SOURCE_SIGS)), (), lhs=v))
                 live.append(v)
             elif roll < 0.02 and live:
-                body.append(AssignCall(v, rng.choice(SANITIZER_SIGS), (rng.choice(live),)))
+                body.append(Call(rng.choice(SANITIZER_SIGS), (rng.choice(live),), lhs=v))
                 live.append(v)
             elif roll < 0.05 and live:
                 body.append(Call(rng.choice(list(SINK_SIGS)), (rng.choice(live),)))
@@ -252,7 +251,7 @@ def gen_perf_program(rng: random.Random, n_methods: int = 200, stmts_each: int =
             elif roll < 0.17 and callable_methods and live:
                 ccls, cname, carity = rng.choice(callable_methods)
                 args = tuple(rng.choice(live) for _ in range(carity))
-                body.append(AssignCall(v, f"{ccls}.{cname}", args))
+                body.append(Call(f"{ccls}.{cname}", args, lhs=v))
                 live.append(v)
             elif roll < 0.25 and i + 2 < stmts_each:
                 if live and rng.random() < 0.5:
@@ -263,7 +262,7 @@ def gen_perf_program(rng: random.Random, n_methods: int = 200, stmts_each: int =
                 body.append(AssignCopy(v, rng.choice(live)))
                 live.append(v)
             elif roll < 0.75 and live:
-                body.append(AssignCall(v, rng.choice(OPAQUE_SIGS), (rng.choice(live),)))
+                body.append(Call(rng.choice(OPAQUE_SIGS), (rng.choice(live),), lhs=v))
                 live.append(v)
             else:
                 body.append(AssignConst(v, f"k{i}"))
@@ -292,7 +291,7 @@ def gen_hub_program(rng: random.Random, n_methods: int = 8, stmts_each: int = 16
         body: list[Stmt] = []
         if k < 2 or rng.random() < 0.4:  # at least two sources share cell 0
             cls, fld = cells[0] if k < 2 else rng.choice(cells)
-            body.append(AssignCall("$s", rng.choice(list(SOURCE_SIGS)), ()))
+            body.append(Call(rng.choice(list(SOURCE_SIGS)), (), lhs="$s"))
             body.append(FieldStore(cls, fld, "$s"))
         body.append(AssignFieldLoad("$l", *cells[k % len(cells)]))
         live.append("$l")
@@ -310,11 +309,11 @@ def gen_hub_program(rng: random.Random, n_methods: int = 8, stmts_each: int = 16
                 body.append(Call(rng.choice(list(SINK_SIGS)), (x,)))
                 continue
             elif roll < 0.42:
-                body.append(AssignCall(v, rng.choice(SANITIZER_SIGS), (x,)))
+                body.append(Call(rng.choice(SANITIZER_SIGS), (x,), lhs=v))
             elif roll < 0.52 and callable_methods:
                 ccls, cname, carity = rng.choice(callable_methods)
                 args = tuple(rng.choice(live) for _ in range(carity))
-                body.append(AssignCall(v, f"{ccls}.{cname}", args))
+                body.append(Call(f"{ccls}.{cname}", args, lhs=v))
             elif roll < 0.6 and i + 2 < stmts_each:
                 target = rng.randrange(i + 1, min(stmts_each, i + 4))
                 body.append(If(x, target) if rng.random() < 0.5 else Goto(target))
@@ -322,7 +321,7 @@ def gen_hub_program(rng: random.Random, n_methods: int = 8, stmts_each: int = 16
             elif roll < 0.8:
                 body.append(AssignCopy(v, x))
             else:
-                body.append(AssignCall(v, rng.choice(OPAQUE_SIGS), (x,)))
+                body.append(Call(rng.choice(OPAQUE_SIGS), (x,), lhs=v))
             live.append(v)
         body.append(Return(rng.choice(live) if rng.random() < 0.5 else None))
         methods.append(MethodDef(f"m{k}", "void", params, body))
@@ -339,11 +338,11 @@ def shared_cell_program(n: int) -> Program:
     methods = []
     for k in range(n):
         body: list[Stmt] = [
-            AssignCall("$s", sources[k % len(sources)], ()),
+            Call(sources[k % len(sources)], (), lhs="$s"),
             FieldStore("app.State", "f0", "$s"),
             AssignFieldLoad("$l", "app.State", "f0"),
-            AssignCall("$h", "ext.Crypto.hash", ("$l",)),
-            AssignCall("$t", "ext.Util.fmt", ("$h",)),
+            Call("ext.Crypto.hash", ("$l",), lhs="$h"),
+            Call("ext.Util.fmt", ("$h",), lhs="$t"),
             Call("ext.Net.send", ("$t",)),
             Call("ext.Log.info", ("$l",)),
             Return(),
@@ -406,7 +405,7 @@ def gen_roundtrip_program(rng: random.Random) -> Program:
                     body.append(AssignCopy(v, w))
                 elif kind == 2:
                     widget = rng.choice([None, rng.choice(_NASTY_STRINGS)])
-                    body.append(AssignCall(v, _rt_qname(rng) + "." + _rt_name(rng), (w,), widget))
+                    body.append(Call(_rt_qname(rng) + "." + _rt_name(rng), (w,), widget, lhs=v))
                 elif kind == 3:
                     body.append(AssignFieldLoad(v, _rt_qname(rng), _rt_name(rng)))
                 elif kind == 4:

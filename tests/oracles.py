@@ -24,7 +24,6 @@ from pdaudit.graph import (
     EdgeKind,
 )
 from pdaudit.ir import (
-    AssignCall,
     AssignConst,
     AssignCopy,
     AssignFieldLoad,
@@ -343,21 +342,21 @@ def shortest_witness(
 
 def blocked_pass_through_locs(p: Program, cg, san) -> frozenset[Loc]:
     """Resolved non-sanitizer call statements, recomputed from scratch."""
-    from pdaudit.ir import AssignCall, Call
+    from pdaudit.ir import Call
 
     out = set()
     for loc, s in p.iter_locs():
-        if isinstance(s, (AssignCall, Call)) and s.callee not in san and cg.resolved(loc):
+        if isinstance(s, Call) and s.callee not in san and cg.resolved(loc):
             out.add(loc)
     return frozenset(out)
 
 
 def program_sink_stmts(p: Program, sinks) -> list[Loc]:
-    from pdaudit.ir import AssignCall, Call
+    from pdaudit.ir import Call
 
     out = []
     for loc, s in p.iter_locs():
-        if isinstance(s, (AssignCall, Call)) and sinks.match(s.callee) is not None:
+        if isinstance(s, Call) and sinks.match(s.callee) is not None:
             out.append(loc)
     return out
 
@@ -402,7 +401,6 @@ class _Summaries:
         boundary fact grew."""
         from pdaudit.graph import MethodId
         from pdaudit.ir import (
-            AssignCall,
             AssignConst,
             AssignCopy,
             AssignFieldLoad,
@@ -431,9 +429,9 @@ class _Summaries:
                 returned = {sid: st for (n, sid), st in state.items() if n == s.value}
                 if _join(self.retf[MethodId(loc.cls, loc.method)], returned):
                     changed = True
-        elif isinstance(s, (AssignCall, Call)):
+        elif isinstance(s, Call):
             per_arg = [{sid: st for (n, sid), st in state.items() if n == a} for a in s.args]
-            lhs = s.lhs if isinstance(s, AssignCall) else None
+            lhs = s.lhs
             out_facts: dict[int, int] = {}
             if s.callee in self.san:
                 for af in per_arg:
@@ -539,7 +537,7 @@ def round_robin_taint(p: Program, cg, labels, san):
 def expected_all_paths_pseudonymized(g: DepGraph, p: Program, san, cg, flow) -> bool:
     """True when every simple dependence path from the flow's source to its
     sink passes through a sanitizer call at an interior node."""
-    from pdaudit.ir import call_parts
+    from pdaudit.ir import Call
 
     blocked = blocked_pass_through_locs(p, cg, san)
     paths = simple_data_paths(g, flow.source.location, flow.sink.location, blocked)
@@ -548,8 +546,8 @@ def expected_all_paths_pseudonymized(g: DepGraph, p: Program, san, cg, flow) -> 
 
     def interior_sanitized(path):
         for w in path[1:-1]:
-            parts = call_parts(stmt_at[w])
-            if parts is not None and parts[0] in san:
+            s = stmt_at[w]
+            if isinstance(s, Call) and s.callee in san:
                 return True
         return False
 
@@ -823,7 +821,7 @@ class _Parser:
                 return AssignFieldLoad(lhs, cls, fld)
             if self.at_word("call"):
                 callee, args, widget = self.callexpr()
-                return AssignCall(lhs, callee, args, widget)
+                return Call(callee, args, widget, lhs=lhs)
             if self.at_local():
                 return AssignCopy(lhs, self.local())
             raise self.error("literal, local, 'load' or 'call'")

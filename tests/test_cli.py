@@ -19,7 +19,7 @@ from conftest import MUTUAL_EXTENDS, SELF_EXTENDS, time_limit
 from gen import SANITIZER_SIGS, SINK_SIGS, SOURCE_SIGS, gen_program, registry_json
 import pdaudit.cli as cli
 from pdaudit.cli import UsageError, _bundled, cmd_analyze, main, make_parser
-from pdaudit.ir import AssignCall, Call, Goto, If, PirError, print_program
+from pdaudit.ir import Call, Goto, If, PirError, print_program
 from pdaudit.registry import RegistryError
 from pdaudit.report import RiskOverflowError
 from pdaudit.taint import TaintError
@@ -341,7 +341,9 @@ def test_each_input_error_from_inside_a_command_exits_2(tmp_path, capsys, monkey
     flags = ["--out", str(tmp_path / "out")] if command == "analyze" else []
     flags += ["--json-errors"] if json_errors else []
     code = main([command, pir, *flags])
-    _assert_exit_2(code, capsys, json_errors, type(exc).__name__, str(exc), file=file or pir)
+    # the text form gives an OSError's file once, as its prefix, before its strerror
+    text = exc.strerror if file and isinstance(exc, OSError) and not json_errors else str(exc)
+    _assert_exit_2(code, capsys, json_errors, type(exc).__name__, text, file=file or pir)
     assert not (tmp_path / "out").exists()
 
 
@@ -353,7 +355,7 @@ def test_each_input_error_from_inside_a_command_exits_2(tmp_path, capsys, monkey
         ('{"risk": {"status_mult": []}}', "config key 'risk.status_mult' must be an object"),
         ('{"fail_threshold": "abc"}', "config key 'fail_threshold' must be a number"),
         ('{"risk": {"sink_mult": {"Log": "x"}}}', "config key 'risk.sink_mult.Log' must be a number"),
-        ("[1, 2]", "config top level must be an object"),
+        ("[1, 2]", "cfg.json: top level must be an object"),
         ('{"fail_threshold": 1' + "0" * 400 + "}",
          "config key 'fail_threshold' is an integer too large for a float"),
         ('{"out": "a\\u0000"}', "config key 'out' must not contain a NUL character"),
@@ -524,12 +526,8 @@ def test_huge_json_integer_exits_2(tmp_path, capsys, slot, json_errors):
     path.write_text('{"n": %s}' % HUGE_INT, encoding="utf-8")
     flags = ["--json-errors"] if json_errors else []
     code = run_analyze("a.pir", tmp_path / "out", f"--{slot}", str(path), *flags)
-    if slot == "config":
-        _assert_exit_2(code, capsys, json_errors, "UsageError", f"config {path}: invalid JSON",
-                       file=path)
-    else:
-        _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError",
-                       f"{path}: invalid JSON", file=path)
+    error = "UsageError" if slot == "config" else "MalformedRegistryError"
+    _assert_exit_2(code, capsys, json_errors, error, f"{path}: invalid JSON", file=path)
     assert not (tmp_path / "out").exists()
 
 
@@ -566,12 +564,8 @@ def test_undecodable_or_too_deep_input_file_exits_2(tmp_path, capsys, slot, comm
     if command == "analyze":
         flags += ["--out", str(tmp_path / "out")]
     code = main([command, str(FIXTURES / "a.pir"), *flags])
-    if slot == "config":
-        _assert_exit_2(code, capsys, json_errors, "UsageError", f"config {path}: {text}",
-                       file=path)
-    else:
-        _assert_exit_2(code, capsys, json_errors, "MalformedRegistryError", f"{path}: {text}",
-                       file=path)
+    error = "UsageError" if slot == "config" else "MalformedRegistryError"
+    _assert_exit_2(code, capsys, json_errors, error, f"{path}: {text}", file=path)
     assert not (tmp_path / "out").exists()
 
 
@@ -729,7 +723,7 @@ def _mutate(p, rng, mutation):
         if jumps:
             rng.choice(jumps).target = rng.randrange(len(m.body))
     elif mutation == "callee":
-        calls = [s for s in m.body if isinstance(s, (AssignCall, Call))]
+        calls = [s for s in m.body if isinstance(s, Call)]
         if calls:
             rng.choice(calls).callee = rng.choice(_REGISTRY_CALLEES)
     elif mutation == "class":
@@ -936,6 +930,58 @@ def test_malformed_registry_names_its_file_once_in_text(tmp_path, capsys, slot, 
     err = capsys.readouterr().err
     assert err == f"{path}: {reason}\n"
     assert err.count(str(path)) == 1
+
+
+def _missing_pir(tmp_path):
+    path = tmp_path / "nonexistent.pir"
+    return ["analyze", str(path), "--out", str(tmp_path / "o")], path
+
+
+def _directory_pir(tmp_path):
+    path = tmp_path / "app_dir"
+    path.mkdir()
+    return ["print", str(path)], path
+
+
+def _out_is_a_file(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("x", encoding="utf-8")
+    return ["analyze", str(FIXTURES / "b.pir"), "--out", str(path)], path
+
+
+def _missing_registry(tmp_path):
+    path = tmp_path / "missing.json"
+    return ["analyze", str(FIXTURES / "b.pir"), "--sinks", str(path),
+            "--out", str(tmp_path / "o")], path
+
+
+def _bad_config(name, text):
+    def make(tmp_path):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return ["analyze", str(FIXTURES / "b.pir"), "--config", str(path),
+                "--out", str(tmp_path / "o")], path
+    return make
+
+
+@pytest.mark.parametrize("make, reason", [
+    (_missing_pir, "No such file or directory"),
+    (_directory_pir, "Is a directory"),
+    (_out_is_a_file, "File exists"),
+    (_missing_registry, "cannot read: No such file or directory"),
+    (_bad_config("cfg.json", "{"), "invalid JSON: "),
+    (_bad_config("cfg.toml", "x = = 1\n"), "Invalid value"),
+], ids=["missing-pir", "directory-pir", "out-file", "missing-registry", "json-config",
+        "toml-config"])
+def test_file_errors_name_their_file_once_in_text(tmp_path, capsys, make, reason):
+    """A failed read or write, and a config file that does not parse, are
+    reported as '<file>: <reason>', with the file named nowhere else."""
+    argv, path = make(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: {reason}")
+    assert err.count(str(path)) == 1 and err.count(path.name) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("json_errors", [False, True])

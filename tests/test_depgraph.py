@@ -16,7 +16,7 @@ from array import array
 from gen import gen_perf_program, gen_program, registry_json
 from oracles import expand_cell_nodes, explicit_graph
 from pdaudit.graph import KINDS, DepEdge, EdgeKind, build_call_graph, build_pdg
-from pdaudit.ir import AssignFieldLoad, FieldStore, Loc, call_parts, parse_program
+from pdaudit.ir import AssignFieldLoad, Call, FieldStore, Loc, parse_program
 from pdaudit.registry import SinkKind, SinkMatch, SinkRegistry
 from pdaudit.report import render_dot
 from pdaudit.slicer import forward_slice
@@ -160,7 +160,7 @@ def test_id_of_is_none_off_the_graphs_nodes():
 
 
 def test_sink_table_equals_a_per_statement_match():
-    """g.sink_table(sinks) is the per-statement call_parts + match scan, in
+    """g.sink_table(sinks) is the per-statement call + match scan, in
     id order; it is kept for the same registry and rebuilt for another,
     also when a registry's entries change in place."""
     other = SinkRegistry(exact={"ext.Log.info": SinkMatch(SinkKind.STORAGE, None)},
@@ -176,9 +176,8 @@ def test_sink_table_equals_a_per_statement_match():
             table = g.sink_table(sinks)
             want = {}
             for i, stmt in enumerate(g.stmts):
-                parts = call_parts(stmt)
-                if parts is not None and sinks.match(parts[0]) is not None:
-                    want[i] = sinks.match(parts[0])
+                if isinstance(stmt, Call) and sinks.match(stmt.callee) is not None:
+                    want[i] = sinks.match(stmt.callee)
             assert table == want and list(table) == sorted(table)
             assert g.sink_table(sinks) is table
         del edited.exact["ext.Net.send"]

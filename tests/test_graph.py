@@ -27,7 +27,6 @@ from pdaudit.graph import (
     method_facts,
 )
 from pdaudit.ir import (
-    AssignCall,
     AssignConst,
     AssignCopy,
     AssignFieldLoad,
@@ -253,7 +252,8 @@ def _random_def_use_body(rng):
         elif roll < 0.75:
             body.append(AssignCopy(pick(), pick()))
         elif roll < 0.9:
-            body.append(AssignCall(pick(), "x.Y.g", tuple(pick() for _ in range(rng.randint(0, 2)))))
+            lhs = pick()
+            body.append(Call("x.Y.g", tuple(pick() for _ in range(rng.randint(0, 2))), lhs=lhs))
         else:
             body.append(Call("x.Y.h", tuple(pick() for _ in range(rng.randint(1, 3)))))
     return MethodDef("f", "void", params, body)
@@ -569,7 +569,7 @@ def test_resolved_targets_are_the_method_targets():
     for _ in range(60):
         p = gen_program(rng, allow_recursion=True)
         cg = build_call_graph(p)
-        calls = {site for site, s in p.iter_locs() if isinstance(s, (AssignCall, Call))}
+        calls = {site for site, s in p.iter_locs() if isinstance(s, Call)}
         assert set(cg.edges) <= calls and all(cg.edges.values())  # opaque sites: no entry
         for site in calls:
             targets = cg.resolved(site)
@@ -592,7 +592,7 @@ def _classified(f, cg, locs):
             stores.setdefault((s.cls, s.fld), []).append(i)
         elif isinstance(s, Return) and s.value is not None:
             returns.append(i)
-        elif isinstance(s, (AssignCall, Call)) and cg.resolved(locs[f.base + i]):
+        elif isinstance(s, Call) and cg.resolved(locs[f.base + i]):
             calls[i] = cg.resolved(locs[f.base + i])
     return loads, stores, returns, calls
 

@@ -14,7 +14,6 @@ from pdaudit.graph import build_call_graph, build_pdg
 from pdaudit.ir import (
     _INT,
     _STMT,
-    AssignCall,
     AssignConst,
     Call,
     DuplicateClassError,
@@ -30,6 +29,7 @@ from pdaudit.ir import (
     _Parser,
     parse_program,
     print_program,
+    stmt_defs,
     validate,
 )
 
@@ -50,11 +50,11 @@ def test_fixture_a_shape():
     assert m.key == "onCreate/0"
     assert len(m.body) == 3
     s0 = m.body[0]
-    assert isinstance(s0, AssignCall)
+    assert isinstance(s0, Call) and s0.lhs == "$e"
     assert s0.callee == "android.widget.EditText.getText"
     assert s0.widget == "email_input"
     s1 = m.body[1]
-    assert isinstance(s1, Call)
+    assert isinstance(s1, Call) and s1.lhs is None
     assert s1.callee == "com.analytics.Tracker.log"
     assert s1.args == ("$e",)
     assert isinstance(m.body[2], Return)
@@ -260,7 +260,7 @@ class app.C extends app.Base {
 def test_statements_and_locs_have_no_instance_dict():
     p = parse_program(_EVERY_FORM)
     body = p.classes[0].methods[0].body
-    assert len({type(s) for s in body}) == 9  # every statement class
+    assert len({type(s) for s in body}) == 8  # every statement class
     for obj in [*body, *p.locs(), Return(None), Loc("a.B", "m/0", 0)]:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
@@ -452,7 +452,11 @@ def _in_method(body):
         ("0: goto 1: return", "ParseError"),
         ('0: $x = "a"\n1: return\n  $x', [AssignConst("$x", "a"), Return("$x")]),
         ('0: $x = call a.B.c()\n  @widget("w") 1: return',
-         [AssignCall("$x", "a.B.c", (), "w"), Return()]),
+         [Call("a.B.c", (), "w", lhs="$x"), Return()]),
+        ("0: $x = call a.B.c(p0)\n1: call a.B.c($x)\n2: return",
+         [Call("a.B.c", ("p0",), lhs="$x"), Call("a.B.c", ("$x",)), Return()]),
+        ("0: $x = call a.B.c(  # split\n p0)\n1: call a.B.c($x\n)\n2: return",
+         [Call("a.B.c", ("p0",), lhs="$x"), Call("a.B.c", ("$x",)), Return()]),
         ("0: goto5", "ParseError"),
         ("0: storex.f = p0", "ParseError"),
         ("0: callx.y()", "ParseError"),
@@ -473,7 +477,9 @@ def test_pinned_statement_layouts_parse_as_the_reference(body, outcome):
     if isinstance(outcome, str):
         assert got[0] == outcome
     else:
-        assert got[0].classes[0].methods[0].body == outcome
+        body = got[0].classes[0].methods[0].body
+        assert body == outcome
+        assert [stmt_defs(s) for s in body] == [getattr(s, "lhs", None) for s in outcome]
     assert_same_as_reference(text)
 
 

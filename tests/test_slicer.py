@@ -7,7 +7,7 @@ from gen import gen_perf_program, gen_program
 from oracles import explicit_graph, naive_closure
 from pdaudit.dpv import DpvMap
 from pdaudit.graph import DepEdge, EdgeKind, build_call_graph, build_pdg
-from pdaudit.ir import AssignCall, Call, Loc, parse_program
+from pdaudit.ir import Call, Loc, parse_program
 from pdaudit.registry import (
     Lexicon,
     Origin,
@@ -106,7 +106,7 @@ def test_slice_entries_recount_slice_ids():
             locs = [g.locs[i] for i in s.ids]
             sink_locs = sorted(
                 g.locs[i] for i in s.ids
-                if isinstance(g.stmts[i], (AssignCall, Call))
+                if isinstance(g.stmts[i], Call)
                 and GEN_SINKS.match(g.stmts[i].callee) is not None
             )
             assert e["node_count"] == len(locs)

@@ -23,7 +23,7 @@ from oracles import (
     shortest_witness,
 )
 from pdaudit.graph import CallGraph, MethodId, build_call_graph, build_pdg, method_facts
-from pdaudit.ir import AssignCall, Goto, If, Loc, parse_program
+from pdaudit.ir import Goto, If, Loc, parse_program
 from pdaudit.registry import (
     Lexicon,
     PersonalDataCategory,
@@ -35,14 +35,10 @@ from pdaudit.registry import (
     label_sources,
 )
 from pdaudit.taint import (
-    FieldCell,
-    LocalCell,
-    NotALabelError,
     Status,
     _witnesses,
     build_taint_result,
     collect_flows,
-    derived_data,
     propagate,
     unsunk_labels,
 )
@@ -400,44 +396,6 @@ class C extends D {
     assert collect_flows(pr, sinks, g) == []
 
 
-def test_derived_data_fixture_b():
-    p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_B)
-    dd = derived_data(pr, labels[0])
-    assert {c.name for c in dd.cells if isinstance(c, LocalCell)} == {"$l", "$p"}
-    assert dd.signatures == frozenset({"com.app.Crypto.hash"})
-
-
-def test_derived_data_fixture_a():
-    p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_A)
-    dd = derived_data(pr, labels[0])
-    assert {c.name for c in dd.cells} == {"$e"}
-    assert dd.signatures == frozenset()
-
-
-def test_derived_data_includes_field_cells():
-    src = """\
-class C extends D {
-  method void f() {
-    0: $l = call android.location.LocationManager.getLastKnownLocation()
-    1: store C.loc = $l
-    2: return
-  }
-}
-"""
-    p, cg, g, labels, pr, sinks, _ = analyze(src)
-    dd = derived_data(pr, labels[0])
-    assert FieldCell("C", "loc") in dd.cells
-
-
-def test_derived_data_unknown_label():
-    p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_A)
-    from pdaudit.registry import Origin, SourceLabel
-
-    ghost = SourceLabel(99, labels[0].location, labels[0].category, Origin("SystemApi"))
-    with pytest.raises(NotALabelError):
-        derived_data(pr, ghost)
-
-
 # ---------------------------------------------------------------------------
 # Oracle comparison (the full 500-program run lives in test_acceptance)
 # ---------------------------------------------------------------------------
@@ -479,43 +437,17 @@ def _has_call_cycle(p, cg):
     return any(cyclic(mid) for mid in sorted(calls))
 
 
-def _dense_derived_data(before, after, fields, label, p):
-    """derived_data read off dense per-point states: every local named in
-    any state with the label's id, field cells holding it, and assignments
-    from calls (other than the label's own) whose after-state holds it."""
-    cells = {
-        LocalCell(loc.cls, loc.method, name)
-        for table in (before, after)
-        for loc, state in table.items()
-        for name, sid in state
-        if sid == label.id
-    }
-    cells |= {FieldCell(c, f) for (c, f), held in fields.items() if label.id in held}
-    sigs = set()
-    stmt_at = dict(p.iter_locs())
-    for loc, state in after.items():
-        stmt = stmt_at[loc]
-        if loc != label.location and isinstance(stmt, AssignCall) and (stmt.lhs, label.id) in state:
-            sigs.add(stmt.callee)
-    return cells, sigs
-
-
 def test_fixpoint_matches_round_robin_oracle_with_loops_and_recursion():
     rng = random.Random(7177)
     looped = recursive = 0
     for _ in range(120):
         p = gen_program(rng, allow_loops=True, allow_recursion=True)
         cg, g, labels, pr = analyze_generated(p)
-        before, after, fields = round_robin_taint(p, cg, labels, GEN_SANITIZERS)
+        before, _, fields = round_robin_taint(p, cg, labels, GEN_SANITIZERS)
         for loc, _ in p.iter_locs():
             assert pr.raw_before(loc) == before.get(loc, {}), f"at {loc}"
         got_fields = {cell: dict(v) for cell, v in pr.field_cells.items() if v}
         assert got_fields == {cell: dict(v) for cell, v in fields.items() if v}
-        for label in labels:
-            dd = derived_data(pr, label)
-            assert (dd.cells, dd.signatures) == _dense_derived_data(
-                before, after, fields, label, p
-            )
         for _, m in p.iter_methods():
             assert pr.raw_before(Loc("app.Main", m.key, len(m.body))) == {}
             assert pr.raw_before(Loc("app.Main", m.key, -1)) == {}
