@@ -14,13 +14,14 @@ Exit codes:
   2  any failure, with a message on stderr (a JSON object under
      --json-errors): a bad flag or config value; an unreadable or malformed
      PIR, registry, DPV map or config file; a category whose risk
-     overflows a float; an internal analysis error; or a failed write, to
-     the output directory or to stdout, a closed pipe or a full device
-     included
+     overflows a float; or a failed write, to the output directory or to
+     stdout, a closed pipe or a full device included
 
 An error message names the file the error is in, once: the registry, DPV
 map or config file when the error is in one, the file a failed read or
-write names (an output file under --out, say), else the PIR file.
+write names (an output file under --out, say), else the PIR file. The
+text form gives it as a '<file>: ' prefix, the JSON object as its "file"
+member, and the message itself never repeats it.
 
 Registry flags default to the bundled seed files. A --config file (JSON, or
 TOML on installs with tomli/tomllib) may supply the same keys; explicit
@@ -73,7 +74,7 @@ from .report import (
     summarize,
 )
 from .slicer import forward_slice
-from .taint import Status, TaintError, build_taint_result, propagate
+from .taint import Status, build_taint_result, propagate
 
 
 def _bundled(name: str) -> Path:
@@ -237,9 +238,9 @@ def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:
     cg = build_call_graph(program)
     g = build_pdg(program, cg)
     labels = label_sources(program, sources, lexicon)
-    pr = propagate(program, cg, labels, sanitizers)
-    taint = build_taint_result(pr, program, sinks, g)
-    del cg, pr  # the method facts go with them, before slicing and output
+    rules = propagate(program, cg, labels, sanitizers)
+    taint = build_taint_result(rules, program, sinks, g)
+    del cg, rules  # not read after the flows
     slices = [forward_slice(g, label) for label in labels]
 
     digest = input_digest(
@@ -277,14 +278,18 @@ def _read_pir(path: str) -> bytes:
 def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
     """Report exc on stderr against the file it is in: its own file when it
     carries one (a config, registry or DPV map error, or an OSError with a
-    filename, such as a failed write under --out), else the PIR file. The
-    text form names the file once: as '<file>: ' before the message, which
-    for an OSError with a filename is its strerror, and not again when the
-    message starts with it."""
+    filename, such as a failed write under --out), else the PIR file. Both
+    forms name the file once, apart from the message: an OSError with a
+    filename gives its strerror, any other error its text without a
+    leading '<file>: '."""
     own = getattr(exc, "file", None) or getattr(exc, "filename", None)
     source_file = args.pir if own is None else str(own)
+    if isinstance(exc, OSError) and own is not None:
+        text = exc.strerror
+    else:
+        text = str(exc).removeprefix(f"{source_file}: ")
     if args.json_errors:
-        payload: dict = {"error": type(exc).__name__, "message": str(exc), "file": source_file}
+        payload: dict = {"error": type(exc).__name__, "message": text, "file": source_file}
         if isinstance(exc, ParseError):
             payload["line"] = exc.line
             payload["col"] = exc.col
@@ -293,10 +298,7 @@ def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
     elif isinstance(exc, ParseError):
         print(f"{source_file}:{exc.line}:{exc.col}: expected {exc.expected}", file=sys.stderr)
     else:
-        text = exc.strerror if isinstance(exc, OSError) and own is not None else str(exc)
-        if not text.startswith(f"{source_file}: "):
-            text = f"{source_file}: {text}"
-        print(text, file=sys.stderr)
+        print(f"{source_file}: {text}", file=sys.stderr)
 
 
 def _use_color() -> bool:
@@ -395,7 +397,7 @@ def cmd_print(args: argparse.Namespace) -> int:
 
 # What a command may raise for bad input or a failed write; main reports
 # each as exit 2. A failed write to stdout (BrokenPipeError, ENOSPC) is an OSError.
-_INPUT_ERRORS = (PirError, RegistryError, RiskOverflowError, TaintError, UsageError, OSError)
+_INPUT_ERRORS = (PirError, RegistryError, RiskOverflowError, UsageError, OSError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -1,7 +1,9 @@
 """Call graph and interprocedural dependence graph construction.
 
-The dependence graph is the substrate for slicing and for taint witness
-paths. Nodes are statement locations; edges are typed:
+The dependence graph is the substrate for slicing and the one statement
+of the taint transfer rules: a flow is a valid path over its data-carrying
+edges (Data, ParamIn, ReturnOut), which taint.collect_flows searches for.
+Nodes are statement locations; edges are typed:
 
     Data       def-use on locals (reaching definitions, strong kill) and
                field store -> field load pairs
@@ -30,8 +32,9 @@ are the reachable ones; the control dependences are taken from the CFG,
 which is then dropped. One walk over the reachable statements then makes
 the def-use chains and the method's record: its field loads and stores
 by (class, field), its value returns and its call statements, to which
-method_facts attaches the call graph's targets. build_pdg and the taint
-engine both read that record, and neither classifies statements again.
+method_facts attaches the call graph's targets. build_pdg alone reads
+that record, and does not classify statements again; the facts die when it
+returns.
 
 Storage. DepGraph has one constructor, DepGraph(locs, stmts, src, dst,
 cells), and every loc is a node. A node's id is its rank in Loc order;
@@ -354,11 +357,10 @@ class MethodId(NamedTuple):
 class CallGraph:
     """edges maps each call site with a program target to its targets, in
     MethodId order; a site whose callee resolves to no program method has no
-    entry. method_facts keeps its memo on the call graph."""
+    entry."""
 
     def __init__(self, edges: dict[Loc, tuple[MethodId, ...]]):
         self.edges = edges
-        self._facts: Optional[dict[MethodId, _MethodFacts]] = None
 
     def resolved(self, loc: Loc) -> tuple[MethodId, ...]:
         return self.edges.get(loc, ())
@@ -424,8 +426,8 @@ def build_call_graph(p: Program) -> CallGraph:
 class _MethodFacts:
     """Reaching definitions, def-use chains, control dependences and the
     statement record of one method, from one forward pass over its CFG;
-    the CFG is not kept. Built once per method by method_facts and shared
-    by the edge builders and the taint engine.
+    the CFG is not kept. Built once per method by method_facts, for the
+    edge builders of build_pdg.
 
     defs numbers every definition as a (local, index) pair: each
     parameter's entry value (index ENTRY_DEF), then every defining
@@ -522,22 +524,15 @@ class _MethodFacts:
 
 def method_facts(p: Program, cg: CallGraph) -> dict[MethodId, _MethodFacts]:
     """One _MethodFacts per method of p, in iter_methods order, with each
-    call statement's targets taken from cg, p's call graph.
-
-    Built on the first call and kept on cg, the one object that build_pdg
-    and propagate both receive, so the facts live as long as the call graph
-    (and the PropagationResult, which reads them): cli.run_analysis drops
-    both once the flows are built, before slicing and output. p must not be
-    mutated after the first call."""
-    facts = cg._facts
-    if facts is None:
-        facts = cg._facts = {}
-        locs, edges, base = p.locs(), cg.edges, 0
-        for cls, m in p.iter_methods():
-            f = facts[MethodId(cls.name, m.key)] = _MethodFacts(m)
-            f.base = base
-            f.calls = {i: t for i in f.calls if (t := edges.get(locs[base + i]))}
-            base += len(m.body)
+    call statement's targets taken from cg, p's call graph. Nothing keeps
+    them: build_pdg, their one reader, drops them when it returns."""
+    facts: dict[MethodId, _MethodFacts] = {}
+    locs, edges, base = p.locs(), cg.edges, 0
+    for cls, m in p.iter_methods():
+        f = facts[MethodId(cls.name, m.key)] = _MethodFacts(m)
+        f.base = base
+        f.calls = {i: t for i in f.calls if (t := edges.get(locs[base + i]))}
+        base += len(m.body)
     return facts
 
 

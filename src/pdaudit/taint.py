@@ -1,79 +1,55 @@
-"""Interprocedural taint propagation with pseudonymization status.
+"""Taint flows and their pseudonymization status, read off the dependence
+graph as valid data paths.
 
-Facts are (cell, source id, status) triples. Cells are method locals or
-(class, field) pairs; status is a two-point lattice where Raw absorbs
-Pseudonymized, so the fact status at a join answers "pseudonymized along
-every path?" directly: it is Pseudonymized exactly when every dependence
-path that delivers the value applied a sanitizer.
+The dependence graph (graph.build_pdg) is the one statement of the
+transfer rules. A value moves along its data-carrying edges: Data (local
+def-use chains and field store -> load pairs), ParamIn (argument
+definitions -> callee statements reading the parameter) and ReturnOut
+(callee value returns -> call-site lhs). Read as paths, those edges give:
 
-Transfer rules (the engine and the test oracles each implement these):
-
-* a labelled call with a lhs generates (lhs, label id, Raw) in addition to
-  its ordinary call effect;
-* copies move facts, constants kill them (strong update on locals);
-* a sanitizer call writes its argument facts into the lhs as Pseudonymized,
-  whatever their input status (hashing twice stays pseudonymized);
-* a resolved call feeds argument facts into the callee's parameters and the
-  callee's returned facts into the lhs, context-insensitively (one summary
-  per method, joined over all call sites);
-* an opaque non-sanitizer call copies argument facts to the lhs unchanged;
-* field stores/loads go through a global per-(class, field) cell with no
-  kill, matching the dependence graph's field abstraction;
+* a labelled call with a lhs starts a path at its own statement;
+* copies move a value, constants define a local that no path reaches
+  (strong update on locals, through reaching definitions);
+* a resolved call feeds its argument values into the callee's parameters
+  and the callee's returned values into the lhs, context-insensitively
+  (one summary per method, joined over all call sites);
+* a resolved non-sanitizer call's lhs comes from the callee's returns
+  alone: a path may leave it only when it arrived on a ReturnOut edge;
+* an opaque non-sanitizer call copies its arguments into the lhs;
+* a sanitizer call pseudonymizes every value it passes on: over its
+  arguments and, when it resolves, over the callee's returns too, while a
+  sanitizer body still receives its arguments raw through ParamIn;
+* field stores and loads go through one program-wide (class, field) cell
+  with no kill;
 * branch conditions do not taint assigned values (no implicit flows).
 
 Every method is treated as a framework entry point: statements unreachable
-from a method's own entry never execute and carry no facts.
+from a method's own entry carry no dependence edges, so no path.
 
-Propagation is sparse: facts move along def-use chains, not from statement
-to statement. The engine keeps one value {source id: status} per reachable
-definition of a local, plus each method's entry value per parameter, its
-returned facts and the field cells. A statement reads local v as the join
-of v's values at the definitions of v reaching it (the method's reaching
-definitions from graph.method_facts, shared with the dependence graph). A
-definition whose value grows re-queues only the statements reading it; a
-parameter's entry value re-queues its entry-value readers, a field cell
-its loads and a return value the method's call sites. The state before a
-statement, {(local, source id): status}, is derived on demand from the
-same reaching definitions.
+A label flows to a sink statement when a valid path from the label's
+statement reaches the sink with the value on an argument, that is, not
+arriving on a ReturnOut edge. Its status is Raw when such a path passes
+through no sanitizer call past the source, else Pseudonymized: status is
+a two-point lattice where Raw absorbs Pseudonymized, and Pseudonymized
+answers "pseudonymized along every path?".
 
-The loads of each field cell, each call's targets and the resolved call
-statements come from the method facts' record, which the dependence
-graph reads too: propagation asks the call graph nothing, touches no Loc
-and classifies a statement only to apply its transfer rule.
-
-Each flow's witness is the least valid data path from the label's
-statement to the sink, shortest first, then by Loc sequence. One layered
-breadth-first search per source statement, forward over the dependence
-graph, finds the witnesses to all of that statement's sinks, and stops once
-it has found them.
+One layered breadth-first search per source statement finds every state
+its value reaches, with each state's least path; a second search, with the
+sanitizer calls also blocked, is run only when the first one reached a
+sanitizer call, and marks the Raw flows. Each flow's witness is the least
+valid data path from the label's statement to the sink, shortest first,
+then by Loc sequence.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
-from .graph import (
-    ENTRY_DEF,
-    CallGraph,
-    DepGraph,
-    MethodId,
-    _MethodFacts,
-    method_facts,
-)
-from .ir import AssignCopy, AssignFieldLoad, Call, FieldStore, Loc, Program, Return
-from .registry import SanitizerRegistry, SinkKind, SinkMatch, SinkRegistry, SourceLabel
-
-
-class TaintError(Exception):
-    pass
-
-
-class FixpointBudgetExceededError(TaintError):
-    """The worklist ran past any sane bound; signals an engine bug, not a
-    property of the analyzed program (the lattice is finite)."""
+from .graph import CallGraph, DepGraph
+from .ir import Call, Loc, Program
+from .registry import SanitizerRegistry, SinkKind, SinkRegistry, SourceLabel
 
 
 class Status(IntEnum):
@@ -103,79 +79,16 @@ class TaintResult:
     unsunk: list[SourceLabel]
 
 
-# The facts at a program point, as raw_before returns them:
-# {(local name, source id): Status}. Field cells live in one global map.
-_State = dict[tuple[str, int], Status]
-_Facts = dict[int, Status]  # {source id: Status}
+@dataclass(frozen=True)
+class SearchRules:
+    """What the flow search reads besides the graph: the labels, the graph
+    ids of the resolved non-sanitizer calls (blocked_pass_through: a path
+    may leave one only when it arrived on a ReturnOut edge) and the graph
+    ids of the sanitizer calls."""
 
-
-def _join_into(dst: dict, src: dict) -> bool:
-    changed = False
-    for k, v in src.items():
-        if dst.get(k, 0) < v:
-            dst[k] = v
-            changed = True
-    return changed
-
-
-class PropagationResult:
-    """Fixpoint facts: the value of every reachable local definition, every
-    parameter's entry value, and the field cells. The state before any
-    statement is derived from these and the method's reaching definitions.
-
-    blocked_pass_through holds the dependence graph ids of the resolved
-    non-sanitizer call statements: their lhs comes from the callee's return
-    alone, so a dependence path may continue through them only when it
-    arrived on a ReturnOut edge."""
-
-    def __init__(
-        self,
-        labels: list[SourceLabel],
-        facts: dict[MethodId, _MethodFacts],
-        entry: dict[MethodId, dict[str, _Facts]],
-        defs: dict[MethodId, dict[int, _Facts]],
-        field_cells: dict[tuple[str, str], _Facts],
-        blocked_pass_through: frozenset[int],
-    ):
-        self.labels = labels
-        self._facts = facts
-        self._entry = entry
-        self._defs = defs
-        self.field_cells = field_cells
-        self.blocked_pass_through = blocked_pass_through
-
-    def raw_before(self, loc: Loc) -> _State:
-        """The facts holding just before loc; {} when loc is unreachable or
-        not a statement."""
-        mid = MethodId(loc.cls, loc.method)
-        f = self._facts.get(mid)
-        if f is None:
-            return {}
-        entry, defs = self._entry[mid], self._defs[mid]
-        state: _State = {}
-        for v, d in f.pairs(f.before.get(loc.index, 0)):
-            held = entry.get(v) if d == ENTRY_DEF else defs.get(d)
-            if held:
-                for sid, st in held.items():
-                    if state.get((v, sid), 0) < st:
-                        state[(v, sid)] = st
-        return state
-
-
-def _read(
-    v: str, ds: tuple[int, ...], entry: dict[str, _Facts], defs: dict[int, _Facts]
-) -> _Facts:
-    """The facts of local v where the definitions ds of it reach: a shared
-    dict when there is one, not to be mutated."""
-    if len(ds) == 1:
-        held = entry.get(v) if ds[0] == ENTRY_DEF else defs.get(ds[0])
-        return held or {}
-    acc: _Facts = {}
-    for d in ds:
-        held = entry.get(v) if d == ENTRY_DEF else defs.get(d)
-        if held:
-            _join_into(acc, held)
-    return acc
+    labels: list[SourceLabel]
+    blocked_pass_through: frozenset[int]
+    sanitizers: frozenset[int]
 
 
 def propagate(
@@ -183,114 +96,18 @@ def propagate(
     cg: CallGraph,
     labels: list[SourceLabel],
     san: SanitizerRegistry,
-) -> PropagationResult:
-    """Least fixpoint of the transfer rules over all reachable statements,
-    propagated sparsely along def-use chains."""
-    facts = method_facts(p, cg)
-    entry: dict[MethodId, dict[str, _Facts]] = {mid: {} for mid in facts}
-    defs: dict[MethodId, dict[int, _Facts]] = {mid: {} for mid in facts}
-    ret_facts: dict[MethodId, _Facts] = {mid: {} for mid in facts}
-    field_cells: dict[tuple[str, str], _Facts] = {}
-
-    # The loads of each field cell, per method, and the callers of each
-    # method, from the method facts' record of the reachable statements.
-    loads_of: dict[tuple[str, str], list[tuple[MethodId, list[int]]]] = {}
-    callers_of: dict[MethodId, list[tuple[MethodId, int]]] = {}
-    blocked: set[int] = set()
-    for mid, f in facts.items():
-        for c, at in f.loads.items():
-            loads_of.setdefault(c, []).append((mid, at))
-        for i, targets in f.calls.items():
-            for t in targets:
-                callers_of.setdefault(t, []).append((mid, i))
-            if f.m.body[i].callee not in san:
-                blocked.add(f.base + i)
-
-    work: deque[tuple[MethodId, int]] = deque()
-    queued: set[tuple[MethodId, int]] = set()
-
-    def push(mid: MethodId, i: int) -> None:
-        if (mid, i) not in queued:
-            queued.add((mid, i))
-            work.append((mid, i))
-
-    # Facts start at labelled calls; every other statement is visited once
-    # one of its inputs (a reaching definition, an entry value, a field
-    # cell, a callee's return) gains a fact.
-    label_at: dict[tuple[MethodId, int], int] = {}
-    for l in labels:
-        mid = MethodId(l.location.cls, l.location.method)
-        if mid in facts and l.location.index in facts[mid].reachable:
-            label_at[(mid, l.location.index)] = l.id
-    for mid, i in sorted(label_at):
-        push(mid, i)
-
-    n_stmts = len(p.locs())
-    budget = 4 * max(1, n_stmts) * max(1, 2 * len(labels)) + 1000
-    steps = 0
-
-    while work:
-        steps += 1
-        if steps > budget:
-            raise FixpointBudgetExceededError(
-                f"fixpoint exceeded {budget} statement visits on {n_stmts} statements"
-            )
-        item = work.popleft()
-        queued.discard(item)
-        mid, i = item
-        f = facts[mid]
-        stmt = f.m.body[i]
-        mentry, mdefs = entry[mid], defs[mid]
-        uses = f.use_defs.get(i, ())
-
-        value: Optional[_Facts] = None  # the facts of the local stmt defines
-        if isinstance(stmt, AssignCopy):
-            value = _read(stmt.rhs, uses[0], mentry, mdefs)
-        elif isinstance(stmt, AssignFieldLoad):
-            value = field_cells.get((stmt.cls, stmt.fld), {})
-        elif isinstance(stmt, FieldStore):
-            moved = _read(stmt.rhs, uses[0], mentry, mdefs)
-            if moved and _join_into(field_cells.setdefault((stmt.cls, stmt.fld), {}), moved):
-                for lmid, at in loads_of.get((stmt.cls, stmt.fld), ()):
-                    for u in at:
-                        push(lmid, u)
-        elif isinstance(stmt, Return):
-            if stmt.value is not None and _join_into(
-                ret_facts[mid], _read(stmt.value, uses[0], mentry, mdefs)
-            ):
-                for caller in callers_of.get(mid, ()):
-                    push(*caller)
-        elif isinstance(stmt, Call):
-            arg_facts = [_read(a, ds, mentry, mdefs) for a, ds in zip(stmt.args, uses)]
-            result: _Facts = {}
-            if stmt.callee in san:
-                for af in arg_facts:
-                    for sid in af:
-                        result[sid] = Status.PSEUDONYMIZED
-            else:
-                resolved = f.calls.get(i, ())
-                for t in resolved:
-                    tf, tentry = facts[t], entry[t]
-                    for param, af in zip(tf.m.params, arg_facts):
-                        if af and _join_into(tentry.setdefault(param, {}), af):
-                            for u in tf.entry_uses.get(param, ()):
-                                push(t, u)
-                    _join_into(result, ret_facts[t])
-                if not resolved:
-                    for af in arg_facts:
-                        _join_into(result, af)
-            if stmt.lhs is not None:
-                value = result
-                sid = label_at.get(item)
-                if sid is not None:
-                    value[sid] = Status.RAW
-        # Constants define a local with no facts; If/Goto have no fact effect.
-
-        if value and _join_into(mdefs.setdefault(i, {}), value):
-            for u in f.def_uses.get(i, ()):
-                push(mid, u)
-
-    return PropagationResult(labels, facts, entry, defs, field_cells, frozenset(blocked))
+) -> SearchRules:
+    """The search rules of p's call statements. A statement's graph id is
+    its rank in p.locs(), the order build_pdg numbers nodes in."""
+    blocked: list[int] = []
+    sanitizing: list[int] = []
+    for i, (loc, s) in enumerate(p.iter_locs()):
+        if isinstance(s, Call):
+            if s.callee in san:
+                sanitizing.append(i)
+            elif loc in cg.edges:
+                blocked.append(i)
+    return SearchRules(labels, frozenset(blocked), frozenset(sanitizing))
 
 
 # ---------------------------------------------------------------------------
@@ -298,100 +115,88 @@ def propagate(
 # ---------------------------------------------------------------------------
 
 
-def _witnesses(
-    g: DepGraph, src: int, targets: set[int], blocked: set[int]
-) -> dict[int, list[int]]:
-    """{dst: path} for each dst of targets that a valid path from src
-    reaches: the shortest valid src -> dst path over data-carrying edges,
-    as node ids, and among equal-length paths the lexicographically
-    smallest node sequence (ids compare as their Locs do).
+def _search(
+    g: DepGraph, src: int, blocked: frozenset[int], stopped: frozenset[int] = frozenset()
+) -> dict[int, int]:
+    """{state: parent state} of every state a valid path from src reaches
+    over data-carrying edges, the start state its own parent.
 
-    Validity: a path may leave a blocked statement (resolved non-sanitizer
-    call) only when it arrived there via ReturnOut; the start may always be
-    left, since its own definition is what the path tracks. Search states
-    are therefore 2 * node id + 1 when the path arrived via ReturnOut, else
-    2 * node id, and the search starts from 2 * src + 1.
+    A state is 2 * node id + 1 when the path arrived via ReturnOut, else
+    2 * node id; the search starts from 2 * src + 1. Validity: a path may
+    leave a blocked node only when it arrived via ReturnOut, and never
+    leaves a stopped node; the start may always be left, since its own
+    definition is what the path tracks.
 
     The search is breadth-first, one layer at a time, and keeps each layer
     in the order of its states' least paths: a parent's new states are
     sorted by id and appended after those of earlier parents, so the first
-    parent to reach a state gives it its least path, which the state keeps.
-    A field cell is expanded once, at its first store: that store gives
-    every load of the cell its least path. The search stops once every
-    target is found."""
+    parent to reach a state gives it its least path (shortest, then the
+    lexicographically smallest node sequence; ids compare as their Locs
+    do), which the state keeps. A field cell is expanded once, at its first
+    store: that store gives every load of the cell its least path."""
     start = 2 * src + 1
     parent = {start: start}
-    left = set(targets)
-    found: dict[int, list[int]] = {}
-
-    def reached(state: int) -> None:
-        path = [state >> 1]
-        while state != start:
-            state = parent[state]
-            path.append(state >> 1)
-        found[path[0]] = path[::-1]
-        left.discard(path[0])
-
-    if src in left:
-        reached(start)
     layer = [start]
     expanded: set[int] = set()
-    while layer and left:
+    while layer:
         nxt = []
         for state in layer:
             v = state >> 1
-            if not state & 1 and v in blocked:
+            if state != start and (v in stopped or not state & 1 and v in blocked):
                 continue
             for s in sorted(g.data_out(v, expanded)):
                 if s not in parent:
                     parent[s] = state
                     nxt.append(s)
-                    if s >> 1 in left:
-                        reached(s)
-                        if not left:
-                            return found
         layer = nxt
-    return found
+    return parent
 
 
-def collect_flows(pr: PropagationResult, sinks: SinkRegistry, g: DepGraph) -> list[Flow]:
-    """One Flow per (sink statement, source id) with a fact on any argument,
-    in sink id, then source id order.
+def _least_path(parent: dict[int, int], v: int) -> Optional[list[int]]:
+    """The least of the paths _search kept to node v's states, as node
+    ids, or None when it reached neither state."""
+    paths = []
+    for state in (2 * v, 2 * v + 1):
+        if state in parent:
+            path = [v]
+            while parent[state] != state:
+                state = parent[state]
+                path.append(state >> 1)
+            paths.append(path[::-1])
+    return min(paths, key=lambda path: (len(path), path), default=None)
 
-    Status is the lattice join across arguments; the witness is the
-    pinned-down shortest dependence path, from one _witnesses search per
-    source statement to all of that statement's sinks (labels on one
-    statement share it); manipulations are the callee signatures of
+
+def collect_flows(rules: SearchRules, sinks: SinkRegistry, g: DepGraph) -> list[Flow]:
+    """One Flow per (sink statement, label) where the label's value reaches
+    an argument of the sink, in sink id, then source id order.
+
+    The witness is the least valid dependence path from the label's
+    statement to the sink, from one _search per label (a statement carries
+    one label at most); manipulations are the callee signatures of
     interior call statements along the witness. The sink statements come
     from g.sink_table(sinks), which report building and DOT output read
     again."""
-    label_by_id = {l.id: l for l in pr.labels}
+    table = g.sink_table(sinks)
+    blocked, sanitizing = rules.blocked_pass_through, rules.sanitizers
     locs, stmts = g.locs, g.stmts
-    rows: list[tuple[int, SinkMatch, SourceLabel, Optional[int], Status]] = []
-    targets: dict[int, set[int]] = {}  # source statement id -> its sinks
-    for dst, match in g.sink_table(sinks).items():
-        args = stmts[dst].args
-        per_id: dict[int, Status] = {}
-        for (name, sid), st in pr.raw_before(locs[dst]).items():
-            if name in args:
-                per_id[sid] = max(per_id.get(sid, Status.PSEUDONYMIZED), st)
-        for sid in sorted(per_id):
-            label = label_by_id[sid]
-            src = g.id_of(label.location)
-            rows.append((dst, match, label, src, per_id[sid]))
-            if src is not None:
-                targets.setdefault(src, set()).add(dst)
-    blocked = pr.blocked_pass_through
-    paths = {src: _witnesses(g, src, ts, blocked) for src, ts in targets.items()}
+    rows: list[tuple[int, int, SourceLabel, list[int], Status]] = []
+    for label in rules.labels:
+        src = g.id_of(label.location)
+        if src is None:
+            continue
+        reached = _search(g, src, blocked)
+        hits = [s >> 1 for s in reached if not s & 1 and s >> 1 in table]
+        raw = reached
+        if hits and any(s >> 1 in sanitizing for s in reached):
+            raw = _search(g, src, blocked, sanitizing)
+        for dst in hits:
+            status = Status.RAW if 2 * dst in raw else Status.PSEUDONYMIZED
+            rows.append((dst, label.id, label, _least_path(reached, dst), status))
+    rows.sort(key=lambda row: row[:2])
 
     flows: list[Flow] = []
-    for dst, match, label, src, status in rows:
-        path = None if src is None else paths[src].get(dst)
-        if path is None:
-            raise TaintError(
-                f"no dependence path for flow {label.location} -> {locs[dst]}; "
-                "graph and facts disagree"
-            )
+    for dst, _, label, path, status in rows:
+        match = table[dst]
         manipulations = [stmts[w].callee for w in path[1:-1] if isinstance(stmts[w], Call)]
         flows.append(
             Flow(
@@ -411,10 +216,10 @@ def unsunk_labels(labels: list[SourceLabel], flows: list[Flow]) -> list[SourceLa
 
 
 def build_taint_result(
-    pr: PropagationResult, p: Program, sinks: SinkRegistry, g: DepGraph
+    pr: SearchRules, p: Program, sinks: SinkRegistry, g: DepGraph
 ) -> TaintResult:
-    """The flows and the labels no flow starts from. p is not read: the
-    traced benchmark (bench/layers.py) pins this signature."""
+    """The flows and the labels no flow starts from, under pr, the search
+    rules of propagate. p is not read: the traced benchmark
+    (bench/layers.py) pins this signature."""
     flows = collect_flows(pr, sinks, g)
     return TaintResult(flows, unsunk_labels(pr.labels, flows))
-

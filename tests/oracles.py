@@ -303,14 +303,18 @@ def simple_data_paths(
 
 
 def shortest_witness(
-    g: DepGraph, src: Loc, dst: Loc, blocked: frozenset[Loc] = frozenset()
+    g: DepGraph,
+    src: Loc,
+    dst: Loc,
+    blocked: frozenset[Loc] = frozenset(),
+    stopped: frozenset[Loc] = frozenset(),
 ) -> Optional[list[Loc]]:
     """The minimum, by (length, Loc sequence), of the valid paths src -> dst
     over data-carrying edges, or None when there is none.
 
     Validity is simple_data_paths': a blocked node can be left only when
-    the path arrived on a ReturnOut edge, and the start, taken as arrived
-    so, can always be left. Walks are taken one step longer at a time,
+    the path arrived on a ReturnOut edge, a stopped node never, and the
+    start, taken as arrived so, can always be left. Walks are taken one step longer at a time,
     keeping for each (node, arrived via ReturnOut) state the least walk of
     exactly that many steps to it; extending the least walk to a state keeps it least, since
     equal-length walks compare by their first difference. A shortest valid
@@ -330,7 +334,7 @@ def shortest_witness(
             return list(min(done))
         longer: dict[tuple[Loc, bool], tuple[Loc, ...]] = {}
         for (node, via_ret), walk in least.items():
-            if node in blocked and not via_ret:
+            if walk != (src,) and (node in stopped or node in blocked and not via_ret):
                 continue
             for e in succs.get(node, ()):
                 state = (e.dst, e.kind is EdgeKind.RETURN_OUT)
@@ -363,9 +367,11 @@ def program_sink_stmts(p: Program, sinks) -> list[Loc]:
 
 # ---------------------------------------------------------------------------
 # Taint oracles. The statement transfer below is a deliberate, separate
-# re-coding of the documented rules; it shares no code with the engine.
+# re-coding of the documented rules as facts over program states; it shares
+# no code with the dependence graph, where pdaudit states them as edges.
 # Two fixpoints drive it: all-paths enumeration per method (loop-free
 # programs), and a round-robin sweep over every reachable statement.
+# sink_facts turns their facts into the flows pdaudit must report.
 # ---------------------------------------------------------------------------
 
 PSEUDO, RAW = 1, 2
@@ -433,26 +439,25 @@ class _Summaries:
             per_arg = [{sid: st for (n, sid), st in state.items() if n == a} for a in s.args]
             lhs = s.lhs
             out_facts: dict[int, int] = {}
-            if s.callee in self.san:
+            targets = self.cg.resolved(loc)
+            for t in targets:  # a sanitizer's body receives its arguments too
+                params = self.params[t]
+                contrib = {}
+                for k, af in enumerate(per_arg):
+                    if k < len(params):
+                        for sid, st in af.items():
+                            kk = (params[k], sid)
+                            contrib[kk] = max(contrib.get(kk, 0), st)
+                if _join(self.entry[t], contrib):
+                    changed = True
+                _join(out_facts, self.retf[t])
+            if s.callee in self.san:  # over its arguments and the callee's returns
                 for af in per_arg:
-                    for sid in af:
-                        out_facts[sid] = PSEUDO
-            else:
-                targets = self.cg.resolved(loc)
-                for t in targets:
-                    params = self.params[t]
-                    contrib = {}
-                    for k, af in enumerate(per_arg):
-                        if k < len(params):
-                            for sid, st in af.items():
-                                kk = (params[k], sid)
-                                contrib[kk] = max(contrib.get(kk, 0), st)
-                    if _join(self.entry[t], contrib):
-                        changed = True
-                    _join(out_facts, self.retf[t])
-                if not targets:
-                    for af in per_arg:
-                        _join(out_facts, af)
+                    _join(out_facts, af)
+                out_facts = dict.fromkeys(out_facts, PSEUDO)
+            elif not targets:
+                for af in per_arg:
+                    _join(out_facts, af)
             if lhs is not None:
                 state = {k: v for k, v in state.items() if k[0] != lhs}
                 for sid, st in out_facts.items():
@@ -460,6 +465,19 @@ class _Summaries:
                 if loc in self.label_at:
                     state[(lhs, self.label_at[loc].id)] = RAW
         return state, changed
+
+
+def sink_facts(p: Program, before: dict, sinks) -> set[tuple[Loc, int, int]]:
+    """(sink Loc, source id, status) for each sink statement of p and each
+    source id with a fact on one of its arguments in before, the oracles'
+    before-state facts; status is the join over the arguments."""
+    stmt_at = dict(p.iter_locs())
+    out: dict[tuple[Loc, int], int] = {}
+    for loc in program_sink_stmts(p, sinks):
+        for (name, sid), st in before.get(loc, {}).items():
+            if name in stmt_at[loc].args:
+                out[(loc, sid)] = max(out.get((loc, sid), 0), st)
+    return {(loc, sid, st) for (loc, sid), st in out.items()}
 
 
 def all_paths_taint(p: Program, cg, labels, san):

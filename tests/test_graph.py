@@ -656,14 +656,14 @@ def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
 
 
 def test_analysis_artifacts_reach_no_method_facts(tmp_path):
-    """run_analysis drops the call graph, which holds the method facts,
-    and the propagation result, which reads them, once the flows are
-    built: nothing it returns refers to them."""
+    """build_pdg drops the method facts, and run_analysis the call graph
+    and the search rules once the flows are built: nothing it returns
+    refers to them."""
     import gc
     import types
 
     from pdaudit.cli import run_analysis
-    from pdaudit.taint import PropagationResult
+    from pdaudit.taint import SearchRules
 
     for text, cfg in _loc_inputs(tmp_path):
         artifacts = run_analysis(text, cfg)
@@ -673,7 +673,7 @@ def test_analysis_artifacts_reach_no_method_facts(tmp_path):
             if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
                 continue
             seen.add(id(obj))
-            assert not isinstance(obj, (_MethodFacts, CallGraph, PropagationResult)), obj
+            assert not isinstance(obj, (_MethodFacts, CallGraph, SearchRules)), obj
             work += gc.get_referents(obj)
         assert len(seen) > len(artifacts.program.locs())
 
@@ -683,8 +683,8 @@ def test_method_facts_memo_not_part_of_equality_or_repr():
     fresh = parse_program(FIXTURE_B)
     before = repr(p)
     cg = build_call_graph(p)
-    assert method_facts(p, cg) is method_facts(p, cg)  # kept on the call graph
-    assert method_facts(p, build_call_graph(p)) is not method_facts(p, cg)
+    assert method_facts(p, cg) is not method_facts(p, cg)  # kept nowhere
+    assert set(vars(cg)) == {"edges"}
     assert set(vars(p)) <= {"classes", "_locs"}  # the Program keeps only its Loc memo
     assert p == fresh and repr(p) == before
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,11 @@ from oracles import (
     all_paths_taint,
     blocked_pass_through_locs,
     expected_all_paths_pseudonymized,
-    program_sink_stmts,
     round_robin_taint,
     shortest_witness,
+    sink_facts,
 )
-from pdaudit.graph import CallGraph, MethodId, build_call_graph, build_pdg, method_facts
+from pdaudit.graph import MethodId, build_call_graph, build_pdg
 from pdaudit.ir import Goto, If, Loc, parse_program
 from pdaudit.registry import (
     Lexicon,
@@ -33,15 +34,20 @@ from pdaudit.registry import (
     SinkRegistry,
     SourceRegistry,
     label_sources,
+    load_registries,
 )
 from pdaudit.taint import (
     Status,
-    _witnesses,
+    _least_path,
+    _search,
     build_taint_result,
     collect_flows,
     propagate,
     unsunk_labels,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def analyze(text):
@@ -50,8 +56,8 @@ def analyze(text):
     cg = build_call_graph(p)
     g = build_pdg(p, cg)
     labels = label_sources(p, sources, lexicon)
-    pr = propagate(p, cg, labels, sanitizers)
-    return p, cg, g, labels, pr, sinks, sanitizers
+    rules = propagate(p, cg, labels, sanitizers)
+    return p, cg, g, labels, rules, sinks, sanitizers
 
 
 GEN_SOURCES = SourceRegistry({sig: PersonalDataCategory(cat) for sig, cat in SOURCE_SIGS.items()})
@@ -67,34 +73,57 @@ def analyze_generated(p):
     cg = build_call_graph(p)
     g = build_pdg(p, cg)
     labels = label_sources(p, GEN_SOURCES, GEN_LEXICON)
-    pr = propagate(p, cg, labels, GEN_SANITIZERS)
-    return cg, g, labels, pr
+    rules = propagate(p, cg, labels, GEN_SANITIZERS)
+    return cg, g, labels, rules
 
 
 # ---------------------------------------------------------------------------
-# Fixture facts (hand-derived by running the transfer rules on paper)
+# Fixture verdicts (hand-derived by running the transfer rules on paper)
 # ---------------------------------------------------------------------------
+
+
+def flow_set(text):
+    """{(sink Loc, source id, status)} of the flows of a fixture text."""
+    p, _, g, _, rules, sinks, _ = analyze(text)
+    return {(f.sink.location, f.source.id, f.status) for f in collect_flows(rules, sinks, g)}
 
 
 def test_fixture_a_fact_at_sink():
-    p, _, _, labels, pr, _, _ = analyze(FIXTURE_A)
-    loc = Loc("com.app.Main", "onCreate/0", 1)
-    assert pr.raw_before(loc) == {("$e", 0): Status.RAW}
+    assert flow_set(FIXTURE_A) == {(Loc("com.app.Main", "onCreate/0", 1), 0, Status.RAW)}
 
 
 def test_fixture_b_join_is_raw():
-    p, _, _, _, pr, _, _ = analyze(FIXTURE_B)
-    loc = Loc("com.app.Loc", "send/1", 5)
-    assert pr.raw_before(loc) == {("$l", 0): Status.RAW, ("$p", 0): Status.RAW}
+    # $p joins a hashed and a raw copy of the location at the sink
+    assert flow_set(FIXTURE_B) == {(Loc("com.app.Loc", "send/1", 5), 0, Status.RAW)}
 
 
 def test_fixture_b_prime_is_pseudonymized():
-    p, _, _, _, pr, _, _ = analyze(FIXTURE_B_PRIME)
-    loc = Loc("com.app.Loc", "send/1", 5)
-    assert pr.raw_before(loc) == {
-        ("$l", 0): Status.RAW,
-        ("$p", 0): Status.PSEUDONYMIZED,
+    # both branches hash; $l stays raw, but the sink reads only $p
+    assert flow_set(FIXTURE_B_PRIME) == {
+        (Loc("com.app.Loc", "send/1", 5), 0, Status.PSEUDONYMIZED)
     }
+
+
+def test_sanitizer_method_body_receives_its_argument_raw():
+    """A registry sanitizer that is also a program method feeds its body,
+    whose log call is a Raw flow, while the call's result stays
+    Pseudonymized; the round-robin oracle follows the same rule."""
+    reg = FIXTURES / "registries"
+    sources, sinks, sanitizers, lexicon = load_registries(
+        *(reg / f"{name}.json" for name in ("sources", "sinks", "sanitizers", "lexicon")))
+    p = parse_program((FIXTURES / "sanitizer_method.pir").read_text(encoding="utf-8"))
+    cg = build_call_graph(p)
+    g = build_pdg(p, cg)
+    labels = label_sources(p, sources, lexicon)
+    flows = collect_flows(propagate(p, cg, labels, sanitizers), sinks, g)
+    want = {
+        (Loc("com.app.Crypto", "hash/1", 0), 0, Status.RAW),
+        (Loc("com.app.Main", "onCreate/0", 2), 0, Status.PSEUDONYMIZED),
+    }
+    assert {(f.sink.location, f.source.id, f.status) for f in flows} == want
+    assert flows[1].manipulations == ("com.app.Crypto.hash",)
+    before, _, _ = round_robin_taint(p, cg, labels, sanitizers)
+    assert sink_facts(p, before, sinks) == want
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +132,8 @@ def test_fixture_b_prime_is_pseudonymized():
 
 
 def test_fixture_a_flow():
-    p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_A)
-    flows = collect_flows(pr, sinks, g)
+    p, cg, g, labels, rules, sinks, _ = analyze(FIXTURE_A)
+    flows = collect_flows(rules, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.source.id == 0
@@ -118,8 +147,8 @@ def test_fixture_a_flow():
 def test_fixture_b_flow_witness_tiebreak():
     # two shortest paths 0-2-5 and 0-4-5; lexicographic order picks 0-2-5,
     # whose interior statement is the hash call
-    p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_B)
-    flows = collect_flows(pr, sinks, g)
+    p, cg, g, labels, rules, sinks, _ = analyze(FIXTURE_B)
+    flows = collect_flows(rules, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.sink.kind is SinkKind.NETWORK
@@ -137,8 +166,8 @@ class C extends D {
   }
 }
 """
-    p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, sinks, g)
+    p, cg, g, labels, rules, sinks, _ = analyze(src)
+    flows = collect_flows(rules, sinks, g)
     assert flows == []
     assert [l.id for l in unsunk_labels(labels, flows)] == [0]
 
@@ -149,29 +178,29 @@ def test_flow_status_fixtures():
         (FIXTURE_B, Status.RAW),
         (FIXTURE_B_PRIME, Status.PSEUDONYMIZED),
     ]:
-        p, cg, g, labels, pr, sinks, _ = analyze(text)
-        flows = collect_flows(pr, sinks, g)
+        p, cg, g, labels, rules, sinks, _ = analyze(text)
+        flows = collect_flows(rules, sinks, g)
         assert len(flows) == 1
         assert flows[0].status is status
 
 
 def test_witness_edges_exist_in_graph():
-    p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_B)
+    p, cg, g, labels, rules, sinks, _ = analyze(FIXTURE_B)
     pairs = {(e.src, e.dst) for e in g.edges}
-    for f in collect_flows(pr, sinks, g):
+    for f in collect_flows(rules, sinks, g):
         for a, b in zip(f.witness, f.witness[1:]):
             assert (a, b) in pairs
 
 
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["gen", "perf", "hub", "shared"]))
-def test_witness_search_finds_each_targets_least_shortest_valid_path(seed, shape):
-    """_witnesses from any src, to any 1-4 targets, over any blocked set,
-    gives each target oracles.shortest_witness, and leaves out exactly the
-    targets the oracle finds no path to. Half the draws take their targets
-    from the nodes a search to every node reaches. Loops and recursion
-    give cycles; hub and shared cell programs give field cells with many
-    stores, where a wrong parent for a load would show."""
+def test_search_keeps_each_nodes_least_shortest_valid_path(seed, shape):
+    """_search from any src, over any blocked and stopped sets, gives 1-4
+    nodes oracles.shortest_witness as their _least_path, and reaches
+    exactly the nodes the oracle finds a path to. Half the draws take their
+    nodes from those the search reaches. Loops and recursion give cycles;
+    hub and shared cell programs give field cells with many stores, where
+    a wrong parent for a load would show."""
     rng = random.Random(seed)
     if shape == "perf":
         p = gen_perf_program(rng, n_methods=6, stmts_each=20)
@@ -183,15 +212,16 @@ def test_witness_search_finds_each_targets_least_shortest_valid_path(seed, shape
         p = gen_program(rng, allow_loops=True, allow_recursion=True)
     g = build_pdg(p, build_call_graph(p))
     n = len(g.locs)
-    blocked = set(rng.sample(range(n), rng.randrange(n // 3 + 1)))
+    blocked = frozenset(rng.sample(range(n), rng.randrange(n // 3 + 1)))
+    stopped = frozenset(rng.sample(range(n), rng.randrange(n // 4 + 1)))
     src = rng.randrange(n)
-    pool = list(_witnesses(g, src, set(range(n)), blocked)) if rng.random() < 0.5 else range(n)
-    targets = set(rng.sample(pool, rng.randint(1, min(len(pool), 4))))
-    got = _witnesses(g, src, targets, blocked)
-    assert got.keys() <= targets
-    for dst in targets:
-        want = shortest_witness(g, g.locs[src], g.locs[dst], frozenset(g.locs[b] for b in blocked))
-        path = got.get(dst)
+    parent = _search(g, src, blocked, stopped)
+    pool = sorted({s >> 1 for s in parent}) if rng.random() < 0.5 else range(n)
+    for dst in rng.sample(pool, rng.randint(1, min(len(pool), 4))):
+        want = shortest_witness(g, g.locs[src], g.locs[dst],
+                                frozenset(g.locs[b] for b in blocked),
+                                frozenset(g.locs[s] for s in stopped))
+        path = _least_path(parent, dst)
         assert (None if path is None else [g.locs[w] for w in path]) == want, (src, dst)
 
 
@@ -218,40 +248,13 @@ def test_every_witness_is_the_least_shortest_valid_path(shape, programs, minimum
             p = shared_cell_program(2 + k)
         else:
             p = gen_perf_program(rng, n_methods=50, stmts_each=50)
-        cg, g, labels, pr = analyze_generated(p)
+        cg, g, labels, rules = analyze_generated(p)
         blocked = blocked_pass_through_locs(p, cg, GEN_SANITIZERS)
-        for f in collect_flows(pr, GEN_SINKS, g):
+        for f in collect_flows(rules, GEN_SINKS, g):
             want = shortest_witness(g, f.source.location, f.sink.location, blocked)
             assert list(f.witness) == want, (f.source.location, f.sink.location)
             checked += 1
     assert checked >= minimum, checked
-
-
-def test_witness_search_stops_once_its_targets_are_found():
-    """On a desk-scale program a source's search for its own sinks expands
-    fewer states than the same search run to every node."""
-    p = gen_perf_program(random.Random(6161), n_methods=100, stmts_each=50)
-    cg, g, labels, pr = analyze_generated(p)
-    targets = {}
-    for f in collect_flows(pr, GEN_SINKS, g):
-        targets.setdefault(g.id_of(f.source.location), set()).add(g.id_of(f.sink.location))
-    blocked = pr.blocked_pass_through  # graph ids
-    every = set(range(len(g.locs)))
-    calls = 0
-    data_out = g.data_out
-
-    def counted(v, expanded):
-        nonlocal calls
-        calls += 1
-        return data_out(v, expanded)
-
-    g.data_out = counted
-    for src, ts in targets.items():
-        _witnesses(g, src, ts, blocked)
-    early, calls = calls, 0
-    for src in targets:
-        _witnesses(g, src, every, blocked)
-    assert len(targets) >= 3 and early < calls, (len(targets), early, calls)
 
 
 def test_flow_through_field_cell():
@@ -269,8 +272,8 @@ class C extends D {
   }
 }
 """
-    p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, sinks, g)
+    p, cg, g, labels, rules, sinks, _ = analyze(src)
+    flows = collect_flows(rules, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.sink.location == Loc("C", "push/0", 1)
@@ -295,8 +298,8 @@ class C extends D {
   }
 }
 """
-    p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, sinks, g)
+    p, cg, g, labels, rules, sinks, _ = analyze(src)
+    flows = collect_flows(rules, sinks, g)
     assert len(flows) == 1
     assert flows[0].status is Status.PSEUDONYMIZED
 
@@ -317,8 +320,8 @@ class Help extends E {
   }
 }
 """
-    p, cg, g, labels, pr, sinks, _ = analyze(src)
-    flows = collect_flows(pr, sinks, g)
+    p, cg, g, labels, rules, sinks, _ = analyze(src)
+    flows = collect_flows(rules, sinks, g)
     assert len(flows) == 1
     assert flows[0].status is Status.RAW
     assert flows[0].sink.location == Loc("Main", "go/0", 2)
@@ -341,8 +344,8 @@ class Main extends E {
   }
 }
 """
-    p, cg, g, labels, pr, sinks, sanitizers = analyze(src)
-    flows = collect_flows(pr, sinks, g)
+    p, cg, g, labels, rules, sinks, sanitizers = analyze(src)
+    flows = collect_flows(rules, sinks, g)
     assert len(flows) == 1
     f = flows[0]
     assert f.status is Status.PSEUDONYMIZED
@@ -376,8 +379,8 @@ class Help extends E {
   }
 }
 """
-    p, cg, g, labels, pr, sinks, _ = analyze(src)
-    assert collect_flows(pr, sinks, g) == []
+    p, cg, g, labels, rules, sinks, _ = analyze(src)
+    assert collect_flows(rules, sinks, g) == []
 
 
 def test_unreachable_source_generates_no_facts():
@@ -391,9 +394,9 @@ class C extends D {
   }
 }
 """
-    p, cg, g, labels, pr, sinks, _ = analyze(src)
+    p, cg, g, labels, rules, sinks, _ = analyze(src)
     assert len(labels) == 1  # still labelled: collection exists in the code
-    assert collect_flows(pr, sinks, g) == []
+    assert collect_flows(rules, sinks, g) == []
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +404,18 @@ class C extends D {
 # ---------------------------------------------------------------------------
 
 
+def flow_facts(p):
+    """{(sink Loc, source id, status)} of p's flows under the gen registries,
+    and p's call graph and labels."""
+    cg, g, labels, rules = analyze_generated(p)
+    flows = build_taint_result(rules, p, GEN_SINKS, g).flows
+    return {(f.sink.location, f.source.id, f.status) for f in flows}, cg, labels
+
+
 def assert_matches_oracle(p):
-    cg, g, labels, pr = analyze_generated(p)
-    expected_points, expected_fields = all_paths_taint(p, cg, labels, GEN_SANITIZERS)
-    for sink in program_sink_stmts(p, GEN_SINKS):
-        assert pr.raw_before(sink) == expected_points.get(sink, {}), f"at {sink}"
-    got_fields = {cell: dict(v) for cell, v in pr.field_cells.items() if v}
-    exp_fields = {cell: dict(v) for cell, v in expected_fields.items() if v}
-    assert got_fields == exp_fields
+    got, cg, labels = flow_facts(p)
+    before, _ = all_paths_taint(p, cg, labels, GEN_SANITIZERS)
+    assert got == sink_facts(p, before, GEN_SINKS)
 
 
 def test_fixpoint_matches_path_oracle_smoke():
@@ -442,16 +449,9 @@ def test_fixpoint_matches_round_robin_oracle_with_loops_and_recursion():
     looped = recursive = 0
     for _ in range(120):
         p = gen_program(rng, allow_loops=True, allow_recursion=True)
-        cg, g, labels, pr = analyze_generated(p)
-        before, _, fields = round_robin_taint(p, cg, labels, GEN_SANITIZERS)
-        for loc, _ in p.iter_locs():
-            assert pr.raw_before(loc) == before.get(loc, {}), f"at {loc}"
-        got_fields = {cell: dict(v) for cell, v in pr.field_cells.items() if v}
-        assert got_fields == {cell: dict(v) for cell, v in fields.items() if v}
-        for _, m in p.iter_methods():
-            assert pr.raw_before(Loc("app.Main", m.key, len(m.body))) == {}
-            assert pr.raw_before(Loc("app.Main", m.key, -1)) == {}
-        assert pr.raw_before(Loc("app.Other", "m0/0", 0)) == {}
+        got, cg, labels = flow_facts(p)
+        before, _, _ = round_robin_taint(p, cg, labels, GEN_SANITIZERS)
+        assert got == sink_facts(p, before, GEN_SINKS)
         looped += any(
             isinstance(s, (If, Goto)) and s.target <= i
             for _, m in p.iter_methods()
@@ -461,45 +461,25 @@ def test_fixpoint_matches_round_robin_oracle_with_loops_and_recursion():
     assert looped >= 30 and recursive >= 30, (looped, recursive)
 
 
-def test_propagate_reads_call_targets_and_loads_from_the_method_facts(monkeypatch):
-    """Once method_facts has run, propagate asks the call graph nothing and
-    builds, hashes or compares no Loc: the field loads, each call's targets
-    and the blocked pass-through statements come from the facts' record.
-    blocked_pass_through holds the graph ids of the oracle's blocked
-    statements that are reachable."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("propagate asked the call graph or used a Loc")
-
-    rng = random.Random(3131)
-    programs = [gen_program(rng, allow_loops=True, allow_recursion=True) for _ in range(40)]
-    programs += [gen_hub_program(rng, n_methods=6), gen_perf_program(rng, 20, 30)]
-    bitten = 0  # programs with a label and a resolved call
-    for p in programs:
-        cg, g, labels, want = analyze_generated(p)
-        facts = method_facts(p, cg)
-        blocked = {
-            g.id_of(loc) for loc in blocked_pass_through_locs(p, cg, GEN_SANITIZERS)
-            if loc.index in facts[MethodId(loc.cls, loc.method)].reachable
-        }
-        cold = build_call_graph(p)
-        method_facts(p, cold)
-        with monkeypatch.context() as mp:
-            for name in ("__init__", "__hash__", "__eq__"):
-                mp.setattr(Loc, name, refuse)
-            mp.setattr(CallGraph, "resolved", refuse)
-            got = propagate(p, cold, labels, GEN_SANITIZERS)
-        assert got.blocked_pass_through == blocked
-        assert (got._entry, got._defs, got.field_cells) == (want._entry, want._defs, want.field_cells)
-        bitten += bool(labels and cg.edges)
-    assert bitten >= 15, bitten
+def test_flows_match_round_robin_oracle_on_hub_programs():
+    """Hub programs store into and load from program-wide field cells from
+    many methods, so the flows depend on the cells' contents."""
+    rng = random.Random(4343)
+    via_cell = 0
+    for _ in range(40):
+        p = gen_hub_program(rng, n_methods=rng.randint(2, 8))
+        got, cg, labels = flow_facts(p)
+        before, _, fields = round_robin_taint(p, cg, labels, GEN_SANITIZERS)
+        assert got == sink_facts(p, before, GEN_SINKS)
+        via_cell += bool(got) and any(fields.values())
+    assert via_cell >= 20, via_cell
 
 
 def test_loops_terminate_and_overapproximate_unrolled():
     # k=2 unrolling: copy the body, aim back-jumps of the first copy at the
     # second, cut the second copy's back-jumps to the method end
     rng = random.Random(55)
-    checked = 0
+    checked = mapped = 0
     for _ in range(120):
         p = gen_program(rng, allow_loops=True)
         has_back = any(
@@ -511,8 +491,8 @@ def test_loops_terminate_and_overapproximate_unrolled():
             continue
         checked += 1
         unrolled = _unroll_twice(p)
-        cg, g, labels, pr = analyze_generated(p)
-        ucg, ug, ulabels, upr = analyze_generated(unrolled)
+        flows, _, labels = flow_facts(p)
+        uflows, _, ulabels = flow_facts(unrolled)
         n_by_method = {m.key: (len(m.body) - 1) // 2 for _, m in unrolled.iter_methods()}
 
         def orig_index(method, i):
@@ -526,14 +506,12 @@ def test_loops_terminate_and_overapproximate_unrolled():
             id_map[ul.id] = orig_label_at[
                 Loc(ul.location.cls, ul.location.method, oi)
             ]
-        for loc, _ in unrolled.iter_locs():
-            oi = orig_index(loc.method, loc.index)
-            if oi is None:
-                continue
-            base = pr.raw_before(Loc(loc.cls, loc.method, oi))
-            for (name, uid), st in upr.raw_before(loc).items():
-                assert base.get((name, id_map[uid]), 0) >= st, (loc, name, uid)
-    assert checked >= 10
+        status = {(loc, sid): st for loc, sid, st in flows}
+        for loc, uid, st in uflows:  # sinks are calls: none is the added return
+            orig = (Loc(loc.cls, loc.method, orig_index(loc.method, loc.index)), id_map[uid])
+            assert status.get(orig, 0) >= st, (loc, uid)
+            mapped += 1
+    assert checked >= 10 and mapped >= 10, (checked, mapped)
 
 
 def _unroll_twice(p):
@@ -568,22 +546,22 @@ def test_monotone_in_labels():
         labels = label_sources(p, GEN_SOURCES, GEN_LEXICON)
         if len(labels) < 2:
             continue
-        pr_all = propagate(p, cg, labels, GEN_SANITIZERS)
-        pr_some = propagate(p, cg, labels[:-1], GEN_SANITIZERS)
+        rules_all = propagate(p, cg, labels, GEN_SANITIZERS)
+        rules_some = propagate(p, cg, labels[:-1], GEN_SANITIZERS)
         flows_all = {
             (f.sink.location, f.source.id)
-            for f in collect_flows(pr_all, GEN_SINKS, g)
+            for f in collect_flows(rules_all, GEN_SINKS, g)
         }
         flows_some = {
             (f.sink.location, f.source.id)
-            for f in collect_flows(pr_some, GEN_SINKS, g)
+            for f in collect_flows(rules_some, GEN_SINKS, g)
         }
         assert flows_some <= flows_all
 
 
 def test_taint_result_partition():
-    p, cg, g, labels, pr, sinks, _ = analyze(FIXTURE_B)
-    tr = build_taint_result(pr, p, sinks, g)
+    p, cg, g, labels, rules, sinks, _ = analyze(FIXTURE_B)
+    tr = build_taint_result(rules, p, sinks, g)
     assert {f.source.id for f in tr.flows} | {l.id for l in tr.unsunk} == {
         l.id for l in labels
     }
