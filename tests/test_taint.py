@@ -24,7 +24,8 @@ from oracles import (
     sink_facts,
 )
 from pdaudit.graph import MethodId, build_call_graph, build_pdg
-from pdaudit.ir import Goto, If, Loc, parse_program
+from pdaudit import taint
+from pdaudit.ir import Call, Goto, If, Loc, parse_program
 from pdaudit.registry import (
     Lexicon,
     PersonalDataCategory,
@@ -104,18 +105,26 @@ def test_fixture_b_prime_is_pseudonymized():
     }
 
 
+def analyze_fixture(name):
+    """analyze for tests/fixtures/<name> under the on-disk fixture
+    registries."""
+    reg = FIXTURES / "registries"
+    sources, sinks, sanitizers, lexicon = load_registries(
+        *(reg / f"{part}.json" for part in ("sources", "sinks", "sanitizers", "lexicon")))
+    p = parse_program((FIXTURES / name).read_text(encoding="utf-8"))
+    cg = build_call_graph(p)
+    g = build_pdg(p, cg)
+    labels = label_sources(p, sources, lexicon)
+    rules = propagate(p, cg, labels, sanitizers)
+    return p, cg, g, labels, rules, sinks, sanitizers
+
+
 def test_sanitizer_method_body_receives_its_argument_raw():
     """A registry sanitizer that is also a program method feeds its body,
     whose log call is a Raw flow, while the call's result stays
     Pseudonymized; the round-robin oracle follows the same rule."""
-    reg = FIXTURES / "registries"
-    sources, sinks, sanitizers, lexicon = load_registries(
-        *(reg / f"{name}.json" for name in ("sources", "sinks", "sanitizers", "lexicon")))
-    p = parse_program((FIXTURES / "sanitizer_method.pir").read_text(encoding="utf-8"))
-    cg = build_call_graph(p)
-    g = build_pdg(p, cg)
-    labels = label_sources(p, sources, lexicon)
-    flows = collect_flows(propagate(p, cg, labels, sanitizers), sinks, g)
+    p, cg, g, labels, rules, sinks, sanitizers = analyze_fixture("sanitizer_method.pir")
+    flows = collect_flows(rules, sinks, g)
     want = {
         (Loc("com.app.Crypto", "hash/1", 0), 0, Status.RAW),
         (Loc("com.app.Main", "onCreate/0", 2), 0, Status.PSEUDONYMIZED),
@@ -124,6 +133,24 @@ def test_sanitizer_method_body_receives_its_argument_raw():
     assert flows[1].manipulations == ("com.app.Crypto.hash",)
     before, _, _ = round_robin_taint(p, cg, labels, sanitizers)
     assert sink_facts(p, before, sinks) == want
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.pir")))
+def test_fixture_search_rules_and_flows_match_the_oracles(name):
+    """propagate's blocked pass-through ids are the oracle's resolved
+    non-sanitizer calls, its sanitizer ids the calls to registry
+    sanitizers, and the fixture's flows are the round-robin oracle's
+    (sink, source id, status) set."""
+    p, cg, g, labels, rules, sinks, sanitizers = analyze_fixture(name)
+    assert {g.locs[v] for v in rules.blocked_pass_through} == blocked_pass_through_locs(
+        p, cg, sanitizers)
+    assert {g.locs[v] for v in rules.sanitizers} == {
+        loc for loc, s in p.iter_locs() if isinstance(s, Call) and s.callee in sanitizers}
+    assert rules.labels == labels
+    flows = collect_flows(rules, sinks, g)
+    before, _, _ = round_robin_taint(p, cg, labels, sanitizers)
+    assert {(f.sink.location, f.source.id, f.status) for f in flows} == sink_facts(
+        p, before, sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +209,26 @@ def test_flow_status_fixtures():
         flows = collect_flows(rules, sinks, g)
         assert len(flows) == 1
         assert flows[0].status is status
+
+
+@pytest.mark.parametrize("text, searches", [
+    (FIXTURE_A, 1),  # no sanitizer on the way: the first search decides Raw
+    (FIXTURE_B, 2),  # reaches the hash call: a second search marks Raw
+    (FIXTURE_B_PRIME, 2),
+], ids=["a", "b", "b_prime"])
+def test_raw_search_runs_only_when_a_sanitizer_is_reached(monkeypatch, text, searches):
+    p, cg, g, labels, rules, sinks, _ = analyze(text)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _search(*args)
+
+    monkeypatch.setattr(taint, "_search", counted)
+    assert len(collect_flows(rules, sinks, g)) == 1
+    assert len(calls) == searches
+    # the first search stops at nothing, the second at the sanitizer calls
+    assert [args[3:] for args in calls] == [()] + [(rules.sanitizers,)] * (searches - 1)
 
 
 def test_witness_edges_exist_in_graph():
