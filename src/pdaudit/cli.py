@@ -35,8 +35,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -78,19 +76,28 @@ from .taint import Status, build_taint_result, propagate
 
 
 def _bundled(name: str) -> Path:
-    return Path(str(resources.files("pdaudit") / "data" / name))
+    """The seed file name in the package's data directory."""
+    return Path(__file__).parent / "data" / name
 
 
-@dataclass
 class Config:
-    sources: Path = field(default_factory=lambda: _bundled("sources.json"))
-    sinks: Path = field(default_factory=lambda: _bundled("sinks.json"))
-    sanitizers: Path = field(default_factory=lambda: _bundled("sanitizers.json"))
-    lexicon: Path = field(default_factory=lambda: _bundled("lexicon.json"))
-    dpv: Path = field(default_factory=lambda: _bundled("dpv.json"))
-    out: Path = Path("pdaudit-out")
-    fail_threshold: float = 0.0
-    risk: ReportConfig = field(default_factory=ReportConfig)
+    """The inputs and settings of a command; the registry paths default to
+    the bundled seed files."""
+
+    def __init__(
+        self,
+        sources: Path = _bundled("sources.json"),
+        sinks: Path = _bundled("sinks.json"),
+        sanitizers: Path = _bundled("sanitizers.json"),
+        lexicon: Path = _bundled("lexicon.json"),
+        dpv: Path = _bundled("dpv.json"),
+        out: Path = Path("pdaudit-out"),
+        fail_threshold: float = 0.0,
+        risk: ReportConfig = ReportConfig(),
+    ):
+        self.sources, self.sinks, self.sanitizers = sources, sinks, sanitizers
+        self.lexicon, self.dpv, self.out = lexicon, dpv, out
+        self.fail_threshold, self.risk = fail_threshold, risk
 
 
 class UsageError(Exception):
@@ -214,11 +221,10 @@ def build_config(args: argparse.Namespace) -> Config:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AnalysisArtifacts:
-    program: Program
-    report: AuditReport
-    dots: dict[int, str]  # label id -> DOT text
+    def __init__(self, program: Program, report: AuditReport, dots: dict[int, str]):
+        self.program, self.report = program, report
+        self.dots = dots  # label id -> DOT text
 
 
 def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:

@@ -15,10 +15,10 @@ Schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
+from .ir import Record
 from .registry import MalformedRegistryError, RegistryError, SourceLabel, _read_json, canonical_text
 from .taint import Flow, Status
 
@@ -29,17 +29,20 @@ class MissingMappingError(RegistryError):
         super().__init__(file, f"DPV map lacks entries for: {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
-class DpvMap:
-    category_iri: dict[str, str]
-    sinkkind_iri: dict[str, str]
-    collection_iri: str
-    pseudonymisation_iri: str
-    canonical: str = field(default="", compare=False, repr=False)
+class DpvMap(Record):
+    """canonical, the text the report's input digest hashes, is left out
+    of == and repr."""
+
+    _fields = ("category_iri", "sinkkind_iri", "collection_iri", "pseudonymisation_iri")
+
+    def __init__(self, category_iri: dict[str, str], sinkkind_iri: dict[str, str],
+                 collection_iri: str, pseudonymisation_iri: str, canonical: str = ""):
+        self.category_iri, self.sinkkind_iri = category_iri, sinkkind_iri
+        self.collection_iri, self.pseudonymisation_iri = collection_iri, pseudonymisation_iri
+        self.canonical = canonical
 
 
-@dataclass(frozen=True)
-class ComplianceStatement:
+class ComplianceStatement(NamedTuple):
     personal_data: str  # category IRI
     processing: str  # processing-operation IRI
     recipient: Optional[str]

@@ -75,7 +75,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import accumulate, repeat
@@ -110,8 +109,7 @@ class EdgeKind(Enum):
     RETURN_OUT = "ReturnOut"
 
 
-@dataclass(frozen=True)
-class DepEdge:
+class DepEdge(NamedTuple):
     src: Loc
     dst: Loc
     kind: EdgeKind

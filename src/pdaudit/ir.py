@@ -33,7 +33,7 @@ positioned errors below, never an unrelated exception. Every statement
 records the line/column it was parsed from; positions are ignored by
 structural equality, so ``parse_program(print_program(p)) == p``.
 
-Statements are slotted dataclasses and ``Loc`` is a NamedTuple, neither
+Statements are slotted classes and ``Loc`` is a NamedTuple, neither
 with a per-instance ``__dict__``, and every name the parser reads (locals,
 parameters, callees, class, field and method names) is interned with
 ``sys.intern`` on both lexer paths below, so a name that occurs many times
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from sys import intern
@@ -128,65 +127,93 @@ class Loc(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Stmt:
-    """Base statement. line/col are diagnostics only (excluded from ==)."""
+class Record:
+    """== and repr over the attributes _fields names: the value of a
+    mutable record, without what it holds besides (positions, memos, a
+    registry's canonical text). A record is unhashable, and == holds only
+    between records of one class."""
 
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
-@dataclass(slots=True)
+class Stmt(Record):
+    """Base statement. line/col are diagnostics only: == and repr read a
+    statement class's own __slots__, which leave them out."""
+
+    __slots__ = ("line", "col")
+
+
 class AssignConst(Stmt):
-    lhs: str
-    value: str
+    __slots__ = _fields = ("lhs", "value")
+
+    def __init__(self, lhs: str, value: str, *, line: int = 0, col: int = 0):
+        self.lhs, self.value, self.line, self.col = lhs, value, line, col
 
 
-@dataclass(slots=True)
 class AssignCopy(Stmt):
-    lhs: str
-    rhs: str
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: str, rhs: str, *, line: int = 0, col: int = 0):
+        self.lhs, self.rhs, self.line, self.col = lhs, rhs, line, col
 
 
-@dataclass(slots=True)
 class AssignFieldLoad(Stmt):
-    lhs: str
-    cls: str
-    fld: str
+    __slots__ = _fields = ("lhs", "cls", "fld")
+
+    def __init__(self, lhs: str, cls: str, fld: str, *, line: int = 0, col: int = 0):
+        self.lhs, self.cls, self.fld, self.line, self.col = lhs, cls, fld, line, col
 
 
-@dataclass(slots=True)
 class FieldStore(Stmt):
-    cls: str
-    fld: str
-    rhs: str
+    __slots__ = _fields = ("cls", "fld", "rhs")
+
+    def __init__(self, cls: str, fld: str, rhs: str, *, line: int = 0, col: int = 0):
+        self.cls, self.fld, self.rhs, self.line, self.col = cls, fld, rhs, line, col
 
 
-@dataclass(slots=True)
 class Call(Stmt):
     """A call, bare or on an assignment's right side; lhs is None when the
     result is not assigned."""
 
-    callee: str
-    args: tuple[str, ...]
-    widget: Optional[str] = None
-    lhs: Optional[str] = None
+    __slots__ = _fields = ("callee", "args", "widget", "lhs")
+
+    def __init__(self, callee: str, args: tuple[str, ...], widget: Optional[str] = None,
+                 lhs: Optional[str] = None, *, line: int = 0, col: int = 0):
+        self.callee, self.args, self.widget, self.lhs = callee, args, widget, lhs
+        self.line, self.col = line, col
 
 
-@dataclass(slots=True)
 class If(Stmt):
-    cond: str
-    target: int
+    __slots__ = _fields = ("cond", "target")
+
+    def __init__(self, cond: str, target: int, *, line: int = 0, col: int = 0):
+        self.cond, self.target, self.line, self.col = cond, target, line, col
 
 
-@dataclass(slots=True)
 class Goto(Stmt):
-    target: int
+    __slots__ = _fields = ("target",)
+
+    def __init__(self, target: int, *, line: int = 0, col: int = 0):
+        self.target, self.line, self.col = target, line, col
 
 
-@dataclass(slots=True)
 class Return(Stmt):
-    value: Optional[str] = None
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Optional[str] = None, *, line: int = 0, col: int = 0):
+        self.value, self.line, self.col = value, line, col
 
 
 def stmt_defs(s: Stmt) -> Optional[str]:
@@ -216,14 +243,13 @@ def stmt_uses(s: Stmt) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MethodDef:
-    name: str
-    return_type: str
-    params: tuple[str, ...]
-    body: list[Stmt]
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+class MethodDef(Record):
+    _fields = ("name", "return_type", "params", "body")  # not line and col
+
+    def __init__(self, name: str, return_type: str, params: tuple[str, ...], body: list[Stmt],
+                 *, line: int = 0, col: int = 0):
+        self.name, self.return_type, self.params, self.body = name, return_type, params, body
+        self.line, self.col = line, col
 
     @property
     def key(self) -> str:
@@ -231,21 +257,24 @@ class MethodDef:
         return f"{self.name}/{len(self.params)}"
 
 
-@dataclass
-class ClassDef:
-    name: str
-    superclass: str
-    fields: list[tuple[str, str]]  # (field name, type name)
-    methods: list[MethodDef]
-    line: int = field(default=0, compare=False, kw_only=True)
-    col: int = field(default=0, compare=False, kw_only=True)
+class ClassDef(Record):
+    _fields = ("name", "superclass", "fields", "methods")  # not line and col
+
+    def __init__(self, name: str, superclass: str, fields: list[tuple[str, str]],
+                 methods: list[MethodDef], *, line: int = 0, col: int = 0):
+        self.name, self.superclass = name, superclass
+        self.fields = fields  # (field name, type name)
+        self.methods = methods
+        self.line, self.col = line, col
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A parsed PIR program."""
 
-    classes: list[ClassDef]
+    _fields = ("classes",)
+
+    def __init__(self, classes: list[ClassDef]):
+        self.classes = classes
 
     def class_map(self) -> dict[str, ClassDef]:
         return {c.name: c for c in self.classes}
@@ -265,8 +294,8 @@ class Program:
         per statement that the call graph, labels and dependence graph of
         an analysis share.
 
-        Built on the first call and kept on the instance, outside its
-        dataclass fields, == and repr; the program must therefore not be
+        Built on the first call and kept on the instance, outside the
+        fields that == and repr read; the program must therefore not be
         mutated after the first call."""
         memo = vars(self)
         if "_locs" not in memo:
@@ -740,8 +769,7 @@ class Severity(Enum):
     WARNING = "Warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Severity
     cls: str
     method: str  # "" for class-level diagnostics

@@ -24,12 +24,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .ir import Call, Loc, Program
+from .ir import Call, Loc, Program, Record
 
 
 class RegistryError(Exception):
@@ -53,8 +52,7 @@ class ConflictingEntryError(RegistryError):
         super().__init__(file, f"conflicting registry entry: {signature}")
 
 
-@dataclass(frozen=True)
-class PersonalDataCategory:
+class PersonalDataCategory(NamedTuple):
     name: str
     weight: float = 1.0
 
@@ -67,26 +65,32 @@ class SinkKind(Enum):
     LOG = "Log"
 
 
-@dataclass(frozen=True)
-class SinkMatch:
+class SinkMatch(NamedTuple):
     kind: SinkKind
     name: Optional[str]  # recipient, for ThirdParty/Analytics
 
 
-@dataclass(frozen=True)
-class SourceRegistry:
-    entries: dict[str, PersonalDataCategory]
-    canonical: str = field(default="", compare=False, repr=False)
+class SourceRegistry(Record):
+    """Like the other registries, a record whose == and repr leave out
+    canonical, the text the report's input digest hashes."""
+
+    _fields = ("entries",)
+
+    def __init__(self, entries: dict[str, PersonalDataCategory], canonical: str = ""):
+        self.entries, self.canonical = entries, canonical
 
     def category_for(self, signature: str) -> Optional[PersonalDataCategory]:
         return self.entries.get(signature)
 
 
-@dataclass(frozen=True)
-class SinkRegistry:
-    exact: dict[str, SinkMatch]
-    prefixes: dict[str, SinkMatch]  # key includes the trailing dot
-    canonical: str = field(default="", compare=False, repr=False)
+class SinkRegistry(Record):
+    _fields = ("exact", "prefixes")
+
+    def __init__(self, exact: dict[str, SinkMatch], prefixes: dict[str, SinkMatch],
+                 canonical: str = ""):
+        self.exact = exact
+        self.prefixes = prefixes  # key includes the trailing dot
+        self.canonical = canonical
 
     def match(self, signature: str) -> Optional[SinkMatch]:
         hit = self.exact.get(signature)
@@ -99,23 +103,24 @@ class SinkRegistry:
         return self.prefixes[best] if best is not None else None
 
 
-@dataclass(frozen=True)
-class SanitizerRegistry:
-    entries: frozenset[str]
-    canonical: str = field(default="", compare=False, repr=False)
+class SanitizerRegistry(Record):
+    _fields = ("entries",)
+
+    def __init__(self, entries: frozenset[str], canonical: str = ""):
+        self.entries, self.canonical = entries, canonical
 
     def __contains__(self, signature: str) -> bool:
         return signature in self.entries
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    entries: dict[str, PersonalDataCategory]
-    canonical: str = field(default="", compare=False, repr=False)
+class Lexicon(Record):
+    _fields = ("entries",)
+
+    def __init__(self, entries: dict[str, PersonalDataCategory], canonical: str = ""):
+        self.entries, self.canonical = entries, canonical
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(NamedTuple):
     """How a source acquires personal data: a system API, or user input
     read from a widget whose text matched a lexicon keyword."""
 
@@ -124,8 +129,7 @@ class Origin:
     keyword: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SourceLabel:
+class SourceLabel(NamedTuple):
     id: int
     location: Loc
     category: PersonalDataCategory

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import __version__
 from .dpv import ComplianceStatement, DpvMap, map_flow
@@ -70,25 +70,22 @@ ASSUMPTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    status_mult: dict = field(
-        default_factory=lambda: {Status.RAW: 2.0, Status.PSEUDONYMIZED: 1.0}
-    )
-    sink_mult: dict = field(
-        default_factory=lambda: {
-            SinkKind.ANALYTICS: 3.0,
-            SinkKind.THIRD_PARTY: 3.0,
-            SinkKind.NETWORK: 2.0,
-            SinkKind.STORAGE: 1.5,
-            SinkKind.LOG: 1.0,
-        }
-    )
+class ReportConfig(NamedTuple):
+    """The risk multipliers. The defaults are read-only, since every
+    ReportConfig() shares them."""
+
+    status_mult: Mapping = MappingProxyType({Status.RAW: 2.0, Status.PSEUDONYMIZED: 1.0})
+    sink_mult: Mapping = MappingProxyType({
+        SinkKind.ANALYTICS: 3.0,
+        SinkKind.THIRD_PARTY: 3.0,
+        SinkKind.NETWORK: 2.0,
+        SinkKind.STORAGE: 1.5,
+        SinkKind.LOG: 1.0,
+    })
     no_egress_mult: float = 0.5
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     id: str
     kind: FindingKind
     risk: float
@@ -97,14 +94,12 @@ class Finding:
     statement: ComplianceStatement
 
 
-@dataclass(frozen=True)
 class AuditReport:
-    tool_version: str
-    input_digest: str
-    assumptions: tuple[str, ...]
-    findings: list[Finding]
-    slices: list[dict]
-    data_safety: dict
+    def __init__(self, tool_version: str, input_digest: str, assumptions: tuple[str, ...],
+                 findings: list[Finding], slices: list[dict], data_safety: dict):
+        self.tool_version, self.input_digest = tool_version, input_digest
+        self.assumptions, self.findings = assumptions, findings
+        self.slices, self.data_safety = slices, data_safety
 
 
 def risk_score(
@@ -313,9 +308,9 @@ def _finding_json(f: Finding) -> dict:
 
 def report_json(r: AuditReport) -> dict:
     """The dict report.json holds. Built on the first call and kept on r,
-    which is frozen: write_outputs serializes it and cmd_analyze renders
-    the summary from the same dict. Callers share it and must not mutate
-    it. Each compliance statement is encoded once: the top-level
+    which must not change after it: write_outputs serializes the dict and
+    cmd_analyze renders the summary from it. Callers share it and must not
+    mutate it. Each compliance statement is encoded once: the top-level
     statements list holds the same dicts as the findings' statement keys,
     in finding order."""
     d = vars(r).get("_json")

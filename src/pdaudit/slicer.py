@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import KINDS, DepEdge, DepGraph
@@ -10,15 +9,13 @@ from .ir import Loc
 from .registry import SourceLabel
 
 
-@dataclass(frozen=True, eq=False)
 class Slice:
     """The node ids of g reachable from the root label's location, in id
     (= Loc) order. nodes and edges are the Loc and DepEdge views, built on
-    first use."""
+    first use. A slice equals only itself."""
 
-    root: SourceLabel
-    graph: DepGraph = field(repr=False)
-    ids: tuple[int, ...]
+    def __init__(self, root: SourceLabel, graph: DepGraph, ids: tuple[int, ...]):
+        self.root, self.graph, self.ids = root, graph, ids
 
     @cached_property
     def nodes(self) -> frozenset[Loc]:

@@ -36,16 +36,16 @@ answers "pseudonymized along every path?".
 One layered breadth-first search per source statement finds every state
 its value reaches, with each state's least path; a second search, with the
 sanitizer calls also blocked, is run only when the first one reached a
-sanitizer call, and marks the Raw flows. Each flow's witness is the least
-valid data path from the label's statement to the sink, shortest first,
-then by Loc sequence.
+sanitizer call, marks the Raw flows, and stops once it has reached every
+sink the first one did. Each flow's witness is the least valid data path
+from the label's statement to the sink, shortest first, then by Loc
+sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import CallGraph, DepGraph
 from .ir import Call, Loc, Program
@@ -57,15 +57,13 @@ class Status(IntEnum):
     RAW = 2  # top: join(Raw, x) = Raw
 
 
-@dataclass(frozen=True)
-class SinkRef:
+class SinkRef(NamedTuple):
     location: Loc
     kind: SinkKind
     name: Optional[str]
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     source: SourceLabel
     sink: SinkRef
     status: Status
@@ -73,14 +71,12 @@ class Flow:
     manipulations: tuple[str, ...]
 
 
-@dataclass
 class TaintResult:
-    flows: list[Flow]
-    unsunk: list[SourceLabel]
+    def __init__(self, flows: list[Flow], unsunk: list[SourceLabel]):
+        self.flows, self.unsunk = flows, unsunk
 
 
-@dataclass(frozen=True)
-class SearchRules:
+class SearchRules(NamedTuple):
     """What the flow search reads besides the graph: the labels, the graph
     ids of the resolved non-sanitizer calls (blocked_pass_through: a path
     may leave one only when it arrived on a ReturnOut edge) and the graph
@@ -116,10 +112,16 @@ def propagate(
 
 
 def _search(
-    g: DepGraph, src: int, blocked: frozenset[int], stopped: frozenset[int] = frozenset()
+    g: DepGraph,
+    src: int,
+    blocked: frozenset[int],
+    stopped: frozenset[int] = frozenset(),
+    targets: Iterable[int] = (),
 ) -> dict[int, int]:
     """{state: parent state} of every state a valid path from src reaches
-    over data-carrying edges, the start state its own parent.
+    over data-carrying edges, the start state its own parent. With
+    targets, the search returns as soon as every target state is in the
+    map, which then holds the states reached so far.
 
     A state is 2 * node id + 1 when the path arrived via ReturnOut, else
     2 * node id; the search starts from 2 * src + 1. Validity: a path may
@@ -138,6 +140,7 @@ def _search(
     parent = {start: start}
     layer = [start]
     expanded: set[int] = set()
+    todo = set(targets)
     while layer:
         nxt = []
         for state in layer:
@@ -148,6 +151,10 @@ def _search(
                 if s not in parent:
                     parent[s] = state
                     nxt.append(s)
+                    if s in todo:
+                        todo.remove(s)
+                        if not todo:
+                            return parent
         layer = nxt
     return parent
 
@@ -188,7 +195,7 @@ def collect_flows(rules: SearchRules, sinks: SinkRegistry, g: DepGraph) -> list[
         hits = [s >> 1 for s in reached if not s & 1 and s >> 1 in table]
         raw = reached
         if hits and any(s >> 1 in sanitizing for s in reached):
-            raw = _search(g, src, blocked, sanitizing)
+            raw = _search(g, src, blocked, sanitizing, targets=[2 * dst for dst in hits])
         for dst in hits:
             status = Status.RAW if 2 * dst in raw else Status.PSEUDONYMIZED
             rows.append((dst, label.id, label, _least_path(reached, dst), status))

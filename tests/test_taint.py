@@ -220,15 +220,62 @@ def test_raw_search_runs_only_when_a_sanitizer_is_reached(monkeypatch, text, sea
     p, cg, g, labels, rules, sinks, _ = analyze(text)
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return _search(*args)
+        return _search(*args, **kwargs)
 
     monkeypatch.setattr(taint, "_search", counted)
     assert len(collect_flows(rules, sinks, g)) == 1
     assert len(calls) == searches
     # the first search stops at nothing, the second at the sanitizer calls
     assert [args[3:] for args in calls] == [()] + [(rules.sanitizers,)] * (searches - 1)
+
+
+@pytest.mark.parametrize("shape", ["b", "b_prime", "hub"])
+def test_raw_search_stops_at_its_last_target(monkeypatch, shape):
+    """collect_flows gives the Raw search the even states of the sinks its
+    label's first search reached as targets. Its map is then part of the
+    map of the same search without targets, parents included, and holds
+    every target that one reaches; where it is smaller, the last state it
+    added is a target. On hub programs, whose sinks are reached through
+    field cells, the search often stops early."""
+    searches = []
+
+    def recorded(*args, **kwargs):
+        searches.append((args, kwargs, _search(*args, **kwargs)))
+        return searches[-1][2]
+
+    monkeypatch.setattr(taint, "_search", recorded)
+    if shape == "hub":
+        rng = random.Random(5151)
+        cases = []
+        for _ in range(40):
+            _, g, _, rules = analyze_generated(gen_hub_program(rng, n_methods=rng.randint(2, 8)))
+            cases.append((g, rules, GEN_SINKS))
+    else:
+        _, _, g, _, rules, sinks, _ = analyze(FIXTURE_B if shape == "b" else FIXTURE_B_PRIME)
+        cases = [(g, rules, sinks)]
+    runs = early = 0
+    for g, rules, sinks in cases:
+        searches.clear()
+        collect_flows(rules, sinks, g)
+        table = g.sink_table(sinks)
+        for k, (args, kwargs, bounded) in enumerate(searches):
+            if not kwargs:
+                continue
+            reached = searches[k - 1][2]  # the label's first search
+            targets = set(kwargs["targets"])
+            assert targets == {s for s in reached if not s & 1 and s >> 1 in table}
+            full = _search(*args)
+            assert bounded.items() <= full.items()
+            assert targets & full.keys() <= bounded.keys()
+            if len(bounded) < len(full):
+                assert list(bounded)[-1] in targets
+                early += 1
+            runs += 1
+    assert runs >= 1
+    if shape == "hub":
+        assert early >= 20, (runs, early)
 
 
 def test_witness_edges_exist_in_graph():
