@@ -222,9 +222,15 @@ def build_config(args: argparse.Namespace) -> Config:
 
 
 class AnalysisArtifacts:
+    """What an analysis writes: the report and each slice's DOT text by
+    label id.
+
+    program is not kept, so the statements and their Locs can be freed
+    before the outputs are written; it stays only because the traced
+    benchmark (bench/layers.py) pins this signature."""
+
     def __init__(self, program: Program, report: AuditReport, dots: dict[int, str]):
-        self.program, self.report = program, report
-        self.dots = dots  # label id -> DOT text
+        self.report, self.dots = report, dots
 
 
 def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:

@@ -272,22 +272,21 @@ class DepGraph:
         s = self.stmts[self.cells[c][0][0]]
         return s.cls, s.fld
 
-    def data_out(self, v: int, expanded: set[int]) -> list[int]:
-        """The search states the data-carrying edges out of v lead to:
-        2 * dst id + 1 for a ReturnOut edge, 2 * dst id for a Data or
-        ParamIn one, plus 2 * load id for the loads of v's field cell,
-        unless that cell is in expanded (it is then added). A state may
-        occur twice."""
+    def data_out(self, v: int, expanded: set[int], dirty: int) -> list[int]:
+        """The search states the data-carrying edges out of v lead to, each
+        4 * dst id + 2 * (a ReturnOut edge) + dirty, dirty 0 or 1, plus
+        4 * load id + dirty for the loads of v's field cell, unless that
+        cell is in expanded (it is then added). A state may occur twice."""
         at, out = self._out
         outs = [
-            (x >> _KIND_BITS) * 2 + (x & _KIND_MASK == _RETURN_OUT)
+            (x >> _KIND_BITS) * 4 + (x & _KIND_MASK == _RETURN_OUT) * 2 + dirty
             for x in out[at[v] : at[v + 1]]
             if x & _KIND_MASK in _DATA_CODES
         ]
         c = self._store_cell.get(v)
         if c is not None and c not in expanded:
             expanded.add(c)
-            outs += [2 * l for l in self.cells[c][1]]
+            outs += [4 * l + dirty for l in self.cells[c][1]]
         return outs
 
     def __repr__(self) -> str:

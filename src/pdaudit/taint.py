@@ -33,19 +33,19 @@ through no sanitizer call past the source, else Pseudonymized: status is
 a two-point lattice where Raw absorbs Pseudonymized, and Pseudonymized
 answers "pseudonymized along every path?".
 
-One layered breadth-first search per source statement finds every state
-its value reaches, with each state's least path; a second search, with the
-sanitizer calls also blocked, is run only when the first one reached a
-sanitizer call, marks the Raw flows, and stops once it has reached every
-sink the first one did. Each flow's witness is the least valid data path
-from the label's statement to the sink, shortest first, then by Loc
-sequence.
+One layered breadth-first search per source statement finds every sink
+its value reaches, each flow's witness and its status: the search's states
+carry a clean bit, which a path loses when it leaves a sanitizer call past
+the source, and a flow is Raw exactly when the search reaches its sink in
+a clean state with the value on an argument. Each flow's witness is the
+least valid data path from the label's statement to the sink, shortest
+first, then by Loc sequence.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .graph import CallGraph, DepGraph
 from .ir import Call, Loc, Program
@@ -112,63 +112,59 @@ def propagate(
 
 
 def _search(
-    g: DepGraph,
-    src: int,
-    blocked: frozenset[int],
-    stopped: frozenset[int] = frozenset(),
-    targets: Iterable[int] = (),
+    g: DepGraph, src: int, blocked: frozenset[int], sanitizing: frozenset[int]
 ) -> dict[int, int]:
     """{state: parent state} of every state a valid path from src reaches
-    over data-carrying edges, the start state its own parent. With
-    targets, the search returns as soon as every target state is in the
-    map, which then holds the states reached so far.
+    over data-carrying edges, the start state its own parent.
 
-    A state is 2 * node id + 1 when the path arrived via ReturnOut, else
-    2 * node id; the search starts from 2 * src + 1. Validity: a path may
-    leave a blocked node only when it arrived via ReturnOut, and never
-    leaves a stopped node; the start may always be left, since its own
-    definition is what the path tracks.
+    A state is 4 * node id + 2 * (the path arrived via ReturnOut) + dirty,
+    where dirty is 1 once the path has left a sanitizing node past the
+    start; the search starts from the clean state 4 * src + 2. Validity: a
+    path may leave a blocked node only when it arrived via ReturnOut; the
+    start may always be left, since its own definition is what the path
+    tracks. The dirty bit does not change which edges a path may take, so
+    the states of a node hold the valid paths to it, and its clean states
+    the valid paths that leave no sanitizing node past the start.
 
     The search is breadth-first, one layer at a time, and keeps each layer
     in the order of its states' least paths: a parent's new states are
     sorted by id and appended after those of earlier parents, so the first
     parent to reach a state gives it its least path (shortest, then the
     lexicographically smallest node sequence; ids compare as their Locs
-    do), which the state keeps. A field cell is expanded once, at its first
-    store: that store gives every load of the cell its least path."""
-    start = 2 * src + 1
+    do), which the state keeps. A field cell is expanded once per dirty
+    bit, at its first store with that bit: that store gives every load of
+    the cell with the same bit its least path."""
+    start = 4 * src + 2
     parent = {start: start}
     layer = [start]
-    expanded: set[int] = set()
-    todo = set(targets)
+    expanded: tuple[set[int], set[int]] = (set(), set())
     while layer:
         nxt = []
         for state in layer:
-            v = state >> 1
-            if state != start and (v in stopped or not state & 1 and v in blocked):
-                continue
-            for s in sorted(g.data_out(v, expanded)):
+            v = state >> 2
+            dirty = state & 1
+            if state != start:
+                if not state & 2 and v in blocked:
+                    continue
+                dirty |= v in sanitizing
+            for s in sorted(g.data_out(v, expanded[dirty], dirty)):
                 if s not in parent:
                     parent[s] = state
                     nxt.append(s)
-                    if s in todo:
-                        todo.remove(s)
-                        if not todo:
-                            return parent
         layer = nxt
     return parent
 
 
 def _least_path(parent: dict[int, int], v: int) -> Optional[list[int]]:
-    """The least of the paths _search kept to node v's states, as node
-    ids, or None when it reached neither state."""
+    """The least of the paths _search kept to node v's four states, as node
+    ids, or None when it reached none of them."""
     paths = []
-    for state in (2 * v, 2 * v + 1):
+    for state in range(4 * v, 4 * v + 4):
         if state in parent:
             path = [v]
             while parent[state] != state:
                 state = parent[state]
-                path.append(state >> 1)
+                path.append(state >> 2)
             paths.append(path[::-1])
     return min(paths, key=lambda path: (len(path), path), default=None)
 
@@ -177,12 +173,14 @@ def collect_flows(rules: SearchRules, sinks: SinkRegistry, g: DepGraph) -> list[
     """One Flow per (sink statement, label) where the label's value reaches
     an argument of the sink, in sink id, then source id order.
 
-    The witness is the least valid dependence path from the label's
-    statement to the sink, from one _search per label (a statement carries
-    one label at most); manipulations are the callee signatures of
-    interior call statements along the witness. The sink statements come
-    from g.sink_table(sinks), which report building and DOT output read
-    again."""
+    One _search per label (a statement carries one label at most) decides
+    each of its flows: the flow is Raw when the search reached the sink's
+    clean state 4 * sink id, that is, along a path that leaves no
+    sanitizer call past the source, and its witness is the least valid
+    dependence path from the label's statement to the sink over the sink's
+    four states. Manipulations are the callee signatures of interior call
+    statements along the witness. The sink statements come from
+    g.sink_table(sinks), which report building and DOT output read again."""
     table = g.sink_table(sinks)
     blocked, sanitizing = rules.blocked_pass_through, rules.sanitizers
     locs, stmts = g.locs, g.stmts
@@ -191,13 +189,9 @@ def collect_flows(rules: SearchRules, sinks: SinkRegistry, g: DepGraph) -> list[
         src = g.id_of(label.location)
         if src is None:
             continue
-        reached = _search(g, src, blocked)
-        hits = [s >> 1 for s in reached if not s & 1 and s >> 1 in table]
-        raw = reached
-        if hits and any(s >> 1 in sanitizing for s in reached):
-            raw = _search(g, src, blocked, sanitizing, targets=[2 * dst for dst in hits])
-        for dst in hits:
-            status = Status.RAW if 2 * dst in raw else Status.PSEUDONYMIZED
+        reached = _search(g, src, blocked, sanitizing)
+        for dst in {s >> 2 for s in reached if not s & 2 and s >> 2 in table}:
+            status = Status.RAW if 4 * dst in reached else Status.PSEUDONYMIZED
             rows.append((dst, label.id, label, _least_path(reached, dst), status))
     rows.sort(key=lambda row: row[:2])
 

@@ -630,7 +630,7 @@ def test_method_record_is_a_fresh_classification_of_reachable_statements(shape, 
 
 
 def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
-    from pdaudit.cli import Config, run_analysis
+    from pdaudit.cli import Config
 
     built = []
     init = _MethodFacts.__init__
@@ -649,8 +649,8 @@ def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
         lexicon=reg / "lexicon.json",
         dpv=reg / "dpv.json",
     )
-    artifacts = run_analysis((fixtures / "cha_override.pir").read_text(), cfg)
-    methods = [m for _, m in artifacts.program.iter_methods()]
+    program = _run_keeping_program(monkeypatch, (fixtures / "cha_override.pir").read_text(), cfg)
+    methods = [m for _, m in program.iter_methods()]
     assert len(methods) == 3
     assert sorted(map(id, built)) == sorted(map(id, methods))
 
@@ -658,11 +658,12 @@ def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
 def test_analysis_artifacts_reach_no_method_facts(tmp_path):
     """build_pdg drops the method facts, and run_analysis the call graph
     and the search rules once the flows are built: nothing it returns
-    refers to them."""
+    refers to them, nor to the program and its statements."""
     import gc
     import types
 
     from pdaudit.cli import run_analysis
+    from pdaudit.ir import Program, Stmt
     from pdaudit.taint import SearchRules
 
     for text, cfg in _loc_inputs(tmp_path):
@@ -673,9 +674,9 @@ def test_analysis_artifacts_reach_no_method_facts(tmp_path):
             if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
                 continue
             seen.add(id(obj))
-            assert not isinstance(obj, (_MethodFacts, CallGraph, SearchRules)), obj
+            assert not isinstance(obj, (_MethodFacts, CallGraph, SearchRules, Program, Stmt)), obj
             work += gc.get_referents(obj)
-        assert len(seen) > len(artifacts.program.locs())
+        assert len(seen) > len(artifacts.report.findings) > 0
 
 
 def test_method_facts_memo_not_part_of_equality_or_repr():
@@ -687,6 +688,22 @@ def test_method_facts_memo_not_part_of_equality_or_repr():
     assert set(vars(cg)) == {"edges"}
     assert set(vars(p)) <= {"classes", "_locs"}  # the Program keeps only its Loc memo
     assert p == fresh and repr(p) == before
+
+
+def _run_keeping_program(monkeypatch, text, cfg):
+    """The program cli.run_analysis parsed from text, which the artifacts it
+    returns do not keep."""
+    from pdaudit import cli
+
+    parsed = []
+
+    def parse(text):
+        parsed.append(parse_program(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_program", parse)
+    cli.run_analysis(text, cfg)
+    return parsed[0]
 
 
 def _loc_inputs(tmp_path):
@@ -704,8 +721,6 @@ def _loc_inputs(tmp_path):
 
 
 def test_one_loc_per_statement_in_an_analysis(monkeypatch, tmp_path):
-    from pdaudit.cli import run_analysis
-
     built = []
     new = Loc.__new__
 
@@ -717,8 +732,8 @@ def test_one_loc_per_statement_in_an_analysis(monkeypatch, tmp_path):
     monkeypatch.setattr(Loc, "__new__", counting_new)
     for text, cfg in inputs:
         built.clear()
-        artifacts = run_analysis(text, cfg)
-        n_stmts = sum(len(m.body) for _, m in artifacts.program.iter_methods())
+        program = _run_keeping_program(monkeypatch, text, cfg)
+        n_stmts = sum(len(m.body) for _, m in program.iter_methods())
         assert n_stmts > 0 and len(built) == n_stmts
 
 

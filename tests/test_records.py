@@ -163,9 +163,9 @@ def test_config_and_artifacts_construct_as_the_benchmark_does():
     assert [getattr(default, n) for n in NAMES] == [_bundled(f"{n}.json") for n in NAMES]
     assert all(getattr(default, n).is_file() for n in NAMES)
     artifacts = run_analysis(FIXTURE_B, cfg)
-    again = AnalysisArtifacts(artifacts.program, artifacts.report, artifacts.dots)
-    assert (again.program, again.report, again.dots) == (
-        artifacts.program, artifacts.report, artifacts.dots)
+    again = AnalysisArtifacts(parse_program(FIXTURE_B), artifacts.report, artifacts.dots)
+    assert (again.report, again.dots) == (artifacts.report, artifacts.dots)
+    assert vars(again).keys() == {"report", "dots"}  # the program is not kept
 
 
 def test_report_config_defaults_are_read_only():

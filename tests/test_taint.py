@@ -211,41 +211,18 @@ def test_flow_status_fixtures():
         assert flows[0].status is status
 
 
-@pytest.mark.parametrize("text, searches", [
-    (FIXTURE_A, 1),  # no sanitizer on the way: the first search decides Raw
-    (FIXTURE_B, 2),  # reaches the hash call: a second search marks Raw
-    (FIXTURE_B_PRIME, 2),
-], ids=["a", "b", "b_prime"])
-def test_raw_search_runs_only_when_a_sanitizer_is_reached(monkeypatch, text, searches):
-    p, cg, g, labels, rules, sinks, _ = analyze(text)
+@pytest.mark.parametrize("shape", ["a", "b", "b_prime", "hub"])
+def test_one_search_per_label(monkeypatch, shape):
+    """collect_flows runs _search once per label that has a graph node,
+    also when the search meets a sanitizer call (b, b_prime) or reaches
+    sinks through field cells (hub), and hands it the search rules."""
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return _search(*args, **kwargs)
+        return _search(*args)
 
     monkeypatch.setattr(taint, "_search", counted)
-    assert len(collect_flows(rules, sinks, g)) == 1
-    assert len(calls) == searches
-    # the first search stops at nothing, the second at the sanitizer calls
-    assert [args[3:] for args in calls] == [()] + [(rules.sanitizers,)] * (searches - 1)
-
-
-@pytest.mark.parametrize("shape", ["b", "b_prime", "hub"])
-def test_raw_search_stops_at_its_last_target(monkeypatch, shape):
-    """collect_flows gives the Raw search the even states of the sinks its
-    label's first search reached as targets. Its map is then part of the
-    map of the same search without targets, parents included, and holds
-    every target that one reaches; where it is smaller, the last state it
-    added is a target. On hub programs, whose sinks are reached through
-    field cells, the search often stops early."""
-    searches = []
-
-    def recorded(*args, **kwargs):
-        searches.append((args, kwargs, _search(*args, **kwargs)))
-        return searches[-1][2]
-
-    monkeypatch.setattr(taint, "_search", recorded)
     if shape == "hub":
         rng = random.Random(5151)
         cases = []
@@ -253,29 +230,16 @@ def test_raw_search_stops_at_its_last_target(monkeypatch, shape):
             _, g, _, rules = analyze_generated(gen_hub_program(rng, n_methods=rng.randint(2, 8)))
             cases.append((g, rules, GEN_SINKS))
     else:
-        _, _, g, _, rules, sinks, _ = analyze(FIXTURE_B if shape == "b" else FIXTURE_B_PRIME)
+        text = {"a": FIXTURE_A, "b": FIXTURE_B, "b_prime": FIXTURE_B_PRIME}[shape]
+        _, _, g, _, rules, sinks, _ = analyze(text)
         cases = [(g, rules, sinks)]
-    runs = early = 0
     for g, rules, sinks in cases:
-        searches.clear()
+        calls.clear()
         collect_flows(rules, sinks, g)
-        table = g.sink_table(sinks)
-        for k, (args, kwargs, bounded) in enumerate(searches):
-            if not kwargs:
-                continue
-            reached = searches[k - 1][2]  # the label's first search
-            targets = set(kwargs["targets"])
-            assert targets == {s for s in reached if not s & 1 and s >> 1 in table}
-            full = _search(*args)
-            assert bounded.items() <= full.items()
-            assert targets & full.keys() <= bounded.keys()
-            if len(bounded) < len(full):
-                assert list(bounded)[-1] in targets
-                early += 1
-            runs += 1
-    assert runs >= 1
-    if shape == "hub":
-        assert early >= 20, (runs, early)
+        srcs = [g.id_of(l.location) for l in rules.labels]
+        assert calls == [(g, src, rules.blocked_pass_through, rules.sanitizers)
+                         for src in srcs if src is not None]
+        assert calls
 
 
 def test_witness_edges_exist_in_graph():
@@ -289,12 +253,13 @@ def test_witness_edges_exist_in_graph():
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["gen", "perf", "hub", "shared"]))
 def test_search_keeps_each_nodes_least_shortest_valid_path(seed, shape):
-    """_search from any src, over any blocked and stopped sets, gives 1-4
+    """_search from any src, over any blocked and sanitizer sets, gives 1-4
     nodes oracles.shortest_witness as their _least_path, and reaches
-    exactly the nodes the oracle finds a path to. Half the draws take their
-    nodes from those the search reaches. Loops and recursion give cycles;
-    hub and shared cell programs give field cells with many stores, where
-    a wrong parent for a load would show."""
+    exactly the nodes the oracle finds a path to; over its clean states
+    alone, it gives them the oracle's path with the sanitizers stopped.
+    Half the draws take their nodes from those the search reaches. Loops
+    and recursion give cycles; hub and shared cell programs give field
+    cells with many stores, where a wrong parent for a load would show."""
     rng = random.Random(seed)
     if shape == "perf":
         p = gen_perf_program(rng, n_methods=6, stmts_each=20)
@@ -307,16 +272,19 @@ def test_search_keeps_each_nodes_least_shortest_valid_path(seed, shape):
     g = build_pdg(p, build_call_graph(p))
     n = len(g.locs)
     blocked = frozenset(rng.sample(range(n), rng.randrange(n // 3 + 1)))
-    stopped = frozenset(rng.sample(range(n), rng.randrange(n // 4 + 1)))
+    sanitizers = frozenset(rng.sample(range(n), rng.randrange(n // 4 + 1)))
     src = rng.randrange(n)
-    parent = _search(g, src, blocked, stopped)
-    pool = sorted({s >> 1 for s in parent}) if rng.random() < 0.5 else range(n)
+    parent = _search(g, src, blocked, sanitizers)
+    clean = {s: t for s, t in parent.items() if not s & 1}  # clean states have clean parents
+    pool = sorted({s >> 2 for s in parent}) if rng.random() < 0.5 else range(n)
+    blocked_locs = frozenset(g.locs[b] for b in blocked)
     for dst in rng.sample(pool, rng.randint(1, min(len(pool), 4))):
-        want = shortest_witness(g, g.locs[src], g.locs[dst],
-                                frozenset(g.locs[b] for b in blocked),
-                                frozenset(g.locs[s] for s in stopped))
-        path = _least_path(parent, dst)
-        assert (None if path is None else [g.locs[w] for w in path]) == want, (src, dst)
+        for reached, stopped in ((parent, frozenset()), (clean, sanitizers)):
+            want = shortest_witness(g, g.locs[src], g.locs[dst], blocked_locs,
+                                    frozenset(g.locs[s] for s in stopped))
+            path = _least_path(reached, dst)
+            assert (None if path is None else [g.locs[w] for w in path]) == want, (
+                src, dst, stopped)
 
 
 @pytest.mark.parametrize("shape, programs, minimum", [
