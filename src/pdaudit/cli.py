@@ -35,8 +35,9 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dpv import load_dpv_map
 from .graph import build_call_graph, build_pdg
@@ -52,7 +53,10 @@ from .ir import (
 from .registry import (
     MalformedRegistryError,
     RegistryError,
+    SanitizerRegistry,
     SinkKind,
+    SinkRegistry,
+    SourceLabel,
     _read_json,
     _read_text,
     is_factor,
@@ -71,7 +75,7 @@ from .report import (
     serialize_report,
     summarize,
 )
-from .slicer import forward_slice
+from .slicer import Slice, forward_slice
 from .taint import Status, build_taint_result, propagate
 
 
@@ -223,14 +227,38 @@ def build_config(args: argparse.Namespace) -> Config:
 
 class AnalysisArtifacts:
     """What an analysis writes: the report and each slice's DOT text by
-    label id.
+    label id, a read-only mapping in label-id order.
 
-    program is not kept, so the statements and their Locs can be freed
-    before the outputs are written; it stays only because the traced
-    benchmark (bench/layers.py) pins this signature."""
+    run_analysis gives a _SliceDots, which renders a slice's DOT text each
+    time it is read and keeps none; it holds the graph and the slices until
+    the artifacts are dropped. write_outputs writes any other mapping, a
+    plain dict included, the same way. program is not kept, since nothing
+    written reads it; it stays only because the traced benchmark
+    (bench/layers.py) pins this signature."""
 
-    def __init__(self, program: Program, report: AuditReport, dots: dict[int, str]):
+    def __init__(self, program: Program, report: AuditReport, dots: Mapping[int, str]):
         self.report, self.dots = report, dots
+
+
+class _SliceDots(Mapping):
+    """{label id: DOT text} of slices, in label-id order: reading key i
+    returns render(slice i, None, labels, sinks, sanitizers), rendered then
+    and not kept. render is report.render_dot, which does not read its
+    program argument, so no Program is kept here."""
+
+    def __init__(self, render, slices: list[Slice], labels: list[SourceLabel],
+                 sinks: SinkRegistry, sanitizers: SanitizerRegistry):
+        self._render, self._args = render, (labels, sinks, sanitizers)
+        self._slices = {s.root.id: s for s in sorted(slices, key=lambda s: s.root.id)}
+
+    def __getitem__(self, label_id: int) -> str:
+        return self._render(self._slices[label_id], None, *self._args)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._slices)
+
+    def __len__(self) -> int:
+        return len(self._slices)
 
 
 def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:
@@ -260,18 +288,20 @@ def run_analysis(pir_text: str | bytes, cfg: Config) -> AnalysisArtifacts:
         *(r.canonical for r in (sources, sinks, sanitizers, lexicon, dpv_map)),
     )
     report = build_report(program, labels, slices, taint, dpv_map, sinks, digest, cfg.risk)
-    dots = {
-        s.root.id: render_dot(s, program, labels, sinks, sanitizers)
-        for s in sorted(slices, key=lambda s: s.root.id)
-    }
-    return AnalysisArtifacts(program, report, dots)
+    return AnalysisArtifacts(program, report,
+                             _SliceDots(render_dot, slices, labels, sinks, sanitizers))
 
 
 def write_outputs(artifacts: AnalysisArtifacts, out_dir: Path) -> None:
+    """Write report.json, then each slice's DOT file in label-id order.
+    Each text is read from artifacts.dots just before its file is written
+    and dropped once it is, so with run_analysis's mapping, which renders
+    on read, no two DOT texts are alive at once."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(serialize_report(artifacts.report), encoding="utf-8")
-    for label_id, dot in artifacts.dots.items():
-        (out_dir / f"slice_{label_id}.dot").write_text(dot, encoding="utf-8")
+    dots = artifacts.dots
+    for label_id in dots:
+        (out_dir / f"slice_{label_id}.dot").write_text(dots[label_id], encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,11 @@ which is then dropped. One walk over the reachable statements then makes
 the def-use chains and the method's record: its field loads and stores
 by (class, field), its value returns and its call statements, to which
 method_facts attaches the call graph's targets. build_pdg alone reads
-that record, and does not classify statements again; the facts die when it
-returns.
+that record, and does not classify statements again. It reads the facts
+one method at a time and keeps none of them: a call edge reads its
+callee only through a small summary (base, params, value returns, entry
+uses), as the summary edges of system dependence graphs do, so at most two
+methods' facts are alive at once.
 
 Storage. DepGraph has one constructor, DepGraph(locs, stmts, src, dst,
 cells), and every loc is a node. A node's id is its rank in Loc order;
@@ -76,6 +79,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from enum import Enum
+from functools import cache
 from heapq import heappop, heappush
 from itertools import accumulate, repeat
 from operator import and_, lshift, or_
@@ -276,7 +280,12 @@ class DepGraph:
         """The search states the data-carrying edges out of v lead to, each
         4 * dst id + 2 * (a ReturnOut edge) + dirty, dirty 0 or 1, plus
         4 * load id + dirty for the loads of v's field cell, unless that
-        cell is in expanded (it is then added). A state may occur twice."""
+        cell is in expanded (it is then added). A state may occur twice.
+
+        The states come in ascending order: v's CSR run is in (dst id,
+        kind) order, and ReturnOut sorts after Data and ParamIn; a cell's
+        loads are in id order, and a field store, the only node with a
+        cell, has no data-carrying edge out of its own."""
         at, out = self._out
         outs = [
             (x >> _KIND_BITS) * 4 + (x & _KIND_MASK == _RETURN_OUT) * 2 + dirty
@@ -387,6 +396,7 @@ def build_call_graph(p: Program) -> CallGraph:
                 work.extend(children.get(c, ()))
         return out
 
+    @cache  # one resolution per (callee, arity); its sites share the tuple
     def resolve(callee: str, arity: int) -> tuple[MethodId, ...]:
         owner, _, name = callee.rpartition(".")
         if owner not in classes:
@@ -519,18 +529,19 @@ class _MethodFacts:
         return (self.defs[k] for k in _bits(bits))
 
 
-def method_facts(p: Program, cg: CallGraph) -> dict[MethodId, _MethodFacts]:
-    """One _MethodFacts per method of p, in iter_methods order, with each
-    call statement's targets taken from cg, p's call graph. Nothing keeps
-    them: build_pdg, their one reader, drops them when it returns."""
-    facts: dict[MethodId, _MethodFacts] = {}
+def method_facts(p: Program, cg: CallGraph) -> Iterator[tuple[MethodId, _MethodFacts]]:
+    """(MethodId, _MethodFacts) of each method of p, in iter_methods order,
+    with each call statement's targets taken from cg, p's call graph. Each
+    is built only when asked for and nothing here keeps it, so a reader
+    that keeps none, as build_pdg does, holds at most two at a time: the
+    one it read last and the one being built."""
     locs, edges, base = p.locs(), cg.edges, 0
     for cls, m in p.iter_methods():
-        f = facts[MethodId(cls.name, m.key)] = _MethodFacts(m)
+        f = _MethodFacts(m)
         f.base = base
         f.calls = {i: t for i in f.calls if (t := edges.get(locs[base + i]))}
         base += len(m.body)
-    return facts
+        yield MethodId(cls.name, m.key), f
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +599,14 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
 
     Every statement location is a node. Methods are numbered in sorted
     order, each over a contiguous id range, so the result is independent of
-    source class order and ids follow Loc order."""
-    facts = method_facts(p, cg)  # in MethodId order
+    source class order and ids follow Loc order.
+
+    The method facts are read one method at a time and dropped: a method's
+    own edges, cell stores and loads and parameter feeds come from its facts
+    alone, and an interprocedural edge reads only its callee's summary, so
+    each method leaves a summary and a record per resolved call site, and
+    the Call, ReturnOut and ParamIn edges are emitted from those once every
+    method has been read."""
     stmts = [s for _, m in p.iter_methods() for s in m.body]
     # Explicit edges, one (src id, dst id << _KIND_BITS | code) pair each.
     src, dst = array("q"), array("q")
@@ -602,8 +619,13 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     # to the (callee, param index) keys it is passed on to.
     feed: dict[tuple[MethodId, int], set[int]] = {}
     passthrough: dict[tuple[MethodId, int], set[tuple[MethodId, int]]] = {}
-    for mid, f in facts.items():
+    # Per method, what a call edge reads of its callee: (base, params, value
+    # returns, entry uses, whether the body is empty).
+    summary: dict[MethodId, tuple[int, list[str], list[int], dict[str, list[int]], bool]] = {}
+    sites: list[tuple[int, tuple[MethodId, ...], bool]] = []  # (site id, targets, has an lhs)
+    for mid, f in method_facts(p, cg):  # in MethodId order
         b, m = f.base, f.m
+        summary[mid] = (b, m.params, f.returns, f.entry_uses, not m.body)
         for d, uses in f.def_uses.items():  # local def-use pairs
             for u in uses:
                 add_src(b + d)
@@ -616,21 +638,24 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
         for c, at in f.loads.items():
             loads.setdefault(c, []).extend([b + i for i in at])
         for i, targets in f.calls.items():
-            site, s = b + i, m.body[i]
-            arg_defs = f.use_defs.get(i, ())
-            for t in targets:
-                tf = facts[t]
-                if tf.m.body:  # Call: call site -> callee entry statement
-                    add_src(site)
-                    add_dst(tf.base << _KIND_BITS | _CALL)
-                if s.lhs is not None:  # ReturnOut: value returns -> lhs def
-                    for r in tf.returns:
-                        add_src(tf.base + r)
-                        add_dst(site << _KIND_BITS | _RETURN_OUT)
-                for k, (a, ds) in enumerate(zip(s.args, arg_defs)):
+            s = m.body[i]
+            sites.append((b + i, targets, s.lhs is not None))
+            for k, (a, ds) in enumerate(zip(s.args, f.use_defs.get(i, ()))):
+                for t in targets:
                     feed.setdefault((t, k), set()).update(b + d for d in ds if d != ENTRY_DEF)
                     if ds and ds[0] == ENTRY_DEF:
                         passthrough.setdefault((mid, m.params.index(a)), set()).add((t, k))
+
+    for site, targets, has_lhs in sites:
+        for t in targets:
+            base, _, returns, _, empty = summary[t]
+            if not empty:  # Call: call site -> callee entry statement
+                add_src(site)
+                add_dst(base << _KIND_BITS | _CALL)
+            if has_lhs:  # ReturnOut: value returns -> lhs def
+                for r in returns:
+                    add_src(base + r)
+                    add_dst(site << _KIND_BITS | _RETURN_OUT)
 
     # Field cells: program-wide store -> load, order-insensitive, kept as
     # one (stores, loads) pair per cell instead of stores x loads edges. No
@@ -654,11 +679,10 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     # the feeders of all the params a statement reads merged, so each once.
     readers: dict[int, set[int]] = {}
     for (t, i), sources in feed.items():
-        tf = facts[t]
-        params = tf.m.params
+        base, params, _, entry_uses, _ = summary[t]
         if i < len(params):
-            for u in tf.entry_uses.get(params[i], ()):
-                readers.setdefault(tf.base + u, set()).update(sources)
+            for u in entry_uses.get(params[i], ()):
+                readers.setdefault(base + u, set()).update(sources)
     for u, sources in readers.items():
         code = u << _KIND_BITS | _PARAM_IN
         for s in sources:

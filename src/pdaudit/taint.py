@@ -127,13 +127,13 @@ def _search(
     the valid paths that leave no sanitizing node past the start.
 
     The search is breadth-first, one layer at a time, and keeps each layer
-    in the order of its states' least paths: a parent's new states are
-    sorted by id and appended after those of earlier parents, so the first
-    parent to reach a state gives it its least path (shortest, then the
-    lexicographically smallest node sequence; ids compare as their Locs
-    do), which the state keeps. A field cell is expanded once per dirty
-    bit, at its first store with that bit: that store gives every load of
-    the cell with the same bit its least path."""
+    in the order of its states' least paths: a parent's new states, which
+    data_out gives in id order, are appended after those of earlier
+    parents, so the first parent to reach a state gives it its least path
+    (shortest, then the lexicographically smallest node sequence; ids
+    compare as their Locs do), which the state keeps. A field cell is
+    expanded once per dirty bit, at its first store with that bit: that
+    store gives every load of the cell with the same bit its least path."""
     start = 4 * src + 2
     parent = {start: start}
     layer = [start]
@@ -147,7 +147,7 @@ def _search(
                 if not state & 2 and v in blocked:
                     continue
                 dirty |= v in sanitizing
-            for s in sorted(g.data_out(v, expanded[dirty], dirty)):
+            for s in g.data_out(v, expanded[dirty], dirty):
                 if s not in parent:
                     parent[s] = state
                     nxt.append(s)

@@ -33,3 +33,24 @@ def test_traced_run_counts_are_benchmark_metrics(monkeypatch, tmp_path):
     assert set(counts) <= per_layer, set(counts) - per_layer
     assert counts["graph.edges"] == sum(counts[f"graph.edges.{k}"] for k in EDGE_KINDS)
     assert counts["graph.edges.data_field"] > 0 and counts["slicer.edges_sum"] > 0
+
+
+def test_traced_run_writes_the_bytes_the_cli_writes(monkeypatch, tmp_path):
+    """The traced run renders the DOT texts into a plain dict and builds
+    AnalysisArtifacts itself; write_outputs writes the same bytes from
+    those as from the artifacts run_analysis returns, which render on
+    read."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from regen_goldens import perf_inputs
+
+    api = layers.load_api()
+    perf_inputs(tmp_path, n_methods=20)
+    cfg = api.Config(**{name: tmp_path / f"{name}.json"
+                        for name in ("sources", "sinks", "sanitizers", "lexicon", "dpv")})
+    pir_text = (tmp_path / "perf.pir").read_text(encoding="utf-8")
+    layers.traced_run(api, layers.Tracer(), pir_text, cfg, tmp_path / "traced")
+    api.write_outputs(api.run_analysis(pir_text, cfg), tmp_path / "cli")
+    files = {d: {f.name: f.read_bytes() for f in (tmp_path / d).iterdir()}
+             for d in ("traced", "cli")}
+    assert len(files["cli"]) > 2 and files["traced"] == files["cli"]

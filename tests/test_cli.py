@@ -1132,3 +1132,24 @@ def test_no_color_env(monkeypatch):
     assert cli._use_color()
     monkeypatch.setenv("PDAUDIT_NO_COLOR", "1")
     assert not cli._use_color()
+
+
+def test_dot_files_are_rendered_as_they_are_written(tmp_path, monkeypatch):
+    """run_analysis renders no DOT text: write_outputs writes report.json,
+    then renders each slice once, in label-id order, as its file is
+    written."""
+    _, argv = perf_inputs(tmp_path, n_methods=20)
+    cfg = cli.build_config(make_parser().parse_args(argv))
+    render, calls = cli.render_dot, []
+
+    def recording(s, p, labels, sinks, sanitizers):
+        calls.append((s.root.id, (cfg.out / "report.json").is_file()))
+        return render(s, p, labels, sinks, sanitizers)
+
+    monkeypatch.setattr(cli, "render_dot", recording)
+    artifacts = cli.run_analysis(cli._read_pir(argv[1]), cfg)
+    assert calls == []
+    cli.write_outputs(artifacts, cfg.out)
+    ids = sorted(int(f.stem.removeprefix("slice_")) for f in cfg.out.glob("slice_*.dot"))
+    assert len(ids) >= 2 and list(artifacts.dots) == ids
+    assert calls == [(i, True) for i in ids]

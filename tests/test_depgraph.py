@@ -13,7 +13,7 @@ import json
 import random
 from array import array
 
-from gen import gen_perf_program, gen_program, registry_json
+from gen import gen_hub_program, gen_perf_program, gen_program, registry_json
 from oracles import expand_cell_nodes, explicit_graph
 from pdaudit.graph import KINDS, DepEdge, EdgeKind, build_call_graph, build_pdg
 from pdaudit.ir import AssignFieldLoad, Call, FieldStore, Loc, parse_program
@@ -54,6 +54,33 @@ def test_cell_graph_matches_explicit_edge_graph():
         )
         through_cells += through
     assert through_cells >= 20, through_cells
+
+
+def test_data_out_gives_each_nodes_states_in_ascending_order():
+    """taint._search appends a node's new states in the order data_out
+    gives them, which must be ascending for both bits: a node's CSR run
+    in (dst id, kind) order, or a field store's cell loads in id order. A
+    store has no data-carrying edge of its own, so the two never mix."""
+    rng = random.Random(6060)
+    multi_load = 0
+    for k in range(120):
+        if k % 2:
+            p = gen_hub_program(rng, n_methods=rng.randint(2, 8))
+        else:
+            p = gen_program(rng, max_branches=4, allow_loops=True, allow_recursion=True)
+        g = build_pdg(p, build_call_graph(p))
+        every_cell = set(range(len(g.cells)))
+        for stores, _ in g.cells:
+            assert all(g.data_out(s, every_cell, 0) == [] for s in stores)
+        for dirty in (0, 1):
+            expanded: set[int] = set()
+            for v in range(len(g.locs)):
+                cells_before = len(expanded)
+                states = g.data_out(v, expanded, dirty)
+                assert states == sorted(states), (v, states)
+                assert all(s & 1 == dirty for s in states)
+                multi_load += len(expanded) > cells_before and len(states) > 1
+    assert multi_load >= 50, multi_load
 
 
 def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:

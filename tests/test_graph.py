@@ -1,4 +1,5 @@
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -579,6 +580,26 @@ def test_resolved_targets_are_the_method_targets():
             assert list(targets) == sorted(set(targets))
 
 
+def test_call_sites_of_one_callee_and_arity_share_their_targets():
+    """build_call_graph resolves each (callee, arity) once, so the sites
+    that call it hold one targets tuple."""
+    rng = random.Random(8089)
+    repeats = 0
+    for k in range(60):
+        if k % 2:
+            p = gen_program(rng, allow_recursion=True)
+        else:
+            p = gen_hub_program(rng, n_methods=rng.randint(2, 8))
+        cg = build_call_graph(p)
+        first: dict[tuple[str, int], tuple[MethodId, ...]] = {}
+        for site, s in p.iter_locs():
+            if site in cg.edges:
+                pair = (s.callee, len(s.args))
+                repeats += pair in first
+                assert cg.edges[site] is first.setdefault(pair, cg.edges[site])
+    assert repeats >= 40, repeats
+
+
 def _classified(f, cg, locs):
     """(loads, stores, returns, calls) of f's method, classified afresh
     from its reachable statements, with each call's targets from cg and
@@ -615,7 +636,7 @@ def test_method_record_is_a_fresh_classification_of_reachable_statements(shape, 
             p = gen_perf_program(rng, n_methods=20, stmts_each=30)
         cg = build_call_graph(p)
         locs = p.locs()
-        for f in method_facts(p, cg).values():
+        for f in dict(method_facts(p, cg)).values():
             want = _classified(f, cg, locs)
             assert (f.loads, f.stores, f.returns, f.calls) == want
             assert list(f.calls) == sorted(f.calls)
@@ -658,12 +679,13 @@ def test_one_method_facts_per_method_in_an_analysis(monkeypatch):
 def test_analysis_artifacts_reach_no_method_facts(tmp_path):
     """build_pdg drops the method facts, and run_analysis the call graph
     and the search rules once the flows are built: nothing it returns
-    refers to them, nor to the program and its statements."""
+    refers to them, nor to the program. The DOT mapping keeps the graph,
+    and so its statements, until the files are written."""
     import gc
     import types
 
     from pdaudit.cli import run_analysis
-    from pdaudit.ir import Program, Stmt
+    from pdaudit.ir import Program
     from pdaudit.taint import SearchRules
 
     for text, cfg in _loc_inputs(tmp_path):
@@ -674,9 +696,37 @@ def test_analysis_artifacts_reach_no_method_facts(tmp_path):
             if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
                 continue
             seen.add(id(obj))
-            assert not isinstance(obj, (_MethodFacts, CallGraph, SearchRules, Program, Stmt)), obj
+            assert not isinstance(obj, (_MethodFacts, CallGraph, SearchRules, Program)), obj
             work += gc.get_referents(obj)
         assert len(seen) > len(artifacts.report.findings) > 0
+
+
+@pytest.mark.parametrize("shape", ["perf", "hub"])
+def test_build_pdg_holds_at_most_two_method_facts(monkeypatch, shape):
+    """build_pdg reads the method facts one method at a time: when one is
+    built, at most the one read just before it is alive besides it, and
+    none is left once the graph is returned."""
+    live = weakref.WeakSet()
+    alive_at_init = []
+    init = _MethodFacts.__init__
+
+    def tracking_init(self, m):
+        live.add(self)
+        alive_at_init.append(len(live))
+        init(self, m)
+
+    monkeypatch.setattr(_MethodFacts, "__init__", tracking_init)
+    rng = random.Random(2929)
+    for _ in range(3 if shape == "perf" else 30):
+        if shape == "perf":
+            p = gen_perf_program(rng, n_methods=20, stmts_each=30)
+        else:
+            p = gen_hub_program(rng, n_methods=rng.randint(3, 8))
+        cg = build_call_graph(p)
+        alive_at_init.clear()
+        build_pdg(p, cg)
+        assert len(alive_at_init) == len(list(p.iter_methods())) >= 3
+        assert max(alive_at_init) <= 2 and len(live) == 0, alive_at_init
 
 
 def test_method_facts_memo_not_part_of_equality_or_repr():
@@ -749,7 +799,7 @@ def test_call_graph_labels_and_method_facts_share_the_graphs_locs(tmp_path):
         assert g.locs is p.locs() and cg.edges and labels
         assert all(g.locs[g.id_of(site)] is site for site in cg.edges)
         assert all(g.locs[g.id_of(l.location)] is l.location for l in labels)
-        for mid, f in method_facts(p, cg).items():  # base is the method's first id
+        for mid, f in dict(method_facts(p, cg)).items():  # base is the method's first id
             for i in range(len(f.m.body)):
                 loc = g.locs[f.base + i]
                 assert (loc.cls, loc.method, loc.index) == (mid.cls, mid.method, i)
