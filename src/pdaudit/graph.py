@@ -26,18 +26,20 @@ exit passes through j. A statement that cannot reach the exit (`k: goto k`)
 is postdominated by itself alone.
 
 Statements unreachable from a method's entry appear as graph nodes but
-carry no dependence edges. Per method, one forward pass from the entry
-gives the reaching definitions of locals, and the statements it reaches
-are the reachable ones; the control dependences are taken from the CFG,
-which is then dropped. One walk over the reachable statements then makes
-the def-use chains and the method's record: its field loads and stores
-by (class, field), its value returns and its call statements, to which
-method_facts attaches the call graph's targets. build_pdg alone reads
-that record, and does not classify statements again. It reads the facts
-one method at a time and keeps none of them: a call edge reads its
-callee only through a small summary (base, params, value returns, entry
-uses), as the summary edges of system dependence graphs do, so at most two
-methods' facts are alive at once.
+carry no dependence edges. Per method, one classification pass looks at
+each statement's type once and records its CFG successors, the local it
+defines, the locals it reads and its record kind. One forward pass from
+the entry then gives the reaching definitions of locals, and the
+statements it reaches are the reachable ones; the control dependences are
+taken from the CFG, which is then dropped. One walk over the reachable
+statements reads their recorded uses and makes the def-use chains, and
+the method's record keeps the reachable field loads and stores by (class,
+field), value returns and call statements, to which method_facts attaches
+the call graph's targets. No statement is classified twice. build_pdg
+reads the facts one method at a time and keeps none of them: a call edge
+reads its callee only through a small summary (base, params, value
+returns, entry uses), as the summary edges of system dependence graphs
+do, so at most two methods' facts are alive at once.
 
 Storage. DepGraph has one constructor, DepGraph(locs, stmts, src, dst,
 cells), and every loc is a node. A node's id is its rank in Loc order;
@@ -57,13 +59,17 @@ node i's edges are packed[offsets[i] : offsets[i + 1]], sorted. The codes
 follow the order of the kind.value strings, so each run is in (dst Loc,
 kind.value) order. A field cell is stored once, as its sorted reachable
 store ids and load ids: its stores x loads Data edges are never stored,
-which keeps the graph linear in the program. Slicing and witness search
-walk ids and expand each cell at most once per traversal. DOT output never
-expands a cell: cell_edges numbers cell c as node len(locs) + c and gives
-its store -> cell and cell -> load Data edges, the summary-node reading of
-system dependence graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a
-slice's DOT file stays linear in the slice. DepEdge objects, cell pairs
-included, are built only by the edges view.
+which keeps the graph linear in the program. Slicing (reach) and the flow
+search's layers (data_layer) walk ids straight off the CSR runs and
+expand each cell at most once per traversal; only this module reads the
+packed format. DOT output never expands a cell: closed_cell_edges
+numbers cell c as node len(locs) + c and gives its store -> cell and
+cell -> load Data edges, the summary-node reading of system dependence
+graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a slice's DOT file
+stays linear in the slice. A slice is closed under out-edges, so none of
+those edges is tested against it; cell_edges keeps the ones between the
+nodes of any id set. DepEdge objects, cell pairs included, are built only
+by the edges view.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
@@ -83,9 +89,11 @@ from functools import cache
 from heapq import heappop, heappush
 from itertools import accumulate, repeat
 from operator import and_, lshift, or_
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .ir import (
+    AssignConst,
+    AssignCopy,
     AssignFieldLoad,
     Call,
     FieldStore,
@@ -96,12 +104,11 @@ from .ir import (
     Program,
     Return,
     Stmt,
-    stmt_defs,
-    stmt_uses,
 )
 from .registry import SinkMatch, SinkRegistry
 
 EXIT = -1  # synthetic exit index in per-method CFGs
+_TO_EXIT = (EXIT,)
 ENTRY_DEF = -1  # definition site of parameters in reaching-definition sets
 
 
@@ -120,14 +127,15 @@ class DepEdge(NamedTuple):
 
 
 # Edge kind codes, numbered in the order of the kind.value strings, so that
-# packed (node id << _KIND_BITS | code) ints sort like (dst Loc, kind.value).
+# packed (node id << _KIND_BITS | code) ints sort like (dst Loc, kind.value)
+# and the data-carrying kinds (Data, ParamIn, ReturnOut) have the codes from
+# _DATA up.
 KINDS = tuple(sorted(EdgeKind, key=lambda k: k.value))
 _CODE = {k: c for c, k in enumerate(KINDS)}
 _CALL, _CONTROL, _DATA, _PARAM_IN, _RETURN_OUT = (_CODE[k] for k in (
     EdgeKind.CALL, EdgeKind.CONTROL, EdgeKind.DATA, EdgeKind.PARAM_IN, EdgeKind.RETURN_OUT))
 _KIND_BITS = 3
 _KIND_MASK = (1 << _KIND_BITS) - 1
-_DATA_CODES = (_DATA, _PARAM_IN, _RETURN_OUT)
 
 
 class DepGraph:
@@ -143,7 +151,8 @@ class DepGraph:
     packed[offsets[i]:offsets[i + 1]].
     cells[c] is one field cell, as (store ids, load ids) in id order; the
     store -> load Data edges it implies are not stored and must not repeat
-    an explicit edge. reach, induced, cell_edges and data_out walk ids;
+    an explicit edge. reach, induced, cell_edges, closed_cell_edges and
+    data_layer walk ids;
     edges builds the DepEdge objects, cell pairs included, on first use,
     and sink_table the sink statements of a registry. id_of finds a Loc's
     id by one bisect over locs, so any node set in Loc order, however
@@ -248,55 +257,91 @@ class DepGraph:
         cell c. edges yields (src id, dst id, kind code): per i of ids, its
         explicit edges into ids in (dst Loc, kind.value) order, then its
         Data edge to its cell; then per cell, its Data edges to its loads
-        in ids, in id order."""
-        (at, out), store_cell, n = self._out, self._store_cell, len(self.locs)
-        inside = set(ids)
-        stored = dict.fromkeys(map(store_cell.get, ids))  # cells, in first-store order
-        stored.pop(None, None)
-        loads = {c: [l for l in self.cells[c][1] if l in inside] for c in stored}
-        cells = [c for c, ls in loads.items() if ls]
+        in ids, in id order. These are the edges of closed_cell_edges(ids)
+        that end in ids or at a cell listed."""
+        inside, n = set(ids), len(self.locs)
+        stored, edges = self.closed_cell_edges(ids)
+        cells = [c for c in stored if any(l in inside for l in self.cells[c][1])]
+        kept = {n + c for c in cells}
+        return cells, (e for e in edges if e[1] in inside or e[1] in kept)
 
-        def edges() -> Iterator[tuple[int, int, int]]:
-            for i in ids:
-                for x in out[at[i] : at[i + 1]]:
-                    j = x >> _KIND_BITS
-                    if j in inside:
-                        yield i, j, x & _KIND_MASK
-                c = store_cell.get(i)
-                if c is not None and loads[c]:
-                    yield i, n + c, _DATA
-            for c in cells:
-                for l in loads[c]:
-                    yield n + c, l, _DATA
+    def closed_cell_edges(self, ids) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """The edges out of the nodes of ids, which must be in id order,
+        with each field cell kept as a node of its own, as cell_edges
+        gives them: (cells, edges), cells the cells with a load that ids
+        stores to, in the order of their first store, and edges, per i of
+        ids, its explicit edges in (dst Loc, kind.value) order, then its
+        Data edge to its cell; then per cell, its Data edges to all its
+        loads, in id order.
 
-        return cells, edges()
+        For ids closed under out-edges, a sorted reach set, every one of
+        these edges ends in ids, so they are cell_edges(ids), found with
+        no lookup in ids."""
+        (at, out), store_cell, cells, n = self._out, self._store_cell, self.cells, len(self.locs)
+        stored: list[int] = []
+        edges: list[tuple[int, int, int]] = []
+        add = edges.append
+        for i in ids:
+            for x in out[at[i] : at[i + 1]]:
+                add((i, x >> _KIND_BITS, x & _KIND_MASK))
+            c = store_cell.get(i)
+            if c is not None and cells[c][1]:
+                add((i, n + c, _DATA))
+                stored.append(c)
+        stored = list(dict.fromkeys(stored))  # in the order of their first store
+        for c in stored:
+            edges += [(n + c, load, _DATA) for load in cells[c][1]]
+        return stored, edges
 
     def cell_field(self, c: int) -> tuple[str, str]:
         """The (class, field) of cell c."""
         s = self.stmts[self.cells[c][0][0]]
         return s.cls, s.fld
 
-    def data_out(self, v: int, expanded: set[int], dirty: int) -> list[int]:
-        """The search states the data-carrying edges out of v lead to, each
-        4 * dst id + 2 * (a ReturnOut edge) + dirty, dirty 0 or 1, plus
-        4 * load id + dirty for the loads of v's field cell, unless that
-        cell is in expanded (it is then added). A state may occur twice.
+    def data_layer(self, layer: list[int], parent: dict[int, int], expanded: tuple[set, set],
+                   start: int, blocked: frozenset[int], sanitizing: frozenset[int]) -> list[int]:
+        """The next layer of taint._search, whose states are 4 * node id +
+        2 * (the path arrived via ReturnOut) + dirty: each state that a
+        data-carrying edge leads to from a state of layer and that parent
+        does not hold yet, recorded in parent with that state as its
+        parent, in the order they are first reached.
 
-        The states come in ascending order: v's CSR run is in (dst id,
-        kind) order, and ReturnOut sorts after Data and ParamIn; a cell's
-        loads are in id order, and a field store, the only node with a
-        cell, has no data-carrying edge out of its own."""
-        at, out = self._out
-        outs = [
-            (x >> _KIND_BITS) * 4 + (x & _KIND_MASK == _RETURN_OUT) * 2 + dirty
-            for x in out[at[v] : at[v + 1]]
-            if x & _KIND_MASK in _DATA_CODES
-        ]
-        c = self._store_cell.get(v)
-        if c is not None and c not in expanded:
-            expanded.add(c)
-            outs += [4 * l + dirty for l in self.cells[c][1]]
-        return outs
+        A state of layer other than start is not left when it arrived
+        other than via ReturnOut at a node of blocked, and its path turns
+        dirty when it leaves a node of sanitizing. A node's states follow
+        its CSR run, in ascending order: the run is in (dst id, kind)
+        order, and ReturnOut sorts after Data and ParamIn. A field store,
+        the only node with a cell, has no data-carrying edge of its own;
+        its cell's loads, in id order, are added with the path's dirty bit
+        unless that cell is already in expanded[dirty], and it is then
+        added there."""
+        (at, out), cells, store_cell = self._out, self.cells, self._store_cell
+        nxt: list[int] = []
+        add = nxt.append
+        for state in layer:
+            v = state >> 2
+            dirty = state & 1
+            if state != start:
+                if not state & 2 and v in blocked:
+                    continue
+                if not dirty and v in sanitizing:
+                    dirty = 1
+            for x in out[at[v] : at[v + 1]]:
+                k = x & _KIND_MASK
+                if k >= _DATA:  # Data, ParamIn or ReturnOut
+                    s = (x >> _KIND_BITS << 2) + (dirty if k != _RETURN_OUT else 2 + dirty)
+                    if s not in parent:
+                        parent[s] = state
+                        add(s)
+            c = store_cell.get(v)
+            if c is not None and c not in expanded[dirty]:
+                expanded[dirty].add(c)
+                for load in cells[c][1]:
+                    s = 4 * load + dirty
+                    if s not in parent:
+                        parent[s] = state
+                        add(s)
+        return nxt
 
     def __repr__(self) -> str:
         n_edges = len(self._out[1]) + sum(len(s) * len(l) for s, l in self.cells)
@@ -311,38 +356,6 @@ def _csr(n: int, shift: int, keys: list[int]) -> tuple[array, array]:
     for k in keys:
         counts[(k >> shift) + 1] += 1
     return array("q", accumulate(counts)), array("q", map(and_, keys, repeat((1 << shift) - 1)))
-
-
-# ---------------------------------------------------------------------------
-# Per-method CFG
-# ---------------------------------------------------------------------------
-
-
-def _bits(x: int) -> Iterator[int]:
-    """The positions of the set bits of x >= 0, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def cfg_successors(m: MethodDef) -> dict[int, tuple[int, ...]]:
-    """CFG successor indices per statement; EXIT for the synthetic exit.
-
-    Falling off the end of the body (no trailing return) exits."""
-    succs: dict[int, tuple[int, ...]] = {}
-    n = len(m.body)
-    for i, s in enumerate(m.body):
-        if isinstance(s, Return):
-            succs[i] = (EXIT,)
-        elif isinstance(s, Goto):
-            succs[i] = (s.target,)
-        elif isinstance(s, If):
-            fall = i + 1 if i + 1 < n else EXIT
-            succs[i] = (fall, s.target) if fall != s.target else (fall,)
-        else:
-            succs[i] = (i + 1 if i + 1 < n else EXIT,)
-    return succs
 
 
 # ---------------------------------------------------------------------------
@@ -432,38 +445,100 @@ def build_call_graph(p: Program) -> CallGraph:
 
 class _MethodFacts:
     """Reaching definitions, def-use chains, control dependences and the
-    statement record of one method, from one forward pass over its CFG;
-    the CFG is not kept. Built once per method by method_facts, for the
-    edge builders of build_pdg.
+    statement record of one method. Built once per method by method_facts,
+    for the edge builders of build_pdg, from one classification pass over
+    the body, one forward pass over its CFG and one walk over the
+    reachable statements.
+
+    The classification pass dispatches on each statement's type once: it
+    records the statement's CFG successors in succs (EXIT for the
+    synthetic exit; falling off the end of the body exits), the local it
+    defines, the locals it reads (stmt_uses order) and its record kind
+    (field load or store, value return, call, branch). Nothing later
+    classifies a statement again.
 
     defs numbers every definition as a (local, index) pair: each
     parameter's entry value (index ENTRY_DEF), then every defining
     statement in index order. before[i] is the set of definitions reaching
-    statement i, as a bit set over defs (read it with pairs); its keys,
-    reachable, are the statements reachable from the entry. use_defs[i]
-    gives, per position of stmt_uses(body[i]), the sorted definitions of
-    that local reaching i. def_uses[d] lists the statements reading the
-    local defined at d under that definition, and entry_uses[param] those
-    reading the parameter's entry value. control lists the (branch index,
-    dependent index) pairs of _control_pairs, for the branches (If
-    statements) that the record's walk finds.
+    statement i, as a bit set over defs (bit k stands for defs[k]); its
+    keys, reachable, are the statements reachable from the entry.
+    use_defs[i] gives, per position of stmt_uses(body[i]), the sorted
+    definitions of that local reaching i. def_uses[d] lists the statements
+    reading the local defined at d under that definition, and
+    entry_uses[param] those reading the parameter's entry value. control
+    lists the (branch index, dependent index) pairs of _control_pairs, for
+    the reachable branches (If statements).
 
-    The record is the one classification of the reachable statements, each
-    list in index order: loads[(class, field)] and stores[(class, field)]
-    are the field loads and stores of that cell, returns the statements
-    returning a value, and calls maps each call statement to (). Then
-    method_facts keeps in calls only the calls with program targets, in
-    index order, each mapped to the call graph's own target tuple, and sets
-    base, the rank of the method's first statement in p.locs(), which is
-    its first dependence graph id."""
+    The record holds the reachable statements of each kind, each list in
+    index order: loads[(class, field)] and stores[(class, field)] are the
+    field loads and stores of that cell, returns the statements returning
+    a value, and calls maps each call statement to (). Then method_facts
+    keeps in calls only the calls with program targets, in index order,
+    each mapped to the call graph's own target tuple, and sets base, the
+    rank of the method's first statement in p.locs(), which is its first
+    dependence graph id."""
 
     def __init__(self, m: MethodDef):
         self.m = m
         body = m.body
-        succs = cfg_successors(m)
+        last = len(body) - 1
         defs = self.defs = [(v, ENTRY_DEF) for v in dict.fromkeys(m.params)]
         n_params = len(defs)
-        defs += [(v, i) for i, s in enumerate(body) if (v := stmt_defs(s)) is not None]
+        add_def = defs.append
+        succs: list[tuple[int, ...]] = []
+        uses: list[tuple[str, ...]] = []
+        add_succ, add_use = succs.append, uses.append
+        loads: dict[tuple[str, str], list[int]] = {}
+        stores: dict[tuple[str, str], list[int]] = {}
+        returns: list[int] = []
+        calls: list[int] = []
+        branches: list[int] = []
+        loops = False  # whether some jump goes back
+        for i, s in enumerate(body):
+            t = type(s)
+            if t is Call:
+                if s.lhs is not None:
+                    add_def((s.lhs, i))
+                add_use(s.args)
+                calls.append(i)
+            elif t is AssignCopy:
+                add_def((s.lhs, i))
+                add_use((s.rhs,))
+            elif t is AssignConst:
+                add_def((s.lhs, i))
+                add_use(())
+            elif t is AssignFieldLoad:
+                add_def((s.lhs, i))
+                add_use(())
+                loads.setdefault((s.cls, s.fld), []).append(i)
+            elif t is FieldStore:
+                add_use((s.rhs,))
+                stores.setdefault((s.cls, s.fld), []).append(i)
+            elif t is If:
+                add_use((s.cond,))
+                branches.append(i)
+                loops |= s.target <= i
+                fall = i + 1 if i < last else EXIT
+                add_succ((fall, s.target) if fall != s.target else (fall,))
+                continue
+            elif t is Goto:
+                add_use(())
+                loops |= s.target <= i
+                add_succ((s.target,))
+                continue
+            elif t is Return:
+                if s.value is None:
+                    add_use(())
+                else:
+                    add_use((s.value,))
+                    returns.append(i)
+                add_succ(_TO_EXIT)
+                continue
+            else:
+                raise TypeError(f"not a statement: {s!r}")
+            add_succ((i + 1,) if i < last else _TO_EXIT)
+        self.succs = succs
+
         of_local: dict[str, int] = {}  # local -> bits of all its definitions
         for k, (v, _) in enumerate(defs):
             of_local[v] = of_local.get(v, 0) | 1 << k
@@ -487,46 +562,62 @@ class _MethodFacts:
                         before[j] = new
                         heappush(work, j)
 
-        self.use_defs: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self.def_uses: dict[int, list[int]] = {}
-        self.entry_uses: dict[str, list[int]] = {}
-        self.loads: dict[tuple[str, str], list[int]] = {}
-        self.stores: dict[tuple[str, str], list[int]] = {}
-        self.returns: list[int] = []
-        self.calls: dict[int, tuple[MethodId, ...]] = {}
-        branches = []
-        for i in sorted(before):
-            s = body[i]
-            if isinstance(s, AssignFieldLoad):
-                self.loads.setdefault((s.cls, s.fld), []).append(i)
-            elif isinstance(s, FieldStore):
-                self.stores.setdefault((s.cls, s.fld), []).append(i)
-            elif isinstance(s, Return):
-                if s.value is not None:
-                    self.returns.append(i)
-            elif isinstance(s, Call):
-                self.calls[i] = ()
-            elif isinstance(s, If):
-                branches.append(i)
-            uses = stmt_uses(s)
-            if not uses:
-                continue
-            reach, union, per_use = before[i], 0, []
-            for v in uses:
-                bits = reach & of_local.get(v, 0)
-                union |= bits
-                per_use.append(tuple(defs[k][1] for k in _bits(bits)))
-            self.use_defs[i] = tuple(per_use)
-            for v, d in self.pairs(union):  # each reaching definition once
-                if d == ENTRY_DEF:
-                    self.entry_uses.setdefault(v, []).append(i)
-                else:
-                    self.def_uses.setdefault(d, []).append(i)
-        self.control = tuple(_control_pairs(m, before, succs, branches))
+        every = len(before) == len(body)  # whether every statement is reachable
+        if not every:  # keep the record of the reachable statements
+            loads = {c: kept for c, ls in loads.items() if (kept := [i for i in ls if i in before])}
+            stores = {c: kept for c, ss in stores.items()
+                      if (kept := [i for i in ss if i in before])}
+            returns = [i for i in returns if i in before]
+            calls = [i for i in calls if i in before]
+            branches = [i for i in branches if i in before]
+        self.loads, self.stores, self.returns = loads, stores, returns
+        self.calls: dict[int, tuple[MethodId, ...]] = dict.fromkeys(calls, ())
 
-    def pairs(self, bits: int) -> Iterator[tuple[str, int]]:
-        """The definitions in a bit set over defs, in defs order."""
-        return (self.defs[k] for k in _bits(bits))
+        # Def-use chains. Mostly a statement reads one local, which one
+        # definition reaches: its bit set is then a power of two.
+        use_defs: dict[int, tuple[tuple[int, ...], ...]] = {}
+        def_uses: dict[int, list[int]] = {}
+        entry_uses: dict[str, list[int]] = {}
+        of = of_local.get
+        for i in range(len(body)) if every else sorted(before):
+            read = uses[i]
+            if not read:
+                continue
+            reach = before[i]
+            if len(read) == 1:
+                bits = reach & of(read[0], 0)
+                if bits & (bits - 1) == 0:  # no definition or one
+                    if not bits:
+                        use_defs[i] = ((),)
+                        continue
+                    v, d = defs[bits.bit_length() - 1]
+                    use_defs[i] = ((d,),)
+                    if d == ENTRY_DEF:
+                        entry_uses.setdefault(v, []).append(i)
+                    else:
+                        def_uses.setdefault(d, []).append(i)
+                    continue
+            union, per_use = 0, []
+            for v in read:
+                bits = reach & of(v, 0)
+                union |= bits
+                ds = []
+                while bits:
+                    low = bits & -bits
+                    ds.append(defs[low.bit_length() - 1][1])
+                    bits ^= low
+                per_use.append(tuple(ds))
+            use_defs[i] = tuple(per_use)
+            while union:  # each reaching definition once
+                low = union & -union
+                v, d = defs[low.bit_length() - 1]
+                if d == ENTRY_DEF:
+                    entry_uses.setdefault(v, []).append(i)
+                else:
+                    def_uses.setdefault(d, []).append(i)
+                union ^= low
+        self.use_defs, self.def_uses, self.entry_uses = use_defs, def_uses, entry_uses
+        self.control = _control_pairs(len(body), before, succs, branches, loops)
 
 
 def method_facts(p: Program, cg: CallGraph) -> Iterator[tuple[MethodId, _MethodFacts]]:
@@ -549,43 +640,51 @@ def method_facts(p: Program, cg: CallGraph) -> Iterator[tuple[MethodId, _MethodF
 # ---------------------------------------------------------------------------
 
 
-def _control_pairs(m: MethodDef, reachable: set[int], succs: dict[int, tuple[int, ...]],
-                   branches: list[int]):
-    """(branch index, dependent index) of each control dependence, for
-    branches, the reachable If statements of m in index order.
+def _control_pairs(n: int, reachable: Iterable[int], succs: list[tuple[int, ...]],
+                   branches: list[int], loops: bool) -> tuple[tuple[int, int], ...]:
+    """(branch index, dependent index) of each control dependence in a
+    body of n statements, for branches, its reachable If statements in
+    index order, in (branch, dependent) order. succs are the body's CFG
+    successors, and loops tells whether some jump goes back (target at or
+    before the jump).
 
     pdom[i], the statements postdominating i as a bit set, is the greatest
     fixpoint of {i} | AND of pdom over i's successors that reach the exit,
-    EXIT contributing the empty set. Bit len(body) marks the statements that
+    EXIT contributing the empty set. Bit n marks the statements that
     cannot reach the exit; each of those is postdominated by itself alone.
-    Branch b controls, over each successor s, pdom[s] & ~(pdom[b] minus b)."""
+    Branch b controls, over each successor s, pdom[s] & ~(pdom[b] minus b).
+    The passes visit statements last first, so without loops every
+    successor is final before its predecessor: one pass is the fixpoint."""
     if not branches:
-        return
-    stuck = 1 << len(m.body)
+        return ()
+    stuck = 1 << n
     top = (stuck << 1) - 1  # every statement, and the cannot-reach-exit bit
-    pdom = dict.fromkeys(reachable, top)
-    pdom[EXIT] = 0
-    order = sorted(reachable, reverse=True)
+    pdom = [top] * (n + 1)  # pdom[s] is top while s cannot reach the exit
+    pdom[EXIT] = 0  # EXIT is -1: the last entry
+    # (i, its bit, its successors, the second repeating the first when alone)
+    order = [(i, 1 << i, succs[i][0], succs[i][-1]) for i in sorted(reachable, reverse=True)]
     changed = True
     while changed:
         changed = False
-        for i in order:
-            new = top
-            for s in succs[i]:
-                new &= pdom[s]  # pdom[s] is top while s cannot reach the exit
-            new |= 1 << i
+        for i, bit, a, b in order:
+            new = pdom[a] & pdom[b] | bit
             if new != pdom[i]:
                 pdom[i] = new
-                changed = True
-    for i in order:
+                changed = loops
+    for i, bit, _, _ in order:
         if pdom[i] & stuck:
-            pdom[i] = 1 << i
+            pdom[i] = bit
+    pairs = []
     for b in branches:
         strict = pdom[b] & ~(1 << b)
         deps = 0
         for s in succs[b]:
             deps |= pdom[s] & ~strict
-        yield from ((b, j) for j in _bits(deps))
+        while deps:
+            low = deps & -deps
+            pairs.append((b, low.bit_length() - 1))
+            deps ^= low
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +740,12 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
             s = m.body[i]
             sites.append((b + i, targets, s.lhs is not None))
             for k, (a, ds) in enumerate(zip(s.args, f.use_defs.get(i, ()))):
+                fed = [b + d for d in ds if d != ENTRY_DEF]
                 for t in targets:
-                    feed.setdefault((t, k), set()).update(b + d for d in ds if d != ENTRY_DEF)
-                    if ds and ds[0] == ENTRY_DEF:
-                        passthrough.setdefault((mid, m.params.index(a)), set()).add((t, k))
+                    feed.setdefault((t, k), set()).update(fed)
+                if ds and ds[0] == ENTRY_DEF:
+                    passthrough.setdefault((mid, m.params.index(a)), set()).update(
+                        [(t, k) for t in targets])
 
     for site, targets, has_lhs in sites:
         for t in targets:

@@ -64,6 +64,7 @@ import re
 from bisect import bisect_right
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from sys import intern
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -216,26 +217,25 @@ class Return(Stmt):
         self.value, self.line, self.col = value, line, col
 
 
+_DEFINING = frozenset({AssignConst, AssignCopy, AssignFieldLoad, Call})  # each has an lhs
+_USES = {  # the statement types that read locals
+    AssignCopy: lambda s: (s.rhs,),
+    FieldStore: lambda s: (s.rhs,),
+    Call: attrgetter("args"),
+    If: lambda s: (s.cond,),
+    Return: lambda s: () if s.value is None else (s.value,),
+}
+
+
 def stmt_defs(s: Stmt) -> Optional[str]:
     """The local defined by s, if any."""
-    if isinstance(s, (AssignConst, AssignCopy, Call, AssignFieldLoad)):
-        return s.lhs
-    return None
+    return s.lhs if type(s) in _DEFINING else None
 
 
 def stmt_uses(s: Stmt) -> tuple[str, ...]:
     """The locals read by s, in syntactic order."""
-    if isinstance(s, AssignCopy):
-        return (s.rhs,)
-    if isinstance(s, Call):
-        return s.args
-    if isinstance(s, FieldStore):
-        return (s.rhs,)
-    if isinstance(s, If):
-        return (s.cond,)
-    if isinstance(s, Return) and s.value is not None:
-        return (s.value,)
-    return ()
+    uses = _USES.get(type(s))
+    return () if uses is None else uses(s)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ _PNUM_RE = re.compile(r"p[0-9]+\Z")
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+_UNESCAPES = str.maketrans({"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"})
 
 
 def _lex(text: str, statements: bool = True) -> tuple[list[int], list, list[int]]:
@@ -716,31 +716,34 @@ def parse_program(text: Union[str, bytes]) -> Program:
 
 
 def _quote(s: str) -> str:
-    return '"' + "".join(_UNESCAPES.get(c, c) for c in s) + '"'
+    return '"' + s.translate(_UNESCAPES) + '"'
+
+
+def _print_call(s: Call) -> str:
+    text = f"call {s.callee}({', '.join(s.args)})"
+    if s.widget is not None:
+        text += f" @widget({_quote(s.widget)})"
+    return text if s.lhs is None else f"{s.lhs} = {text}"
+
+
+_PRINTERS = {
+    AssignConst: lambda s: f"{s.lhs} = {_quote(s.value)}",
+    AssignCopy: lambda s: f"{s.lhs} = {s.rhs}",
+    AssignFieldLoad: lambda s: f"{s.lhs} = load {s.cls}.{s.fld}",
+    FieldStore: lambda s: f"store {s.cls}.{s.fld} = {s.rhs}",
+    Call: _print_call,
+    If: lambda s: f"if {s.cond} goto {s.target}",
+    Goto: lambda s: f"goto {s.target}",
+    Return: lambda s: "return" if s.value is None else f"return {s.value}",
+}
 
 
 def print_stmt(s: Stmt) -> str:
     """Canonical single-statement text (no index prefix)."""
-    if isinstance(s, AssignConst):
-        return f"{s.lhs} = {_quote(s.value)}"
-    if isinstance(s, AssignCopy):
-        return f"{s.lhs} = {s.rhs}"
-    if isinstance(s, AssignFieldLoad):
-        return f"{s.lhs} = load {s.cls}.{s.fld}"
-    if isinstance(s, FieldStore):
-        return f"store {s.cls}.{s.fld} = {s.rhs}"
-    if isinstance(s, Call):
-        text = f"call {s.callee}({', '.join(s.args)})"
-        if s.widget is not None:
-            text += f" @widget({_quote(s.widget)})"
-        return text if s.lhs is None else f"{s.lhs} = {text}"
-    if isinstance(s, If):
-        return f"if {s.cond} goto {s.target}"
-    if isinstance(s, Goto):
-        return f"goto {s.target}"
-    if isinstance(s, Return):
-        return "return" if s.value is None else f"return {s.value}"
-    raise TypeError(f"not a statement: {s!r}")
+    printer = _PRINTERS.get(type(s))
+    if printer is None:
+        raise TypeError(f"not a statement: {s!r}")
+    return printer(s)
 
 
 def print_program(p: Program) -> str:

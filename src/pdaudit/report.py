@@ -385,11 +385,13 @@ def serialize_report(r: AuditReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-_KIND_VALUES = tuple(k.value for k in KINDS)
+_EDGE_TAILS = tuple(f' [label="{k.value}"];' for k in KINDS)  # by kind code
 
 
 def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    if "\\" in text or '"' in text:
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+    return text
 
 
 def _dot_nodes(
@@ -439,6 +441,12 @@ def render_dot(
     order, then its edge to its cell; per cell, its edges to its loads, in
     id order.
 
+    s must be closed under out-edges, as forward_slice's slices are: every
+    out-edge of a slice node, and every load of a cell the slice stores
+    to, is then in the slice, so the edges come from g.closed_cell_edges
+    and none is tested against the slice. A slice that is not closed gets
+    edges to nodes outside it.
+
     A statement's line does not depend on the slice, and overlapping slices
     hold the same statement many times, so a line rendered a second time is
     kept on the graph (_dot_nodes) and later slices reuse it. Sink kinds
@@ -449,37 +457,35 @@ def render_dot(
     g = s.graph
     label_ids, seen, kept = _dot_nodes(g, labels, sinks, sanitizers)
     locs, stmts, table = g.locs, g.stmts, g.sink_table(sinks)
-
-    def node_line(i: int) -> tuple[str, str]:
-        loc, stmt = locs[i], stmts[i]
-        kind = (
-            "source" if i in label_ids
-            else "sink" if i in table
-            else "sanitizer" if isinstance(stmt, Call) and stmt.callee in sanitizers
-            else "normal"
-        )
-        q = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
-        label = f"{loc.cls}.{loc.method.split('/')[0]}:{loc.index}: {print_stmt(stmt)}"
-        return q, f'  {q} [label="{_dot_escape(label)}", kind="{kind}"];'
-
     lines = [f'digraph "slice_{s.root.id}" {{', "  node [shape=box];"]
+    add = lines.append
     quoted: dict[int, str] = {}  # node or cell id -> its quoted DOT id
     for i in s.ids:
         hit = kept.get(i)
         if hit is None:
-            hit = node_line(i)
+            loc, stmt = locs[i], stmts[i]
+            kind = (
+                "source" if i in label_ids
+                else "sink" if i in table
+                else "sanitizer" if type(stmt) is Call and stmt.callee in sanitizers
+                else "normal"
+            )
+            q = '"' + _dot_escape(f"{loc.cls}.{loc.method}:{loc.index}") + '"'
+            label = _dot_escape(f"{loc.cls}.{loc.method.split('/')[0]}:{loc.index}: "
+                                f"{print_stmt(stmt)}")
+            hit = q, f'  {q} [label="{label}", kind="{kind}"];'
             if seen[i]:
                 kept[i] = hit
             seen[i] = 1
         quoted[i] = hit[0]
-        lines.append(hit[1])
-    cells, edges = g.cell_edges(s.ids)
+        add(hit[1])
+    cells, edges = g.closed_cell_edges(s.ids)
     for c in cells:
         name = _dot_escape(".".join(g.cell_field(c)))
         quoted[len(locs) + c] = q = f'"{name}"'
-        lines.append(f'  {q} [label="{name}", shape=cylinder, kind="field"];')
+        add(f'  {q} [label="{name}", shape=cylinder, kind="field"];')
     for i, j, k in edges:
-        lines.append(f'  {quoted[i]} -> {quoted[j]} [label="{_KIND_VALUES[k]}"];')
+        add(f"  {quoted[i]} -> {quoted[j]}{_EDGE_TAILS[k]}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

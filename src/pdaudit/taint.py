@@ -127,31 +127,23 @@ def _search(
     the valid paths that leave no sanitizing node past the start.
 
     The search is breadth-first, one layer at a time, and keeps each layer
-    in the order of its states' least paths: a parent's new states, which
-    data_out gives in id order, are appended after those of earlier
-    parents, so the first parent to reach a state gives it its least path
-    (shortest, then the lexicographically smallest node sequence; ids
-    compare as their Locs do), which the state keeps. A field cell is
-    expanded once per dirty bit, at its first store with that bit: that
-    store gives every load of the cell with the same bit its least path."""
+    in the order of its states' least paths: a parent's new states, in id
+    order, are appended after those of earlier parents, so the first
+    parent to reach a state gives it its least path (shortest, then the
+    lexicographically smallest node sequence; ids compare as their Locs
+    do), which the state keeps. A field cell is expanded once per dirty
+    bit, at its first store with that bit: that store gives every load of
+    the cell with the same bit its least path.
+
+    The expansion lives next to the packed edges it reads, in
+    g.data_layer: one loop over a layer's states, each expanded straight
+    from its node's edge run and its cell's loads, with these rules."""
     start = 4 * src + 2
     parent = {start: start}
     layer = [start]
     expanded: tuple[set[int], set[int]] = (set(), set())
     while layer:
-        nxt = []
-        for state in layer:
-            v = state >> 2
-            dirty = state & 1
-            if state != start:
-                if not state & 2 and v in blocked:
-                    continue
-                dirty |= v in sanitizing
-            for s in g.data_out(v, expanded[dirty], dirty):
-                if s not in parent:
-                    parent[s] = state
-                    nxt.append(s)
-        layer = nxt
+        layer = g.data_layer(layer, parent, expanded, start, blocked, sanitizing)
     return parent
 
 

@@ -247,6 +247,77 @@ def brute_control_pairs(m: MethodDef) -> set[tuple[int, int]]:
     return pairs
 
 
+def _set_bits(x: int) -> list[int]:
+    """The positions of the set bits of x >= 0, lowest first."""
+    return [k for k in range(x.bit_length()) if x >> k & 1]
+
+
+def multi_pass_facts(m: MethodDef) -> dict:
+    """What graph._MethodFacts(m) holds, by name, computed with a pass per
+    question: successors from successors(m), the definitions from
+    stmt_defs, a worklist pass for the reaching definitions, and one walk
+    over the reachable statements that classifies each statement with
+    isinstance, reads its uses with stmt_uses and each reaching definition
+    off its bit set. The control pairs are brute_control_pairs', in
+    (branch, dependent) order."""
+    body = m.body
+    succs = successors(m)
+    defs = [(v, ENTRY_DEF) for v in dict.fromkeys(m.params)]
+    n_params = len(defs)
+    defs += [(v, i) for i, s in enumerate(body) if (v := stmt_defs(s)) is not None]
+    of_local: dict[str, int] = {}
+    for k, (v, _) in enumerate(defs):
+        of_local[v] = of_local.get(v, 0) | 1 << k
+    gen = [(-1, 0)] * len(body)
+    for k, (v, i) in enumerate(defs[n_params:], n_params):
+        gen[i] = (~of_local[v], 1 << k)
+
+    before = {0: (1 << n_params) - 1} if body else {}
+    work = list(before)
+    while work:
+        i = work.pop()
+        keep, own = gen[i]
+        out = before[i] & keep | own
+        for j in succs[i]:
+            if j != EXIT:
+                old = before.get(j)
+                new = out if old is None else old | out
+                if new != old:
+                    before[j] = new
+                    work.append(j)
+
+    facts: dict = {"defs": defs, "before": before, "use_defs": {}, "def_uses": {},
+                   "entry_uses": {}, "loads": {}, "stores": {}, "returns": [], "calls": {}}
+    for i in sorted(before):
+        s = body[i]
+        if isinstance(s, AssignFieldLoad):
+            facts["loads"].setdefault((s.cls, s.fld), []).append(i)
+        elif isinstance(s, FieldStore):
+            facts["stores"].setdefault((s.cls, s.fld), []).append(i)
+        elif isinstance(s, Return):
+            if s.value is not None:
+                facts["returns"].append(i)
+        elif isinstance(s, Call):
+            facts["calls"][i] = ()
+        uses = stmt_uses(s)
+        if not uses:
+            continue
+        union, per_use = 0, []
+        for v in uses:
+            bits = before[i] & of_local.get(v, 0)
+            union |= bits
+            per_use.append(tuple(defs[k][1] for k in _set_bits(bits)))
+        facts["use_defs"][i] = tuple(per_use)
+        for k in _set_bits(union):
+            v, d = defs[k]
+            if d == ENTRY_DEF:
+                facts["entry_uses"].setdefault(v, []).append(i)
+            else:
+                facts["def_uses"].setdefault(d, []).append(i)
+    facts["control"] = tuple(sorted(brute_control_pairs(m)))
+    return facts
+
+
 def naive_closure(g: DepGraph, root: Loc) -> set[Loc]:
     """Forward transitive closure by chaotic iteration over the edge set."""
     if root not in g.locs:

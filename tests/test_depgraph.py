@@ -13,7 +13,13 @@ import json
 import random
 from array import array
 
-from gen import gen_hub_program, gen_perf_program, gen_program, registry_json
+from gen import (
+    gen_hub_program,
+    gen_perf_program,
+    gen_program,
+    registry_json,
+    shared_cell_program,
+)
 from oracles import expand_cell_nodes, explicit_graph
 from pdaudit.graph import KINDS, DepEdge, EdgeKind, build_call_graph, build_pdg
 from pdaudit.ir import AssignFieldLoad, Call, FieldStore, Loc, parse_program
@@ -54,15 +60,29 @@ def test_cell_graph_matches_explicit_edge_graph():
         )
         through_cells += through
     assert through_cells >= 20, through_cells
+    # hub draws: few cells, each stored to and loaded from in many methods,
+    # so many slices share a cell and each holds all of its loads
+    hub_cells = through_cells = 0
+    for _ in range(40):
+        has_cells, through = _assert_cells_match_explicit_edges(
+            gen_hub_program(rng, n_methods=rng.randint(2, 8))
+        )
+        hub_cells += has_cells
+        through_cells += through
+    assert hub_cells >= 30 and through_cells >= 200, (hub_cells, through_cells)
+    for n in range(2, 7):  # one cell that every method stores to and loads from
+        assert _assert_cells_match_explicit_edges(shared_cell_program(n))[1] >= n
 
 
-def test_data_out_gives_each_nodes_states_in_ascending_order():
-    """taint._search appends a node's new states in the order data_out
-    gives them, which must be ascending for both bits: a node's CSR run
-    in (dst id, kind) order, or a field store's cell loads in id order. A
+def test_data_layer_gives_each_nodes_states_in_ascending_order():
+    """taint._search keeps each layer in the order of its states' least
+    paths, so DepGraph.data_layer must give the new states of one state in
+    ascending order, each once, for both dirty bits: a node's CSR run in
+    (dst id, kind) order, or a field store's cell loads in id order. A
     store has no data-carrying edge of its own, so the two never mix."""
     rng = random.Random(6060)
     multi_load = 0
+    none: frozenset[int] = frozenset()
     for k in range(120):
         if k % 2:
             p = gen_hub_program(rng, n_methods=rng.randint(2, 8))
@@ -71,15 +91,18 @@ def test_data_out_gives_each_nodes_states_in_ascending_order():
         g = build_pdg(p, build_call_graph(p))
         every_cell = set(range(len(g.cells)))
         for stores, _ in g.cells:
-            assert all(g.data_out(s, every_cell, 0) == [] for s in stores)
+            for s in stores:
+                assert g.data_layer([4 * s], {}, (every_cell, every_cell), 4 * s, none, none) == []
         for dirty in (0, 1):
-            expanded: set[int] = set()
+            expanded: tuple[set[int], set[int]] = (set(), set())
             for v in range(len(g.locs)):
-                cells_before = len(expanded)
-                states = g.data_out(v, expanded, dirty)
-                assert states == sorted(states), (v, states)
+                cells_before = len(expanded[dirty])
+                state = 4 * v + dirty
+                states = g.data_layer([state], {}, expanded, state, none, none)
+                assert states == sorted(set(states)), (v, states)
                 assert all(s & 1 == dirty for s in states)
-                multi_load += len(expanded) > cells_before and len(states) > 1
+                assert not expanded[1 - dirty]
+                multi_load += len(expanded[dirty]) > cells_before and len(states) > 1
     assert multi_load >= 50, multi_load
 
 

@@ -10,6 +10,7 @@ from oracles import (
     brute_control_pairs,
     data_dep_pairs_by_paths,
     exit_unreachable,
+    multi_pass_facts,
     reaching_defs_by_search,
     successors,
 )
@@ -24,7 +25,6 @@ from pdaudit.graph import (
     _MethodFacts,
     build_call_graph,
     build_pdg,
-    cfg_successors,
     method_facts,
 )
 from pdaudit.ir import (
@@ -271,7 +271,7 @@ def test_reaching_definitions_match_search_oracle_on_loop_bodies():
         def_uses: dict[int, list[int]] = {}
         entry_uses: dict[str, list[int]] = {}
         for i in sorted(want):
-            assert set(f.pairs(f.before[i])) == want[i], (m.body, i)
+            assert {d for k, d in enumerate(f.defs) if f.before[i] >> k & 1} == want[i], (m.body, i)
             uses = stmt_uses(m.body[i])
             assert f.use_defs.get(i, ()) == tuple(
                 tuple(sorted(d for w, d in want[i] if w == v)) for v in uses
@@ -283,6 +283,38 @@ def test_reaching_definitions_match_search_oracle_on_loop_bodies():
         assert (f.def_uses, f.entry_uses) == (def_uses, entry_uses), m.body
         carried += any(d >= i for i, reach in want.items() for _, d in reach)
     assert carried >= 1000  # definitions carried around loops are exercised
+
+
+_FACT_FIELDS = ("defs", "before", "use_defs", "def_uses", "entry_uses", "loads", "stores",
+                "returns", "calls", "control")
+
+
+def test_one_pass_facts_equal_the_multi_pass_reference():
+    """_MethodFacts, which classifies each statement once, holds field by
+    field what oracles.multi_pass_facts computes with a pass per question,
+    on looped and recursive draws, hub draws, desk-shaped draws and bodies
+    that redefine a few locals. Uses that no definition reaches, one
+    reaches and several reach all occur."""
+    rng = random.Random(3434)
+    programs = [gen_program(rng, max_branches=4, allow_loops=True, allow_recursion=True)
+                for _ in range(1000)]
+    programs += [gen_hub_program(rng, n_methods=rng.randint(2, 8)) for _ in range(30)]
+    programs += [gen_perf_program(rng, n_methods=40, stmts_each=30) for _ in range(2)]
+    methods = [m for p in programs for _, m in p.iter_methods()]
+    methods += [_random_def_use_body(rng) for _ in range(1000)]  # few locals, redefined
+    looped = 0
+    reaching = {0: 0, 1: 0, 2: 0}  # uses by number of reaching definitions, 2 for more
+    for m in methods:
+        f = _MethodFacts(m)
+        want = multi_pass_facts(m)
+        for name in _FACT_FIELDS:
+            assert getattr(f, name) == want[name], (name, m.body)
+        looped += any(isinstance(s, (If, Goto)) and s.target <= i for i, s in enumerate(m.body))
+        for per_use in want["use_defs"].values():
+            for ds in per_use:
+                reaching[min(len(ds), 2)] += 1
+    assert looped >= 300, looped
+    assert min(reaching.values()) >= 100, reaching
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +402,9 @@ class C extends D {
 
 
 def test_cfg_successors_match_the_grammar_oracle():
-    """cfg_successors against the oracles' own successor function, which
-    the path, reaching-definition, control and taint oracles read."""
+    """The successors _MethodFacts' classification pass records against
+    the oracles' own successor function, which the path,
+    reaching-definition, control and taint oracles read."""
     shapes = {m.name: m for _, m in parse_program(_CFG_SHAPES).iter_methods()}
     assert successors(shapes["trailing_if"]) == {0: (1,), 1: (EXIT, 0)}
     assert successors(shapes["branch_to_next"]) == {0: (1,), 1: (2,), 2: (EXIT,)}
@@ -383,7 +416,7 @@ def test_cfg_successors_match_the_grammar_oracle():
         bodies += [m for _, m in gen_program(rng, max_branches=4, allow_loops=True).iter_methods()]
     back_jumps = 0
     for m in bodies:
-        assert cfg_successors(m) == successors(m), m.body
+        assert dict(enumerate(_MethodFacts(m).succs)) == successors(m), m.body
         back_jumps += sum(isinstance(s, (If, Goto)) and s.target <= i for i, s in enumerate(m.body))
     assert back_jumps >= 100  # the draws hold loops
 

@@ -16,10 +16,12 @@ from pdaudit.ir import (
     _STMT,
     AssignConst,
     Call,
+    ClassDef,
     DuplicateClassError,
     Goto,
     InvalidTargetError,
     Loc,
+    MethodDef,
     ParseError,
     PirError,
     Program,
@@ -27,6 +29,7 @@ from pdaudit.ir import (
     Severity,
     _lex,
     _Parser,
+    _quote,
     parse_program,
     print_program,
     stmt_defs,
@@ -132,6 +135,24 @@ def test_string_escapes_round_trip():
     src = 'class C extends D { method void f() { 0: $a = "q\\"b\\\\c\\nd\\te" 1: return } }'
     p = parse_program(src)
     assert p.classes[0].methods[0].body[0] == AssignConst("$a", 'q"b\\c\nd\te')
+    assert parse_program(print_program(p)) == p
+
+
+_ESCAPED = '\n\t\r"\\'  # the five characters a PIR string escapes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(_ESCAPED) | st.characters(exclude_categories=("Cs",)),
+               max_size=40))
+def test_quote_is_the_per_character_escape_and_round_trips(text):
+    """_quote, one str.translate, writes what a join over the characters
+    with each of the five escapes wrote, on text mixing them with any
+    other character, non-ASCII included; a literal and a widget holding
+    the text print and parse back equal."""
+    escapes = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+    assert _quote(text) == '"' + "".join(escapes.get(c, c) for c in text) + '"'
+    body = [AssignConst("$a", text), Call("x.Y.g", ("$a",), widget=text), Return()]
+    p = Program([ClassDef("app.C", "java.lang.Object", [], [MethodDef("f", "void", (), body)])])
     assert parse_program(print_program(p)) == p
 
 
