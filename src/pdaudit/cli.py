@@ -71,7 +71,6 @@ from .report import (
     check_risks_finite,
     input_digest,
     render_dot,
-    report_json,
     serialize_report,
     summarize,
 )
@@ -407,8 +406,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         pir_text = _read_pir(args.pir)
         artifacts = run_analysis(pir_text, cfg)
         write_outputs(artifacts, cfg.out)
-        # the dict write_outputs serialized: report_json keeps it on the report
-        print(summarize(report_json(artifacts.report), color=_use_color()), end="")
+        print(summarize(artifacts.report, color=_use_color()), end="")
         over = [f for f in artifacts.report.findings if f.risk >= cfg.fail_threshold]
         return 1 if over else 0
     finally:

@@ -11,16 +11,21 @@ Risk formula (multipliers overridable via ReportConfig):
 
 The report is JSON with a fixed top-level key order (version, input_digest,
 assumptions, findings, slices, data_safety, statements) and byte-identical
-output for identical inputs; the human-readable summary is rendered from
-the JSON dict, never computed independently.
+output for identical inputs. report.json and the human-readable summary
+are both rendered from the one list of Finding records; neither is
+computed independently.
 
 report.json holds the text of ``json.dumps(report, indent=2,
-ensure_ascii=False)`` plus a newline, written by encode_json: each dict or
-list is one join of its own items' texts, so no chunk list the size of the
-output is built and the transient memory is about twice the output.
-Strings go through the C ``encode_basestring``, ints and floats through
-``int.__repr__`` and ``float.__repr__``; a NaN or infinite float is a
-ValueError, as under ``allow_nan=False``.
+ensure_ascii=False)`` of the report's JSON form, plus a newline; no dict
+of that form is built. serialize_report writes the findings and
+statements straight from the records, one template per record kind
+(location, label, sink, compliance statement, finding), and the small,
+irregular rest through encode_json, where each dict or list is one join of
+its own items' texts. No chunk list the size of the output is built, and
+the transient memory is about twice the output. Strings go through the C
+``encode_basestring``, ints and floats through ``int.__repr__`` and
+``float.__repr__``; a NaN or infinite float is a ValueError, as under
+``allow_nan=False``.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ class FindingKind(Enum):
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(FindingKind)}
+
+_LOC_KEYS = ("class", "method", "index")  # a location's JSON keys, in Loc field order
 
 ASSUMPTIONS = (
     "call graph: class-hierarchy analysis, context-insensitive",
@@ -186,10 +193,10 @@ def build_report(
         slice_entries.append(
             {
                 "label": s.root.id,
-                "root": _loc_json(s.root.location),
+                "root": dict(zip(_LOC_KEYS, s.root.location)),
                 "node_count": len(s.ids),
                 "methods_touched": len({(locs[i].cls, locs[i].method) for i in s.ids}),
-                "sink_nodes": [_loc_json(locs[i]) for i in s.ids if i in table],
+                "sink_nodes": [dict(zip(_LOC_KEYS, locs[i])) for i in s.ids if i in table],
             }
         )
 
@@ -246,88 +253,6 @@ def draft_data_safety(findings: list[Finding]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _loc_json(loc: Loc) -> dict:
-    return {"class": loc.cls, "method": loc.method, "index": loc.index}
-
-
-def _label_json(label: SourceLabel) -> dict:
-    origin: dict = {"kind": label.origin.kind}
-    if label.origin.kind == "UserInput":
-        origin["widget"] = label.origin.widget
-        origin["keyword"] = label.origin.keyword
-    return {
-        "id": label.id,
-        "location": _loc_json(label.location),
-        "category": label.category.name,
-        "origin": origin,
-    }
-
-
-def _statement_json(st: ComplianceStatement) -> dict:
-    if st.provenance[0] == "flow":
-        prov = {
-            "kind": "flow",
-            "source": st.provenance[1],
-            "sink": _loc_json(st.provenance[2]),
-        }
-    else:
-        prov = {"kind": "collection", "label": st.provenance[1]}
-    return {
-        "personal_data": st.personal_data,
-        "processing": st.processing,
-        "recipient": st.recipient,
-        "measures": list(st.measures),
-        "status": "Pseudonymized" if st.status is Status.PSEUDONYMIZED else "Raw",
-        "provenance": prov,
-    }
-
-
-def _finding_json(f: Finding) -> dict:
-    out: dict = {
-        "id": f.id,
-        "kind": f.kind.value,
-        "risk": f.risk,
-        "source": _label_json(f.source),
-    }
-    if f.flow is not None:
-        sink = f.flow.sink
-        out["sink"] = {
-            "location": _loc_json(sink.location),
-            "kind": sink.kind.value,
-            "name": sink.name,
-        }
-        out["witness"] = [_loc_json(w) for w in f.flow.witness]
-        out["manipulations"] = list(f.flow.manipulations)
-    else:
-        out["sink"] = None
-        out["witness"] = None
-        out["manipulations"] = None
-    out["statement"] = _statement_json(f.statement)
-    return out
-
-
-def report_json(r: AuditReport) -> dict:
-    """The dict report.json holds. Built on the first call and kept on r,
-    which must not change after it: write_outputs serializes the dict and
-    cmd_analyze renders the summary from it. Callers share it and must not
-    mutate it. Each compliance statement is encoded once: the top-level
-    statements list holds the same dicts as the findings' statement keys,
-    in finding order."""
-    d = vars(r).get("_json")
-    if d is None:
-        findings = [_finding_json(f) for f in r.findings]
-        d = vars(r)["_json"] = {
-            "version": {"schema": 1, "tool": r.tool_version},
-            "input_digest": r.input_digest,
-            "assumptions": list(r.assumptions),
-            "findings": findings,
-            "slices": r.slices,
-            "data_safety": r.data_safety,
-            "statements": [f["statement"] for f in findings],
-        }
-    return d
-
-
 def encode_json(value, indent: str = "") -> str:
     """value as ``json.dumps(value, indent=2, ensure_ascii=False)`` writes
     it, with indent the indentation of the line value starts on. Accepts
@@ -370,14 +295,136 @@ def encode_json(value, indent: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
+        return _float_json(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _float_json(value: float) -> str:
+    """A float as json.dumps writes it; NaN and infinities are a
+    ValueError, as under allow_nan=False."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _str_or_null(text: Optional[str]) -> str:
+    return "null" if text is None else encode_basestring(text)
+
+
+def _list_text(item_texts: Iterable[str], indent: str) -> str:
+    """The JSON list of the given item texts, starting on a line indented
+    by indent. The brackets go onto the first and last item, so that a
+    long list's text is made in one join, with no copy of it."""
+    texts = list(item_texts)
+    if not texts:
+        return "[]"
+    inner = "\n" + indent + "  "
+    texts[0] = "[" + inner + texts[0]
+    texts[-1] += "\n" + indent + "]"
+    return ("," + inner).join(texts)
+
+
+class _Texts(dict):
+    """key -> render(key), rendered on the first lookup and kept for the
+    rest of one serialize_report call."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _loc_text(loc: Loc, indent: str) -> str:
+    i = indent + "  "
+    return (f'{{\n{i}"class": {encode_basestring(loc.cls)},\n{i}"method": '
+            f'{encode_basestring(loc.method)},\n{i}"index": {int.__repr__(loc.index)}\n{indent}}}')
+
+
+def _label_text(label: SourceLabel, loc8: _Texts) -> str:
+    """A finding's source, at indent 6."""
+    origin = label.origin
+    extra = (
+        f',\n          "widget": {_str_or_null(origin.widget)},'
+        f'\n          "keyword": {_str_or_null(origin.keyword)}'
+        if origin.kind == "UserInput" else ""
+    )
+    return (f'{{\n        "id": {int.__repr__(label.id)},'
+            f'\n        "location": {loc8[label.location]},'
+            f'\n        "category": {encode_basestring(label.category.name)},'
+            f'\n        "origin": {{\n          "kind": {encode_basestring(origin.kind)}{extra}'
+            f'\n        }}\n      }}')
+
+
+def _statement_text(st: ComplianceStatement, loc10: _Texts) -> str:
+    """A finding's compliance statement, at indent 6."""
+    prov = st.provenance
+    if prov[0] == "flow":
+        prov_text = (f'"flow",\n          "source": {int.__repr__(prov[1])},'
+                     f'\n          "sink": {loc10[prov[2]]}')
+    else:
+        prov_text = f'"collection",\n          "label": {int.__repr__(prov[1])}'
+    status = "Pseudonymized" if st.status is Status.PSEUDONYMIZED else "Raw"
+    return (f'{{\n        "personal_data": {encode_basestring(st.personal_data)},'
+            f'\n        "processing": {encode_basestring(st.processing)},'
+            f'\n        "recipient": {_str_or_null(st.recipient)},'
+            f'\n        "measures": {_list_text(map(encode_basestring, st.measures), " " * 8)},'
+            f'\n        "status": "{status}",'
+            f'\n        "provenance": {{\n          "kind": {prov_text}\n        }}\n      }}')
+
+
+def _finding_text(f: Finding, statement: str, loc8: _Texts, label6: _Texts) -> str:
+    """A finding, at indent 4, holding its statement's text."""
+    flow = f.flow
+    if flow is None:
+        egress = 'null,\n      "witness": null,\n      "manipulations": null'
+    else:
+        sink = flow.sink
+        egress = (f'{{\n        "location": {loc8[sink.location]},'
+                  f'\n        "kind": {encode_basestring(sink.kind.value)},'
+                  f'\n        "name": {_str_or_null(sink.name)}\n      }},'
+                  f'\n      "witness": {_list_text(map(loc8.__getitem__, flow.witness), " " * 6)},'
+                  f'\n      "manipulations": '
+                  f'{_list_text(map(encode_basestring, flow.manipulations), " " * 6)}')
+    return (f'{{\n      "id": {encode_basestring(f.id)},'
+            f'\n      "kind": {encode_basestring(f.kind.value)},'
+            f'\n      "risk": {_float_json(f.risk)},'
+            f'\n      "source": {label6[f.source]},'
+            f'\n      "sink": {egress},'
+            f'\n      "statement": {statement}\n    }}')
+
+
 def serialize_report(r: AuditReport) -> str:
-    return encode_json(report_json(r)) + "\n"
+    """report.json's text: ``json.dumps(report, indent=2,
+    ensure_ascii=False)`` of the report's JSON form, plus a newline.
+
+    Findings and statements are written straight from the Finding records,
+    one template per record kind. A location's text is made once per
+    indent it appears at, and a source label's once, for this call only.
+    Each statement's text is written once, into its finding, and the
+    top-level statements list is those texts shifted two spaces left:
+    encoded text holds no newline but the structural ones. The small,
+    irregular rest goes through encode_json."""
+    loc8 = _Texts(lambda loc: _loc_text(loc, " " * 8))
+    loc10 = _Texts(lambda loc: _loc_text(loc, " " * 10))
+    label6 = _Texts(lambda label: _label_text(label, loc8))
+    statements = [_statement_text(f.statement, loc10) for f in r.findings]
+    findings = _list_text(
+        [_finding_text(f, st, loc8, label6) for f, st in zip(r.findings, statements)], "  "
+    )
+    statements = _list_text(statements, " " * 4).replace("\n  ", "\n")
+    return "".join((
+        '{\n  "version": ', encode_json({"schema": 1, "tool": r.tool_version}, "  "),
+        ',\n  "input_digest": ', encode_basestring(r.input_digest),
+        ',\n  "assumptions": ', encode_json(list(r.assumptions), "  "),
+        ',\n  "findings": ', findings,
+        ',\n  "slices": ', encode_json(r.slices, "  "),
+        ',\n  "data_safety": ', encode_json(r.data_safety, "  "),
+        ',\n  "statements": ', statements,
+        "\n}\n",
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +538,7 @@ def render_dot(
 
 
 # ---------------------------------------------------------------------------
-# Text summary (rendered from the JSON dict only)
+# Text summary (rendered from the Finding records report.json is written from)
 # ---------------------------------------------------------------------------
 
 _RED = "\x1b[31m"
@@ -500,36 +547,31 @@ _GREEN = "\x1b[32m"
 _RESET = "\x1b[0m"
 
 
-def summarize(report: dict, color: bool = False) -> str:
-    """Human-readable summary of a serialized report dict."""
+def summarize(r: AuditReport, color: bool = False) -> str:
+    """Human-readable summary of a report: one line per finding, read from
+    the same Finding records serialize_report writes report.json from."""
 
     def paint(text: str, code: str) -> str:
         return f"{code}{text}{_RESET}" if color else text
 
-    lines = [f"pdaudit report (digest {report['input_digest'][:12]})"]
-    findings = report["findings"]
-    if not findings:
+    lines = [f"pdaudit report (digest {r.input_digest[:12]})"]
+    if not r.findings:
         lines.append("no findings: no personal data sources detected")
-    for f in findings:
-        src = f["source"]
-        where = f"{src['location']['class']}.{src['location']['method']}:{src['location']['index']}"
-        if f["kind"] == "CollectedNoEgress":
-            desc = f"{src['category']} collected at {where}, never reaches a sink"
+    for f in r.findings:
+        src = f.source
+        if f.kind is FindingKind.COLLECTED_NO_EGRESS:
+            desc = f"{src.category.name} collected at {src.location}, never reaches a sink"
             code = _GREEN
         else:
-            sink = f["sink"]
-            sink_where = (
-                f"{sink['location']['class']}.{sink['location']['method']}"
-                f":{sink['location']['index']}"
-            )
-            target = sink["name"] or sink["kind"]
-            desc = f"{src['category']} -> {target} ({sink['kind']}) at {sink_where}"
-            if f["kind"] == "PseudonymizedFlow":
+            sink = f.flow.sink
+            kind = sink.kind.value
+            desc = f"{src.category.name} -> {sink.name or kind} ({kind}) at {sink.location}"
+            if f.kind is FindingKind.PSEUDONYMIZED_FLOW:
                 desc += ", pseudonymized on all paths"
                 code = _YELLOW
             else:
                 desc += ", RAW on some path"
                 code = _RED
-        lines.append(paint(f"  [{f['id']}] risk {f['risk']:g}: {desc}", code))
-    lines.append(f"{len(findings)} finding(s)")
+        lines.append(paint(f"  [{f.id}] risk {f.risk:g}: {desc}", code))
+    lines.append(f"{len(r.findings)} finding(s)")
     return "\n".join(lines) + "\n"

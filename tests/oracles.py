@@ -43,6 +43,8 @@ from pdaudit.ir import (
     stmt_defs,
     stmt_uses,
 )
+from pdaudit.report import AuditReport
+from pdaudit.taint import Status
 
 
 # Edge kinds along which data values actually move; Control and Call are
@@ -942,3 +944,70 @@ class _Parser:
 def reference_parse(text: str) -> Program:
     """parse_program for str input, the slow, obvious way."""
     return _Parser(_lex(text)).program()
+
+
+# ---------------------------------------------------------------------------
+# The report's JSON form, built as plain dicts
+# ---------------------------------------------------------------------------
+
+
+def _loc_dict(loc: Loc) -> dict:
+    return {"class": loc.cls, "method": loc.method, "index": loc.index}
+
+
+def _label_dict(label) -> dict:
+    origin: dict = {"kind": label.origin.kind}
+    if label.origin.kind == "UserInput":
+        origin["widget"] = label.origin.widget
+        origin["keyword"] = label.origin.keyword
+    return {
+        "id": label.id,
+        "location": _loc_dict(label.location),
+        "category": label.category.name,
+        "origin": origin,
+    }
+
+
+def _statement_dict(st) -> dict:
+    if st.provenance[0] == "flow":
+        prov = {"kind": "flow", "source": st.provenance[1], "sink": _loc_dict(st.provenance[2])}
+    else:
+        prov = {"kind": "collection", "label": st.provenance[1]}
+    return {
+        "personal_data": st.personal_data,
+        "processing": st.processing,
+        "recipient": st.recipient,
+        "measures": list(st.measures),
+        "status": "Pseudonymized" if st.status is Status.PSEUDONYMIZED else "Raw",
+        "provenance": prov,
+    }
+
+
+def _finding_dict(f) -> dict:
+    out: dict = {"id": f.id, "kind": f.kind.value, "risk": f.risk, "source": _label_dict(f.source)}
+    if f.flow is not None:
+        sink = f.flow.sink
+        out["sink"] = {"location": _loc_dict(sink.location), "kind": sink.kind.value,
+                       "name": sink.name}
+        out["witness"] = [_loc_dict(w) for w in f.flow.witness]
+        out["manipulations"] = list(f.flow.manipulations)
+    else:
+        out["sink"] = out["witness"] = out["manipulations"] = None
+    out["statement"] = _statement_dict(f.statement)
+    return out
+
+
+def report_dict(r: AuditReport) -> dict:
+    """The dict whose ``json.dumps(indent=2, ensure_ascii=False)`` plus a
+    newline is report.json: the spec serialize_report writes to. The
+    statements list holds each finding's statement, in finding order."""
+    findings = [_finding_dict(f) for f in r.findings]
+    return {
+        "version": {"schema": 1, "tool": r.tool_version},
+        "input_digest": r.input_digest,
+        "assumptions": list(r.assumptions),
+        "findings": findings,
+        "slices": r.slices,
+        "data_safety": r.data_safety,
+        "statements": [f["statement"] for f in findings],
+    }

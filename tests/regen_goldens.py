@@ -7,8 +7,9 @@ Runs `pdaudit analyze` on every fixture with analyze_args, the flags the
 golden-corpus test (tests/test_acceptance.py::test_criterion_6_golden_corpus)
 also imports: the fixture registries and a fail threshold no finding
 reaches. Writes each fixture's report.json and slice DOT files as
-<stem>.report.json and <stem>.slice_<id>.dot, after deleting every golden
-so that none is left stale. `git diff tests/goldens` then shows what an
+<stem>.report.json and <stem>.slice_<id>.dot, and the summary it prints,
+uncolored, as <stem>.summary.txt, after deleting every golden so that none
+is left stale. `git diff tests/goldens` then shows what an
 output change did.
 
 Then runs the 10,000-statement analysis of criterion 8 (perf_inputs) and
@@ -24,11 +25,13 @@ slices and DOT files that the smaller runs never make.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 import shutil
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -98,15 +101,19 @@ def output_digest(out: Path) -> str:
 def main() -> int:
     from pdaudit.cli import main as pdaudit
 
-    for old in [*GOLDENS.glob("*.report.json"), *GOLDENS.glob("*.slice_*.dot")]:
+    for old in [*GOLDENS.glob("*.report.json"), *GOLDENS.glob("*.slice_*.dot"),
+                *GOLDENS.glob("*.summary.txt")]:
         old.unlink()
     with tempfile.TemporaryDirectory() as tmp:
         for pir in sorted(FIXTURES.glob("*.pir")):
             out = Path(tmp) / pir.stem
-            code = pdaudit(analyze_args(pir, out))
+            summary = io.StringIO()  # not a terminal, so the summary is uncolored
+            with redirect_stdout(summary):
+                code = pdaudit(analyze_args(pir, out))
             if code != 0:
                 print(f"{pir.name}: analyze exited {code}", file=sys.stderr)
                 return 1
+            (GOLDENS / f"{pir.stem}.summary.txt").write_text(summary.getvalue(), encoding="utf-8")
             for f in sorted(out.iterdir()):
                 shutil.copyfile(f, GOLDENS / f"{pir.stem}.{f.name}")
     for name, n_methods, pinned in [("criterion-8", 200, PERF_DIGEST),

@@ -8,8 +8,8 @@ PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
  3. forward slices equal brute-force closure on 500 random graphs
  4. parse/print round-trip on 1000 generated programs
  5. sources with no egress are first-class findings (fixture + property)
- 6. golden corpus: byte-identical report JSON and slice DOT files for every
-    fixture
+ 6. golden corpus: byte-identical report JSON, slice DOT files and printed
+    summary for every fixture
  7. analyze is byte-deterministic across runs
  8. a 10,000-statement, 200-method program analyzes in under 10 s
 """
@@ -183,15 +183,18 @@ def test_criterion_5_collected_no_egress(corpus):
     _passline(5, "labels - flows = unsunk on the whole corpus; unsunk fixture reported")
 
 
-def test_criterion_6_golden_corpus(tmp_path):
+def test_criterion_6_golden_corpus(tmp_path, capsys):
     fixtures = sorted(FIXTURES.glob("*.pir"))
     assert len(fixtures) >= 11
     n_dots = 0
     written = []  # every golden name the fixtures account for
     for pir in fixtures:
         out = tmp_path / pir.stem
+        capsys.readouterr()
         code = main(analyze_args(pir, out))
         assert code == 0, pir.name
+        summary = (GOLDENS / f"{pir.stem}.summary.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == summary, f"summary drift for {pir.name}"
         got = (out / "report.json").read_bytes()
         want = (GOLDENS / f"{pir.stem}.report.json").read_bytes()
         assert got == want, f"golden drift for {pir.name}"
@@ -202,10 +205,10 @@ def test_criterion_6_golden_corpus(tmp_path):
             want = (GOLDENS / f"{pir.stem}.{name}").read_bytes()
             assert (out / name).read_bytes() == want, f"DOT drift for {pir.name} {name}"
         n_dots += len(dots)
-        written += [f"{pir.stem}.report.json", *goldens]
+        written += [f"{pir.stem}.report.json", f"{pir.stem}.summary.txt", *goldens]
     assert sorted(g.name for g in GOLDENS.iterdir()) == sorted(written), "golden with no fixture"
-    _passline(6, f"{len(fixtures)} fixture reports and {n_dots} slice DOT files byte-identical "
-                 "to checked-in goldens")
+    _passline(6, f"{len(fixtures)} fixture reports and summaries and {n_dots} slice DOT files "
+                 "byte-identical to checked-in goldens")
 
 
 def test_criterion_7_analyze_determinism(tmp_path):

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_B_PRIME, fixture_registries
-from gen import gen_hub_program, shared_cell_program
+from gen import gen_hub_program, gen_program, shared_cell_program
+from oracles import report_dict
 from pdaudit import __version__
-from pdaudit.cli import main
-from pdaudit.dpv import DpvMap
+from pdaudit.cli import build_config, main, make_parser, run_analysis
+from pdaudit.dpv import ComplianceStatement, DpvMap, map_flow
 from pdaudit.graph import build_call_graph, build_pdg
 from pdaudit.ir import Loc, parse_program, print_program
 from pdaudit.registry import (
@@ -28,6 +29,7 @@ from pdaudit.registry import (
 from pdaudit.report import (
     ASSUMPTIONS,
     AuditReport,
+    Finding,
     FindingKind,
     ReportConfig,
     build_report,
@@ -35,13 +37,12 @@ from pdaudit.report import (
     encode_json,
     input_digest,
     render_dot,
-    report_json,
     risk_score,
     serialize_report,
     summarize,
 )
 from pdaudit.slicer import forward_slice
-from pdaudit.taint import Status, build_taint_result, propagate
+from pdaudit.taint import Flow, SinkRef, Status, build_taint_result, propagate
 from regen_goldens import FIXTURES, analyze_args
 from test_taint import GEN_SANITIZERS, GEN_SINKS, analyze_generated
 
@@ -116,7 +117,7 @@ def test_fixture_a_report():
     assert f.kind is FindingKind.RAW_FLOW
     assert f.risk == 6.0
     assert f.id == "F0"
-    assert len(report_json(report)["statements"]) == 1
+    assert len(json.loads(serialize_report(report))["statements"]) == 1
 
 
 def test_fixture_b_prime_report():
@@ -130,10 +131,10 @@ def test_fixture_b_prime_report():
 def test_empty_program_report():
     *_, report, _, _ = pipeline("")
     assert report.findings == []
-    assert report_json(report)["statements"] == []
     assert report.data_safety == {}
-    text = serialize_report(report)
-    assert json.loads(text)["findings"] == []
+    d = json.loads(serialize_report(report))
+    assert d["statements"] == []
+    assert d["findings"] == []
 
 
 def test_unsunk_becomes_collected_no_egress():
@@ -176,7 +177,7 @@ class C extends D {
 
 def test_statement_count_partition(tmp_path):
     """report.json's statements list holds each finding's statement, in
-    finding order, on every fixture: report_json shares those dicts."""
+    finding order, on every fixture."""
     for pir in sorted(FIXTURES.glob("*.pir")):
         assert main(analyze_args(pir, tmp_path / pir.stem)) == 0
         d = json.loads((tmp_path / pir.stem / "report.json").read_text(encoding="utf-8"))
@@ -377,7 +378,7 @@ def test_dot_lines_kept_on_the_graph_give_the_bytes_of_a_fresh_graph():
 
 def test_report_key_order_fixed():
     *_, report, _, _ = pipeline(FIXTURE_A)
-    assert list(report_json(report)) == [
+    assert list(json.loads(serialize_report(report))) == [
         "version",
         "input_digest",
         "assumptions",
@@ -420,6 +421,84 @@ def test_encoder_rejects_non_finite_floats(value):
         json.dumps(value, allow_nan=False)
     with pytest.raises(ValueError):
         encode_json({"findings": [{"risk": value}]})
+    *_, report, _, _ = pipeline(FIXTURE_A)
+    report.findings[0] = report.findings[0]._replace(risk=value)
+    with pytest.raises(ValueError):
+        serialize_report(report)
+
+
+def assert_serialized_as_report_dict(r):
+    assert serialize_report(r) == json.dumps(report_dict(r), indent=2, ensure_ascii=False) + "\n"
+
+
+def test_serialized_fixture_reports_match_the_report_dict(tmp_path):
+    for pir in sorted(FIXTURES.glob("*.pir")):
+        cfg = build_config(make_parser().parse_args(analyze_args(pir, tmp_path)))
+        assert_serialized_as_report_dict(run_analysis(pir.read_bytes(), cfg).report)
+
+
+GEN_DPV = DpvMap(
+    category_iri={c: f"iri:{c}" for c in ("Location", "DeviceId", "Name")},
+    sinkkind_iri={k.value: f"iri:{k.value}" for k in SinkKind},
+    collection_iri="iri:collect",
+    pseudonymisation_iri="iri:pseudo",
+)
+
+
+def test_serialized_generated_reports_match_the_report_dict():
+    rng = random.Random(3232)
+    programs = [gen_program(rng, allow_loops=True, allow_recursion=True) for _ in range(200)]
+    programs += [gen_hub_program(rng, n_methods=rng.randint(2, 8)) for _ in range(40)]
+    kinds = set()
+    for p in programs:
+        cg, g, labels, rules = analyze_generated(p)
+        taint = build_taint_result(rules, p, GEN_SINKS, g)
+        slices = [forward_slice(g, l) for l in labels]
+        r = build_report(p, labels, slices, taint, GEN_DPV, GEN_SINKS, "0" * 64)
+        assert_serialized_as_report_dict(r)
+        kinds |= {f.kind for f in r.findings}
+    assert kinds == set(FindingKind)
+
+
+# Strings with every character JSON escapes, spaces, line separators,
+# non-BMP characters and the empty string
+_NASTY = st.text(st.characters() | st.sampled_from('"\\\x00\x01\n\x1f\x7f \xa0\u2028😀𝄞'),
+                 max_size=6)
+
+
+@st.composite
+def audit_reports(draw):
+    """AuditReports whose records share a few locations and labels, with
+    empty lists, None names and both origin kinds."""
+    locs = st.sampled_from(draw(st.lists(st.builds(Loc, _NASTY, _NASTY, st.integers(0, 10**9)),
+                                         min_size=1, max_size=4)))
+    origin = st.builds(Origin, st.sampled_from(["SystemApi", "UserInput"]) | _NASTY,
+                       st.none() | _NASTY, st.none() | _NASTY)
+    labels = st.sampled_from(draw(st.lists(
+        st.builds(SourceLabel, st.integers(0, 10**9), locs,
+                  st.builds(PersonalDataCategory, _NASTY), origin),
+        min_size=1, max_size=4)))
+    texts = st.lists(_NASTY, max_size=3).map(tuple)
+    flow = st.builds(Flow, labels, st.builds(SinkRef, locs, st.sampled_from(SinkKind),
+                                             st.none() | _NASTY),
+                     st.sampled_from(Status), st.lists(locs, max_size=5).map(tuple), texts)
+    provenance = (st.tuples(st.just("flow"), st.integers(0, 10**9), locs)
+                  | st.tuples(st.just("collection"), st.integers(0, 10**9)))
+    statement = st.builds(ComplianceStatement, _NASTY, _NASTY, st.none() | _NASTY, texts,
+                          st.sampled_from(Status), provenance)
+    risk = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([1e16, 5e-324])
+    findings = draw(st.lists(
+        st.builds(Finding, _NASTY, st.sampled_from(FindingKind), risk, labels,
+                  st.none() | flow, statement),
+        max_size=6))
+    return AuditReport(__version__, draw(_NASTY), ASSUMPTIONS, findings, [],
+                       draft_data_safety(findings))
+
+
+@settings(deadline=None)
+@given(audit_reports())
+def test_serialized_reports_match_the_report_dict(r):
+    assert_serialized_as_report_dict(r)
 
 
 @pytest.mark.parametrize("value", [(1, 2), {1: "x"}, {"a": b"x"}, {"a": object()}])
@@ -448,19 +527,44 @@ def test_serialize_peak_memory_is_about_twice_the_output():
     assert peak <= 3 * len(text)
 
 
+def test_serialize_peak_memory_with_shared_locations_stays_near_the_output():
+    """4,000 findings over 50 locations, with 10-step witnesses: the memo
+    of location and label texts and the lists of finding texts stay within
+    the output's own size."""
+    locs = [Loc(f"app.Screen{i}", f"onSubmit{i}/1", i) for i in range(50)]
+    labels = [SourceLabel(i, locs[i], PersonalDataCategory("EmailAddress"),
+                          Origin("UserInput", f"field{i}", "email")) for i in range(50)]
+    findings = []
+    for n in range(4000):
+        sink = SinkRef(locs[n * 7 % 50], SinkKind.ANALYTICS, "Tracker")
+        flow = Flow(labels[n % 50], sink, Status.RAW,
+                    tuple(locs[(n + k) % 50] for k in range(10)), ())
+        findings.append(Finding(f"F{n}", FindingKind.RAW_FLOW, 6.0, flow.source, flow,
+                                map_flow(flow, DPV)))
+    r = AuditReport(__version__, "0" * 64, ASSUMPTIONS, findings, [], {})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = serialize_report(r)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 5_000_000
+    assert peak <= 3 * len(text)
+
+
 def test_digest_changes_with_input():
     assert input_digest("x") != input_digest("y")
     assert input_digest("ab", "c") != input_digest("a", "bc")
 
 
-def test_summary_derived_from_json():
+def test_summary_derived_from_the_findings():
     *_, report, _, _ = pipeline(FIXTURE_A)
-    d = report_json(report)
-    text = summarize(d)
+    text = summarize(report)
     assert "EmailAddress -> Tracker (Analytics)" in text
     assert "risk 6" in text
     assert "\x1b[" not in text
-    colored = summarize(d, color=True)
+    colored = summarize(report, color=True)
     assert "\x1b[31m" in colored
 
 
@@ -474,5 +578,5 @@ class C extends D {
 }
 """
     *_, report, _, _ = pipeline(src)
-    text = summarize(report_json(report))
+    text = summarize(report)
     assert "never reaches a sink" in text
