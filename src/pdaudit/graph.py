@@ -67,9 +67,8 @@ numbers cell c as node len(locs) + c and gives its store -> cell and
 cell -> load Data edges, the summary-node reading of system dependence
 graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a slice's DOT file
 stays linear in the slice. A slice is closed under out-edges, so none of
-those edges is tested against it; cell_edges keeps the ones between the
-nodes of any id set. DepEdge objects, cell pairs included, are built only
-by the edges view.
+those edges is tested against it. DepEdge objects, cell pairs included,
+are built only by the edges view and a slice's, both over closed id sets.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
@@ -151,8 +150,8 @@ class DepGraph:
     packed[offsets[i]:offsets[i + 1]].
     cells[c] is one field cell, as (store ids, load ids) in id order; the
     store -> load Data edges it implies are not stored and must not repeat
-    an explicit edge. reach, induced, cell_edges, closed_cell_edges and
-    data_layer walk ids;
+    an explicit edge. reach, induced, closed_cell_edges and data_layer
+    walk ids;
     edges builds the DepEdge objects, cell pairs included, on first use,
     and sink_table the sink statements of a registry. id_of finds a Loc's
     id by one bisect over locs, so any node set in Loc order, however
@@ -235,11 +234,13 @@ class DepGraph:
 
     def induced(self, ids) -> Iterator[tuple[int, int, int]]:
         """(src id, dst id, kind code) of every edge between nodes of ids,
-        which must be in id order, cell pairs included: cell_edges with
-        each cell expanded. KINDS[code] is the EdgeKind."""
+        which must be in id order and closed under out-edges (all ids, or
+        a sorted reach set), cell pairs included: closed_cell_edges with
+        each cell expanded. KINDS[code] is the EdgeKind. For ids that are
+        not closed, edges that leave ids are given too."""
         n = len(self.locs)
         stores: dict[int, list[int]] = {}  # cell node -> its stores in ids
-        for i, j, k in self.cell_edges(ids)[1]:
+        for i, j, k in self.closed_cell_edges(ids)[1]:
             if j >= n:
                 stores.setdefault(j, []).append(i)
             elif i >= n:
@@ -247,36 +248,19 @@ class DepGraph:
             else:
                 yield i, j, k
 
-    def cell_edges(self, ids) -> tuple[list[int], Iterator[tuple[int, int, int]]]:
-        """The edges between nodes of ids, which must be in id order, with
-        each field cell kept as a node of its own, id len(locs) + c for
-        cell c, instead of expanded into its store -> load pairs.
-
-        Returns (cells, edges). cells lists the cells with a store and a
-        load in ids, in the order of their first store; cell_field(c) names
-        cell c. edges yields (src id, dst id, kind code): per i of ids, its
-        explicit edges into ids in (dst Loc, kind.value) order, then its
-        Data edge to its cell; then per cell, its Data edges to its loads
-        in ids, in id order. These are the edges of closed_cell_edges(ids)
-        that end in ids or at a cell listed."""
-        inside, n = set(ids), len(self.locs)
-        stored, edges = self.closed_cell_edges(ids)
-        cells = [c for c in stored if any(l in inside for l in self.cells[c][1])]
-        kept = {n + c for c in cells}
-        return cells, (e for e in edges if e[1] in inside or e[1] in kept)
-
     def closed_cell_edges(self, ids) -> tuple[list[int], list[tuple[int, int, int]]]:
         """The edges out of the nodes of ids, which must be in id order,
-        with each field cell kept as a node of its own, as cell_edges
-        gives them: (cells, edges), cells the cells with a load that ids
-        stores to, in the order of their first store, and edges, per i of
-        ids, its explicit edges in (dst Loc, kind.value) order, then its
-        Data edge to its cell; then per cell, its Data edges to all its
-        loads, in id order.
+        with each field cell kept as a node of its own, id len(locs) + c
+        for cell c, instead of expanded into its store -> load pairs:
+        (cells, edges), cells the cells with a load that ids stores to, in
+        the order of their first store (cell_field(c) names cell c), and
+        edges (src id, dst id, kind code), per i of ids, its explicit
+        edges in (dst Loc, kind.value) order, then its Data edge to its
+        cell; then per cell, its Data edges to all its loads, in id order.
 
         For ids closed under out-edges, a sorted reach set, every one of
-        these edges ends in ids, so they are cell_edges(ids), found with
-        no lookup in ids."""
+        these edges ends in ids or at a cell listed, so they are the edges
+        between the nodes of ids, found with no lookup in ids."""
         (at, out), store_cell, cells, n = self._out, self._store_cell, self.cells, len(self.locs)
         stored: list[int] = []
         edges: list[tuple[int, int, int]] = []

@@ -17,12 +17,13 @@ computed independently.
 
 report.json holds the text of ``json.dumps(report, indent=2,
 ensure_ascii=False)`` of the report's JSON form, plus a newline; no dict
-of that form is built. serialize_report writes the findings and
-statements straight from the records, one template per record kind
-(location, label, sink, compliance statement, finding), and the small,
-irregular rest through encode_json, where each dict or list is one join of
-its own items' texts. No chunk list the size of the output is built, and
-the transient memory is about twice the output. Strings go through the C
+of that form is built, and no generic JSON encoder is used.
+serialize_report writes every value straight from the records, one
+template per record kind (location, label, compliance statement, finding,
+slice entry, data-safety entry), where each list is one join of its own
+items' texts. No chunk list the size of the output is built, and the
+transient memory is about twice the output plus one text per distinct
+location. Strings go through the C
 ``encode_basestring``, ints and floats through ``int.__repr__`` and
 ``float.__repr__``; a NaN or infinite float is a ValueError, as under
 ``allow_nan=False``.
@@ -65,8 +66,6 @@ class FindingKind(Enum):
 
 _KIND_ORDER = {k: i for i, k in enumerate(FindingKind)}
 
-_LOC_KEYS = ("class", "method", "index")  # a location's JSON keys, in Loc field order
-
 ASSUMPTIONS = (
     "call graph: class-hierarchy analysis, context-insensitive",
     "fields: one abstract cell per (class, field); any store may reach any load",
@@ -101,9 +100,21 @@ class Finding(NamedTuple):
     statement: ComplianceStatement
 
 
+class SliceEntry(NamedTuple):
+    """One slice's entry in report.json: its root label's id and location,
+    its statement count, the (class, method) pairs it touches and its sink
+    statements, in Loc order."""
+
+    label: int
+    root: Loc
+    node_count: int
+    methods_touched: int
+    sink_nodes: tuple[Loc, ...]
+
+
 class AuditReport:
     def __init__(self, tool_version: str, input_digest: str, assumptions: tuple[str, ...],
-                 findings: list[Finding], slices: list[dict], data_safety: dict):
+                 findings: list[Finding], slices: list[SliceEntry], data_safety: dict):
         self.tool_version, self.input_digest = tool_version, input_digest
         self.assumptions, self.findings = assumptions, findings
         self.slices, self.data_safety = slices, data_safety
@@ -190,15 +201,13 @@ def build_report(
     for s in sorted(slices, key=lambda s: s.root.id):
         # s.ids is in Loc order, so its sink nodes are too
         locs, table = s.graph.locs, s.graph.sink_table(sinks)
-        slice_entries.append(
-            {
-                "label": s.root.id,
-                "root": dict(zip(_LOC_KEYS, s.root.location)),
-                "node_count": len(s.ids),
-                "methods_touched": len({(locs[i].cls, locs[i].method) for i in s.ids}),
-                "sink_nodes": [dict(zip(_LOC_KEYS, locs[i])) for i in s.ids if i in table],
-            }
-        )
+        slice_entries.append(SliceEntry(
+            s.root.id,
+            s.root.location,
+            len(s.ids),
+            len({(locs[i].cls, locs[i].method) for i in s.ids}),
+            tuple(locs[i] for i in s.ids if i in table),
+        ))
 
     return AuditReport(
         tool_version=__version__,
@@ -253,52 +262,6 @@ def draft_data_safety(findings: list[Finding]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def encode_json(value, indent: str = "") -> str:
-    """value as ``json.dumps(value, indent=2, ensure_ascii=False)`` writes
-    it, with indent the indentation of the line value starts on. Accepts
-    str-keyed dicts, lists, str, int, finite float, bool and None."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        parts = ["{"]
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            # str and int values, most of a report's leaves, skip the call
-            t = type(v)
-            parts += (sep, encode_basestring(k), ": ", encode_basestring(v) if t is str
-                      else int.__repr__(v) if t is int else encode_json(v, inner))
-        parts[1] = "\n" + inner
-        parts += ("\n", indent, "}")
-        return "".join(parts)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        parts = ["["]
-        for v in value:
-            parts += (sep, encode_json(v, inner))
-        parts[1] = "\n" + inner
-        parts += ("\n", indent, "]")
-        return "".join(parts)
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_json(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _float_json(value: float) -> str:
     """A float as json.dumps writes it; NaN and infinities are a
     ValueError, as under allow_nan=False."""
@@ -311,16 +274,17 @@ def _str_or_null(text: Optional[str]) -> str:
     return "null" if text is None else encode_basestring(text)
 
 
-def _list_text(item_texts: Iterable[str], indent: str) -> str:
+def _list_text(item_texts: Iterable[str], indent: str, brackets: str = "[]") -> str:
     """The JSON list of the given item texts, starting on a line indented
-    by indent. The brackets go onto the first and last item, so that a
-    long list's text is made in one join, with no copy of it."""
+    by indent; with brackets "{}", the JSON object whose items (key and
+    value texts) they are. The brackets go onto the first and last item,
+    so that a long list's text is made in one join, with no copy of it."""
     texts = list(item_texts)
     if not texts:
-        return "[]"
+        return brackets
     inner = "\n" + indent + "  "
-    texts[0] = "[" + inner + texts[0]
-    texts[-1] += "\n" + indent + "]"
+    texts[0] = brackets[0] + inner + texts[0]
+    texts[-1] += "\n" + indent + brackets[1]
     return ("," + inner).join(texts)
 
 
@@ -396,32 +360,64 @@ def _finding_text(f: Finding, statement: str, loc8: _Texts, label6: _Texts) -> s
             f'\n      "statement": {statement}\n    }}')
 
 
-def serialize_report(r: AuditReport) -> str:
-    """report.json's text: ``json.dumps(report, indent=2,
-    ensure_ascii=False)`` of the report's JSON form, plus a newline.
+def _slice_text(e: SliceEntry, loc6: _Texts, loc8: _Texts) -> str:
+    """A slice entry, at indent 4."""
+    return (f'{{\n      "label": {int.__repr__(e.label)},'
+            f'\n      "root": {loc6[e.root]},'
+            f'\n      "node_count": {int.__repr__(e.node_count)},'
+            f'\n      "methods_touched": {int.__repr__(e.methods_touched)},'
+            f'\n      "sink_nodes": {_list_text(map(loc8.__getitem__, e.sink_nodes), " " * 6)}'
+            f'\n    }}')
 
-    Findings and statements are written straight from the Finding records,
-    one template per record kind. A location's text is made once per
-    indent it appears at, and a source label's once, for this call only.
-    Each statement's text is written once, into its finding, and the
-    top-level statements list is those texts shifted two spaces left:
-    encoded text holds no newline but the structural ones. The small,
-    irregular rest goes through encode_json."""
+
+def _data_safety_text(category: str, entry: dict) -> str:
+    """One category's data-safety entry, key and value, at indent 4."""
+    return (f'{encode_basestring(category)}: {{'
+            f'\n      "collected": {"true" if entry["collected"] else "false"},'
+            f'\n      "shared_with": '
+            f'{_list_text(map(encode_basestring, entry["shared_with"]), " " * 6)},'
+            f'\n      "security": {_str_or_null(entry["security"])}\n    }}')
+
+
+def _record_texts(r: AuditReport) -> tuple[list[str], list[str], list[str]]:
+    """The texts of r's findings, of their statements, at indent 4, and of
+    its slice entries. A location's text is made once per indent it
+    appears at, and a source label's once; these memos are dropped on
+    return, before the lists are joined."""
+    loc6 = _Texts(lambda loc: _loc_text(loc, " " * 6))
     loc8 = _Texts(lambda loc: _loc_text(loc, " " * 8))
     loc10 = _Texts(lambda loc: _loc_text(loc, " " * 10))
     label6 = _Texts(lambda label: _label_text(label, loc8))
     statements = [_statement_text(f.statement, loc10) for f in r.findings]
-    findings = _list_text(
-        [_finding_text(f, st, loc8, label6) for f, st in zip(r.findings, statements)], "  "
-    )
+    findings = [_finding_text(f, st, loc8, label6) for f, st in zip(r.findings, statements)]
+    return findings, statements, [_slice_text(e, loc6, loc8) for e in r.slices]
+
+
+def serialize_report(r: AuditReport) -> str:
+    """report.json's text: ``json.dumps(report, indent=2,
+    ensure_ascii=False)`` of the report's JSON form, plus a newline.
+
+    Every value is written straight from the records, one template per
+    record kind, with no generic encoder: the findings and statements from
+    the Finding records, the slices from the SliceEntry records and the
+    data-safety draft per category. Each statement's text is written once,
+    into its finding, and the top-level statements list is those texts
+    shifted two spaces left: encoded text holds no newline but the
+    structural ones."""
+    findings, statements, slices = _record_texts(r)
+    findings = _list_text(findings, "  ")
     statements = _list_text(statements, " " * 4).replace("\n  ", "\n")
+    slices = _list_text(slices, "  ")
+    data_safety = _list_text(
+        [_data_safety_text(cat, entry) for cat, entry in r.data_safety.items()], "  ", "{}"
+    )
     return "".join((
-        '{\n  "version": ', encode_json({"schema": 1, "tool": r.tool_version}, "  "),
-        ',\n  "input_digest": ', encode_basestring(r.input_digest),
-        ',\n  "assumptions": ', encode_json(list(r.assumptions), "  "),
+        '{\n  "version": {\n    "schema": 1,\n    "tool": ', encode_basestring(r.tool_version),
+        '\n  },\n  "input_digest": ', encode_basestring(r.input_digest),
+        ',\n  "assumptions": ', _list_text(map(encode_basestring, r.assumptions), "  "),
         ',\n  "findings": ', findings,
-        ',\n  "slices": ', encode_json(r.slices, "  "),
-        ',\n  "data_safety": ', encode_json(r.data_safety, "  "),
+        ',\n  "slices": ', slices,
+        ',\n  "data_safety": ', data_safety,
         ',\n  "statements": ', statements,
         "\n}\n",
     ))

@@ -997,6 +997,16 @@ def _finding_dict(f) -> dict:
     return out
 
 
+def _slice_dict(e) -> dict:
+    return {
+        "label": e.label,
+        "root": _loc_dict(e.root),
+        "node_count": e.node_count,
+        "methods_touched": e.methods_touched,
+        "sink_nodes": [_loc_dict(n) for n in e.sink_nodes],
+    }
+
+
 def report_dict(r: AuditReport) -> dict:
     """The dict whose ``json.dumps(indent=2, ensure_ascii=False)`` plus a
     newline is report.json: the spec serialize_report writes to. The
@@ -1007,7 +1017,7 @@ def report_dict(r: AuditReport) -> dict:
         "input_digest": r.input_digest,
         "assumptions": list(r.assumptions),
         "findings": findings,
-        "slices": r.slices,
+        "slices": [_slice_dict(e) for e in r.slices],
         "data_safety": r.data_safety,
         "statements": [f["statement"] for f in findings],
     }

@@ -21,7 +21,7 @@ from gen import (
     shared_cell_program,
 )
 from oracles import expand_cell_nodes, explicit_graph
-from pdaudit.graph import KINDS, DepEdge, EdgeKind, build_call_graph, build_pdg
+from pdaudit.graph import DepEdge, build_call_graph, build_pdg
 from pdaudit.ir import AssignFieldLoad, Call, FieldStore, Loc, parse_program
 from pdaudit.registry import SinkKind, SinkMatch, SinkRegistry
 from pdaudit.report import render_dot
@@ -137,32 +137,6 @@ def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:
         any(_is_field_pair(stmt_at, a, b) for a, b in zip(f.witness, f.witness[1:]))
         for f in flows
     )
-
-
-def test_cell_edges_expand_to_the_edges_between_any_id_set():
-    """cell_edges on any set of ids, not only a slice closed under edges:
-    each cell listed has a store and a load there, cells come in the order
-    of their first store, and expanding them gives the graph's edges
-    between those ids."""
-    rng = random.Random(3232)
-    for _ in range(40):
-        p = gen_perf_program(rng, n_methods=8, stmts_each=30)
-        g = build_pdg(p, build_call_graph(p))
-        n = len(g.locs)
-        ids = sorted(rng.sample(range(n), rng.randrange(n + 1)))
-        cells, edges = g.cell_edges(ids)
-        edges = list(edges)
-        loads = {c: [j for i, j, _ in edges if i == n + c] for c in cells}
-        stores = {c: [i for i, j, _ in edges if j == n + c] for c in cells}
-        assert all(loads[c] and stores[c] for c in cells)
-        cell_of = {s: c for c, (ss, _) in enumerate(g.cells) for s in ss}
-        assert [c for c in dict.fromkeys(cell_of.get(i) for i in ids) if c in cells] == cells
-        expanded = [(i, j, k) for i, j, k in edges if i < n and j < n] + [
-            (s, l, KINDS.index(EdgeKind.DATA)) for c in cells for s in stores[c] for l in loads[c]
-        ]
-        inside = set(ids)
-        between = [(g.id_of(e.src), g.id_of(e.dst), KINDS.index(e.kind)) for e in g.edges]
-        assert sorted(expanded) == sorted(e for e in between if e[0] in inside and e[1] in inside)
 
 
 def test_depgraph_holds_csr_arrays_not_per_node_lists():

@@ -32,9 +32,9 @@ from pdaudit.report import (
     Finding,
     FindingKind,
     ReportConfig,
+    SliceEntry,
     build_report,
     draft_data_safety,
-    encode_json,
     input_digest,
     render_dot,
     risk_score,
@@ -395,32 +395,10 @@ def test_serialization_deterministic():
     assert a == b
 
 
-_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029é€😀'))
-_JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**80), max_value=10**80)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308])
-    | _TEXT,
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
-    max_leaves=30,
-)
-
-
-@settings(deadline=None)
-@given(_JSON_VALUES)
-def test_encoder_matches_json_dumps(value):
-    assert encode_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
-
-
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_encoder_rejects_non_finite_floats(value):
     with pytest.raises(ValueError):
         json.dumps(value, allow_nan=False)
-    with pytest.raises(ValueError):
-        encode_json({"findings": [{"risk": value}]})
     *_, report, _, _ = pipeline(FIXTURE_A)
     report.findings[0] = report.findings[0]._replace(risk=value)
     with pytest.raises(ValueError):
@@ -469,7 +447,8 @@ _NASTY = st.text(st.characters() | st.sampled_from('"\\\x00\x01\n\x1f\x7f \xa0\u
 @st.composite
 def audit_reports(draw):
     """AuditReports whose records share a few locations and labels, with
-    empty lists, None names and both origin kinds."""
+    empty lists, None names, both origin kinds, and slice entries whose
+    roots and sink nodes are the same locations."""
     locs = st.sampled_from(draw(st.lists(st.builds(Loc, _NASTY, _NASTY, st.integers(0, 10**9)),
                                          min_size=1, max_size=4)))
     origin = st.builds(Origin, st.sampled_from(["SystemApi", "UserInput"]) | _NASTY,
@@ -491,7 +470,11 @@ def audit_reports(draw):
         st.builds(Finding, _NASTY, st.sampled_from(FindingKind), risk, labels,
                   st.none() | flow, statement),
         max_size=6))
-    return AuditReport(__version__, draw(_NASTY), ASSUMPTIONS, findings, [],
+    slices = draw(st.lists(
+        st.builds(SliceEntry, st.integers(0, 10**9), locs, st.integers(0, 10**9),
+                  st.integers(0, 10**9), st.lists(locs, max_size=4).map(tuple)),
+        max_size=4))
+    return AuditReport(__version__, draw(_NASTY), ASSUMPTIONS, findings, slices,
                        draft_data_safety(findings))
 
 
@@ -501,18 +484,11 @@ def test_serialized_reports_match_the_report_dict(r):
     assert_serialized_as_report_dict(r)
 
 
-@pytest.mark.parametrize("value", [(1, 2), {1: "x"}, {"a": b"x"}, {"a": object()}])
-def test_encoder_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        encode_json(value)
-
-
 def test_serialize_peak_memory_is_about_twice_the_output():
     # json.dumps(indent=2) builds a chunk list of the whole output: about 7x its length.
-    loc = lambda i, j: {"class": f"app.Screen{i}", "method": f"onSubmit{j}/1", "index": j}
+    loc = lambda i, j: Loc(f"app.Screen{i}", f"onSubmit{j}/1", j)
     slices = [
-        {"label": i, "root": loc(i, 0), "node_count": 40 + i, "methods_touched": 3,
-         "sink_nodes": [loc(i, j) for j in range(5)]}
+        SliceEntry(i, loc(i, 0), 40 + i, 3, tuple(loc(i, j) for j in range(5)))
         for i in range(4000)
     ]
     r = AuditReport(__version__, "0" * 64, ASSUMPTIONS, [], slices, {})

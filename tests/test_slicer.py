@@ -63,8 +63,8 @@ def test_slice_fixture_a():
     assert {n.index for n in s.nodes} == {0, 1}
     assert slice_entries(p, [s]) == slice_entries(p, [s])
     (e,) = slice_entries(p, [s])
-    assert (e["node_count"], e["methods_touched"]) == (2, 1)
-    assert [n["index"] for n in e["sink_nodes"]] == [1]
+    assert (e.node_count, e.methods_touched) == (2, 1)
+    assert [n.index for n in e.sink_nodes] == [1]
 
 
 def test_slice_fixture_b():
@@ -74,8 +74,8 @@ def test_slice_fixture_b():
     s = forward_slice(g, labels[0])
     assert {n.index for n in s.nodes} == {0, 2, 4, 5}
     (e,) = slice_entries(p, [s])
-    assert (e["node_count"], e["methods_touched"]) == (4, 1)
-    assert [n["index"] for n in e["sink_nodes"]] == [5]
+    assert (e.node_count, e.methods_touched) == (4, 1)
+    assert [n.index for n in e.sink_nodes] == [5]
 
 
 def test_singleton_slice():
@@ -85,7 +85,7 @@ def test_singleton_slice():
     assert s.nodes == frozenset({Loc("C", "f/0", 0)})
     assert s.edges == frozenset()
     (e,) = slice_entries(p, [s])
-    assert (e["node_count"], e["methods_touched"], e["sink_nodes"]) == (1, 1, [])
+    assert (e.node_count, e.methods_touched, e.sink_nodes) == (1, 1, ())
 
 
 def test_slice_entries_recount_slice_ids():
@@ -101,7 +101,7 @@ def test_slice_entries_recount_slice_ids():
         g = build(p)
         slices = [forward_slice(g, l) for l in label_sources(p, GEN_SOURCES, GEN_LEXICON)]
         entries = slice_entries(p, slices, GEN_SINKS)
-        assert [e["label"] for e in entries] == sorted(s.root.id for s in slices)
+        assert [e.label for e in entries] == sorted(s.root.id for s in slices)
         for e, s in zip(entries, sorted(slices, key=lambda s: s.root.id)):
             locs = [g.locs[i] for i in s.ids]
             sink_locs = sorted(
@@ -109,13 +109,11 @@ def test_slice_entries_recount_slice_ids():
                 if isinstance(g.stmts[i], Call)
                 and GEN_SINKS.match(g.stmts[i].callee) is not None
             )
-            assert e["node_count"] == len(locs)
-            assert e["methods_touched"] == len({(n.cls, n.method) for n in locs})
-            assert e["sink_nodes"] == [
-                {"class": n.cls, "method": n.method, "index": n.index} for n in sink_locs
-            ]
+            assert e.node_count == len(locs)
+            assert e.methods_touched == len({(n.cls, n.method) for n in locs})
+            assert list(e.sink_nodes) == sink_locs
             with_sinks += bool(sink_locs)
-            multi_method += e["methods_touched"] > 1
+            multi_method += e.methods_touched > 1
     assert with_sinks >= 30 and multi_method >= 10
 
 
