@@ -139,6 +139,34 @@ def _assert_cells_match_explicit_edges(p) -> tuple[bool, int]:
     )
 
 
+def test_induced_on_closed_id_sets_gives_each_edge_between_them_once():
+    """induced on all ids, and on the ids one node reaches, gives the
+    graph's edges between those ids, cell pairs expanded, each once."""
+    rng = random.Random(3232)
+    with_cells = 0
+    for _ in range(40):
+        p = gen_perf_program(rng, n_methods=8, stmts_each=30)
+        g = build_pdg(p, build_call_graph(p))
+        n = len(g.locs)
+        with_cells += bool(g.cells)
+        every = list(g.induced(range(n)))
+        assert len(set(every)) == len(every) == len(g.edges)
+        succs: dict[int, list[int]] = {}
+        for i, j, _ in every:
+            succs.setdefault(i, []).append(j)
+        for root in rng.sample(range(n), min(n, 5)):
+            reach, work = {root}, [root]
+            while work:
+                for j in succs.get(work.pop(), ()):
+                    if j not in reach:
+                        reach.add(j)
+                        work.append(j)
+            inside = list(g.induced(sorted(reach)))
+            assert len(set(inside)) == len(inside)
+            assert set(inside) == {e for e in every if e[0] in reach and e[1] in reach}
+    assert with_cells >= 20, with_cells
+
+
 def test_depgraph_holds_csr_arrays_not_per_node_lists():
     """The outgoing edges are one offsets array and one packed-edge array
     that holds exactly the explicit edges, with no reversed copy; no

@@ -484,6 +484,45 @@ def test_serialized_reports_match_the_report_dict(r):
     assert_serialized_as_report_dict(r)
 
 
+# draft_data_safety always sets "collected" and writes only two security
+# values; the template takes any entry of that shape.
+@pytest.mark.parametrize("data_safety", [
+    {},
+    {"Location": {"collected": False, "shared_with": [], "security": None}},
+    {"EmailAddress": {"collected": True, "shared_with": ["Tracker", "network"],
+                      "security": "pseudonymised"}},
+    {'"\\ 😀': {"collected": False, "shared_with": ['"', "\x00\x1f", ""],
+                     "security": "\x7f\n"}},
+    {"": {"collected": True, "shared_with": ["a"], "security": None},
+     "Name": {"collected": False, "shared_with": [], "security": ""}},
+])
+def test_data_safety_entries_are_written_as_json_dumps(data_safety):
+    assert_serialized_as_report_dict(
+        AuditReport(__version__, "0" * 64, ASSUMPTIONS, [], [], data_safety))
+
+
+@pytest.mark.parametrize("sinks", ["none", "root", "witness"])
+def test_slice_entries_are_written_as_json_dumps(sinks):
+    """A slice with no sink nodes, one whose sink node is its own root
+    (its text at indent 6 and at indent 8), and one whose sink nodes are
+    the findings' witness locations (their indent-8 texts shared)."""
+    *_, report, _, _ = pipeline(FIXTURE_A)
+    flow = next(f.flow for f in report.findings if f.flow is not None)
+    root = Loc('app."Screen" ', "onCreate/0", 7)
+    sink_nodes = {"none": (), "root": (root, root), "witness": flow.witness}[sinks]
+    report.slices = [SliceEntry(0, root, 12, 2, sink_nodes), *report.slices]
+    assert_serialized_as_report_dict(report)
+
+
+@pytest.mark.parametrize("tool_version, assumptions", [
+    ('0.1"\\\x00', ()),
+    ("", ("", "  😀", '"quoted"\n')),
+])
+def test_version_and_assumptions_are_written_as_json_dumps(tool_version, assumptions):
+    assert_serialized_as_report_dict(
+        AuditReport(tool_version, "", assumptions, [], [], {}))
+
+
 def test_serialize_peak_memory_is_about_twice_the_output():
     # json.dumps(indent=2) builds a chunk list of the whole output: about 7x its length.
     loc = lambda i, j: Loc(f"app.Screen{i}", f"onSubmit{j}/1", j)
