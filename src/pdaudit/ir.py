@@ -29,9 +29,10 @@ LITERAL is a double-quoted STRING. Strings support ``\\"``, ``\\\\``,
 syntax error.
 
 Parsing is total: any byte sequence yields either a Program or one of the
-positioned errors below, never an unrelated exception. Every statement
-records the line/column it was parsed from; positions are ignored by
-structural equality, so ``parse_program(print_program(p)) == p``.
+positioned errors below, never an unrelated exception. A parsed program
+holds no source position: a statement is named by its ``Loc``, and only a
+``ParseError`` carries a line and column. Equality is structural, so
+``parse_program(print_program(p)) == p``.
 
 Statements are slotted classes and ``Loc`` is a NamedTuple, neither
 with a per-instance ``__dict__``, and every name the parser reads (locals,
@@ -48,8 +49,9 @@ lexer builds that Stmt from the match at once and emits it as one statement
 token, so a statement costs one match, not one per token. Class and method
 headers, braces, and statements split over lines or holding a comment are
 lexed token by token. Tokens are plain parallel lists (kinds, values, start
-offsets) that the recursive-descent parser walks with an integer cursor;
-line and column come from the offset. Any error in this pass re-parses the
+offsets) that the recursive-descent parser walks with an integer cursor.
+An error's line and column are counted from the text up to its token's
+offset, only when the error is raised. Any error in this pass re-parses the
 text with the statement alternative off, so every error, its position and
 its message come from the token-by-token parse. A lexical error is
 positioned where no token starts, at the opening quote of an unterminated
@@ -61,7 +63,6 @@ where it is the column of the ``#``.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
@@ -130,8 +131,8 @@ class Loc(NamedTuple):
 
 class Record:
     """== and repr over the attributes _fields names: the value of a
-    mutable record, without what it holds besides (positions, memos, a
-    registry's canonical text). A record is unhashable, and == holds only
+    mutable record, without what it holds besides (memos, a registry's
+    canonical text). A record is unhashable, and == holds only
     between records of one class."""
 
     __slots__ = ()
@@ -150,38 +151,38 @@ class Record:
 
 
 class Stmt(Record):
-    """Base statement. line/col are diagnostics only: == and repr read a
-    statement class's own __slots__, which leave them out."""
+    """Base statement: == and repr read the fields that each statement
+    class's __slots__ name. A statement holds no source position."""
 
-    __slots__ = ("line", "col")
+    __slots__ = ()
 
 
 class AssignConst(Stmt):
     __slots__ = _fields = ("lhs", "value")
 
-    def __init__(self, lhs: str, value: str, *, line: int = 0, col: int = 0):
-        self.lhs, self.value, self.line, self.col = lhs, value, line, col
+    def __init__(self, lhs: str, value: str):
+        self.lhs, self.value = lhs, value
 
 
 class AssignCopy(Stmt):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def __init__(self, lhs: str, rhs: str, *, line: int = 0, col: int = 0):
-        self.lhs, self.rhs, self.line, self.col = lhs, rhs, line, col
+    def __init__(self, lhs: str, rhs: str):
+        self.lhs, self.rhs = lhs, rhs
 
 
 class AssignFieldLoad(Stmt):
     __slots__ = _fields = ("lhs", "cls", "fld")
 
-    def __init__(self, lhs: str, cls: str, fld: str, *, line: int = 0, col: int = 0):
-        self.lhs, self.cls, self.fld, self.line, self.col = lhs, cls, fld, line, col
+    def __init__(self, lhs: str, cls: str, fld: str):
+        self.lhs, self.cls, self.fld = lhs, cls, fld
 
 
 class FieldStore(Stmt):
     __slots__ = _fields = ("cls", "fld", "rhs")
 
-    def __init__(self, cls: str, fld: str, rhs: str, *, line: int = 0, col: int = 0):
-        self.cls, self.fld, self.rhs, self.line, self.col = cls, fld, rhs, line, col
+    def __init__(self, cls: str, fld: str, rhs: str):
+        self.cls, self.fld, self.rhs = cls, fld, rhs
 
 
 class Call(Stmt):
@@ -191,30 +192,29 @@ class Call(Stmt):
     __slots__ = _fields = ("callee", "args", "widget", "lhs")
 
     def __init__(self, callee: str, args: tuple[str, ...], widget: Optional[str] = None,
-                 lhs: Optional[str] = None, *, line: int = 0, col: int = 0):
+                 lhs: Optional[str] = None):
         self.callee, self.args, self.widget, self.lhs = callee, args, widget, lhs
-        self.line, self.col = line, col
 
 
 class If(Stmt):
     __slots__ = _fields = ("cond", "target")
 
-    def __init__(self, cond: str, target: int, *, line: int = 0, col: int = 0):
-        self.cond, self.target, self.line, self.col = cond, target, line, col
+    def __init__(self, cond: str, target: int):
+        self.cond, self.target = cond, target
 
 
 class Goto(Stmt):
     __slots__ = _fields = ("target",)
 
-    def __init__(self, target: int, *, line: int = 0, col: int = 0):
-        self.target, self.line, self.col = target, line, col
+    def __init__(self, target: int):
+        self.target = target
 
 
 class Return(Stmt):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: Optional[str] = None, *, line: int = 0, col: int = 0):
-        self.value, self.line, self.col = value, line, col
+    def __init__(self, value: Optional[str] = None):
+        self.value = value
 
 
 _DEFINING = frozenset({AssignConst, AssignCopy, AssignFieldLoad, Call})  # each has an lhs
@@ -244,12 +244,10 @@ def stmt_uses(s: Stmt) -> tuple[str, ...]:
 
 
 class MethodDef(Record):
-    _fields = ("name", "return_type", "params", "body")  # not line and col
+    _fields = ("name", "return_type", "params", "body")
 
-    def __init__(self, name: str, return_type: str, params: tuple[str, ...], body: list[Stmt],
-                 *, line: int = 0, col: int = 0):
+    def __init__(self, name: str, return_type: str, params: tuple[str, ...], body: list[Stmt]):
         self.name, self.return_type, self.params, self.body = name, return_type, params, body
-        self.line, self.col = line, col
 
     @property
     def key(self) -> str:
@@ -258,14 +256,13 @@ class MethodDef(Record):
 
 
 class ClassDef(Record):
-    _fields = ("name", "superclass", "fields", "methods")  # not line and col
+    _fields = ("name", "superclass", "fields", "methods")
 
     def __init__(self, name: str, superclass: str, fields: list[tuple[str, str]],
-                 methods: list[MethodDef], *, line: int = 0, col: int = 0):
+                 methods: list[MethodDef]):
         self.name, self.superclass = name, superclass
         self.fields = fields  # (field name, type name)
         self.methods = methods
-        self.line, self.col = line, col
 
 
 class Program(Record):
@@ -363,9 +360,8 @@ _TOKEN_ONLY = rf"{_SKIP} (?: {_TOKENS} )"
 _CALL, _CONST, _COPY, _STORE, _IF, _GOTO, _RETURN = (_TOKEN_RE.groupindex[form] for form in (
     "call", "const", "copy", "store", "if", "goto", "return"))
 _SHIFT = _RETURN  # the last statement group
-_STMT = 0  # the kind of a statement token, whose value is its Stmt
+_STMT = 0  # the kind of a statement token, whose value is (index, Stmt)
 _PUNCT, _LOCAL, _STRING, _INT, _WORD, _EOF, _BAD = range(_SHIFT + 1, _SHIFT + 8)
-_NEWLINE_RE = re.compile("\n")
 _PNUM_RE = re.compile(r"p[0-9]+\Z")
 _ESCAPE_RE = re.compile(r"\\(.)")
 
@@ -377,8 +373,7 @@ def _lex(text: str, statements: bool = True) -> tuple[list[int], list, list[int]
     """Token kinds, values and start offsets, ending with one EOF token.
 
     With statements, a whole statement that _TOKEN_RE matches is one token
-    of kind _STMT at its index: its value is the Stmt, which holds the
-    statement index in line until _Parser.methoddef positions it."""
+    of kind _STMT at its index: its value is (statement index, Stmt)."""
     kinds: list[int] = []
     values: list = []
     offsets: list[int] = []
@@ -392,7 +387,7 @@ def _lex(text: str, statements: bool = True) -> tuple[list[int], list, list[int]
             add_offset(m.start(g))
         else:
             add_kind(_STMT)
-            add_value(_statement(m, g))
+            add_value((int(m[1]), _statement(m, g)))
             add_offset(m.start(1))
     if _BAD in kinds:
         raise _diagnose(text, offsets[kinds.index(_BAD)])
@@ -414,7 +409,6 @@ def _lex(text: str, statements: bool = True) -> tuple[list[int], list, list[int]
 
 def _statement(m: re.Match, form: int) -> Stmt:
     """The Stmt of a statement match of _TOKEN_RE, form its m.lastindex."""
-    index = int(m[1])
     lhs = m[2]
     if lhs is not None:
         lhs = intern(lhs)
@@ -423,24 +417,24 @@ def _statement(m: re.Match, form: int) -> Stmt:
         args = tuple([intern(a.strip(" \t")) for a in args.split(",")]) if args else ()
         if widget is not None:
             widget = _unquote(widget)
-        return Call(intern(callee), args, widget, lhs, line=index)
+        return Call(intern(callee), args, widget, lhs)
     if form == _STORE:
         cls, fld = _member(m[13])
-        return FieldStore(cls, fld, intern(m[14]), line=index)
+        return FieldStore(cls, fld, intern(m[14]))
     if form == _IF:
-        return If(intern(m[16]), int(m[17]), line=index)
+        return If(intern(m[16]), int(m[17]))
     if form == _GOTO:
-        return Goto(int(m[19]), line=index)
+        return Goto(int(m[19]))
     if form == _RETURN:
         value = m[21]
-        return Return(value if value is None else intern(value), line=index)
+        return Return(value if value is None else intern(value))
     if lhs is None:  # the token-by-token parse reports where it fails
         raise ParseError(0, 0, "local")
     if form == _CONST:
-        return AssignConst(lhs, _unquote(m[7]), line=index)
+        return AssignConst(lhs, _unquote(m[7]))
     if form == _COPY:
-        return AssignCopy(lhs, intern(m[9]), line=index)
-    return AssignFieldLoad(lhs, *_member(m[11]), line=index)
+        return AssignCopy(lhs, intern(m[9]))
+    return AssignFieldLoad(lhs, *_member(m[11]))
 
 
 def _member(ref: str) -> tuple[str, str]:
@@ -455,10 +449,15 @@ def _unquote(token: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], s) if "\\" in s else s
 
 
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of offset in text, for an error."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
 def _diagnose(text: str, off: int) -> ParseError:
     """The error for the first offset where no token starts."""
-    line_start = text.rfind("\n", 0, off) + 1
-    line, col = text.count("\n", 0, line_start) + 1, off - line_start + 1
+    line, col = _position(text, off)
     if text[off] == "$":
         return ParseError(line, col, "identifier after '$'")
     if text[off] != '"':
@@ -488,17 +487,12 @@ class _Parser:
     """Recursive descent over the token lists; i is the current token."""
 
     def __init__(self, text: str, statements: bool = True):
+        self.text = text
         self.kinds, self.values, self.offsets = _lex(text, statements)
-        self.line_starts = [0] + [m.end() for m in _NEWLINE_RE.finditer(text)]
         self.i = 0
 
-    def position(self, i: int) -> tuple[int, int]:
-        off = self.offsets[i]
-        line = bisect_right(self.line_starts, off)
-        return line, off - self.line_starts[line - 1] + 1
-
     def error(self, expected: str) -> ParseError:
-        return ParseError(*self.position(self.i), expected)
+        return ParseError(*_position(self.text, self.offsets[self.i]), expected)
 
     def expect(self, value: str) -> None:
         """Consume the keyword or mark value."""
@@ -583,7 +577,6 @@ class _Parser:
         return Program(classes)
 
     def classdef(self) -> ClassDef:
-        line, col = self.position(self.i)
         self.expect("class")
         name = self.qname()
         self.expect("extends")
@@ -600,10 +593,9 @@ class _Parser:
         while self.values[self.i] == "method":
             methods.append(self.methoddef(name))
         self.expect("}")
-        return ClassDef(name, superclass, fields, methods, line=line, col=col)
+        return ClassDef(name, superclass, fields, methods)
 
     def methoddef(self, cls_name: str) -> MethodDef:
-        line, col = self.position(self.i)
         self.expect("method")
         return_type = self.qname()
         name = self.ident("method name")
@@ -613,10 +605,9 @@ class _Parser:
         kinds, values = self.kinds, self.values
         while True:
             if kinds[self.i] == _STMT:
-                s = values[self.i]
-                if s.line != len(body):
+                index, s = values[self.i]
+                if index != len(body):
                     raise self.error(f"statement index {len(body)}")
-                s.line, s.col = self.position(self.i)
                 body.append(s)
                 self.i += 1
             elif values[self.i] == "}":
@@ -624,7 +615,7 @@ class _Parser:
             else:
                 body.append(self.stmt(len(body)))
         self.i += 1
-        method = MethodDef(name, return_type, params, body, line=line, col=col)
+        method = MethodDef(name, return_type, params, body)
         for s in body:
             if isinstance(s, (If, Goto)) and not (0 <= s.target < len(body)):
                 target = None if s.target == _TOO_LONG else s.target
@@ -632,13 +623,11 @@ class _Parser:
         return method
 
     def stmt(self, expected_index: int) -> Stmt:
-        line, col = self.position(self.i)
         if self.index() != expected_index:
-            raise ParseError(line, col, f"statement index {expected_index}")
+            self.i -= 1  # the error is at the index just read
+            raise self.error(f"statement index {expected_index}")
         self.expect(":")
-        s = self.body()
-        s.line, s.col = line, col
-        return s
+        return self.body()
 
     def body(self) -> Stmt:
         v = self.values[self.i]
@@ -701,9 +690,7 @@ def parse_program(text: Union[str, bytes]) -> Program:
             text = text.decode("utf-8")
         except UnicodeDecodeError as e:
             prefix = text[: e.start].decode("utf-8", errors="replace")
-            line = prefix.count("\n") + 1
-            col = len(prefix) - (prefix.rfind("\n") + 1) + 1
-            raise ParseError(line, col, "valid UTF-8") from None
+            raise ParseError(*_position(prefix, len(prefix)), "valid UTF-8") from None
     try:
         return _Parser(text).program()
     except PirError:  # every error comes from the token-by-token parse

@@ -42,13 +42,11 @@ class RegistryError(Exception):
 
 class MalformedRegistryError(RegistryError):
     def __init__(self, file: Union[str, Path], reason: str):
-        self.reason = reason
         super().__init__(file, f"{file}: {reason}")
 
 
 class ConflictingEntryError(RegistryError):
     def __init__(self, file: Union[str, Path], signature: str):
-        self.signature = signature
         super().__init__(file, f"conflicting registry entry: {signature}")
 
 

@@ -648,8 +648,9 @@ def expected_all_paths_pseudonymized(g: DepGraph, p: Program, san, cg, flow) -> 
 # ---------------------------------------------------------------------------
 # Reference PIR parser: a per-character lexer building one token object per
 # token, and a recursive-descent parser reading them through a cursor
-# property. It defines the grammar, the errors and every position that
-# parse_program must reproduce.
+# property. It defines the grammar, the Program and the errors, each with
+# the position, that parse_program must reproduce. Token positions serve
+# the errors only: the Program holds none.
 # ---------------------------------------------------------------------------
 
 _PUNCT = set("{}()=:;,.@")
@@ -830,7 +831,7 @@ class _Parser:
         return Program(classes)
 
     def classdef(self) -> ClassDef:
-        t = self.expect_word("class")
+        self.expect_word("class")
         name = self.qname()
         self.expect_word("extends")
         superclass = self.qname()
@@ -846,10 +847,10 @@ class _Parser:
         while self.at_word("method"):
             methods.append(self.methoddef(name))
         self.expect_punct("}")
-        return ClassDef(name, superclass, fields, methods, line=t.line, col=t.col)
+        return ClassDef(name, superclass, fields, methods)
 
     def methoddef(self, cls_name: str) -> MethodDef:
-        t = self.expect_word("method")
+        self.expect_word("method")
         return_type = self.qname()
         name = self.ident("method name")
         self.expect_punct("(")
@@ -865,7 +866,7 @@ class _Parser:
         while not self.at_punct("}"):
             body.append(self.stmt(len(body)))
         self.expect_punct("}")
-        method = MethodDef(name, return_type, tuple(params), body, line=t.line, col=t.col)
+        method = MethodDef(name, return_type, tuple(params), body)
         for s in body:
             if isinstance(s, (If, Goto)) and not (0 <= s.target < len(body)):
                 raise InvalidTargetError(f"{cls_name}.{method.key}", s.target)
@@ -877,9 +878,7 @@ class _Parser:
         if idx != expected_index:
             raise ParseError(t.line, t.col, f"statement index {expected_index}")
         self.expect_punct(":")
-        s = self.body()
-        s.line, s.col = t.line, t.col
-        return s
+        return self.body()
 
     def body(self) -> Stmt:
         if self.at_word("store"):

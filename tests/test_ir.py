@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_A, FIXTURE_B, MUTUAL_EXTENDS
-from gen import gen_program, gen_roundtrip_program
+from gen import gen_perf_program, gen_program, gen_roundtrip_program
 from oracles import reference_parse
 from pdaudit.cli import _read_pir
 from pdaudit.graph import build_call_graph, build_pdg
@@ -112,11 +113,15 @@ def test_comments_and_whitespace_insensitive():
     assert p.classes[0].methods[0].body == [Return(None)]
 
 
-def test_statement_positions_retained():
-    p = parse_program(FIXTURE_A)
-    s0, s1, _ = p.classes[0].methods[0].body
-    assert (s0.line, s1.line) == (3, 4)
-    assert s0.col == 5
+def test_parsed_program_holds_no_positions():
+    """Only a ParseError carries a line and column: no parsed class, method
+    or statement does, on either lexer path."""
+    for statements in (True, False):
+        p = _Parser(_EVERY_FORM, statements).program()
+        parts = [*p.classes, *(m for _, m in p.iter_methods())]
+        parts += [s for _, m in p.iter_methods() for s in m.body]
+        assert len({type(x) for x in parts}) == 10  # every statement class
+        assert not any(hasattr(x, "line") or hasattr(x, "col") for x in parts)
 
 
 def test_fixture_a_round_trip():
@@ -319,6 +324,24 @@ class app.C extends app.Base {
     assert b[4].rhs is b[2].lhs is b[5].value
 
 
+def test_parsed_program_holds_at_most_128_bytes_per_statement():
+    """A parsed statement costs its slotted object, its body-list slot and
+    its share of the method and class records and of the names: about 101
+    bytes on CPython 3.11. A source position on every statement, two slots
+    and a line number object, would pass the bound."""
+    text = print_program(gen_perf_program(random.Random(94304), n_methods=200, stmts_each=50))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        p = parse_program(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = _n_stmts(p)
+    assert n == 10000
+    assert held / n <= 128, held / n
+
+
 # ---------------------------------------------------------------------------
 # Differential check against the reference parser
 # ---------------------------------------------------------------------------
@@ -329,24 +352,15 @@ KEYWORDS = ["class", "extends", "field", "method", "store", "load", "call", "if"
 CHARS = list('{}()=:;,.@$"\\#') + ["\r", "\t", "\n", " ", "p", "_", "a", "é"] + list("0123456789")
 
 
-def _positions(p):
-    return [
-        [(c.line, c.col)]
-        + [[(m.line, m.col)] + [(s.line, s.col) for s in m.body] for m in c.methods]
-        for c in p.classes
-    ]
-
-
 def _outcome(parse, text):
-    """The Program with every class, method and statement position, or the
-    error: its type with (line, col, expected) or its message."""
+    """The Program, or the error: its type with (line, col, expected) or
+    its message."""
     try:
-        p = parse(text)
+        return parse(text)
     except ParseError as e:
         return "ParseError", e.line, e.col, e.expected
     except Exception as e:  # noqa: BLE001 - any other outcome must match too
         return type(e).__name__, str(e)
-    return p, _positions(p)
 
 
 def assert_same_as_reference(text):
@@ -384,7 +398,7 @@ def test_parser_matches_reference_on_mutated_fixtures():
     for _ in range(6000):
         text = _mutate(rng, rng.choice(fixtures))
         assert_same_as_reference(text)
-        errors += not isinstance(_outcome(reference_parse, text)[0], Program)
+        errors += not isinstance(_outcome(reference_parse, text), Program)
     assert 1000 < errors < 5900  # both outcomes are well represented
 
 
@@ -498,7 +512,7 @@ def test_pinned_statement_layouts_parse_as_the_reference(body, outcome):
     if isinstance(outcome, str):
         assert got[0] == outcome
     else:
-        body = got[0].classes[0].methods[0].body
+        body = got.classes[0].methods[0].body
         assert body == outcome
         assert [stmt_defs(s) for s in body] == [getattr(s, "lhs", None) for s in outcome]
     assert_same_as_reference(text)
@@ -524,5 +538,5 @@ def test_bench_workloads_parse_the_same_with_and_without_statement_tokens(monkey
         text = workloads.generate(name, 7).text
         fast = parse_program(text)
         slow = _Parser(text, statements=False).program()
-        assert fast == slow and _positions(fast) == _positions(slow)
+        assert fast == slow
         assert _lex(text)[0].count(_STMT) == _n_stmts(fast) > 10000

@@ -67,13 +67,12 @@ STATEMENTS = [
 
 
 @pytest.mark.parametrize("s", STATEMENTS, ids=lambda s: type(s).__name__)
-def test_statement_equality_ignores_position_and_is_type_sensitive(s):
+def test_statement_equality_is_structural_and_type_sensitive(s):
     fields = [getattr(s, f) for f in type(s).__slots__]
-    moved = type(s)(*fields, line=7, col=3)
-    assert (moved.line, moved.col) == (7, 3)
-    assert moved == s and not moved != s
-    assert repr(moved) == repr(s)
-    assert repr(s).startswith(f"{type(s).__name__}(") and "line" not in repr(s)
+    copy = type(s)(*fields)
+    assert copy is not s and copy == s and not copy != s
+    assert repr(copy) == repr(s)
+    assert repr(s).startswith(f"{type(s).__name__}(")
     with pytest.raises(TypeError):
         hash(s)
     assert not hasattr(s, "__dict__")
@@ -86,18 +85,18 @@ def test_statements_with_equal_fields_of_other_classes_differ():
     assert Return("$a") != Goto("$a")
     assert Call("app.C.m", ()) == Call("app.C.m", (), None, None)
     assert Call("app.C.m", ()) != Call("app.C.m", (), None, "$r")
-    assert repr(Call("a.B.c", ("$x",), lhs="$y", line=3)) == (
+    assert repr(Call("a.B.c", ("$x",), lhs="$y")) == (
         "Call(callee='a.B.c', args=('$x',), widget=None, lhs='$y')")
 
 
-def test_program_equality_ignores_positions():
-    m = MethodDef("run", "void", ("p0",), [Return(None, line=3)], line=2, col=3)
-    c = ClassDef("app.C", "app.B", [("f", "app.C")], [m], line=1, col=1)
+def test_program_equality_is_structural():
+    m = MethodDef("run", "void", ("p0",), [Return(None)])
+    c = ClassDef("app.C", "app.B", [("f", "app.C")], [m])
     same = ClassDef("app.C", "app.B", [("f", "app.C")],
                     [MethodDef("run", "void", ("p0",), [Return(None)])])
     assert Program([c]) == Program([same]) and repr(Program([c])) == repr(Program([same]))
     assert Program([c]) != Program([ClassDef("app.C", "app.B", [], [m])])
-    assert m.key == "run/1" and (c.line, c.col, m.line, m.col) == (1, 1, 2, 3)
+    assert m.key == "run/1"
     with pytest.raises(TypeError):
         hash(Program([c]))
 
