@@ -50,25 +50,29 @@ statement; the method facts hold none, only each method's base. Loc and
 MethodId are tuples, so they compare and hash in C; id_of maps a Loc back
 to its id by one bisect over locs, with no {Loc: id} table. stmts[id] is
 the statement at locs[id]: the one statement index downstream of parsing,
-read by flows, slice statistics and DOT output. build_pdg emits each
-explicit edge once, into two flat int arrays, the source ids and the other
-ends packed with a kind code, and never builds a list per node. The graph
-keeps the outgoing edges, the only direction any traversal reads, in
-compressed sparse rows (CSR), one offsets array and one packed-edge array:
-node i's edges are packed[offsets[i] : offsets[i + 1]], sorted. The codes
-follow the order of the kind.value strings, so each run is in (dst Loc,
-kind.value) order. A field cell is stored once, as its sorted reachable
-store ids and load ids: its stores x loads Data edges are never stored,
-which keeps the graph linear in the program. Slicing (reach) and the flow
-search's layers (data_layer) walk ids straight off the CSR runs and
-expand each cell at most once per traversal; only this module reads the
-packed format. DOT output never expands a cell: closed_cell_edges
-numbers cell c as node len(locs) + c and gives its store -> cell and
-cell -> load Data edges, the summary-node reading of system dependence
-graphs (Horwitz, Reps and Binkley, TOPLAS 1990), so a slice's DOT file
-stays linear in the slice. A slice is closed under out-edges, so none of
-those edges is tested against it. DepEdge objects, cell pairs included,
-are built only by the edges view and a slice's, both over closed id sets.
+read by flows, slice statistics and DOT output. A field cell is a node
+too: cell c, named by cells[c], is node len(locs) + c, with a Data edge
+from each of its stores and to each of its loads, the summary-node
+reading of system dependence graphs (Horwitz, Reps and Binkley, TOPLAS
+1990). Its stores x loads edges are never stored, which keeps the graph
+linear in the program. build_pdg emits each edge once, into two flat int
+arrays, the source ids and the other ends packed with a kind code, and
+never builds a list per node. The graph keeps the outgoing edges, the
+only direction any traversal reads, in compressed sparse rows (CSR), one
+offsets array and one packed-edge array: node i's edges are
+packed[offsets[i] : offsets[i + 1]], sorted. The codes follow the order of
+the kind.value strings, so each run is in (dst Loc, kind.value) order,
+and a store's edge into its cell, its only edge, sorts after every
+statement. Slicing (reach) is a plain breadth-first search over the CSR
+that drops the cell nodes it passed; the flow search's layers
+(data_layer) expand a cell when a Data edge enters it, so no witness
+steps on a cell; only this module reads the packed format. DOT output
+never expands a cell: closed_cell_edges gives a slice's edges with each
+cell as its own node, so a slice's DOT file stays linear in the slice. A
+slice is closed under out-edges, so none of those edges is tested against
+it. DepEdge objects are built only by the edges view and a slice's, both
+over closed id sets, with induced expanding each edge into a cell into
+its store -> load pairs.
 
 Call resolution is class-hierarchy analysis, context-insensitive, keyed on
 (method name, arity): a call C.m resolves to the nearest definition in C or
@@ -142,20 +146,21 @@ class DepGraph:
 
     DepGraph(locs, stmts, src, dst, cells) is the graph whose nodes are
     locs, which must be in Loc order (locs[id] is the Loc, so comparing ids
-    compares Locs); stmts[id] is the statement at locs[id]. src and dst are
-    parallel arrays of the explicit edges, distinct and in any order: edge
-    e leaves node src[e] and is packed as dst[e] = dst id << _KIND_BITS |
-    code. They are grouped by source and sorted into _out, a CSR pair
-    (offsets, packed): the run of node i is
-    packed[offsets[i]:offsets[i + 1]].
-    cells[c] is one field cell, as (store ids, load ids) in id order; the
-    store -> load Data edges it implies are not stored and must not repeat
-    an explicit edge. reach, induced, closed_cell_edges and data_layer
-    walk ids;
-    edges builds the DepEdge objects, cell pairs included, on first use,
-    and sink_table the sink statements of a registry. id_of finds a Loc's
-    id by one bisect over locs, so any node set in Loc order, however
-    sparse, is indexed."""
+    compares Locs), then cells, the (class, field) names of the field
+    cells: cell c is node len(locs) + c, after every statement. stmts[id]
+    is the statement at locs[id]. src and dst are parallel arrays of the
+    edges, distinct and in any order: edge e leaves node src[e] and is
+    packed as dst[e] = dst id << _KIND_BITS | code. They are grouped by
+    source and sorted into _out, a CSR pair (offsets, packed): the run of
+    node i is packed[offsets[i]:offsets[i + 1]]. A cell's edges are Data
+    edges from each of its stores and to each of its loads; the store ->
+    load pairs they stand for must not repeat an edge between statements.
+
+    reach, induced, closed_cell_edges and data_layer walk ids; edges
+    builds the DepEdge objects, each cell expanded into its store -> load
+    pairs, on first use, and sink_table the sink statements of a registry.
+    id_of finds a Loc's id by one bisect over locs, so any node set in Loc
+    order, however sparse, is indexed."""
 
     def __init__(
         self,
@@ -163,17 +168,16 @@ class DepGraph:
         stmts: list[Stmt],
         src: array,
         dst: array,
-        cells: list[tuple[tuple[int, ...], tuple[int, ...]]],
+        cells: list[tuple[str, str]],
     ):
         self.locs = tuple(locs)
         self.stmts = tuple(stmts)
-        n = len(self.locs)
+        self.cells = cells
+        n = len(self.locs) + len(cells)
         # Each edge sorts as one int, its node id << shift | its packed end.
         shift = n.bit_length() + _KIND_BITS
         keys = sorted(map(or_, map(lshift, src, repeat(shift)), dst))
         self._out = _csr(n, shift, keys)
-        self.cells = cells
-        self._store_cell = {s: c for c, (stores, _) in enumerate(cells) for s in stores}
         self._edges: Optional[frozenset[DepEdge]] = None
         self._sinks: Optional[tuple[tuple[dict, dict], dict[int, SinkMatch]]] = None
 
@@ -211,76 +215,67 @@ class DepGraph:
         return i if i < len(self.locs) and self.locs[i] == loc else None
 
     def reach(self, root: int) -> list[int]:
-        """The ids reachable from root over any edge kind, root first. A
-        field cell's loads are added once, at the first of its stores."""
-        (at, out), cells, store_cell = self._out, self.cells, self._store_cell
+        """The statement ids reachable from root over any edge kind, in id
+        order: a breadth-first search over the CSR, then sorted, with the
+        cell nodes it passed through, the largest ids, cut off."""
+        at, out = self._out
         seen = {root}
         work = [root]
-        expanded: set[int] = set()
-        for n in work:  # grows while iterated: a FIFO queue
-            for x in out[at[n] : at[n + 1]]:
+        for v in work:  # grows while iterated: a FIFO queue
+            for x in out[at[v] : at[v + 1]]:
                 d = x >> _KIND_BITS
                 if d not in seen:
                     seen.add(d)
                     work.append(d)
-            c = store_cell.get(n)
-            if c is not None and c not in expanded:
-                expanded.add(c)
-                for d in cells[c][1]:
-                    if d not in seen:
-                        seen.add(d)
-                        work.append(d)
+        work.sort()
+        del work[bisect_left(work, len(self.locs)) :]
         return work
 
     def induced(self, ids) -> Iterator[tuple[int, int, int]]:
-        """(src id, dst id, kind code) of every edge between nodes of ids,
-        which must be in id order and closed under out-edges (all ids, or
-        a sorted reach set), cell pairs included: closed_cell_edges with
-        each cell expanded. KINDS[code] is the EdgeKind. For ids that are
-        not closed, edges that leave ids are given too."""
-        n = len(self.locs)
-        stores: dict[int, list[int]] = {}  # cell node -> its stores in ids
-        for i, j, k in self.closed_cell_edges(ids)[1]:
-            if j >= n:
-                stores.setdefault(j, []).append(i)
-            elif i >= n:
-                yield from ((s, j, k) for s in stores[i])
-            else:
-                yield i, j, k
+        """(src id, dst id, kind code) of every edge between statements of
+        ids, which must be in id order and closed under out-edges (all ids,
+        or a sorted reach set), each edge into a cell expanded into the
+        store -> load pairs of the cell's loads. KINDS[code] is the
+        EdgeKind. For ids that are not closed, edges that leave ids are
+        given too."""
+        (at, out), n = self._out, len(self.locs)
+        for i in ids:
+            for x in out[at[i] : at[i + 1]]:
+                j = x >> _KIND_BITS
+                if j < n:
+                    yield i, j, x & _KIND_MASK
+                else:
+                    yield from ((i, y >> _KIND_BITS, _DATA) for y in out[at[j] : at[j + 1]])
 
     def closed_cell_edges(self, ids) -> tuple[list[int], list[tuple[int, int, int]]]:
-        """The edges out of the nodes of ids, which must be in id order,
-        with each field cell kept as a node of its own, id len(locs) + c
-        for cell c, instead of expanded into its store -> load pairs:
-        (cells, edges), cells the cells with a load that ids stores to, in
-        the order of their first store (cell_field(c) names cell c), and
-        edges (src id, dst id, kind code), per i of ids, its explicit
-        edges in (dst Loc, kind.value) order, then its Data edge to its
-        cell; then per cell, its Data edges to all its loads, in id order.
+        """The edges out of the nodes of ids, which must be in id order, and
+        out of the cells they store to: (cells, edges), cells the node ids
+        of those cells, len(locs) and up, in the order of their first store
+        (cell_field names each), and edges (src id, dst id, kind code): per
+        i of ids, its run, in (dst id, kind) order, so a store's edge to its
+        cell comes last; then per cell, its run's Data edges to its loads,
+        in id order.
 
         For ids closed under out-edges, a sorted reach set, every one of
         these edges ends in ids or at a cell listed, so they are the edges
         between the nodes of ids, found with no lookup in ids."""
-        (at, out), store_cell, cells, n = self._out, self._store_cell, self.cells, len(self.locs)
-        stored: list[int] = []
+        (at, out), n = self._out, len(self.locs)
+        stored: dict[int, None] = {}  # in the order of their first store
         edges: list[tuple[int, int, int]] = []
         add = edges.append
         for i in ids:
             for x in out[at[i] : at[i + 1]]:
-                add((i, x >> _KIND_BITS, x & _KIND_MASK))
-            c = store_cell.get(i)
-            if c is not None and cells[c][1]:
-                add((i, n + c, _DATA))
-                stored.append(c)
-        stored = list(dict.fromkeys(stored))  # in the order of their first store
+                j = x >> _KIND_BITS
+                add((i, j, x & _KIND_MASK))
+                if j >= n:
+                    stored[j] = None
         for c in stored:
-            edges += [(n + c, load, _DATA) for load in cells[c][1]]
-        return stored, edges
+            edges += [(c, y >> _KIND_BITS, _DATA) for y in out[at[c] : at[c + 1]]]
+        return list(stored), edges
 
     def cell_field(self, c: int) -> tuple[str, str]:
-        """The (class, field) of cell c."""
-        s = self.stmts[self.cells[c][0][0]]
-        return s.cls, s.fld
+        """The (class, field) of the cell at node id c."""
+        return self.cells[c - len(self.locs)]
 
     def data_layer(self, layer: list[int], parent: dict[int, int], expanded: tuple[set, set],
                    start: int, blocked: frozenset[int], sanitizing: frozenset[int]) -> list[int]:
@@ -294,12 +289,12 @@ class DepGraph:
         other than via ReturnOut at a node of blocked, and its path turns
         dirty when it leaves a node of sanitizing. A node's states follow
         its CSR run, in ascending order: the run is in (dst id, kind)
-        order, and ReturnOut sorts after Data and ParamIn. A field store,
-        the only node with a cell, has no data-carrying edge of its own;
-        its cell's loads, in id order, are added with the path's dirty bit
-        unless that cell is already in expanded[dirty], and it is then
-        added there."""
-        (at, out), cells, store_cell = self._out, self.cells, self._store_cell
+        order, and ReturnOut sorts after Data and ParamIn. A Data edge
+        into a cell node, a field store's only edge, is no state: unless
+        the cell is already in expanded[dirty], it is added there and its
+        loads, in id order, are added with the path's dirty bit and the
+        store's state as their parent, so no path steps on a cell."""
+        (at, out), n = self._out, len(self.locs)
         nxt: list[int] = []
         add = nxt.append
         for state in layer:
@@ -313,23 +308,27 @@ class DepGraph:
             for x in out[at[v] : at[v + 1]]:
                 k = x & _KIND_MASK
                 if k >= _DATA:  # Data, ParamIn or ReturnOut
-                    s = (x >> _KIND_BITS << 2) + (dirty if k != _RETURN_OUT else 2 + dirty)
-                    if s not in parent:
-                        parent[s] = state
-                        add(s)
-            c = store_cell.get(v)
-            if c is not None and c not in expanded[dirty]:
-                expanded[dirty].add(c)
-                for load in cells[c][1]:
-                    s = 4 * load + dirty
-                    if s not in parent:
-                        parent[s] = state
-                        add(s)
+                    d = x >> _KIND_BITS
+                    if d < n:
+                        s = (d << 2) + (dirty if k != _RETURN_OUT else 2 + dirty)
+                        if s not in parent:
+                            parent[s] = state
+                            add(s)
+                    elif d not in expanded[dirty]:
+                        expanded[dirty].add(d)
+                        for y in out[at[d] : at[d + 1]]:
+                            s = (y >> _KIND_BITS << 2) + dirty
+                            if s not in parent:
+                                parent[s] = state
+                                add(s)
         return nxt
 
     def __repr__(self) -> str:
-        n_edges = len(self._out[1]) + sum(len(s) * len(l) for s, l in self.cells)
-        return f"DepGraph({len(self.locs)} nodes, {n_edges} edges)"
+        """The edges are counted as the edges view holds them: each store's
+        edge into a cell as one edge per load of the cell."""
+        (at, out), n = self._out, len(self.locs)
+        pairs = sum(at[d + 1] - at[d] - 1 for x in out[: at[n]] if (d := x >> _KIND_BITS) >= n)
+        return f"DepGraph({n} nodes, {at[n] + pairs} edges)"
 
 
 def _csr(n: int, shift: int, keys: list[int]) -> tuple[array, array]:
@@ -682,7 +681,9 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
 
     Every statement location is a node. Methods are numbered in sorted
     order, each over a contiguous id range, so the result is independent of
-    source class order and ids follow Loc order.
+    source class order and ids follow Loc order. Each (class, field) cell
+    that has a reachable store and a reachable load is a node too, numbered
+    after the statements in (class, field) order.
 
     The method facts are read one method at a time and dropped: a method's
     own edges, cell stores and loads and parameter feeds come from its facts
@@ -691,7 +692,7 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
     the Call, ReturnOut and ParamIn edges are emitted from those once every
     method has been read."""
     stmts = [s for _, m in p.iter_methods() for s in m.body]
-    # Explicit edges, one (src id, dst id << _KIND_BITS | code) pair each.
+    # Edges, one (src id, dst id << _KIND_BITS | code) pair each.
     src, dst = array("q"), array("q")
     add_src, add_dst = src.append, dst.append
 
@@ -742,11 +743,17 @@ def build_pdg(p: Program, cg: CallGraph) -> DepGraph:
                     add_src(base + r)
                     add_dst(site << _KIND_BITS | _RETURN_OUT)
 
-    # Field cells: program-wide store -> load, order-insensitive, kept as
-    # one (stores, loads) pair per cell instead of stores x loads edges. No
-    # explicit edge leaves a store (it defines no local and is no call,
-    # branch or return), so no cell pair repeats one.
-    cells = [(tuple(stores[c]), tuple(loads[c])) for c in sorted(stores) if c in loads]
+    # Field cells: program-wide store -> load, order-insensitive, each cell
+    # a node after the statements, with a Data edge from each store and to
+    # each load instead of stores x loads edges. No other edge leaves a
+    # store (it defines no local and is no call, branch or return), so a
+    # store's one edge is into its cell.
+    cells = [c for c in sorted(stores) if c in loads]
+    for node, c in enumerate(cells, len(stmts)):
+        src.extend(stores[c])
+        dst.extend(repeat(node << _KIND_BITS | _DATA, len(stores[c])))
+        src.extend(repeat(node, len(loads[c])))
+        dst.extend([load << _KIND_BITS | _DATA for load in loads[c]])
 
     # Chase parameter-to-parameter pass-through across call sites to a fixpoint.
     changed = True

@@ -525,7 +525,7 @@ def render_dot(
     cells, edges = g.closed_cell_edges(s.ids)
     for c in cells:
         name = _dot_escape(".".join(g.cell_field(c)))
-        quoted[len(locs) + c] = q = f'"{name}"'
+        quoted[c] = q = f'"{name}"'
         add(f'  {q} [label="{name}", shape=cylinder, kind="field"];')
     for i, j, k in edges:
         add(f"  {quoted[i]} -> {quoted[j]}{_EDGE_TAILS[k]}")

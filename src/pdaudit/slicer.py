@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 
 from .graph import KINDS, DepEdge, DepGraph
@@ -10,11 +11,12 @@ from .registry import SourceLabel
 
 
 class Slice:
-    """The node ids of g reachable from the root label's location, in id
-    (= Loc) order. nodes and edges are the Loc and DepEdge views, built on
-    first use. A slice equals only itself."""
+    """The statement ids of g reachable from the root label's location, in
+    id (= Loc) order, as an array of C longs, not one int object per id.
+    nodes and edges are the Loc and DepEdge views, built on first use. A
+    slice equals only itself."""
 
-    def __init__(self, root: SourceLabel, graph: DepGraph, ids: tuple[int, ...]):
+    def __init__(self, root: SourceLabel, graph: DepGraph, ids: array):
         self.root, self.graph, self.ids = root, graph, ids
 
     @cached_property
@@ -37,5 +39,5 @@ def forward_slice(g: DepGraph, label: SourceLabel) -> Slice:
     root = g.id_of(label.location)
     if root is None:
         raise ValueError(f"label location {label.location} is not a graph node")
-    return Slice(label, g, tuple(sorted(g.reach(root))))
+    return Slice(label, g, array("l", g.reach(root)))
 

@@ -137,7 +137,9 @@ def _search(
 
     The expansion lives next to the packed edges it reads, in
     g.data_layer: one loop over a layer's states, each expanded straight
-    from its node's edge run and its cell's loads, with these rules."""
+    from its node's edge run, and a store's edge into its cell from the
+    cell's run of loads, with these rules; expanded holds the cell nodes
+    expanded so far, per dirty bit."""
     start = 4 * src + 2
     parent = {start: start}
     layer = [start]

@@ -1,9 +1,10 @@
 """The integer-id dependence graph against its explicit-edge reading.
 
-build_pdg keeps each field cell as one (stores, loads) pair and never
-stores the store -> load edges it implies. oracles.explicit_graph rebuilt
-from the materialized edge set has no cells, every edge explicit, so the
-two must agree on the edge set and on flows and slices. Their DOT files
+build_pdg makes each field cell a node, with a Data edge from each store
+and to each load, and never stores the store -> load edges it stands for.
+oracles.explicit_graph rebuilt from the materialized edge set has no
+cells, every edge explicit, so the two must agree on the edge set, its
+repr, and on flows and slices. Their DOT files
 differ only in the cell nodes: oracles.expand_cell_nodes turns the cell
 graph's DOT into the explicit graph's, whose edge lines come in (src Loc,
 dst Loc, kind) order.
@@ -11,6 +12,7 @@ dst Loc, kind) order.
 
 import json
 import random
+import tracemalloc
 from array import array
 
 from gen import (
@@ -20,7 +22,7 @@ from gen import (
     registry_json,
     shared_cell_program,
 )
-from oracles import expand_cell_nodes, explicit_graph
+from oracles import DATA_KINDS, expand_cell_nodes, explicit_graph
 from pdaudit.graph import DepEdge, build_call_graph, build_pdg
 from pdaudit.ir import AssignFieldLoad, Call, FieldStore, Loc, parse_program
 from pdaudit.registry import SinkKind, SinkMatch, SinkRegistry
@@ -79,7 +81,9 @@ def test_data_layer_gives_each_nodes_states_in_ascending_order():
     paths, so DepGraph.data_layer must give the new states of one state in
     ascending order, each once, for both dirty bits: a node's CSR run in
     (dst id, kind) order, or a field store's cell loads in id order. A
-    store has no data-carrying edge of its own, so the two never mix."""
+    store's one edge is into its cell, so the two never mix; expanded
+    holds the cell node ids, and a store whose cell is in it gives no
+    state."""
     rng = random.Random(6060)
     multi_load = 0
     none: frozenset[int] = frozenset()
@@ -89,9 +93,10 @@ def test_data_layer_gives_each_nodes_states_in_ascending_order():
         else:
             p = gen_program(rng, max_branches=4, allow_loops=True, allow_recursion=True)
         g = build_pdg(p, build_call_graph(p))
-        every_cell = set(range(len(g.cells)))
-        for stores, _ in g.cells:
-            for s in stores:
+        n = len(g.locs)
+        every_cell = set(range(n, n + len(g.cells)))
+        for s, stmt in enumerate(g.stmts):
+            if isinstance(stmt, FieldStore):
                 assert g.data_layer([4 * s], {}, (every_cell, every_cell), 4 * s, none, none) == []
         for dirty in (0, 1):
             expanded: tuple[set[int], set[int]] = (set(), set())
@@ -101,7 +106,7 @@ def test_data_layer_gives_each_nodes_states_in_ascending_order():
                 states = g.data_layer([state], {}, expanded, state, none, none)
                 assert states == sorted(set(states)), (v, states)
                 assert all(s & 1 == dirty for s in states)
-                assert not expanded[1 - dirty]
+                assert not expanded[1 - dirty] and expanded[dirty] <= every_cell
                 multi_load += len(expanded[dirty]) > cells_before and len(states) > 1
     assert multi_load >= 50, multi_load
 
@@ -169,8 +174,9 @@ def test_induced_on_closed_id_sets_gives_each_edge_between_them_once():
 
 def test_depgraph_holds_csr_arrays_not_per_node_lists():
     """The outgoing edges are one offsets array and one packed-edge array
-    that holds exactly the explicit edges, with no reversed copy; no
-    attribute is a sequence holding lists."""
+    that holds exactly the edges between statements and each cell's edge
+    from each of its stores and to each of its loads, with no reversed
+    copy; no attribute is a sequence holding lists."""
     rng = random.Random(4141)
     for p in (gen_perf_program(rng, n_methods=20, stmts_each=30),
               gen_program(rng, allow_loops=True, allow_recursion=True)):
@@ -179,12 +185,82 @@ def test_depgraph_holds_csr_arrays_not_per_node_lists():
         for name, value in vars(g).items():
             if isinstance(value, (list, tuple)):
                 assert not any(isinstance(x, list) for x in value), name
-        assert len(g._out[1]) == len(g.edges) - sum(len(s) * len(l) for s, l in g.cells)
-        assert not hasattr(g, "_inn") and not hasattr(g, "_load_cell")
+        stmt_at = dict(zip(g.locs, g.stmts))
+        pairs = [e for e in g.edges if _is_field_pair(stmt_at, e.src, e.dst)]
+        stores, loads = {e.src for e in pairs}, {e.dst for e in pairs}
+        assert len(g._out[1]) == len(g.edges) - len(pairs) + len(stores) + len(loads)
+        assert not any(hasattr(g, name) for name in ("_inn", "_load_cell", "_store_cell"))
         offsets, packed = g._out
         assert isinstance(offsets, array) and isinstance(packed, array)
-        assert len(offsets) == n + 1 and offsets[0] == 0 and offsets[-1] == len(packed)
+        assert len(offsets) == n + len(g.cells) + 1
+        assert offsets[0] == 0 and offsets[-1] == len(packed)
         assert list(offsets) == sorted(offsets)
+
+
+def test_cell_nodes_follow_the_statements_and_no_path_steps_on_one():
+    """Cell c is node len(locs) + c: closed_cell_edges on all ids gives
+    every cell by that node id, with an edge from each of its stores and
+    to each of its loads, and cell_field names the field they write and
+    read. No reach result, slice id or witness step is a cell node: reach
+    gives the statements the edges view reaches, in id order, and each
+    witness step is a data-carrying edge of that view."""
+    rng = random.Random(5151)
+    with_cells = 0
+    for k in range(60):
+        p = (gen_hub_program(rng, n_methods=rng.randint(2, 8)) if k % 2
+             else gen_perf_program(rng, n_methods=6, stmts_each=30))
+        _, g, labels, pr = analyze_generated(p)
+        n = len(g.locs)
+        with_cells += bool(g.cells)
+        cells, edges = g.closed_cell_edges(range(n))
+        assert sorted(cells) == list(range(n, n + len(g.cells)))
+        for c in cells:
+            into = [g.stmts[i] for i, j, _ in edges if j == c]
+            out = [g.stmts[j] for i, j, _ in edges if i == c]
+            assert into and out
+            assert all(isinstance(s, FieldStore) for s in into)
+            assert all(isinstance(s, AssignFieldLoad) for s in out)
+            assert {(s.cls, s.fld) for s in into + out} == {g.cell_field(c)}
+        assert {j for _, j, _ in edges if j >= n} == set(cells)
+        succs: dict[int, set[int]] = {}
+        for e in g.edges:
+            succs.setdefault(g.id_of(e.src), set()).add(g.id_of(e.dst))
+        for root in rng.sample(range(n), min(n, 5)):
+            reach = g.reach(root)
+            want, work = {root}, [root]
+            while work:
+                for j in succs.get(work.pop(), ()):
+                    if j not in want:
+                        want.add(j)
+                        work.append(j)
+            assert reach == sorted(want)
+        for label in labels:
+            ids = forward_slice(g, label).ids
+            assert isinstance(ids, array) and list(ids) == sorted(set(ids))
+            assert all(i < n for i in ids)
+        data_edges = {(e.src, e.dst) for e in g.edges if e.kind in DATA_KINDS}
+        for f in collect_flows(pr, GEN_SINKS, g):
+            assert all(g.id_of(w) is not None for w in f.witness)
+            assert all(step in data_edges for step in zip(f.witness, f.witness[1:]))
+    assert with_cells >= 30, with_cells
+
+
+def test_slice_ids_hold_at_most_16_bytes_each():
+    """A slice's ids are one array of C longs: holding the ids of every
+    slice of a 2,000-statement program costs at most 16 bytes per id, not
+    a tuple slot and an int object for each."""
+    p = gen_perf_program(random.Random(7070), n_methods=40, stmts_each=50)
+    _, g, labels, _ = analyze_generated(p)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [forward_slice(g, label).ids for label in labels]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_ids = sum(map(len, held))
+    assert n_ids >= 500, n_ids
+    assert grown / n_ids <= 16, (grown, n_ids)
 
 
 def test_id_of_is_none_off_the_graphs_nodes():

@@ -1,5 +1,6 @@
 import random
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     successors,
 )
 from pdaudit.graph import (
+    _KIND_BITS,
     ENTRY_DEF,
     EXIT,
     CallGraph,
@@ -543,7 +545,9 @@ class C extends D {
 def test_build_pdg_emits_each_edge_once(monkeypatch):
     """No (src, dst) pair reaches DepGraph twice: not a local def read at
     two argument positions, nor a def fed to two parameters that one
-    callee statement reads."""
+    callee statement reads. The pairs are the edges between statements,
+    and per field cell one edge from each store and one to each load,
+    which the edges view expands into stores x loads pairs."""
     init = DepGraph.__init__
     handed = []  # per graph built, the (src id, packed dst) pairs it got
 
@@ -565,7 +569,13 @@ def test_build_pdg_emits_each_edge_once(monkeypatch):
         g = build_pdg(p, build_call_graph(p))
         pairs = handed[-1]
         assert len(pairs) == len(set(pairs))
-        assert len(pairs) + sum(len(s) * len(l) for s, l in g.cells) == len(g.edges)
+        n = len(g.locs)
+        between = [(i, d) for i, d in pairs if i < n and d >> _KIND_BITS < n]
+        into = Counter(d >> _KIND_BITS for i, d in pairs if d >> _KIND_BITS >= n)
+        out_of = Counter(i for i, _ in pairs if i >= n)
+        assert set(into) == set(out_of) == set(range(n, n + len(g.cells)))
+        assert len(between) + sum(k * out_of[c] for c, k in into.items()) == len(g.edges)
+        assert len(between) + sum(into.values()) + sum(out_of.values()) == len(pairs)
         edges += len(pairs)
     assert edges >= 1000
 
